@@ -17,11 +17,13 @@ fbm
     Exact fractional Brownian motion sampling (circulant embedding, recursive
     conditioning, Cholesky), Hoelder-constant estimation, nested refinement.
 sde
-    The regularized integrator with exact per-step kernel integration, plus a
-    generic comparison-pair integrator.
+    The regularized integrator with exact per-step kernel integration, its
+    batched form over many paths and levels, plus a generic comparison-pair
+    integrator.
 ladder
-    Vanishing-regularization ladders: monotone families, limit extrapolation,
-    and the pathwise verification operations.
+    Vanishing-regularization ladders: monotone families (solved in batched
+    chunks of paths), limit extrapolation, and the pathwise verification
+    operations.
 picard
     Horizon certification and contraction iteration for the local problem.
 excursions
@@ -56,6 +58,7 @@ from .sde import (
     drift_eps,
     kernel_column,
     kernel_integral,
+    solve_batch,
     solve_comparison_pair,
     solve_regularized,
 )
@@ -67,6 +70,7 @@ from .ladder import (
     EpsContinuityResult,
     MeasureDecayResult,
     NonnegativityResult,
+    build_families,
     build_family,
     compensator_budget,
     compute_compensator,
@@ -169,6 +173,7 @@ __all__ = [
     "SolverError",
     "TimeGrid",
     "VerificationReport",
+    "build_families",
     "build_family",
     "cli_dispatch",
     "config_digest",
@@ -201,6 +206,7 @@ __all__ = [
     "run_campaign",
     "select_delta",
     "singular_integral",
+    "solve_batch",
     "solve_comparison_pair",
     "solve_regularized",
     "verify_endpoint_limits",

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "GENERATOR_TAGS",
@@ -117,8 +116,10 @@ class SeedRecord:
     def __post_init__(self) -> None:
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if not (0 <= self.path_index):
-            raise ValueError(f"path_index must be nonnegative, got {self.path_index}")
+        if not (0 <= self.path_index < 2**64):
+            raise ValueError(
+                f"path_index must be a nonnegative 64-bit integer, got {self.path_index}"
+            )
 
 
 def path_stream(seed_record: SeedRecord, substream: int = 0) -> Generator:
@@ -418,6 +419,10 @@ def _refine_tables(n: int, horizon: float, hurst_value: float) -> tuple[np.ndarr
     cached = _refine_cache.get(key)
     if cached is not None:
         return cached
+    # scipy is imported here, by its only user, so that importing the package
+    # does not pay its memory.
+    from scipy.linalg import cho_factor, cho_solve
+
     dt_fine = horizon / (2 * n)
     g = _fgn_kernel(2 * n, hurst_value) * dt_fine ** (2.0 * hurst_value)
     idx = np.arange(n)

@@ -23,9 +23,10 @@ import json
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .ladder import (
     DEFAULT_TOL_MONO,
     EpsilonFamily,
     EpsilonLadder,
+    build_families,
     build_family,
     compensator_budget,
     compute_compensator,
@@ -885,22 +887,15 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     method = "zero" if config.zero_noise else config.method
     per_path_checks = [check for check in config.checks if check != "measure-decay-mean"]
 
-    for index in range(config.path_count):
-        seed = SeedRecord(config.master_seed, index)
-        build_started = time.perf_counter()
-        try:
-            noise = generate_fbm(config.grid, config.spec.hurst, seed, method=method)
-            family = build_family(
-                config.spec, noise, config.ladder, tol_mono=float(config.tolerances["tol_mono"])
-            )
-        except Exception as exc:  # noqa: BLE001 - aborts become recorded failures
-            elapsed = time.perf_counter() - build_started
-            note = f"family construction failed: {type(exc).__name__}: {exc}"
+    for index, seed, noise, outcome, elapsed in _path_families(config, method):
+        if not isinstance(outcome, EpsilonFamily):
+            note = f"family construction failed: {type(outcome).__name__}: {outcome}"
             for check in per_path_checks:
                 accumulators[check].record(index, False, None, note)
                 accumulators[check].runtime += elapsed / max(len(per_path_checks), 1)
             continue
 
+        family = outcome
         ctx = _PathContext(index=index, seed=seed, noise=noise, family=family)
         if gather_measures:
             first_level_measures.append(nonpositive_measure(family.solutions[0]))
@@ -947,6 +942,45 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     if excursion_rows:
         _write_excursion_table(excursion_rows, report, os.path.join(out_dir, "excursions.csv"))
     return report
+
+
+def _path_families(
+    config: ExperimentConfig, method: str
+) -> Iterator[tuple[int, SeedRecord, FbmPath | None, EpsilonFamily | Exception, float]]:
+    """Per path in index order: (index, seed, noise, family or failure, seconds).
+
+    Noise is generated lazily as :func:`build_families` draws it chunk by
+    chunk; a path whose generation fails is held back until the families of
+    the paths before it have been handed out, so outcomes stay in index order.
+    The seconds are the time spent producing that outcome.
+    """
+
+    pending: deque[tuple[int, SeedRecord, FbmPath | None, Exception | None]] = deque()
+
+    def noises() -> Iterator[FbmPath]:
+        for index in range(config.path_count):
+            seed = SeedRecord(config.master_seed, index)
+            try:
+                noise = generate_fbm(config.grid, config.spec.hurst, seed, method=method)
+            except Exception as exc:  # noqa: BLE001 - aborts become recorded failures
+                pending.append((index, seed, None, exc))
+                continue
+            pending.append((index, seed, noise, None))
+            yield noise
+
+    families = build_families(
+        config.spec, noises(), config.ladder, tol_mono=float(config.tolerances["tol_mono"])
+    )
+    started = time.perf_counter()
+    for family in families:
+        while pending[0][3] is not None:
+            index, seed, _, failure = pending.popleft()
+            yield index, seed, None, failure, 0.0
+        index, seed, noise, _ = pending.popleft()
+        yield index, seed, noise, family, time.perf_counter() - started
+        started = time.perf_counter()
+    for index, seed, _, failure in pending:
+        yield index, seed, None, failure, 0.0
 
 
 def _mean_measure_verdict(

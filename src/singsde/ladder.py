@@ -8,6 +8,8 @@ shrinks.  The limit is estimated by the deepest level, and the sup-distance
 between the two deepest levels (the Cauchy gap) serves as the limit
 estimate's error budget throughout — the convergence is monotone with no
 proven rate, so reporting the remaining gap is the honest extrapolation.
+Families of many paths are solved together: every path and level of a chunk
+advance through one batched recursion (:func:`build_families`).
 
 Verification operations check, per path: the ordering itself, a uniform upper
 bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma sup|B|``, decay of the
@@ -20,12 +22,22 @@ parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .sde import RegularizedPath, SdeSpec, kernel_column, solve_regularized
+from .sde import (
+    RegularizedPath,
+    SdeSpec,
+    SolverError,
+    _drift_table,
+    _integrate_batch,
+    kernel_column,
+    solve_regularized,
+)
 
 __all__ = [
     "BoundCertificate",
@@ -35,6 +47,7 @@ __all__ = [
     "EpsilonLadder",
     "MeasureDecayResult",
     "NonnegativityResult",
+    "build_families",
     "build_family",
     "compensator_budget",
     "compute_compensator",
@@ -50,6 +63,11 @@ __all__ = [
 DEFAULT_TOL_MONO = 1e-12
 DEFAULT_TOL_BOUND = 1e-9
 DEFAULT_FLOOR_SCALE = 1e-6
+
+# Solution values per solver chunk (16 MiB of float64): 11 paths of an
+# 11-level ladder on 2^14 steps.  Larger chunks spread the per-step ufunc
+# overhead over more paths but cost resident memory.
+_CHUNK_VALUES = 2**21
 
 
 @dataclass(frozen=True)
@@ -67,6 +85,11 @@ class EpsilonLadder:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
         if not (isinstance(self.depth, int) and self.depth >= 1):
             raise ValueError(f"depth must be a positive integer, got {self.depth}")
+        if not self.levels()[-1] > 0.0:
+            raise ValueError(
+                f"the deepest level underflows to 0 (eps0={self.eps0}, ratio={self.ratio}, "
+                f"depth={self.depth})"
+            )
 
     def levels(self) -> np.ndarray:
         return self.eps0 * self.ratio ** np.arange(self.depth + 1, dtype=float)
@@ -103,37 +126,112 @@ class EpsilonFamily:
         return self.noise.grid
 
 
+def build_families(
+    spec: SdeSpec,
+    noises: Iterable[FbmPath],
+    ladder: EpsilonLadder,
+    tol_mono: float = DEFAULT_TOL_MONO,
+) -> Iterator[EpsilonFamily | SolverError]:
+    """Solve every ladder level on each noise path, one batched chunk at a time.
+
+    Yields, in input order, one :class:`EpsilonFamily` per noise, or the
+    :class:`SolverError` that :func:`solve_regularized` would raise for it (the
+    first failing level, at its first non-finite step).  A failing path does
+    not disturb the others in its chunk.  Noises are drawn from the iterable
+    lazily, one chunk of about ``_CHUNK_VALUES`` solution values ahead, and
+    must all share one grid and the spec's roughness.  Each family owns a copy
+    of its values; none aliases the chunk buffer.  The chunk buffer is
+    allocated once, for the first chunk, and reused for the later ones.
+    """
+
+    if ladder.depth < 2:
+        raise ValueError(f"ladder depth must be at least 2, got {ladder.depth}")
+    levels = ladder.levels()
+    noises = iter(noises)
+    first = next(noises, None)
+    if first is None:
+        return
+    grid = first.grid
+    width = max(1, _CHUNK_VALUES // (levels.size * (grid.step_count + 1)))
+    chunk = [first, *islice(noises, width - 1)]
+    table = _drift_table(spec, levels, grid)
+    buffer = np.empty((grid.step_count + 1, len(chunk), levels.size))
+    while chunk:
+        for noise in chunk:
+            if noise.hurst != spec.hurst:
+                raise ValueError(
+                    f"noise roughness {noise.hurst.value} differs from spec roughness "
+                    f"{spec.hurst.value}"
+                )
+            if noise.grid != grid:
+                raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
+        solved = _integrate_batch(
+            spec,
+            levels,
+            grid,
+            table,
+            np.array([noise.values for noise in chunk]),
+            buffer[:, : len(chunk)],
+        )
+        for path, noise in enumerate(chunk):
+            yield _family(spec, noise, ladder, levels, solved[:, path].T.copy(), tol_mono)
+        chunk = list(islice(noises, width))
+
+
+def _family(
+    spec: SdeSpec,
+    noise: FbmPath,
+    ladder: EpsilonLadder,
+    levels: np.ndarray,
+    values: np.ndarray,
+    tol_mono: float,
+) -> EpsilonFamily | SolverError:
+    """Wrap one path's (levels, nodes) block, or report its first non-finite state."""
+
+    finite = np.isfinite(values)
+    if not finite.all():
+        level = int(np.argmin(finite.all(axis=1)))
+        step = int(np.argmin(finite[level]))
+        return SolverError(
+            f"non-finite state at step {step} (eps={float(levels[level])}, dt={noise.grid.dt})",
+            step_index=step,
+        )
+    solutions = [
+        RegularizedPath(
+            spec=spec, epsilon=float(eps), grid=noise.grid, values=row, noise_ref=noise.ref
+        )
+        for eps, row in zip(levels, values)
+    ]
+    deficit = values[:-1, 1:] - values[1:, 1:]
+    mask = deficit > tol_mono
+    return EpsilonFamily(
+        spec=spec,
+        noise=noise,
+        ladder=ladder,
+        solutions=solutions,
+        limit_estimate=values[-1].copy(),
+        cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
+        mono_violation_count=int(mask.sum()),
+        mono_worst_deficit=float(deficit[mask].max(initial=0.0)),
+        tol_mono=tol_mono,
+    )
+
+
 def build_family(
     spec: SdeSpec,
     noise: FbmPath,
     ladder: EpsilonLadder,
     tol_mono: float = DEFAULT_TOL_MONO,
 ) -> EpsilonFamily:
-    """Solve every ladder level on the shared noise and record the diagnostics."""
+    """Solve every ladder level on the shared noise and record the diagnostics.
 
-    if ladder.depth < 2:
-        raise ValueError(f"ladder depth must be at least 2, got {ladder.depth}")
-    solutions = [solve_regularized(spec, float(eps), noise) for eps in ladder.levels()]
-    violations = 0
-    worst = 0.0
-    for shallow, deep in zip(solutions[:-1], solutions[1:]):
-        deficit = shallow.values[1:] - deep.values[1:]
-        mask = deficit > tol_mono
-        violations += int(mask.sum())
-        if mask.any():
-            worst = max(worst, float(deficit[mask].max()))
-    gap = float(np.abs(solutions[-1].values - solutions[-2].values).max())
-    return EpsilonFamily(
-        spec=spec,
-        noise=noise,
-        ladder=ladder,
-        solutions=solutions,
-        limit_estimate=solutions[-1].values.copy(),
-        cauchy_gap=gap,
-        mono_violation_count=violations,
-        mono_worst_deficit=worst,
-        tol_mono=tol_mono,
-    )
+    The one-noise case of :func:`build_families`; raises its :class:`SolverError`.
+    """
+
+    (outcome,) = build_families(spec, [noise], ladder, tol_mono)
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "drift_eps",
     "kernel_column",
     "kernel_integral",
+    "solve_batch",
     "solve_comparison_pair",
     "solve_regularized",
 ]
@@ -175,6 +176,104 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
         values=np.array(values),
         noise_ref=noise.ref,
     )
+
+
+_BLOCK_VALUES = 2**17
+
+
+def _drift_table(spec: SdeSpec, eps_levels: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Time-major table of a * K(t_k, t_{k+1}, eps_j), shape (steps, levels)."""
+
+    table = np.empty((grid.step_count, len(eps_levels)))
+    for level, epsilon in enumerate(eps_levels):
+        table[:, level] = spec.a * kernel_column(grid, float(epsilon), spec.hurst)
+    return table
+
+
+def _integrate_batch(
+    spec: SdeSpec,
+    eps_levels: np.ndarray,
+    grid: TimeGrid,
+    table: np.ndarray,
+    noise_values: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Step every path and level of ``out`` (time-major: nodes x paths x levels).
+
+    ``table`` is :func:`_drift_table` for the same spec, levels and grid.  Each
+    entry goes through the scalar recursion's operations in the same order,
+    ``((x + aK / (max(x, 0) + eps)) - (b x) dt) + sigma dB``, so the result is
+    bit-identical to :func:`solve_regularized`.  Non-finite states are left
+    in place; the caller inspects each path.
+
+    A ufunc call costs far more than its few hundred elements, so every
+    operand is a same-shape contiguous array: the per-level table and the
+    per-path pushes are broadcast into scratch blocks of about
+    ``_BLOCK_VALUES`` entries once per block, not once per step.
+    """
+
+    shape = out.shape[1:]
+    block = min(grid.step_count, max(1, _BLOCK_VALUES // max(1, out[0].size)))
+    pushes = spec.sigma * np.diff(noise_values, axis=1)
+    zeros = np.zeros(shape)
+    levels = np.broadcast_to(eps_levels, shape).copy()
+    b = np.full(shape, spec.b)
+    dt = np.full(shape, grid.dt)
+    denominator = np.empty(shape)
+    damping = np.empty(shape)
+    drift_block = np.empty((block,) + shape)
+    push_block = np.empty((block,) + shape)
+    out[0] = spec.x0
+    with np.errstate(all="ignore"):
+        for start in range(0, grid.step_count, block):
+            stop = min(start + block, grid.step_count)
+            drifts = drift_block[: stop - start]
+            drifts[...] = table[start:stop, None, :]
+            steps = push_block[: stop - start]
+            steps[...] = pushes[:, start:stop].T[:, :, None]
+            for x, following, drift, push in zip(
+                out[start:stop], out[start + 1 : stop + 1], drifts, steps
+            ):
+                np.maximum(x, zeros, out=denominator)
+                np.add(denominator, levels, out=denominator)
+                np.divide(drift, denominator, out=denominator)
+                np.add(x, denominator, out=following)
+                np.multiply(x, b, out=damping)
+                np.multiply(damping, dt, out=damping)
+                np.subtract(following, damping, out=following)
+                np.add(following, push, out=following)
+    return out
+
+
+def solve_batch(
+    spec: SdeSpec,
+    eps_levels,
+    grid: TimeGrid,
+    noise_values: np.ndarray,
+) -> np.ndarray:
+    """Solve the regularized recursion for every noise path and every level at once.
+
+    ``noise_values`` holds one driver path per row, shape (paths, nodes).  The
+    result has shape (paths, levels, nodes), a view of a time-major array, and
+    equals, entry for entry, what :func:`solve_regularized` computes for each
+    (path, level) pair.  Unlike
+    the scalar solver it does not raise on a non-finite state: such states
+    stay in the result, and the caller checks each path.
+    """
+
+    levels = np.asarray(eps_levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError(f"eps_levels must be a nonempty 1-D sequence, got shape {levels.shape}")
+    if not (levels > 0.0).all():
+        raise ValueError(f"every epsilon must be positive, got {levels.tolist()}")
+    noise_values = np.asarray(noise_values, dtype=float)
+    if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
+        raise ValueError(
+            f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
+        )
+    out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
+    _integrate_batch(spec, levels, grid, _drift_table(spec, levels, grid), noise_values, out)
+    return out.transpose(1, 2, 0)
 
 
 def solve_comparison_pair(

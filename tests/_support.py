@@ -7,16 +7,21 @@ and report canonicalization for the determinism contract.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from singsde import (
+    EpsilonFamily,
+    EpsilonLadder,
     FbmPath,
     HurstParam,
+    SdeSpec,
     SeedRecord,
+    SolverError,
     TimeGrid,
     VerificationReport,
+    build_families,
     fgn_autocovariance,
     generate_fbm,
 )
@@ -78,6 +83,24 @@ def lag_autocov_zscores(
         stderr = per_path.std(ddof=1) / math.sqrt(path_count)
         zscores[lag] = (mean - fgn_autocovariance(lag, hurst)) / stderr
     return zscores
+
+
+def seeded_families(
+    spec: SdeSpec, grid: TimeGrid, master_seed: int, path_count: int, ladder: EpsilonLadder
+) -> Iterator[EpsilonFamily]:
+    """Families of paths 0..path_count-1 under one master seed, solved in batched chunks.
+
+    A path whose solve fails raises its SolverError, as ``build_family`` would.
+    """
+
+    noises = (
+        generate_fbm(grid, spec.hurst, SeedRecord(master_seed, index))
+        for index in range(path_count)
+    )
+    for outcome in build_families(spec, noises, ladder):
+        if isinstance(outcome, SolverError):
+            raise outcome
+        yield outcome
 
 
 def canonical_report(report: VerificationReport | Mapping) -> dict:

@@ -51,7 +51,7 @@ from singsde import (
     config_from_dict,
 )
 
-from _support import canonical_report, closed_form, lag_autocov_zscores
+from _support import canonical_report, closed_form, lag_autocov_zscores, seeded_families
 
 H_QUARTER = HurstParam(0.25)
 
@@ -131,9 +131,7 @@ def shared_campaign():
     grid = TimeGrid(1.0, 2**14)
     ladder = EpsilonLadder(0.1, 0.5, 10)
     stats = []
-    for index in range(100):
-        noise = generate_fbm(grid, H_QUARTER, SeedRecord(12345, index))
-        family = build_family(spec, noise, ladder)
+    for family in seeded_families(spec, grid, 12345, 100, ladder):
         bound = verify_upper_bound(family, tol_bound=1e-9)
         decay = verify_measure_decay(family)
         nested, _ = verify_nested_zero_sets(family)
@@ -236,9 +234,10 @@ def test_acceptance_7_compensator():
     mc_grid = TimeGrid(1.0, 4096)
     failing: list[int] = []
     worst = -np.inf
-    for index in range(100):
-        noise = generate_fbm(mc_grid, H_QUARTER, SeedRecord(12345, index))
-        mc_family = build_family(stochastic_spec, noise, EpsilonLadder(0.1, 0.3, 8))
+    mc_ladder = EpsilonLadder(0.1, 0.3, 8)
+    for index, mc_family in enumerate(
+        seeded_families(stochastic_spec, mc_grid, 12345, 100, mc_ladder)
+    ):
         mc_estimate = compute_compensator(mc_family)
         mc_budget = compensator_budget(mc_family, mc_estimate)
         violation = float(-mc_estimate.values.min()) - mc_budget

@@ -197,6 +197,16 @@ def test_path_must_start_at_zero():
         FbmPath(grid, values, H_QUARTER, SeedRecord(0, 0), "zero")
 
 
+def test_seed_record_rejects_indices_beyond_64_bits():
+    SeedRecord(2**64 - 1, 2**64 - 1)
+    with pytest.raises(ValueError, match="path_index must be a nonnegative 64-bit integer"):
+        SeedRecord(0, 2**64)
+    with pytest.raises(ValueError, match="path_index must be a nonnegative 64-bit integer"):
+        SeedRecord(0, -1)
+    with pytest.raises(ValueError, match="master_seed must fit in 64 bits"):
+        SeedRecord(2**64, 0)
+
+
 def test_path_stream_determinism():
     a = path_stream(SeedRecord(5, 1)).standard_normal(8)
     b = path_stream(SeedRecord(5, 1)).standard_normal(8)

@@ -24,6 +24,9 @@ from singsde import (
     run_campaign,
 )
 
+from singsde import harness as harness_module
+from singsde import ladder as ladder_module
+
 from _support import canonical_report
 
 H_QUARTER = HurstParam(0.25)
@@ -257,6 +260,58 @@ def test_campaign_reports_are_deterministic(tmp_path):
     excursions_a = (tmp_path / "one" / "excursions.csv").read_bytes()
     excursions_b = (tmp_path / "two" / "excursions.csv").read_bytes()
     assert excursions_a == excursions_b
+
+
+def test_campaign_report_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # Seven paths on the hot (sigma = 1) spec, so several checks record
+    # failures: solved all in one chunk, one path per chunk, and 3 + 3 + 1.
+    def run(name):
+        return canonical_report(
+            run_campaign(
+                smoke_config(
+                    tmp_path / name,
+                    spec={"x0": 1.0, "a": 1.0, "b": 0.5, "sigma": 1.0, "hurst": 0.25},
+                    grid={"horizon": 1.0, "steps": 512},
+                    ladder={"eps0": 0.1, "ratio": 0.5, "depth": 5},
+                    seeds={"master_seed": 4, "path_count": 7},
+                )
+            )
+        )
+
+    default = run("default")
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 1)
+    one_path = run("one")
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 3 * 6 * 513)
+    three_paths = run("three")
+    assert default == one_path == three_paths
+    assert sum(record["fail_count"] for record in default["checks"].values()) > 0
+
+
+def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
+    # Paths whose noise cannot be generated are recorded in index order among
+    # the batched families, at the front, inside and after the last chunk.
+    generate = harness_module.generate_fbm
+
+    def flaky(grid, hurst, seed, **kwargs):
+        if seed.path_index in (0, 2, 3, 5):
+            raise RuntimeError(f"no sample for path {seed.path_index}")
+        return generate(grid, hurst, seed, **kwargs)
+
+    monkeypatch.setattr(harness_module, "generate_fbm", flaky)
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 5 * 257)
+    report = run_campaign(
+        make_config(
+            seeds={"master_seed": 7, "path_count": 6},
+            checks=["upper-bound"],
+            output_dir=str(tmp_path / "flaky"),
+        )
+    )
+    record = report.checks["upper-bound"]
+    assert record.pass_count == 2
+    assert record.failures == tuple(
+        f"path {index}: family construction failed: RuntimeError: no sample for path {index}"
+        for index in (0, 2, 3, 5)
+    )
 
 
 def test_failures_are_isolated_per_check(tmp_path):

@@ -10,10 +10,13 @@ import pytest
 
 from singsde import (
     EpsilonLadder,
+    FbmPath,
     HurstParam,
     SdeSpec,
     SeedRecord,
+    SolverError,
     TimeGrid,
+    build_families,
     build_family,
     compensator_budget,
     compute_compensator,
@@ -29,7 +32,7 @@ from singsde import (
     zero_path,
 )
 
-from _support import closed_form
+from _support import closed_form, seeded_families
 
 H_QUARTER = HurstParam(0.25)
 
@@ -55,6 +58,8 @@ def test_ladder_validation_and_levels():
         EpsilonLadder(0.1, 1.0, 4)
     with pytest.raises(ValueError, match="depth must be a positive integer"):
         EpsilonLadder(0.1, 0.5, 0)
+    with pytest.raises(ValueError, match="deepest level underflows to 0"):
+        EpsilonLadder(1e-300, 1e-10, 3)
     ladder = EpsilonLadder(0.1, 0.5, 10)
     levels = ladder.levels()
     assert levels.size == 11
@@ -104,6 +109,55 @@ def test_build_family_requires_depth():
         build_family(make_spec(), zero_path(TimeGrid(1.0, 64), H_QUARTER), shallow)
 
 
+def test_build_families_matches_build_family_and_isolates_non_finite_path():
+    # One chunk holds every path; the path with an infinite increment yields
+    # the scalar solver's SolverError, and its neighbours still yield families.
+    spec = make_spec(b=0.5, sigma=5.0)
+    grid = TimeGrid(1.0, 512)
+    ladder = EpsilonLadder(0.1, 0.3, 4)
+    noises = [generate_fbm(grid, H_QUARTER, SeedRecord(13, index)) for index in range(4)]
+    broken = noises[1].values.copy()
+    broken[300] = -np.inf
+    noises[1] = FbmPath(grid, broken, H_QUARTER, SeedRecord(13, 1), "circulant")
+
+    outcomes = list(build_families(spec, noises, ladder))
+    assert len(outcomes) == 4
+    with pytest.raises(SolverError) as expected:
+        solve_regularized(spec, float(ladder.levels()[0]), noises[1])
+    assert isinstance(outcomes[1], SolverError)
+    assert str(outcomes[1]) == str(expected.value)
+    assert outcomes[1].step_index == expected.value.step_index == 300
+    with pytest.raises(SolverError, match="non-finite state at step 300"):
+        build_family(spec, noises[1], ladder)
+
+    for index in (0, 2, 3):
+        family = outcomes[index]
+        assert family.noise is noises[index]
+        for solution, eps in zip(family.solutions, ladder.levels()):
+            scalar = solve_regularized(spec, float(eps), noises[index])
+            assert solution.epsilon == scalar.epsilon
+            assert np.array_equal(solution.values, scalar.values)
+        single = build_family(spec, noises[index], ladder)
+        assert np.array_equal(family.limit_estimate, single.limit_estimate)
+        assert family.cauchy_gap == single.cauchy_gap
+        assert family.mono_violation_count == single.mono_violation_count
+        assert family.mono_worst_deficit == single.mono_worst_deficit
+    assert min(family.limit_estimate.min() for family in outcomes[::2]) < 0.0
+
+
+def test_build_families_rejects_mixed_noises():
+    spec = make_spec()
+    ladder = EpsilonLadder(0.1, 0.5, 2)
+    coarse = zero_path(TimeGrid(1.0, 64), H_QUARTER)
+    fine = zero_path(TimeGrid(1.0, 128), H_QUARTER)
+    with pytest.raises(ValueError, match="every noise must share the grid"):
+        list(build_families(spec, [coarse, fine], ladder))
+    rough = zero_path(TimeGrid(1.0, 64), HurstParam(0.3))
+    with pytest.raises(ValueError, match="noise roughness 0.3 differs"):
+        list(build_families(spec, [rough], ladder))
+    assert list(build_families(spec, [], ladder)) == []
+
+
 def test_cauchy_gap_nonincreasing_in_depth():
     spec = make_spec(b=0.5, sigma=2.0**-0.5)
     grid = TimeGrid(1.0, 1024)
@@ -139,9 +193,8 @@ def test_upper_bound_monte_carlo_property():
     grid = TimeGrid(1.0, 4096)
     ladder = EpsilonLadder(0.1, 0.5, 6)
     worst = -np.inf
-    for index in range(100):
-        noise = generate_fbm(grid, H_QUARTER, SeedRecord(4242, index))
-        certificate = verify_upper_bound(build_family(spec, noise, ladder))
+    for index, family in enumerate(seeded_families(spec, grid, 4242, 100, ladder)):
+        certificate = verify_upper_bound(family)
         worst = max(worst, certificate.max_violation)
         assert certificate.passes, f"path {index} violates by {certificate.max_violation:.3e}"
     print(f"worst signed bound violation over 100 paths: {worst:.3e}")
@@ -182,9 +235,7 @@ def test_measure_decay_monte_carlo_example():
     grid = TimeGrid(1.0, 4096)
     ladder = EpsilonLadder(0.1, 0.5, 10)
     first, last, monotone, flipped = [], [], 0, 0
-    for index in range(200):
-        noise = generate_fbm(grid, H_QUARTER, SeedRecord(31415, index))
-        family = build_family(spec, noise, ladder)
+    for index, family in enumerate(seeded_families(spec, grid, 31415, 200, ladder)):
         result = verify_measure_decay(family)
         first.append(result.per_level[0])
         last.append(result.per_level[-1])

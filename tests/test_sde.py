@@ -10,6 +10,7 @@ import pytest
 
 from singsde import (
     ComparisonHypothesisError,
+    FbmPath,
     HurstParam,
     RegularizedPath,
     SdeSpec,
@@ -19,6 +20,7 @@ from singsde import (
     drift_eps,
     generate_fbm,
     kernel_integral,
+    solve_batch,
     solve_comparison_pair,
     solve_regularized,
     zero_path,
@@ -185,6 +187,44 @@ def test_denominator_floor_keeps_drift_finite():
     solution = solve_regularized(spec, 1e-4, noise)
     assert np.all(np.isfinite(solution.values))
     assert solution.values.min() < 0.0, "fixture should actually cross zero"
+
+
+def test_solve_batch_is_bit_identical_to_scalar_solver():
+    # Paths x levels at once: a zero-crossing path, ordinary paths, and a path
+    # with an infinite increment, which the batch leaves non-finite from the
+    # step where the scalar solver aborts.
+    spec = make_spec(b=0.5, sigma=5.0)
+    grid = TimeGrid(1.0, 512)
+    noises = [generate_fbm(grid, H_QUARTER, SeedRecord(13, index)) for index in range(4)]
+    broken = noises[2].values.copy()
+    broken[100] = np.inf
+    noises[2] = FbmPath(grid, broken, H_QUARTER, SeedRecord(13, 2), "circulant")
+    levels = [0.1, 1e-2, 1e-4]
+    batch = solve_batch(spec, levels, grid, np.array([noise.values for noise in noises]))
+    assert batch.shape == (4, 3, 513)
+    for path, noise in enumerate(noises):
+        for level, epsilon in enumerate(levels):
+            if path == 2:
+                with pytest.raises(SolverError, match="non-finite state at step 100") as excinfo:
+                    solve_regularized(spec, epsilon, noise)
+                step = excinfo.value.step_index
+                assert np.isfinite(batch[path, level, :step]).all()
+                assert not np.isfinite(batch[path, level, step])
+            else:
+                expected = solve_regularized(spec, epsilon, noise).values
+                assert np.array_equal(batch[path, level], expected), (path, level)
+    assert batch[0].min() < 0.0, "fixture should cross zero"
+
+
+def test_solve_batch_validates_its_inputs():
+    grid = TimeGrid(1.0, 8)
+    values = np.zeros((2, 9))
+    with pytest.raises(ValueError, match="every epsilon must be positive"):
+        solve_batch(make_spec(), [0.1, 0.0], grid, values)
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        solve_batch(make_spec(), [], grid, values)
+    with pytest.raises(ValueError, match=r"noise_values must have shape \(paths, 9\)"):
+        solve_batch(make_spec(), [0.1], grid, np.zeros(9))
 
 
 # ---------------------------------------------------------------------------
