@@ -17,13 +17,13 @@ fbm
     Exact fractional Brownian motion sampling (circulant embedding, recursive
     conditioning, Cholesky), Hoelder-constant estimation, nested refinement.
 sde
-    The regularized integrator with exact per-step kernel integration, its
-    batched form over many paths and levels, plus a generic comparison-pair
-    integrator.
+    The regularized integrator with exact per-step kernel integration and
+    its batched form over many paths and levels.
 ladder
-    Vanishing-regularization ladders: monotone families (solved in batched
-    chunks of paths), limit extrapolation, and the pathwise verification
-    operations.
+    Vanishing-regularization ladders: monotone families, each one
+    (levels, nodes) array solved in batched chunks of paths, limit
+    extrapolation, the integral-identity residual, and the pathwise
+    verification operations.
 picard
     Horizon certification and contraction iteration for the local problem.
 excursions
@@ -51,15 +51,11 @@ from .fbm import (
     zero_path,
 )
 from .sde import (
-    ComparisonHypothesisError,
     RegularizedPath,
     SdeSpec,
     SolverError,
-    drift_eps,
     kernel_column,
-    kernel_integral,
     solve_batch,
-    solve_comparison_pair,
     solve_regularized,
 )
 from .ladder import (
@@ -74,8 +70,8 @@ from .ladder import (
     build_family,
     compensator_budget,
     compute_compensator,
+    identity_residual,
     nonpositive_measure,
-    singular_integral,
     verify_eps_continuity,
     verify_limit_nonnegativity,
     verify_measure_decay,
@@ -103,7 +99,6 @@ from .excursions import (
     IntervalTooShortError,
     RestartResidual,
     decompose_excursions,
-    kernel_column_window,
     residual_window_threshold,
     restart_residual,
     verify_endpoint_limits,
@@ -126,10 +121,8 @@ from .harness import (
 from .io import (
     read_csv_with_meta,
     write_csv,
-    write_excursion_csv,
     write_family_csv,
     write_fbm_csv,
-    write_iteration_log_csv,
     write_solution_csv,
 )
 from .cli import cli_dispatch
@@ -144,7 +137,6 @@ __all__ = [
     "GENERATOR_TAGS",
     "BoundCertificate",
     "CheckRecord",
-    "ComparisonHypothesisError",
     "CompensatorEstimate",
     "DeltaCertificate",
     "EndpointCheck",
@@ -183,7 +175,6 @@ __all__ = [
     "contraction_modulus",
     "covariance_formula",
     "decompose_excursions",
-    "drift_eps",
     "envelope_lower",
     "envelope_upper",
     "estimate_holder",
@@ -191,9 +182,8 @@ __all__ = [
     "fgn_autocovariance",
     "fixed_point_residual",
     "generate_fbm",
+    "identity_residual",
     "kernel_column",
-    "kernel_column_window",
-    "kernel_integral",
     "load_config",
     "nonpositive_measure",
     "path_stream",
@@ -205,9 +195,7 @@ __all__ = [
     "restart_residual",
     "run_campaign",
     "select_delta",
-    "singular_integral",
     "solve_batch",
-    "solve_comparison_pair",
     "solve_regularized",
     "verify_endpoint_limits",
     "verify_eps_continuity",
@@ -217,10 +205,8 @@ __all__ = [
     "verify_nested_zero_sets",
     "verify_upper_bound",
     "write_csv",
-    "write_excursion_csv",
     "write_family_csv",
     "write_fbm_csv",
-    "write_iteration_log_csv",
     "write_solution_csv",
     "zero_path",
 ]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .ladder import DEFAULT_FLOOR_SCALE, EpsilonFamily
-from .sde import SdeSpec
+from .ladder import DEFAULT_FLOOR_SCALE, EpsilonFamily, identity_residual
+from .sde import SdeSpec, kernel_column
 
 __all__ = [
     "ExcursionSet",
@@ -173,42 +173,6 @@ class RestartResidual:
     sup_residual: float
 
 
-def _identity_residual(
-    values: np.ndarray,
-    noise_values: np.ndarray,
-    spec: SdeSpec,
-    grid: TimeGrid,
-    start: int,
-    end: int,
-    floor: float,
-    include_initial_value: bool,
-) -> np.ndarray:
-    """Residual of the integral identity on nodes start..end, anchored at start.
-
-    R(t) = X(t) - X(anchor) - a * singular integral + b * trapezoid of X
-           - sigma * (B(t) - B(anchor)); when the anchor is the time origin
-    the X(anchor) term is the initial value itself.  The singular integral
-    freezes 1/X at each step's right endpoint, as the solver step does.
-    """
-
-    x = values[start : end + 1]
-    noise = noise_values[start : end + 1]
-    kernel = kernel_column_window(grid, start, end, spec.hurst)
-    singular = np.concatenate([[0.0], np.cumsum(kernel / np.maximum(x[1:], floor))])
-    dt = grid.dt
-    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * dt)])
-    anchor_value = spec.x0 if include_initial_value else x[0]
-    return x - anchor_value - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise - noise[0])
-
-
-def kernel_column_window(grid: TimeGrid, start: int, end: int, hurst) -> np.ndarray:
-    """Exact unregularized kernel integrals over the window's steps."""
-
-    two_h = 2.0 * hurst.value
-    nodes = grid.nodes()[start : end + 1]
-    return np.diff(nodes**two_h) / two_h
-
-
 def restart_residual(
     values: np.ndarray,
     noise: FbmPath,
@@ -239,8 +203,8 @@ def restart_residual(
             f"interval {interval_index} spans nodes {start}..{end}; no interior window "
             f"remains after a {margin_steps}-step margin"
         )
-    profile = _identity_residual(
-        x, noise.values, spec, noise.grid, window_start, window_end, floor, include_initial_value=False
+    profile = identity_residual(
+        x, noise.values, spec, noise.grid, window_start, window_end, x[window_start], floor
     )
     return RestartResidual(
         interval_index=interval_index,
@@ -290,11 +254,11 @@ def verify_initial_identity(
     below = np.flatnonzero(x[1:] <= threshold)
     first_crossing = int(below[0] + 1) if below.size else family.grid.step_count
     window_end = max(first_crossing - margin_steps, 1)
-    profile = _identity_residual(
-        x, family.noise.values, spec, family.grid, 0, window_end, floor, include_initial_value=True
+    profile = identity_residual(
+        x, family.noise.values, spec, family.grid, 0, window_end, spec.x0, floor
     )
     sup_residual = float(np.abs(profile).max())
-    kernel = kernel_column_window(family.grid, 0, window_end, spec.hurst)
+    kernel = kernel_column(family.grid, 0.0, spec.hurst)[:window_end]
     reciprocal = 1.0 / np.maximum(x[: window_end + 1], floor)
     quadrature = float(np.sum(np.abs(np.diff(reciprocal)) * kernel))
     budget = spec.a * quadrature + 2.0 * family.cauchy_gap

@@ -490,7 +490,11 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
-    """Campaign outcome: per-check records plus the environment fingerprint."""
+    """Campaign outcome: per-check records plus the package version.
+
+    The package version is the only environment detail recorded; Python,
+    numpy and scipy versions and the host are not.
+    """
 
     version: str
     config_hash: str
@@ -567,8 +571,6 @@ class _PathContext:
     """Everything one path's checks share, with lazy excursion decomposition."""
 
     index: int
-    seed: SeedRecord
-    noise: FbmPath
     family: EpsilonFamily
     threshold: float | None = None
     excursions: ExcursionSet | None = None
@@ -651,7 +653,7 @@ def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
 def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     eps_star = float(config.tolerances["eps_star"])
     offsets = [eps_star * 0.5**k for k in range(1, 4)]
-    result = verify_eps_continuity(ctx.family.spec, ctx.noise, eps_star, offsets)
+    result = verify_eps_continuity(ctx.family.spec, ctx.family.noise, eps_star, offsets)
     plus = [row[1] for row in result.rows]
     minus = [row[2] for row in result.rows]
     breaches = [b - a for a, b in zip(plus[:-1], plus[1:])]
@@ -685,6 +687,7 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     consistency_extra = float(tolerances["consistency_extra"])
     beta = _HOLDER_EXPONENT_FRACTION * spec.hurst.value
     method = "zero" if config.zero_noise else config.method
+    seed = ctx.family.noise.seed_record
 
     # Certify a window that the driver's own roughness permits: sample the
     # driver on a trial window, certify, and shrink the window to the
@@ -695,7 +698,7 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     window_noise = None
     for _ in range(_CONTRACTION_MAX_RECERTIFICATIONS):
         window_grid = TimeGrid(window, window_steps)
-        window_noise = generate_fbm(window_grid, spec.hurst, ctx.seed, method=method, substream=2)
+        window_noise = generate_fbm(window_grid, spec.hurst, seed, method=method, substream=2)
         driver = spec.sigma * window_noise.values
         holder = estimate_holder(driver, window_grid, beta)
         problem = LocalProblem(
@@ -887,7 +890,7 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     method = "zero" if config.zero_noise else config.method
     per_path_checks = [check for check in config.checks if check != "measure-decay-mean"]
 
-    for index, seed, noise, outcome, elapsed in _path_families(config, method):
+    for index, outcome, elapsed in _path_families(config, method):
         if not isinstance(outcome, EpsilonFamily):
             note = f"family construction failed: {type(outcome).__name__}: {outcome}"
             for check in per_path_checks:
@@ -896,10 +899,11 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
             continue
 
         family = outcome
-        ctx = _PathContext(index=index, seed=seed, noise=noise, family=family)
+        ctx = _PathContext(index=index, family=family)
         if gather_measures:
-            first_level_measures.append(nonpositive_measure(family.solutions[0]))
-            last_level_measures.append(nonpositive_measure(family.solutions[-1]))
+            measures = nonpositive_measure(family)
+            first_level_measures.append(float(measures[0]))
+            last_level_measures.append(float(measures[-1]))
 
         for check in per_path_checks:
             accumulator = accumulators[check]
@@ -946,8 +950,8 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
 
 def _path_families(
     config: ExperimentConfig, method: str
-) -> Iterator[tuple[int, SeedRecord, FbmPath | None, EpsilonFamily | Exception, float]]:
-    """Per path in index order: (index, seed, noise, family or failure, seconds).
+) -> Iterator[tuple[int, EpsilonFamily | Exception, float]]:
+    """Per path in index order: (index, family or failure, seconds).
 
     Noise is generated lazily as :func:`build_families` draws it chunk by
     chunk; a path whose generation fails is held back until the families of
@@ -955,7 +959,7 @@ def _path_families(
     The seconds are the time spent producing that outcome.
     """
 
-    pending: deque[tuple[int, SeedRecord, FbmPath | None, Exception | None]] = deque()
+    pending: deque[tuple[int, Exception | None]] = deque()
 
     def noises() -> Iterator[FbmPath]:
         for index in range(config.path_count):
@@ -963,9 +967,9 @@ def _path_families(
             try:
                 noise = generate_fbm(config.grid, config.spec.hurst, seed, method=method)
             except Exception as exc:  # noqa: BLE001 - aborts become recorded failures
-                pending.append((index, seed, None, exc))
+                pending.append((index, exc))
                 continue
-            pending.append((index, seed, noise, None))
+            pending.append((index, None))
             yield noise
 
     families = build_families(
@@ -973,14 +977,14 @@ def _path_families(
     )
     started = time.perf_counter()
     for family in families:
-        while pending[0][3] is not None:
-            index, seed, _, failure = pending.popleft()
-            yield index, seed, None, failure, 0.0
-        index, seed, noise, _ = pending.popleft()
-        yield index, seed, noise, family, time.perf_counter() - started
+        while pending[0][1] is not None:
+            index, failure = pending.popleft()
+            yield index, failure, 0.0
+        index, _ = pending.popleft()
+        yield index, family, time.perf_counter() - started
         started = time.perf_counter()
-    for index, seed, _, failure in pending:
-        yield index, seed, None, failure, 0.0
+    for index, failure in pending:
+        yield index, failure, 0.0
 
 
 def _mean_measure_verdict(

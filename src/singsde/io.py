@@ -10,7 +10,7 @@ a faithful witness of the computation.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -21,10 +21,8 @@ from .sde import RegularizedPath
 __all__ = [
     "read_csv_with_meta",
     "write_csv",
-    "write_excursion_csv",
     "write_family_csv",
     "write_fbm_csv",
-    "write_iteration_log_csv",
     "write_solution_csv",
 ]
 
@@ -178,62 +176,7 @@ def write_family_csv(
         ("t", family.grid.nodes()),
         ("noise", family.noise.values),
     ]
-    for level, solution in enumerate(family.solutions):
-        columns.append((f"X_eps_{level}", solution.values))
+    for level, row in enumerate(family.values):
+        columns.append((f"X_eps_{level}", row))
     columns.append(("limit_estimate", family.limit_estimate))
     write_csv(target, columns, meta)
-
-
-def write_iteration_log_csv(
-    log: Iterable[tuple[int, float, float]], target, extra_meta: Mapping[str, object] | None = None
-) -> None:
-    """Fixed-point iteration log: (iteration, sup_distance, contraction_ratio)."""
-
-    rows = list(log)
-    meta: dict[str, object] = {"format_version": FORMAT_VERSION}
-    if extra_meta:
-        meta.update(extra_meta)
-    write_csv(
-        target,
-        [
-            ("iteration", [row[0] for row in rows]),
-            ("sup_distance", [row[1] for row in rows]),
-            ("contraction_ratio", [row[2] for row in rows]),
-        ],
-        meta,
-    )
-
-
-def write_excursion_csv(
-    rows: Iterable[Mapping[str, object]], target, extra_meta: Mapping[str, object] | None = None
-) -> None:
-    """Excursion report rows.
-
-    Expected row keys: interval_index, alpha_t, beta_t, length,
-    endpoint_value_left, endpoint_value_right, sup_residual (None values are
-    rendered as nan).
-    """
-
-    rows = list(rows)
-    meta: dict[str, object] = {"format_version": FORMAT_VERSION}
-    if extra_meta:
-        meta.update(extra_meta)
-    names = [
-        "interval_index",
-        "alpha_t",
-        "beta_t",
-        "length",
-        "endpoint_value_left",
-        "endpoint_value_right",
-        "sup_residual",
-    ]
-
-    def _cell(row: Mapping[str, object], key: str) -> object:
-        value = row.get(key)
-        return float("nan") if value is None else value
-
-    write_csv(
-        target,
-        [(name, [_cell(row, name) for row in rows]) for name in names],
-        meta,
-    )

@@ -34,7 +34,6 @@ import numpy as np
 
 from .fbm import FbmPath, TimeGrid
 from .sde import (
-    RegularizedPath,
     SdeSpec,
     SolverError,
     _drift_table,
@@ -55,8 +54,8 @@ __all__ = [
     "build_family",
     "compensator_budget",
     "compute_compensator",
+    "identity_residual",
     "nonpositive_measure",
-    "singular_integral",
     "verify_eps_continuity",
     "verify_limit_nonnegativity",
     "verify_measure_decay",
@@ -101,10 +100,11 @@ class EpsilonLadder:
 
 @dataclass
 class EpsilonFamily:
-    """All ladder levels on one grid under one noise path, plus the limit estimate.
+    """All ladder levels on one grid under one noise path.
 
-    ``limit_estimate`` is a copy of the deepest level's values;
-    ``cauchy_gap`` is the sup-distance between the two deepest levels.
+    ``values`` holds one row per level, shape (levels, nodes), shallowest
+    first; its last row is the limit estimate.  ``cauchy_gap`` is the
+    sup-distance between the two deepest levels.
     ``mono_violation_count`` / ``mono_worst_deficit`` record how often and how
     badly the shared-noise ordering failed beyond the rounding tolerance
     (zero in correct operation: when ``b dt < 1`` the drift-implicit step
@@ -114,12 +114,15 @@ class EpsilonFamily:
     spec: SdeSpec
     noise: FbmPath
     ladder: EpsilonLadder
-    solutions: list[RegularizedPath]
-    limit_estimate: np.ndarray
+    values: np.ndarray
     cauchy_gap: float
     mono_violation_count: int
     mono_worst_deficit: float
     tol_mono: float
+
+    @property
+    def limit_estimate(self) -> np.ndarray:
+        return self.values[-1]
 
     @property
     def noise_ref(self) -> str:
@@ -200,20 +203,13 @@ def _family(
             f"non-finite state at step {step} (eps={float(levels[level])}, dt={noise.grid.dt})",
             step_index=step,
         )
-    solutions = [
-        RegularizedPath(
-            spec=spec, epsilon=float(eps), grid=noise.grid, values=row, noise_ref=noise.ref
-        )
-        for eps, row in zip(levels, values)
-    ]
     deficit = values[:-1, 1:] - values[1:, 1:]
     mask = deficit > tol_mono
     return EpsilonFamily(
         spec=spec,
         noise=noise,
         ladder=ladder,
-        solutions=solutions,
-        limit_estimate=values[-1].copy(),
+        values=values,
         cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
         mono_violation_count=int(mask.sum()),
         mono_worst_deficit=float(deficit[mask].max(initial=0.0)),
@@ -262,7 +258,7 @@ def verify_upper_bound(family: EpsilonFamily, tol_bound: float = DEFAULT_TOL_BOU
     constant = spec.x0 + spec.a * grid.horizon**two_h / (spec.hurst.value * spec.x0)
     noise_sup = float(np.abs(family.noise.values).max())
     bound = constant + 2.0 * spec.sigma * noise_sup
-    max_violation = max(float(sol.values.max()) for sol in family.solutions) - bound
+    max_violation = float(family.values.max()) - bound
     return BoundCertificate(
         constant=constant,
         noise_sup=noise_sup,
@@ -272,14 +268,13 @@ def verify_upper_bound(family: EpsilonFamily, tol_bound: float = DEFAULT_TOL_BOU
     )
 
 
-def nonpositive_measure(path: RegularizedPath) -> float:
-    """Grid surrogate of the time measure spent at or below 0: dt * #{k >= 1 : X_k <= 0}."""
+def nonpositive_measure(family: EpsilonFamily) -> np.ndarray:
+    """Per level, the grid surrogate of the time spent at or below 0.
 
-    return path.grid.dt * int(np.count_nonzero(path.values[1:] <= 0.0))
+    Entry j is dt * #{k >= 1 : X^{eps_j}_k <= 0}.
+    """
 
-
-def _nonpositive_nodes(values: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(values[1:] <= 0.0) + 1
+    return family.grid.dt * np.count_nonzero(family.values[:, 1:] <= 0.0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -303,7 +298,7 @@ def verify_measure_decay(
     the deepest level's measure be small in absolute terms.
     """
 
-    per_level = [nonpositive_measure(sol) for sol in family.solutions]
+    per_level = nonpositive_measure(family).tolist()
     nonincreasing = all(b <= a for a, b in zip(per_level[:-1], per_level[1:]))
     last = per_level[-1]
     below = None if last_level_max is None else (last <= last_level_max)
@@ -325,10 +320,10 @@ def verify_nested_zero_sets(family: EpsilonFamily) -> tuple[bool, int]:
     ordering slip that flips a set membership is caught and localized.
     """
 
-    sets = [set(_nonpositive_nodes(sol.values).tolist()) for sol in family.solutions]
-    for j in range(len(sets) - 1):
-        if not sets[j + 1].issubset(sets[j]):
-            return False, j + 1
+    nonpositive = family.values[:, 1:] <= 0.0
+    breaks = np.flatnonzero((nonpositive[1:] & ~nonpositive[:-1]).any(axis=1))
+    if breaks.size:
+        return False, int(breaks[0]) + 1
     return True, -1
 
 
@@ -359,30 +354,35 @@ def verify_limit_nonnegativity(family: EpsilonFamily, tol: float) -> Nonnegativi
     )
 
 
-def singular_integral(
+def identity_residual(
     values: np.ndarray,
+    noise_values: np.ndarray,
+    spec: SdeSpec,
     grid: TimeGrid,
-    hurst,
+    start: int,
+    end: int,
+    anchor: float,
     floor: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Running integral of s^{2H-1} / X(s) with exact kernel and frozen 1/X.
+) -> np.ndarray:
+    """Residual of the integral identity on nodes start..end, zero at start.
 
-    Each step contributes K(t_k, t_{k+1}, 0) / max(X_{k+1}, floor): 1/X is
-    frozen at the step's right endpoint, as in the drift-implicit solver step.
-    The floor keeps the estimate finite where X dips below it, and those
-    right-endpoint indices (1..n) are returned as the flagged set.
+    R(t) = X(t) - anchor - a * sum_k K(t_k, t_{k+1}, 0) / max(X_{k+1}, floor)
+           + b * (trapezoid of X) - sigma * (B(t) - B(t_start)),
+    with both running sums taken from t_start.  The singular sum uses the
+    exact kernel and freezes 1/X at each step's right endpoint, as the
+    drift-implicit solver step does; the floor keeps it finite where X dips
+    below the floor.  ``anchor`` is X_0 for the identity from the time
+    origin and X(t_start) for an identity restarted at t_start.
     """
 
     if not (floor > 0.0):
         raise ValueError(f"floor must be positive, got {floor}")
-    x = np.asarray(values, dtype=float)
-    if x.shape != (grid.step_count + 1,):
-        raise ValueError(f"values must have {grid.step_count + 1} entries, got shape {x.shape}")
-    kernel = kernel_column(grid, 0.0, hurst)
-    increments = kernel / np.maximum(x[1:], floor)
-    running = np.concatenate([[0.0], np.cumsum(increments)])
-    flagged = np.flatnonzero(x[1:] < floor) + 1
-    return running, flagged
+    x = values[start : end + 1]
+    noise = noise_values[start : end + 1]
+    kernel = kernel_column(grid, 0.0, spec.hurst)[start:end]
+    singular = np.concatenate([[0.0], np.cumsum(kernel / np.maximum(x[1:], floor))])
+    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * grid.dt)])
+    return x - anchor - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise - noise[0])
 
 
 @dataclass
@@ -390,7 +390,8 @@ class CompensatorEstimate:
     """Reconstruction of the correction process closing the integral identity.
 
     L(t) = X(t) - X_0 - a * (singular integral) + b * (trapezoid of X)
-           - sigma * B(t), evaluated on the limit estimate.  L(0) = 0 exactly;
+           - sigma * B(t), evaluated on the limit estimate
+    (:func:`identity_residual` over the whole grid).  L(0) = 0 exactly;
     in the continuum the correction is nonnegative, and the discrete estimate
     should stay above minus its error budget (see :func:`compensator_budget`).
     """
@@ -401,19 +402,21 @@ class CompensatorEstimate:
 
 
 def compute_compensator(family: EpsilonFamily, floor: float | None = None) -> CompensatorEstimate:
-    """Evaluate the correction-process estimate on the family's limit estimate."""
+    """Evaluate the correction-process estimate on the family's limit estimate.
+
+    The flagged nodes are the right endpoints (1..n) where the limit
+    estimate sits below the floor, so the reciprocal there is floored.
+    """
 
     spec = family.spec
     grid = family.grid
     if floor is None:
         floor = DEFAULT_FLOOR_SCALE * spec.x0
     x = family.limit_estimate
-    running, flagged = singular_integral(x, grid, spec.hurst, floor)
-    dt = grid.dt
-    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * dt)])
-    values = (
-        x - spec.x0 - spec.a * running + spec.b * trapezoid - spec.sigma * family.noise.values
+    values = identity_residual(
+        x, family.noise.values, spec, grid, 0, grid.step_count, spec.x0, floor
     )
+    flagged = np.flatnonzero(x[1:] < floor) + 1
     return CompensatorEstimate(values=values, floor=floor, flagged_nodes=flagged)
 
 
@@ -460,8 +463,8 @@ def verify_eps_continuity(
 ) -> EpsContinuityResult:
     """Solve at eps* and at eps* +/- h under shared noise and tabulate sup-gaps."""
 
-    if not (eps_star > 0.0):
-        raise ValueError(f"eps_star must be positive, got {eps_star}")
+    if not (eps_star > 0.0 and math.isfinite(eps_star)):
+        raise ValueError(f"eps_star must be positive and finite, got {eps_star}")
     hs = [float(h) for h in h_sequence]
     if len(hs) < 2:
         raise ValueError("need at least 2 offsets to compare first and last gaps")

@@ -33,22 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .fbm import FbmPath, HurstParam, TimeGrid
 
 __all__ = [
-    "ComparisonHypothesisError",
     "RegularizedPath",
     "SdeSpec",
     "SolverError",
-    "drift_eps",
     "kernel_column",
-    "kernel_integral",
     "solve_batch",
-    "solve_comparison_pair",
     "solve_regularized",
 ]
 
@@ -59,10 +54,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, step_index: int):
         super().__init__(message)
         self.step_index = step_index
-
-
-class ComparisonHypothesisError(ValueError):
-    """The ordering hypotheses of the comparison integrator failed at a visited point."""
 
 
 @dataclass(frozen=True)
@@ -108,38 +99,6 @@ class RegularizedPath:
             raise ValueError("solution values must all be finite")
 
 
-def drift_eps(t: float, x: float, spec: SdeSpec, epsilon: float) -> float:
-    """Regularized drift a (t+eps)^{2H-1} / (x 1_{x>0} + eps) - b x.
-
-    Strictly increases as eps decreases (both smoothed factors do), which is
-    the mechanism behind the shared-noise ordering of the ladder.  Always
-    finite: the denominator is at least eps.
-    """
-
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    two_h = 2.0 * spec.hurst.value
-    denominator = (x if x > 0.0 else 0.0) + epsilon
-    return spec.a * (t + epsilon) ** (two_h - 1.0) / denominator - spec.b * x
-
-
-def kernel_integral(t1: float, t2: float, epsilon: float, hurst: HurstParam) -> float:
-    """Exact integral of (s+eps)^{2H-1} over [t1, t2].
-
-    eps = 0 is permitted only where the caller keeps the cofactor bounded or
-    integrates exactly (the integral itself is finite for every eps >= 0).
-    """
-
-    if not (0.0 <= t1 <= t2):
-        raise ValueError(f"need 0 <= t1 <= t2, got t1={t1}, t2={t2}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    two_h = 2.0 * hurst.value
-    return ((t2 + epsilon) ** two_h - (t1 + epsilon) ** two_h) / two_h
-
-
 def kernel_column(grid: TimeGrid, epsilon: float, hurst: HurstParam) -> np.ndarray:
     """Per-step exact kernel integrals K(t_k, t_{k+1}, eps) for k = 0..n-1."""
 
@@ -161,8 +120,8 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
     state is carried as ``X + eps``, the form the closed form produces.
     """
 
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if noise.hurst != spec.hurst:
         raise ValueError(
             f"noise roughness {noise.hurst.value} differs from spec roughness {spec.hurst.value}"
@@ -298,8 +257,8 @@ def solve_batch(
     levels = np.asarray(eps_levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError(f"eps_levels must be a nonempty 1-D sequence, got shape {levels.shape}")
-    if not (levels > 0.0).all():
-        raise ValueError(f"every epsilon must be positive, got {levels.tolist()}")
+    if not ((levels > 0.0) & np.isfinite(levels)).all():
+        raise ValueError(f"every epsilon must be positive and finite, got {levels.tolist()}")
     noise_values = np.asarray(noise_values, dtype=float)
     if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
         raise ValueError(
@@ -308,75 +267,3 @@ def solve_batch(
     out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
     _integrate_batch(spec, levels, grid, _drift_table(spec, levels, grid), noise_values, out)
     return out.transpose(1, 2, 0)
-
-
-def solve_comparison_pair(
-    x0: float,
-    g1: Callable[[float], float],
-    g2: Callable[[float], float],
-    f1: Callable[[float], float],
-    f2: Callable[[float], float],
-    h1: Callable[[float], float],
-    h2: Callable[[float], float],
-    forcing: np.ndarray,
-    grid: TimeGrid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate two ordered drift systems under one shared forcing path.
-
-    Both systems follow x_{k+1} = x_k + (g_i(t_k) f_i(x_k) + h_i(x_k)) dt
-    + (forcing_{k+1} - forcing_k) with identical stepping, for ordering
-    verification: strictly larger drift components force a trajectory that is
-    never smaller.  The hypotheses 0 < g1 < g2, 0 < f1 < f2, h1 <= h2 are
-    checked at every visited point (times on the grid, states of both
-    trajectories) and a violation aborts — global verification is impossible
-    for black-box callables.
-    """
-
-    forcing = np.asarray(forcing, dtype=float)
-    if forcing.shape != (grid.step_count + 1,):
-        raise ValueError(
-            f"forcing must have {grid.step_count + 1} entries, got shape {forcing.shape}"
-        )
-    if forcing[0] != 0.0:
-        raise ValueError("forcing path must start at 0 so both trajectories start at x0")
-    dt = grid.dt
-    nodes = grid.nodes()
-    x_lo = float(x0)
-    x_hi = float(x0)
-    lo = np.empty(grid.step_count + 1)
-    hi = np.empty(grid.step_count + 1)
-    lo[0] = x_lo
-    hi[0] = x_hi
-
-    def check_time(t: float) -> tuple[float, float]:
-        g1_t, g2_t = g1(t), g2(t)
-        if not (0.0 < g1_t < g2_t):
-            raise ComparisonHypothesisError(
-                f"time-factor ordering 0 < g1 < g2 failed at t={t}: g1={g1_t}, g2={g2_t}"
-            )
-        return g1_t, g2_t
-
-    def check_state(x: float) -> None:
-        f1_x, f2_x = f1(x), f2(x)
-        if not (0.0 < f1_x < f2_x):
-            raise ComparisonHypothesisError(
-                f"state-factor ordering 0 < f1 < f2 failed at x={x}: f1={f1_x}, f2={f2_x}"
-            )
-        if not (h1(x) <= h2(x)):
-            raise ComparisonHypothesisError(
-                f"additive ordering h1 <= h2 failed at x={x}: h1={h1(x)}, h2={h2(x)}"
-            )
-
-    for k in range(grid.step_count):
-        t = float(nodes[k])
-        g1_t, g2_t = check_time(t)
-        check_state(x_lo)
-        check_state(x_hi)
-        jump = float(forcing[k + 1] - forcing[k])
-        x_lo = x_lo + (g1_t * f1(x_lo) + h1(x_lo)) * dt + jump
-        x_hi = x_hi + (g2_t * f2(x_hi) + h2(x_hi)) * dt + jump
-        if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
-            raise SolverError(f"non-finite state at step {k + 1}", step_index=k + 1)
-        lo[k + 1] = x_lo
-        hi[k + 1] = x_hi
-    return lo, hi

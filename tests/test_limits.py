@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from singsde import (
+    EpsilonFamily,
     EpsilonLadder,
     FbmPath,
     HurstParam,
@@ -21,8 +22,8 @@ from singsde import (
     compensator_budget,
     compute_compensator,
     generate_fbm,
+    identity_residual,
     nonpositive_measure,
-    singular_integral,
     solve_regularized,
     verify_eps_continuity,
     verify_limit_nonnegativity,
@@ -44,6 +45,23 @@ def make_spec(x0=1.0, a=1.0, b=0.0, sigma=1.0) -> SdeSpec:
 def deterministic_family(n=4096, horizon=0.5, ladder=EpsilonLadder(0.1, 0.5, 8), b=0.0):
     noise = zero_path(TimeGrid(horizon, n), H_QUARTER)
     return build_family(make_spec(b=b), noise, ladder)
+
+
+def hand_built_family(values, horizon=1.0, spec=None) -> EpsilonFamily:
+    """A family over given (levels, nodes) values under zero noise, unsolved."""
+
+    values = np.asarray(values, dtype=float)
+    levels, nodes = values.shape
+    return EpsilonFamily(
+        spec=make_spec(x0=float(values[0, 0])) if spec is None else spec,
+        noise=zero_path(TimeGrid(horizon, nodes - 1), H_QUARTER),
+        ladder=EpsilonLadder(0.1, 0.5, levels - 1),
+        values=values,
+        cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
+        mono_violation_count=0,
+        mono_worst_deficit=0.0,
+        tol_mono=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +101,11 @@ def test_build_family_deterministic_oracle():
     )
     assert family.limit_estimate[-1] == pytest.approx(1.9566360, abs=5e-3)
     assert family.mono_violation_count == 0
-    assert np.array_equal(family.limit_estimate, family.solutions[-1].values)
-    deepest, next_deepest = family.solutions[-1].values, family.solutions[-2].values
+    assert family.values.shape == (15, 4097)
+    assert np.array_equal(family.limit_estimate, family.values[-1])
+    deepest, next_deepest = family.values[-1], family.values[-2]
     assert family.cauchy_gap == pytest.approx(np.abs(deepest - next_deepest).max(), rel=1e-12)
-    for solution in family.solutions:
-        assert np.all(family.limit_estimate >= solution.values), "monotone sandwich"
+    assert np.all(family.limit_estimate >= family.values), "monotone sandwich"
 
 
 def test_build_family_ordering_with_resolved_noise():
@@ -133,10 +151,10 @@ def test_build_families_matches_build_family_and_isolates_non_finite_path():
     for index in (0, 2, 3):
         family = outcomes[index]
         assert family.noise is noises[index]
-        for solution, eps in zip(family.solutions, ladder.levels()):
+        assert family.values.shape == (5, 513)
+        for row, eps in zip(family.values, ladder.levels()):
             scalar = solve_regularized(spec, float(eps), noises[index])
-            assert solution.epsilon == scalar.epsilon
-            assert np.array_equal(solution.values, scalar.values)
+            assert np.array_equal(row, scalar.values)
         single = build_family(spec, noises[index], ladder)
         assert np.array_equal(family.limit_estimate, single.limit_estimate)
         assert family.cauchy_gap == single.cauchy_gap
@@ -144,7 +162,7 @@ def test_build_families_matches_build_family_and_isolates_non_finite_path():
         assert family.mono_worst_deficit == single.mono_worst_deficit
     # The chunk holds paths whose state crosses zero (at the top level; the
     # deepest level stays positive on these paths).
-    assert min(family.solutions[0].values.min() for family in outcomes[::2]) < 0.0
+    assert min(family.values[0].min() for family in outcomes[::2]) < 0.0
 
 
 def test_build_families_rejects_mixed_noises():
@@ -209,14 +227,14 @@ def test_upper_bound_monte_carlo_property():
 
 def test_nonpositive_measure_counting():
     family = deterministic_family(n=100, horizon=1.0)
-    assert nonpositive_measure(family.solutions[0]) == 0.0
+    assert nonpositive_measure(family)[0] == 0.0
 
-    values = family.solutions[0].values.copy()
-    values[50] = -0.001
-    dipped = type(family.solutions[0])(
-        family.spec, family.solutions[0].epsilon, family.solutions[0].grid, values, "test"
-    )
-    assert nonpositive_measure(dipped) == pytest.approx(0.01, abs=1e-15)
+    values = family.values.copy()
+    values[0, 50] = -0.001
+    dipped = hand_built_family(values, spec=family.spec)
+    measures = nonpositive_measure(dipped)
+    assert measures[0] == pytest.approx(0.01, abs=1e-15)
+    assert np.array_equal(measures[1:], np.zeros(8))
 
 
 def test_measure_decay_deterministic_all_zero():
@@ -253,6 +271,28 @@ def test_measure_decay_monte_carlo_example():
     assert mean_last <= mean_first
     assert mean_last <= 0.02
     assert monotone >= 200 - flipped
+
+
+def test_verifiers_flag_a_hand_built_family():
+    # Three levels on four unit-horizon steps.  Level 2 (the deepest) is
+    # nonpositive at nodes 2 and 3 while levels 0 and 1 are so only at node 3:
+    # containment breaks entering level 2 and the measure rises from 0.25 to
+    # 0.5.  Level 1 peaks at 9 against the zero-noise bound x0 + a/(H x0) = 5.
+    family = hand_built_family(
+        [
+            [1.0, 0.5, 0.5, -0.1, 1.0],
+            [1.0, 9.0, 0.5, -0.1, 1.0],
+            [1.0, 0.5, -0.2, -0.1, 1.0],
+        ]
+    )
+    assert verify_nested_zero_sets(family) == (False, 2)
+    decay = verify_measure_decay(family)
+    assert decay.per_level == [0.25, 0.25, 0.5]
+    assert decay.nonincreasing is False and not decay.passes
+    certificate = verify_upper_bound(family)
+    assert certificate.bound == pytest.approx(5.0, abs=1e-12)
+    assert certificate.max_violation == pytest.approx(4.0, abs=1e-12)
+    assert certificate.max_violation > 0.0 and not certificate.passes
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +333,20 @@ def test_limit_nonnegativity_shallow_ladder_negative_control():
 
 
 # ---------------------------------------------------------------------------
-# singular integral and compensator
+# integral-identity residual and compensator
 # ---------------------------------------------------------------------------
 
 
 def test_singular_integral_constant_path():
+    # a = 1, b = 0 and zero noise: the residual on [0, 1] is minus the
+    # singular integral of s^{-1/2} / 2, whose value at t = 1 is 1.
     grid = TimeGrid(1.0, 2048)
     values = np.full(2049, 2.0)
-    integral, flagged = singular_integral(values, grid, H_QUARTER, floor=1e-6)
-    assert integral[0] == 0.0
-    assert integral[-1] == pytest.approx(1.0, abs=1e-12)  # 2 / c with c = 2
-    assert flagged.size == 0
+    spec = make_spec(x0=2.0)
+    residual = identity_residual(values, np.zeros(2049), spec, grid, 0, 2048, 2.0, 1e-6)
+    assert residual[0] == 0.0
+    assert -residual[-1] == pytest.approx(1.0, abs=1e-12)  # 2 / c with c = 2
+    assert compute_compensator(hand_built_family([values] * 3)).flagged_nodes.size == 0
 
 
 def test_singular_integral_closed_form_identity():
@@ -314,21 +357,27 @@ def test_singular_integral_closed_form_identity():
     for n in (1024, 2048, 4096):
         grid = TimeGrid(0.5, n)
         values = closed_form(grid.nodes(), 1.0, 1.0, 0.25)
-        integral, flagged = singular_integral(values, grid, H_QUARTER, floor=1e-6)
-        residuals.append(np.abs(integral - (values - 1.0)).max())
-        assert flagged.size == 0
+        residual = identity_residual(values, np.zeros(n + 1), make_spec(), grid, 0, n, 1.0, 1e-6)
+        residuals.append(np.abs(residual).max())
+        family = hand_built_family([values] * 3, horizon=0.5, spec=make_spec())
+        assert compute_compensator(family).flagged_nodes.size == 0
     print("singular-integral identity residuals:", [f"{r:.2e}" for r in residuals])
     assert residuals[0] < 2e-3
     assert residuals[2] < residuals[1] < residuals[0]
 
 
 def test_singular_integral_floor_inactive_on_positive_path():
+    # Through the compensator, which evaluates the residual on the whole
+    # grid and flags the nodes where the floor binds.
     grid = TimeGrid(1.0, 512)
     values = closed_form(grid.nodes(), 1.0, 1.0, 0.25)
-    full, flagged_full = singular_integral(values, grid, H_QUARTER, floor=1e-6)
-    half, flagged_half = singular_integral(values, grid, H_QUARTER, floor=5e-7)
-    assert np.array_equal(full, half)
-    assert flagged_full.size == flagged_half.size == 0
+    family = hand_built_family([values] * 3, spec=make_spec())
+    full = compute_compensator(family, floor=1e-6)
+    half = compute_compensator(family, floor=5e-7)
+    assert np.array_equal(full.values, half.values)
+    assert full.flagged_nodes.size == half.flagged_nodes.size == 0
+    with pytest.raises(ValueError, match="floor must be positive"):
+        compute_compensator(family, floor=0.0)
 
 
 def test_compensator_deterministic_and_origin():
@@ -375,6 +424,8 @@ def test_eps_continuity_offset_validation():
         verify_eps_continuity(spec, noise, 0.1, [0.2, 0.1])
     with pytest.raises(ValueError, match="eps_star must be positive"):
         verify_eps_continuity(spec, noise, 0.0, [0.05])
+    with pytest.raises(ValueError, match="eps_star must be positive and finite"):
+        verify_eps_continuity(spec, noise, np.inf, [0.05, 0.025])
 
 
 def test_identical_level_has_zero_gap():

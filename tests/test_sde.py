@@ -1,7 +1,6 @@
-"""Solver tests: drift evaluation, exact kernel integration, the regularized
-drift-implicit recursion against closed-form oracles, the monotonicity of its
-step, and the two-trajectory comparison integrator with its strict ordering
-hypotheses.
+"""Solver tests: exact kernel integration, the regularized drift-implicit
+recursion against closed-form oracles, its batched form, and the
+monotonicity of its step.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 from singsde import (
-    ComparisonHypothesisError,
     FbmPath,
     HurstParam,
     RegularizedPath,
@@ -18,11 +16,9 @@ from singsde import (
     SeedRecord,
     SolverError,
     TimeGrid,
-    drift_eps,
     generate_fbm,
-    kernel_integral,
+    kernel_column,
     solve_batch,
-    solve_comparison_pair,
     solve_regularized,
     zero_path,
 )
@@ -34,6 +30,12 @@ H_QUARTER = HurstParam(0.25)
 
 def make_spec(x0=1.0, a=1.0, b=0.0, sigma=1.0) -> SdeSpec:
     return SdeSpec(x0=x0, a=a, b=b, sigma=sigma, hurst=H_QUARTER)
+
+
+def exact_kernel(t1: float, t2: float, epsilon: float) -> float:
+    """((t2 + eps)^{2H} - (t1 + eps)^{2H}) / (2H) at H = 1/4, written out."""
+
+    return ((t2 + epsilon) ** 0.5 - (t1 + epsilon) ** 0.5) / 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -64,35 +66,24 @@ def test_solution_invariants():
 
 
 # ---------------------------------------------------------------------------
-# drift and kernel
+# kernel
 # ---------------------------------------------------------------------------
 
 
-def test_drift_eps_pinned_values():
-    spec = make_spec(a=1.0, b=1.0)
-    assert drift_eps(0.5, -1.0, spec, 0.5) == pytest.approx(3.0, abs=1e-12)
-    spec0 = make_spec(a=1.0, b=0.0)
-    # a (t + eps)^{2H-1} / (x^+ + eps) at t=0: 0.1^{-1/2} / 1.1
-    assert drift_eps(0.0, 1.0, spec0, 0.1) == pytest.approx(0.1**-0.5 / 1.1, abs=1e-12)
-
-
-def test_drift_eps_monotone_in_epsilon():
-    spec = make_spec(a=0.7, b=0.3)
-    eps_pairs = [(0.5, 0.25), (0.2, 0.1), (0.05, 0.01)]
-    for t in (0.0, 0.3, 1.7):
-        for x in (-1.0, 0.0, 0.5, 2.0):
-            for eps1, eps2 in eps_pairs:
-                assert drift_eps(t, x, spec, eps2) > drift_eps(t, x, spec, eps1), (t, x)
-
-
 def test_kernel_integral_pinned_values():
-    assert kernel_integral(0.3, 0.3, 0.05, H_QUARTER) == 0.0
-    assert kernel_integral(0.0, 1.0, 0.0, H_QUARTER) == pytest.approx(2.0, abs=1e-12)
-    assert kernel_integral(0.0, 0.1, 0.1, H_QUARTER) == pytest.approx(0.2619716, abs=1e-7)
-    with pytest.raises(ValueError, match="need 0 <= t1 <= t2"):
-        kernel_integral(0.2, 0.1, 0.1, H_QUARTER)
-    with pytest.raises(ValueError, match="need 0 <= t1 <= t2"):
-        kernel_integral(-0.1, 0.1, 0.1, H_QUARTER)
+    # K(t_k, t_{k+1}, eps) per grid step.  A grid has no empty step, so the
+    # zero pin is additivity: three steps of [0, 0.3] sum to the one-step
+    # column.  Then the whole unit interval unregularized, and [0, 0.1] at
+    # eps = 0.1.
+    split = kernel_column(TimeGrid(0.3, 3), 0.05, H_QUARTER).sum()
+    whole = kernel_column(TimeGrid(0.3, 1), 0.05, H_QUARTER)[0]
+    assert split - whole == pytest.approx(0.0, abs=1e-15)
+    assert kernel_column(TimeGrid(1.0, 1), 0.0, H_QUARTER)[0] == pytest.approx(2.0, abs=1e-12)
+    assert kernel_column(TimeGrid(0.1, 1), 0.1, H_QUARTER)[0] == pytest.approx(
+        0.2619716, abs=1e-7
+    )
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        kernel_column(TimeGrid(1.0, 4), -0.1, H_QUARTER)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def test_recursion_matches_manual_reference():
     dt = noise.grid.dt
     x = spec.x0
     for k in range(8):
-        c = spec.a * kernel_integral(k * dt, (k + 1) * dt, eps, H_QUARTER)
+        c = spec.a * exact_kernel(k * dt, (k + 1) * dt, eps)
         y = x - spec.b * x * dt + spec.sigma * (noise.values[k + 1] - noise.values[k])
         x = bisect_root(lambda z: z - y - c / ((z if z > 0.0 else 0.0) + eps), y, y + c / eps)
         assert solution.values[k + 1] == pytest.approx(x, abs=1e-14)
@@ -182,6 +173,9 @@ def test_solver_is_deterministic_and_checks_hurst():
     mismatched = generate_fbm(TimeGrid(1.0, 256), HurstParam(0.3), SeedRecord(8, 1))
     with pytest.raises(ValueError, match="noise roughness 0.3 differs"):
         solve_regularized(spec, 0.02, mismatched)
+    for epsilon in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            solve_regularized(spec, epsilon, noise)
 
 
 def test_non_finite_state_aborts_with_step_index():
@@ -236,6 +230,8 @@ def test_solve_batch_validates_its_inputs():
     values = np.zeros((2, 9))
     with pytest.raises(ValueError, match="every epsilon must be positive"):
         solve_batch(make_spec(), [0.1, 0.0], grid, values)
+    with pytest.raises(ValueError, match="every epsilon must be positive and finite"):
+        solve_batch(make_spec(), [0.1, np.inf], grid, values)
     with pytest.raises(ValueError, match="nonempty 1-D"):
         solve_batch(make_spec(), [], grid, values)
     with pytest.raises(ValueError, match=r"noise_values must have shape \(paths, 9\)"):
@@ -254,7 +250,7 @@ def test_step_is_monotone_in_state_and_level_and_continuous_at_the_kink():
     levels = np.array([0.1, 1e-2, 1e-4, 1e-8])
     for horizon in (1e-4, 1e-2, 0.5):
         grid = TimeGrid(horizon, 1)
-        kicks = spec.a * np.array([kernel_integral(0.0, horizon, e, H_QUARTER) for e in levels])
+        kicks = spec.a * np.array([exact_kernel(0.0, horizon, e) for e in levels])
         switch = -kicks / levels
         sweeps = [np.linspace(-3.0, 3.0, 601)]
         for point in switch:
@@ -282,103 +278,3 @@ def test_step_is_monotone_in_state_and_level_and_continuous_at_the_kink():
             for level, epsilon in enumerate(levels):
                 scalar = solve_regularized(spec, float(epsilon), noise).values[1]
                 assert scalar == step[index, level], (horizon, index, epsilon)
-
-
-# ---------------------------------------------------------------------------
-# comparison integrator
-# ---------------------------------------------------------------------------
-
-
-GRID_CMP = TimeGrid(1.0, 256)
-ZERO_FORCING = np.zeros(257)
-
-
-def test_comparison_hypotheses_are_enforced():
-    # Equal state factors / equal additive parts / equal time factors violate
-    # the strict hypothesis chain and must abort rather than integrate.
-    g2 = lambda t: 1.2
-    g1 = lambda t: 1.1
-    f = lambda x: 1.0 / (abs(x) + 1.0)
-    h = lambda x: -0.1 * x
-    with pytest.raises(ComparisonHypothesisError, match="state-factor ordering"):
-        solve_comparison_pair(1.0, g1, g2, f, f, h, h, ZERO_FORCING, GRID_CMP)
-    with pytest.raises(ComparisonHypothesisError, match="time-factor ordering"):
-        solve_comparison_pair(1.0, g2, g2, f, lambda x: 2.0 * f(x), h, h, ZERO_FORCING, GRID_CMP)
-    with pytest.raises(ComparisonHypothesisError, match="time-factor ordering"):
-        solve_comparison_pair(
-            1.0, lambda t: -1.0, g2, f, lambda x: 2.0 * f(x), h, h, ZERO_FORCING, GRID_CMP
-        )
-    with pytest.raises(ComparisonHypothesisError, match="additive ordering"):
-        solve_comparison_pair(
-            1.0, g1, g2, f, lambda x: 2.0 * f(x), h, lambda x: h(x) - 1.0, ZERO_FORCING, GRID_CMP
-        )
-
-
-def test_strictly_smaller_drift_gives_strictly_smaller_path():
-    # Intent of the "g1 = g2 - delta" example, realized with strictly ordered
-    # stand-ins (the hypotheses require strict f and weak h ordering).
-    g1 = lambda t: 1.0
-    g2 = lambda t: 1.1
-    f1 = lambda x: 1.0 / (abs(x) + 1.0)
-    f2 = lambda x: 1.0000000001 / (abs(x) + 1.0)
-    h = lambda x: -0.2 * x
-    low, high = solve_comparison_pair(1.0, g1, g2, f1, f2, h, h, ZERO_FORCING, GRID_CMP)
-    assert low[0] == high[0] == 1.0
-    gap = (high - low)[1:]
-    print(f"comparison gap range: [{gap.min():.3e}, {gap.max():.3e}]")
-    assert np.all(gap > 0.0), "larger drift must produce a strictly larger trajectory"
-
-
-def test_comparison_pair_is_deterministic():
-    # Intent of the "identical right-hand sides" example: the literal equal
-    # inputs violate the strict hypotheses (asserted above), so determinism is
-    # checked by running the same admissible pair twice.
-    g1 = lambda t: 1.0
-    g2 = lambda t: 1.0 + 1e-9
-    f1 = lambda x: 1.0 / (abs(x) + 1.0)
-    f2 = lambda x: (1.0 + 1e-9) / (abs(x) + 1.0)
-    h = lambda x: -0.2 * x
-    first = solve_comparison_pair(1.0, g1, g2, f1, f2, h, h, ZERO_FORCING, GRID_CMP)
-    second = solve_comparison_pair(1.0, g1, g2, f1, f2, h, h, ZERO_FORCING, GRID_CMP)
-    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
-    assert np.abs(first[1] - first[0]).max() < 1e-6, "near-identical inputs stay near-identical"
-
-
-def test_regularized_instantiation_is_ordered():
-    # The regularized drift triple (time kernel, state factor, damping) at
-    # eps2 < eps1 satisfies the hypotheses; the smaller-eps path dominates.
-    eps1, eps2 = 0.1, 0.05
-    a, b = 1.0, 0.5
-    gap_min = np.inf
-    for index in range(3):
-        noise = generate_fbm(GRID_CMP, H_QUARTER, SeedRecord(21, index))
-        forcing = 0.3 * noise.values
-        low, high = solve_comparison_pair(
-            1.0,
-            lambda t: (t + eps1) ** (-0.5),
-            lambda t: (t + eps2) ** (-0.5),
-            lambda x: a / (max(x, 0.0) + eps1),
-            lambda x: a / (max(x, 0.0) + eps2),
-            lambda x: -b * x,
-            lambda x: -b * x,
-            forcing,
-            GRID_CMP,
-        )
-        gap_min = min(gap_min, (high - low)[1:].min())
-    print(f"regularized-pair minimum ordering gap over t>0: {gap_min:.3e}")
-    assert gap_min > 0.0
-
-
-def test_comparison_forcing_must_start_at_zero():
-    with pytest.raises(ValueError, match="forcing path must start at 0"):
-        solve_comparison_pair(
-            1.0,
-            lambda t: 1.0,
-            lambda t: 1.1,
-            lambda x: 1.0,
-            lambda x: 1.1,
-            lambda x: 0.0,
-            lambda x: 0.0,
-            np.ones(257),
-            GRID_CMP,
-        )
