@@ -7,22 +7,24 @@ stationary sequence whose unit-variance autocovariance at lag k is
 ``gamma(k) = (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})/2``; for H < 1/2 every
 nonzero lag is negative (antipersistence).
 
-Three exact generators are provided:
+Two exact generators and a zero driver are provided:
 
 ``circulant``
     Embeds the stationary fGn covariance into a circulant matrix diagonalized
     by the FFT; O(n log n).  The default.  The embedding eigenvalues are
-    computed once per (n, H) and cached; a genuinely negative eigenvalue
-    (below -1e-10) aborts because for fGn the embedding is known to be
-    nonnegative definite, so a violation indicates a bug.
-``hosking``
-    Recursive conditional sampling (Durbin-Levinson); O(n^2).
+    computed once per (n, H) and kept in a small LRU cache.  For H < 1/2 the
+    embedding is nonnegative definite (Craigmile 2003), so a genuinely
+    negative eigenvalue (below -1e-10) indicates a bug and aborts.
 ``cholesky``
     Dense Cholesky factor of the increment covariance; O(n^3), limited to
-    n <= 4096 by policy.
+    n <= 4096 by policy.  Kept as the test oracle of the circulant sampler.
 ``zero``
     A deterministic path of zeros, used as the driver of zero-noise
     experiments; consumes no randomness.
+
+Nested 2x refinement (``refine_fbm``) samples the fine path conditionally on
+the coarse one by kriging: an unconditional circulant draw on the fine grid,
+corrected by a Toeplitz solve, in O(n) memory.
 
 Randomness contract: every path's Gaussian stream derives deterministically
 from ``(master_seed, path_index)`` through a counter-based generator, so
@@ -33,8 +35,8 @@ substream 2 for auxiliary window drivers.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +60,7 @@ __all__ = [
     "zero_path",
 ]
 
-GENERATOR_TAGS = ("cholesky", "hosking", "circulant", "zero")
+GENERATOR_TAGS = ("cholesky", "circulant", "zero")
 
 _CHOLESKY_MAX_STEPS = 4096
 _EMBEDDING_EIG_FLOOR = -1e-10
@@ -237,21 +239,15 @@ def _fgn_kernel(n_lags: int, hurst_value: float) -> np.ndarray:
 # generators (unit-variance fGn; scaling to the grid happens in generate_fbm)
 # ---------------------------------------------------------------------------
 
-_embedding_cache: dict[tuple[int, float], np.ndarray] = {}
-_embedding_lock = threading.Lock()
 
-
+@functools.lru_cache(maxsize=16)
 def _circulant_eigenvalues(n: int, hurst_value: float) -> np.ndarray:
     """Eigenvalues of the length-2n circulant embedding of gamma(0..n-1).
 
-    Cached per (n, H); construction is idempotent, so a concurrent first use
-    at worst computes the same table twice before one copy wins.
+    Cached per (n, H) in a small LRU cache; the returned array is read-only
+    because every caller shares it.
     """
 
-    key = (n, hurst_value)
-    cached = _embedding_cache.get(key)
-    if cached is not None:
-        return cached
     g = _fgn_kernel(n, hurst_value)
     row = np.concatenate([g[:n], [g[n]], g[1:n][::-1]])
     eig = np.fft.fft(row).real
@@ -261,9 +257,8 @@ def _circulant_eigenvalues(n: int, hurst_value: float) -> np.ndarray:
             f"{_EMBEDDING_EIG_FLOOR:.0e} for n={n}, H={hurst_value}"
         )
     eig = np.clip(eig, 0.0, None)
-    with _embedding_lock:
-        _embedding_cache.setdefault(key, eig)
-    return _embedding_cache[key]
+    eig.setflags(write=False)
+    return eig
 
 
 def _fgn_unit_circulant(n: int, hurst_value: float, rng: Generator) -> np.ndarray:
@@ -273,32 +268,6 @@ def _fgn_unit_circulant(n: int, hurst_value: float, rng: Generator) -> np.ndarra
     z_im = rng.standard_normal(m)
     w = np.fft.fft((z_re + 1j * z_im) * np.sqrt(eig / m))
     return w.real[:n].copy()
-
-
-def _fgn_unit_hosking(n: int, hurst_value: float, rng: Generator) -> np.ndarray:
-    gamma = _fgn_kernel(n, hurst_value)[:n]
-    z = rng.standard_normal(n)
-    x = np.empty(n)
-    x[0] = z[0]
-    if n == 1:
-        return x
-    phi = np.zeros(n)
-    variance = 1.0
-    for k in range(1, n):
-        if k == 1:
-            reflection = gamma[1]
-        else:
-            reflection = (gamma[k] - phi[1:k] @ gamma[1:k][::-1]) / variance
-        phi[1:k] -= reflection * phi[1:k][::-1]
-        phi[k] = reflection
-        variance *= 1.0 - reflection * reflection
-        if variance <= 0.0:
-            raise FbmGenerationError(
-                f"conditional variance collapsed at step {k} (H={hurst_value})"
-            )
-        mean = phi[1 : k + 1] @ x[k - 1 :: -1]
-        x[k] = mean + math.sqrt(variance) * z[k]
-    return x
 
 
 def _fgn_unit_cholesky(n: int, hurst_value: float, rng: Generator) -> np.ndarray:
@@ -320,7 +289,6 @@ def _fgn_unit_cholesky(n: int, hurst_value: float, rng: Generator) -> np.ndarray
 
 _UNIT_GENERATORS = {
     "circulant": _fgn_unit_circulant,
-    "hosking": _fgn_unit_hosking,
     "cholesky": _fgn_unit_cholesky,
 }
 
@@ -397,56 +365,11 @@ def estimate_holder(values: np.ndarray, grid: TimeGrid, beta: float) -> HolderEs
     return HolderEstimate(exponent=beta, constant=best, grid=grid)
 
 
+
+
 # ---------------------------------------------------------------------------
 # nested refinement (2x grid, coarse nodes preserved bitwise)
 # ---------------------------------------------------------------------------
-
-_refine_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-_refine_lock = threading.Lock()
-
-
-def _refine_tables(n: int, horizon: float, hurst_value: float) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional-mean matrix A and conditional-covariance Cholesky factor.
-
-    Fine increments live on the 2n-step grid.  Writing c for the coarse
-    increments (each the sum of a fine pair) and v for the first fine
-    increment of each pair, the pair (v, c) is jointly Gaussian, so
-    v | c ~ N(A c, Cond) with A = Cov(v,c) Cov(c,c)^{-1}.  The second member
-    of each pair is forced to c - v, which preserves coarse nodes exactly.
-    """
-
-    key = (n, horizon, hurst_value)
-    cached = _refine_cache.get(key)
-    if cached is not None:
-        return cached
-    # scipy is imported here, by its only user, so that importing the package
-    # does not pay its memory.
-    from scipy.linalg import cho_factor, cho_solve
-
-    dt_fine = horizon / (2 * n)
-    g = _fgn_kernel(2 * n, hurst_value) * dt_fine ** (2.0 * hurst_value)
-    idx = np.arange(n)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-
-    def cov(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return g[np.abs(i - j)]
-
-    coarse_cov = (
-        cov(2 * ii, 2 * jj)
-        + cov(2 * ii, 2 * jj + 1)
-        + cov(2 * ii + 1, 2 * jj)
-        + cov(2 * ii + 1, 2 * jj + 1)
-    )
-    cross = cov(2 * ii, 2 * jj) + cov(2 * ii, 2 * jj + 1)
-    own = cov(2 * ii, 2 * jj)
-    factor = cho_factor(coarse_cov, lower=True)
-    a_matrix = cho_solve(factor, cross.T).T
-    conditional = own - a_matrix @ cross.T
-    jitter = 1e-12 * float(np.diag(conditional).mean())
-    chol = np.linalg.cholesky(conditional + jitter * np.eye(n))
-    with _refine_lock:
-        _refine_cache.setdefault(key, (a_matrix, chol))
-    return _refine_cache[key]
 
 
 def refine_fbm(path: FbmPath, rng: Generator | None = None) -> FbmPath:
@@ -456,21 +379,50 @@ def refine_fbm(path: FbmPath, rng: Generator | None = None) -> FbmPath:
     the exact conditional law of the fine process given every coarse
     increment.  The default randomness is substream 1 of the path's own
     counter block, so refinement is itself reproducible.
+
+    Conditional simulation by kriging (Dietrich & Newsam 1996): draw
+    unconditional fine increments f* on the 2n grid with the circulant
+    sampler, let c* = f*[0::2] + f*[1::2] be their coarse sums and
+    v* = f*[0::2] the first increment of each pair, and correct
+    v = v* + T_vc T_cc^{-1} (c - c*).  With g the fine fGn covariance,
+    T_cc = Cov(c, c) has the symmetric column 2g(2d) + g(|2d-1|) + g(2d+1) and
+    T_vc = Cov(v, c) the column g(2d) + g(|2d-1|) and the row g(2d) + g(2d+1).
+    Both are Toeplitz, so the solve (Levinson, O(n^2) time) and the product
+    (FFT of a circulant embedding) need O(n) memory.  The second increment of
+    each pair is c - v.
     """
 
     if path.generator_tag == "zero":
         fine_grid = TimeGrid(path.grid.horizon, 2 * path.grid.step_count)
         return zero_path(fine_grid, path.hurst, path.seed_record)
+    # scipy is imported here, by its only user, so that importing the package
+    # does not pay its memory.
+    from scipy.linalg import solve_toeplitz
+
     n = path.grid.step_count
+    hurst_value = path.hurst.value
     if rng is None:
         rng = path_stream(path.seed_record, substream=1)
-    a_matrix, chol = _refine_tables(n, path.grid.horizon, path.hurst.value)
-    coarse_inc = np.diff(path.values)
-    first_of_pair = a_matrix @ coarse_inc + chol @ rng.standard_normal(n)
+    fine_grid = TimeGrid(path.grid.horizon, 2 * n)
+    fine_draw = _fgn_unit_circulant(2 * n, hurst_value, rng) * fine_grid.dt**hurst_value
+    first_draw = fine_draw[0::2]
+    coarse_draw = first_draw + fine_draw[1::2]
+
+    g = _fgn_kernel(2 * n, hurst_value) * fine_grid.dt ** (2.0 * hurst_value)
+    # lag d of the coarse index: g(2d), g(2d+1) and g(|2d-1|), for d = 0..n-1
+    even, odd_above = g[0 : 2 * n : 2], g[1::2]
+    odd_below = np.concatenate([odd_above[:1], odd_above[:-1]])
+    coarse_cov = 2.0 * even + odd_below + odd_above
+    cross_column, cross_row = even + odd_below, even + odd_above
+    weights = solve_toeplitz(coarse_cov, np.diff(path.values) - coarse_draw)
+    # T_vc @ weights through T_vc's circulant embedding of length 2n
+    embedding = np.concatenate([cross_column, [0.0], cross_row[:0:-1]])
+    correction = np.fft.irfft(np.fft.rfft(embedding) * np.fft.rfft(weights, 2 * n), 2 * n)[:n]
+    first_of_pair = first_draw + correction
+
     fine = np.empty(2 * n + 1)
     fine[0::2] = path.values
     fine[1::2] = path.values[:-1] + first_of_pair
-    fine_grid = TimeGrid(path.grid.horizon, 2 * n)
     return FbmPath(
         grid=fine_grid,
         values=fine,

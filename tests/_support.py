@@ -85,6 +85,38 @@ def lag_autocov_zscores(
     return zscores
 
 
+def dense_refinement_law(n: int, horizon: float, hurst_value: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense oracle of nested refinement: v | c ~ N(mean_map @ c, conditional).
+
+    Fine increments live on the 2n-step grid.  Writing c for the coarse
+    increments (each the sum of a fine pair) and v for the first fine
+    increment of each pair, (v, c) is jointly Gaussian, so the conditional
+    mean map is Cov(v, c) Cov(c, c)^{-1} and the conditional covariance is
+    Cov(v, v) - mean_map Cov(c, v).  O(n^2) memory and O(n^3) time.
+    """
+
+    dt_fine = horizon / (2 * n)
+    hurst = HurstParam(hurst_value)
+    unit = np.array([fgn_autocovariance(k, hurst) for k in range(2 * n + 1)])
+    g = unit * dt_fine ** (2.0 * hurst_value)
+    idx = np.arange(n)
+    ii, jj = np.meshgrid(idx, idx, indexing="ij")
+
+    def cov(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return g[np.abs(i - j)]
+
+    coarse_cov = (
+        cov(2 * ii, 2 * jj)
+        + cov(2 * ii, 2 * jj + 1)
+        + cov(2 * ii + 1, 2 * jj)
+        + cov(2 * ii + 1, 2 * jj + 1)
+    )
+    cross = cov(2 * ii, 2 * jj) + cov(2 * ii, 2 * jj + 1)
+    own = cov(2 * ii, 2 * jj)
+    mean_map = np.linalg.solve(coarse_cov, cross.T).T
+    return mean_map, own - mean_map @ cross.T
+
+
 def seeded_families(
     spec: SdeSpec, grid: TimeGrid, master_seed: int, path_count: int, ladder: EpsilonLadder
 ) -> Iterator[EpsilonFamily]:

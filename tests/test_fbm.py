@@ -1,4 +1,4 @@
-"""Noise-core tests: covariance formulas, generators, Hölder estimation.
+"""Noise-core tests: covariance formulas, generators, Hölder estimation, refinement.
 
 Statistical assertions use frozen master seeds so every run sees the same
 draws; the bars (3-5 standard errors) come from the module contract.
@@ -7,9 +7,12 @@ draws; the bars (3-5 standard errors) come from the module contract.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singsde import (
     GENERATOR_TAGS,
@@ -28,7 +31,7 @@ from singsde import (
     zero_path,
 )
 
-from _support import lag_autocov_zscores
+from _support import dense_refinement_law, lag_autocov_zscores
 
 H_QUARTER = HurstParam(0.25)
 GRID_1024 = TimeGrid(horizon=1.0, step_count=1024)
@@ -104,7 +107,7 @@ def test_single_increment_unit_variance():
 
 
 def test_same_seed_is_bit_identical():
-    for method in ("circulant", "hosking", "cholesky"):
+    for method in ("circulant", "cholesky"):
         first = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3), method=method)
         second = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3), method=method)
         assert np.array_equal(first.values, second.values), method
@@ -300,3 +303,91 @@ def test_refine_fbm_fine_increment_statistics():
     z = abs(variance - target) / stderr
     print(f"fine-increment variance {variance:.6e} vs target {target:.6e} (z={z:.2f})")
     assert z < 5.0
+
+
+def _first_of_pair(fine, coarse):
+    """First fine increment v of each coarse pair."""
+
+    return fine.values[1::2] - coarse.values[:-1]
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+@pytest.mark.parametrize("hurst_value", [0.05, 0.25, 0.45])
+def test_refine_fbm_mean_map_matches_dense_oracle(n, hurst_value):
+    # For a fixed rng, refinement is affine in the coarse increments c:
+    # v = M c + r(rng).  So the difference of two refinements with the same
+    # rng isolates M, which must be the dense conditional-mean map.
+    grid = TimeGrid(horizon=1.0, step_count=n)
+    hurst = HurstParam(hurst_value)
+    mean_map, _ = dense_refinement_law(n, grid.horizon, hurst_value)
+    coarse = [generate_fbm(grid, hurst, SeedRecord(606, index)) for index in range(3)]
+    first = [
+        _first_of_pair(refine_fbm(path, rng=path_stream(SeedRecord(607, 0))), path)
+        for path in coarse
+    ]
+    worst = 0.0
+    for other in (1, 2):
+        direction = np.diff(coarse[other].values) - np.diff(coarse[0].values)
+        gap = (first[other] - first[0]) - mean_map @ direction
+        worst = max(worst, float(np.abs(gap).max()))
+    print(f"n={n}, H={hurst_value}: mean map vs dense oracle, max |gap| {worst:.2e}")
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("hurst_value", [0.05, 0.45])
+def test_refine_fbm_conditional_covariance_monte_carlo(hurst_value):
+    # The residual v - M c must be N(0, Cond) with the dense oracle's Cond.
+    # Whitened by Cond's Cholesky factor it is standard normal, so every
+    # entry of its empirical covariance (SE sqrt(2/N) on the diagonal,
+    # sqrt(1/N) off it) and its mean squared norm per coordinate (SE
+    # sqrt(2/(nN))) must lie within 5 standard errors of the identity.
+    n, draws = 16, 2048
+    grid = TimeGrid(horizon=1.0, step_count=n)
+    hurst = HurstParam(hurst_value)
+    mean_map, conditional = dense_refinement_law(n, grid.horizon, hurst_value)
+    residuals = np.empty((draws, n))
+    for index in range(draws):
+        coarse = generate_fbm(grid, hurst, SeedRecord(808, index))
+        residuals[index] = _first_of_pair(refine_fbm(coarse), coarse) - mean_map @ np.diff(
+            coarse.values
+        )
+    white = np.linalg.solve(np.linalg.cholesky(conditional), residuals.T).T
+    cov = white.T @ white / draws
+    stderr = np.where(np.eye(n, dtype=bool), math.sqrt(2.0 / draws), math.sqrt(1.0 / draws))
+    z_entry = float(np.abs((cov - np.eye(n)) / stderr).max())
+    z_trace = abs(float(np.trace(cov)) / n - 1.0) / math.sqrt(2.0 / (n * draws))
+    print(f"H={hurst_value}: whitened residual covariance, worst entry z {z_entry:.2f}, trace z {z_trace:.2f}")
+    assert z_entry < 5.0
+    assert z_trace < 5.0
+
+
+def test_refine_fbm_memory_at_acceptance_grid():
+    # 2^14 steps, the acceptance grid: dense conditional tables would need
+    # about 20 GiB; kriging must stay in O(n) memory.
+    import scipy.linalg  # noqa: F401  (module import is not refinement memory)
+
+    coarse = generate_fbm(TimeGrid(1.0, 2**14), H_QUARTER, SeedRecord(77, 5))
+    tracemalloc.start()
+    try:
+        fine = refine_fbm(coarse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"refine_fbm at 2^14 steps: traced peak {peak / 2**20:.1f} MB")
+    assert peak < 32 * 2**20
+    assert fine.grid.step_count == 2**15
+    assert np.array_equal(fine.values[::2], coarse.values), "even nodes must be preserved"
+    assert np.array_equal(fine.values, refine_fbm(coarse).values), "refinement must be deterministic"
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    hurst_value=st.floats(min_value=0.05, max_value=0.45),
+    master_seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_refine_fbm_nesting_and_determinism_property(n, hurst_value, master_seed):
+    coarse = generate_fbm(TimeGrid(1.0, n), HurstParam(hurst_value), SeedRecord(master_seed, 0))
+    fine = refine_fbm(coarse)
+    assert np.array_equal(fine.values[::2], coarse.values)
+    assert np.array_equal(fine.values, refine_fbm(coarse).values)

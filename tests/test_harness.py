@@ -118,6 +118,8 @@ def test_structural_validation():
         make_config(ladder={"eps0": 0.1, "ratio": 0.5, "depth": 1})
     with pytest.raises(ValueError, match="unknown generation method"):
         make_config(method="fourier")
+    with pytest.raises(ValueError, match="unknown generation method 'hosking'"):
+        make_config(method="hosking")  # H < 1/2 needs no fallback generator
     with pytest.raises(ValueError, match="zero_noise must be a boolean"):
         config_from_dict(config_dict(zero_noise="yes"))
 
