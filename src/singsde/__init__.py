@@ -86,8 +86,6 @@ from .picard import (
     PicardConvergenceError,
     PicardResult,
     contraction_modulus,
-    envelope_lower,
-    envelope_upper,
     fixed_point_residual,
     picard_solve,
     select_delta,
@@ -175,8 +173,6 @@ __all__ = [
     "contraction_modulus",
     "covariance_formula",
     "decompose_excursions",
-    "envelope_lower",
-    "envelope_upper",
     "estimate_holder",
     "fbm_covariance",
     "fgn_autocovariance",

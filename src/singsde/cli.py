@@ -174,10 +174,14 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,16 @@ carrying the provenance needed to regenerate the file (seeds, parameters,
 format version, config hash when applicable), followed by one header row of
 column names.  Floats are rendered with ``repr``-exact precision so a file is
 a faithful witness of the computation.
+
+Rows are formatted column by column and streamed in blocks of at most
+``_BLOCK_ROWS`` rows: each block of a numeric or string column becomes
+builtin values through one ``tolist()`` call and then text through ``str``
+(for a builtin float that is ``repr``), and the block's rows are joined and
+written with one ``write``.  A column object passed twice, such as the
+family's deepest level and its limit estimate, is formatted once per block.
+Object columns go through ``_format_value`` cell by cell.  Every path
+renders a cell exactly as ``_format_value`` does, so the bytes do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -28,6 +38,12 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# Rows per formatted block; it bounds the cell strings held at once.  On a
+# campaign exporting 2^14-step families, blocks of 256 to 4096 rows ran
+# equally fast, but 1024-row blocks raised the peak resident size by about
+# 2 MB over cell-by-cell writing and 4096-row blocks by about 6 MB.
+_BLOCK_ROWS = 256
+
 
 def _format_value(value: object) -> str:
     # Normalize numpy scalars through the builtin types: np.float64 subclasses
@@ -41,25 +57,54 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
+def _format_block(block: np.ndarray) -> list[str]:
+    """Cells of a 1-D block, each rendered as ``_format_value`` renders it."""
+
+    kind = block.dtype.kind
+    if kind == "f":
+        # float() of a float16/32 or long double cell is this double
+        block = block.astype(np.float64, copy=False)
+    elif kind not in "biuU":
+        return list(map(_format_value, block))
+    return list(map(str, block.tolist()))
+
+
 def write_csv(
     target: str | os.PathLike[str] | TextIO,
     columns: Sequence[tuple[str, Sequence | np.ndarray]],
     meta: Mapping[str, object],
 ) -> None:
-    """Write ``# key=value`` header lines, a column-name row, then the rows."""
+    """Write ``# key=value`` header lines, a column-name row, then the rows.
+
+    Every column must be 1-D and all must have the same length; a column
+    that breaks either rule raises ``ValueError`` before ``target`` is
+    opened.
+    """
 
     names = [name for name, _ in columns]
-    arrays = [np.asarray(data) for _, data in columns]
-    if arrays and any(arr.shape != arrays[0].shape for arr in arrays):
+    # distinct column objects by identity, and each column's key into them
+    arrays: dict[int, np.ndarray] = {}
+    keys = [id(data) for _, data in columns]
+    for (name, data), key in zip(columns, keys):
+        if key not in arrays:
+            array = np.asarray(data)
+            if array.ndim != 1:
+                raise ValueError(f"column {name!r} must be 1-D, got shape {array.shape}")
+            arrays[key] = array
+    lengths = {len(array) for array in arrays.values()}
+    if len(lengths) > 1:
         raise ValueError("all columns must have identical length")
+    row_count = lengths.pop() if lengths else 0
 
     def _emit(handle: TextIO) -> None:
         for key, value in meta.items():
             handle.write(f"# {key}={_format_value(value)}\n")
         handle.write(",".join(names) + "\n")
-        if arrays:
-            for row in zip(*arrays):
-                handle.write(",".join(_format_value(cell) for cell in row) + "\n")
+        for start in range(0, row_count, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            cells = {key: _format_block(array[start:stop]) for key, array in arrays.items()}
+            rows = map(",".join, zip(*[cells[key] for key in keys]))
+            handle.write("\n".join(rows) + "\n")
 
     if hasattr(target, "write"):
         _emit(target)  # type: ignore[arg-type]
@@ -176,7 +221,8 @@ def write_family_csv(
         ("t", family.grid.nodes()),
         ("noise", family.noise.values),
     ]
-    for level, row in enumerate(family.values):
-        columns.append((f"X_eps_{level}", row))
-    columns.append(("limit_estimate", family.limit_estimate))
+    rows = list(family.values)
+    columns.extend((f"X_eps_{level}", row) for level, row in enumerate(rows))
+    # the deepest row object itself, not a fresh view, so write_csv formats it once
+    columns.append(("limit_estimate", rows[-1]))
     write_csv(target, columns, meta)

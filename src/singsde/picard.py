@@ -39,8 +39,6 @@ __all__ = [
     "PicardConvergenceError",
     "PicardResult",
     "contraction_modulus",
-    "envelope_lower",
-    "envelope_upper",
     "fixed_point_residual",
     "picard_solve",
     "select_delta",

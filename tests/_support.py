@@ -1,13 +1,15 @@
 """Shared helpers for the test suite.
 
 Closed-form oracles, Monte Carlo z-score machinery for the noise generators,
-and report canonicalization for the determinism contract.
+report canonicalization for the determinism contract, and the cell-by-cell
+CSV writer that the column-wise one must match byte for byte.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,6 +147,32 @@ def canonical_report(report: VerificationReport | Mapping) -> dict:
         for name, record in data["checks"].items()
     }
     return canonical
+
+
+def per_cell_csv(columns: Sequence[tuple[str, Sequence | np.ndarray]], meta: Mapping) -> str:
+    """Oracle of ``singsde.io.write_csv``: the text, formatted one cell at a time."""
+
+    def format_cell(value: object) -> str:
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        if isinstance(value, bool):
+            return str(value)
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    names = [name for name, _ in columns]
+    arrays = [np.asarray(data) for _, data in columns]
+    if arrays and any(arr.shape != arrays[0].shape for arr in arrays):
+        raise ValueError("all columns must have identical length")
+    handle = io.StringIO()
+    for key, value in meta.items():
+        handle.write(f"# {key}={format_cell(value)}\n")
+    handle.write(",".join(names) + "\n")
+    if arrays:
+        for row in zip(*arrays):
+            handle.write(",".join(format_cell(cell) for cell in row) + "\n")
+    return handle.getvalue()
 
 
 def zero_noise_path(n: int, horizon: float, hurst_value: float) -> FbmPath:

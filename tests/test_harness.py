@@ -6,9 +6,14 @@ command-line front end.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+
+import singsde
 
 from singsde import (
     CHECK_ORDER,
@@ -516,3 +521,30 @@ def test_cli_usage_errors(tmp_path):
     assert cli_dispatch(["fbm", "--hurst", "0.7", "--out", out]) == 2  # out of domain
     assert cli_dispatch(["frobnicate"]) == 2
     assert cli_dispatch([]) == 2
+
+
+def test_cli_file_errors_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "missing-dir" / "x.csv")
+    assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{out}'")
+    assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    out = tmp_path / "noise.csv"
+    source_root = os.path.dirname(os.path.dirname(singsde.__file__))
+    paths = [source_root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    argv = ["fbm", "--hurst", "0.25", "--steps", "8", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "singsde.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert read_csv_with_meta(out)[2].shape == (9, 2)
+    missing = str(tmp_path / "missing-dir" / "x.csv")
+    done = subprocess.run(
+        [sys.executable, "-m", "singsde.cli", *argv[:-1], missing],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    # runpy warns that the package imported singsde.cli first; the error line follows
+    assert done.returncode == 2 and f"error: [Errno 2] No such file or directory: '{missing}'" in done.stderr

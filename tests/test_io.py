@@ -1,0 +1,126 @@
+"""CSV export tests: the column-wise block writer against the cell-by-cell
+oracle, its boundary checks, and the exact round trip of a family export.
+"""
+
+from __future__ import annotations
+
+import io
+
+import numpy as np
+import pytest
+
+from singsde import (
+    EpsilonLadder,
+    HurstParam,
+    SdeSpec,
+    SeedRecord,
+    TimeGrid,
+    build_family,
+    generate_fbm,
+    read_csv_with_meta,
+    write_csv,
+    write_family_csv,
+)
+from singsde import io as io_module
+
+from _support import per_cell_csv
+
+BLOCK = io_module._BLOCK_ROWS
+META = {"format_version": 1, "hurst": np.float64(0.25), "flag": True, "tag": "circulant", "n": np.int64(3)}
+
+
+def mixed_columns(row_count: int, seed: int) -> list[tuple[str, object]]:
+    rng = np.random.default_rng(seed)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1, -1.5])
+    floats = rng.standard_normal(row_count) * 10.0 ** rng.integers(-20, 20, row_count)
+    head = min(row_count, specials.size)
+    floats[:head] = specials[:head]
+    # numpy scalars in an object column render through the builtin types
+    scalars = (lambda value: None, np.float64, np.float32, lambda value: np.int64(np.isfinite(value)))
+    objects = np.empty(row_count, dtype=object)
+    objects[:] = [scalars[index % 4](value) for index, value in enumerate(floats)]
+    with np.errstate(over="ignore"):
+        halves = floats.astype(np.float16)  # large values become inf
+    return [
+        ("float", floats),
+        ("float32", floats.astype(np.float32)),
+        ("float16", halves),
+        ("longdouble", floats.astype(np.longdouble)),
+        ("int", rng.integers(-(2**62), 2**62, row_count)),
+        ("int_list", [int(value) for value in rng.integers(-5, 5, row_count)]),
+        ("bool", rng.random(row_count) < 0.5),
+        ("str", [f"s{index}" for index in range(row_count)]),
+        ("object", objects),
+        ("float_again", floats),
+    ]
+
+
+@pytest.mark.parametrize("row_count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_write_csv_matches_per_cell_oracle(row_count):
+    columns = mixed_columns(row_count, seed=row_count)
+    handle = io.StringIO()
+    write_csv(handle, columns, META)
+    assert handle.getvalue() == per_cell_csv(columns, META)
+
+
+def test_write_csv_streams_rows_in_bounded_blocks(tmp_path):
+    class Recorder(io.StringIO):
+        def __init__(self) -> None:
+            super().__init__()
+            self.lines_per_write: list[int] = []
+
+        def write(self, text: str) -> int:
+            self.lines_per_write.append(text.count("\n"))
+            return super().write(text)
+
+    row_count = 2 * BLOCK + 5
+    columns = [("t", np.arange(row_count) * 0.5), ("x", np.ones(row_count))]
+    handle = Recorder()
+    write_csv(handle, columns, {"a": 1})
+    row_writes = handle.lines_per_write[2:]  # after one meta line and the header
+    assert row_writes == [BLOCK, BLOCK, 5]
+    target = tmp_path / "rows.csv"
+    write_csv(target, columns, {"a": 1})
+    assert target.read_text(encoding="utf-8") == handle.getvalue() == per_cell_csv(columns, {"a": 1})
+
+
+@pytest.mark.parametrize(
+    "bad, shape",
+    [(np.ones((3, 2)), r"\(3, 2\)"), (np.float64(1.0), r"\(\)"), (2.5, r"\(\)")],
+)
+def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, bad, shape):
+    target = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match=rf"column 'bad' must be 1-D, got shape {shape}"):
+        write_csv(target, [("t", np.arange(3.0)), ("bad", bad)], {})
+    assert not target.exists()
+
+
+def test_write_csv_rejects_unequal_lengths(tmp_path):
+    target = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match="identical length"):
+        write_csv(target, [("t", np.arange(3.0)), ("x", np.arange(4.0))], {})
+    assert not target.exists()
+
+
+def test_family_export_round_trips_exactly(tmp_path):
+    hurst = HurstParam(0.25)
+    grid = TimeGrid(1.0, 2 * BLOCK + 7)
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=1.0, hurst=hurst)
+    family = build_family(spec, generate_fbm(grid, hurst, SeedRecord(5, 2)), EpsilonLadder(0.1, 0.5, 6))
+    target = tmp_path / "family.csv"
+    write_family_csv(family, target, extra_meta={"config_hash": "abc"})
+
+    meta, names, matrix = read_csv_with_meta(target)
+    assert meta["config_hash"] == "abc" and meta["depth"] == "6"
+    assert names == ["t", "noise"] + [f"X_eps_{level}" for level in range(7)] + ["limit_estimate"]
+    assert np.array_equal(matrix[:, 0], grid.nodes())
+    assert np.array_equal(matrix[:, 1], family.noise.values)
+    for level, row in enumerate(family.values):
+        assert np.array_equal(matrix[:, 2 + level], row), level
+    assert np.array_equal(matrix[:, -1], family.limit_estimate)
+
+    # the file's own header values are text and re-render to themselves
+    levels = [(f"X_eps_{level}", row) for level, row in enumerate(family.values)]
+    columns = [("t", grid.nodes()), ("noise", family.noise.values), *levels]
+    columns.append(("limit_estimate", family.limit_estimate))
+    assert target.read_text(encoding="utf-8") == per_cell_csv(columns, meta)

@@ -22,14 +22,13 @@ from singsde import (
     TimeGrid,
     build_family,
     contraction_modulus,
-    envelope_lower,
-    envelope_upper,
     estimate_holder,
     fixed_point_residual,
     generate_fbm,
     picard_solve,
     select_delta,
 )
+from singsde.picard import envelope_lower, envelope_upper
 
 from _support import closed_form
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singsde import (
     FbmPath,
@@ -238,43 +240,85 @@ def test_solve_batch_validates_its_inputs():
         solve_batch(make_spec(), [0.1], grid, np.zeros(9))
 
 
+def assert_step_claims(spec: SdeSpec, levels: np.ndarray, horizon: float, y: np.ndarray):
+    """One step of ``solve_batch`` from x0 under pushes that land on the sorted ``y``.
+
+    The unit-level form of the shared-noise ordering.  With y = (1 - b dt) x0
+    + sigma dB and c = a K(0, dt, eps), the branch switch is at y = -c/eps.
+    X_1 must not decrease in y, rise with slope at most 1, vanish at the
+    switch (|X_1| <= |y + c/eps|, so the two branches meet continuously), and
+    not decrease as eps shrinks (``levels`` run from shallow to deep).  The
+    allowance is 4 ulps of the inputs' magnitude: near the switch X_1 is a
+    difference of two numbers of the size of y, and far above it two levels
+    can round y plus their tiny drifts one ulp apart.  Returns the pushes,
+    the noise rows and X_1, shape (len(y), len(levels)).
+    """
+
+    grid = TimeGrid(horizon, 1)
+    kicks = spec.a * np.array([exact_kernel(0.0, horizon, e) for e in levels])
+    switch = -kicks / levels
+    base = (1.0 - spec.b * grid.dt) * spec.x0
+    pushes = (y - base) / spec.sigma
+    y = base + spec.sigma * pushes
+    noise_values = np.column_stack([np.zeros_like(pushes), pushes])
+    step = solve_batch(spec, levels, grid, noise_values)[:, :, 1]
+
+    rise = np.diff(step, axis=0)
+    allowance = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(y[:-1]), np.abs(y[1:])), 1.0))
+    assert (rise >= -allowance[:, None]).all(), f"step decreases in y (horizon {horizon})"
+    assert (rise <= np.diff(y)[:, None] + allowance[:, None]).all(), f"slope above 1 ({horizon})"
+    distance = np.abs(y[:, None] - switch[None, :])
+    magnitude = np.maximum(np.abs(y)[:, None], np.abs(switch)[None, :])
+    kink_allowance = 4.0 * np.spacing(np.maximum(magnitude, 1.0))
+    assert (np.abs(step) <= distance + kink_allowance).all(), f"gap at the switch ({horizon})"
+    level_allowance = 4.0 * np.spacing(np.maximum(np.abs(y), 1.0))
+    deepening = np.diff(step, axis=1)
+    assert (deepening >= -level_allowance[:, None]).all(), f"step decreases as eps shrinks ({horizon})"
+    return pushes, noise_values, step
+
+
 def test_step_is_monotone_in_state_and_level_and_continuous_at_the_kink():
-    # The unit-level form of the shared-noise ordering.  One-step grids sweep
-    # y = (1 - b dt) x0 + sigma dB densely, also around each level's branch
-    # switch at y = -c/eps with c = a K(0, dt, eps).  X_1 must not decrease
-    # in y, rise with slope at most 1, vanish at the switch (|X_1| <=
-    # |y + c/eps|, so the two branches meet continuously), and not decrease
-    # as eps shrinks.  The allowance is 4 ulps of the inputs' magnitude: near
-    # the switch X_1 is a difference of two numbers of the size of y.
+    # A dense sweep of y, also around each level's switch, through
+    # solve_batch; every 41st point also through solve_regularized.
     spec = make_spec(b=0.5, sigma=1.0)
     levels = np.array([0.1, 1e-2, 1e-4, 1e-8])
     for horizon in (1e-4, 1e-2, 0.5):
-        grid = TimeGrid(horizon, 1)
         kicks = spec.a * np.array([exact_kernel(0.0, horizon, e) for e in levels])
-        switch = -kicks / levels
         sweeps = [np.linspace(-3.0, 3.0, 601)]
-        for point in switch:
+        for point in -kicks / levels:
             scale = max(1.0, abs(point))
             sweeps.append(point + np.linspace(-1e-3, 1e-3, 201) * scale)
             sweeps.append(point + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9]) * scale)
-        base = (1.0 - spec.b * grid.dt) * spec.x0
-        pushes = (np.unique(np.concatenate(sweeps)) - base) / spec.sigma
-        y = base + spec.sigma * pushes
-        noise_values = np.column_stack([np.zeros_like(pushes), pushes])
-        step = solve_batch(spec, levels, grid, noise_values)[:, :, 1]
-
-        rise = np.diff(step, axis=0)
-        allowance = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(y[:-1]), np.abs(y[1:])), 1.0))
-        assert (rise >= -allowance[:, None]).all(), f"step decreases in y (horizon {horizon})"
-        assert (rise <= np.diff(y)[:, None] + allowance[:, None]).all(), f"slope above 1 ({horizon})"
-        distance = np.abs(y[:, None] - switch[None, :])
-        magnitude = np.maximum(np.abs(y)[:, None], np.abs(switch)[None, :])
-        kink_allowance = 4.0 * np.spacing(np.maximum(magnitude, 1.0))
-        assert (np.abs(step) <= distance + kink_allowance).all(), f"gap at the switch ({horizon})"
+        pushes, noise_values, step = assert_step_claims(
+            spec, levels, horizon, np.unique(np.concatenate(sweeps))
+        )
+        # on this sweep the level ordering holds exactly, with no allowance
         assert (np.diff(step, axis=1) >= 0.0).all(), f"step decreases as eps shrinks ({horizon})"
 
+        grid = TimeGrid(horizon, 1)
         for index in range(0, pushes.size, 41):
             noise = FbmPath(grid, noise_values[index], H_QUARTER, SeedRecord(0, index), "circulant")
             for level, epsilon in enumerate(levels):
                 scalar = solve_regularized(spec, float(epsilon), noise).values[1]
                 assert scalar == step[index, level], (horizon, index, epsilon)
+
+
+@settings(deadline=None)
+@given(
+    horizon=st.floats(min_value=1e-6, max_value=1.0),
+    levels=st.lists(st.floats(min_value=1e-10, max_value=1.0), min_size=2, max_size=2),
+    anchor=st.sampled_from([None, 0, 1]),
+    offsets=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=8),
+)
+def test_step_claims_property(horizon, levels, anchor, offsets):
+    # The sweep's claims at drawn states: offsets from 0, or relative offsets
+    # from one level's switch, which is where the branches meet.
+    spec = make_spec(b=0.5, sigma=1.0)
+    levels = np.array(sorted(levels, reverse=True))
+    offsets = np.array(offsets)
+    if anchor is None:
+        y = offsets
+    else:
+        point = -spec.a * exact_kernel(0.0, horizon, levels[anchor]) / levels[anchor]
+        y = point + offsets * max(1.0, abs(point))
+    assert_step_claims(spec, levels, horizon, np.unique(y))
