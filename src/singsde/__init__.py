@@ -41,10 +41,7 @@ from .fbm import (
     HurstParam,
     SeedRecord,
     TimeGrid,
-    covariance_formula,
     estimate_holder,
-    fbm_covariance,
-    fgn_autocovariance,
     generate_fbm,
     path_stream,
     refine_fbm,
@@ -123,8 +120,6 @@ from .io import (
     write_fbm_csv,
     write_solution_csv,
 )
-from .cli import cli_dispatch
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -165,17 +160,13 @@ __all__ = [
     "VerificationReport",
     "build_families",
     "build_family",
-    "cli_dispatch",
     "config_digest",
     "config_from_dict",
     "compensator_budget",
     "compute_compensator",
     "contraction_modulus",
-    "covariance_formula",
     "decompose_excursions",
     "estimate_holder",
-    "fbm_covariance",
-    "fgn_autocovariance",
     "fixed_point_residual",
     "generate_fbm",
     "identity_residual",

@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from .fbm import GENERATOR_TAGS, HurstParam, SeedRecord, TimeGrid, generate_fbm
+from .fbm import _CHOLESKY_MAX_STEPS, GENERATOR_TAGS, HurstParam, SeedRecord, TimeGrid, generate_fbm
 from .harness import load_config, render_report_table, run_campaign
 from .io import write_family_csv, write_fbm_csv, write_solution_csv
 from .ladder import EpsilonLadder, build_family
@@ -90,6 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_noise(args: argparse.Namespace):
+    if args.method == "cholesky" and args.steps > _CHOLESKY_MAX_STEPS:
+        raise ValueError(
+            f"--steps must be at most {_CHOLESKY_MAX_STEPS} with --method cholesky, "
+            f"got {args.steps}"
+        )
     grid = TimeGrid(horizon=args.horizon, step_count=args.steps)
     hurst = HurstParam(args.hurst)
     seed = SeedRecord(args.seed, args.index)
@@ -127,14 +132,7 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"invalid config {args.config}: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+    config = load_config(args.config)
     report = run_campaign(config)
     print(render_report_table(report))
     print(f"\nartifacts written to {config.output_dir}")
@@ -142,15 +140,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.report_json, "r", encoding="utf-8") as handle:
+    with open(args.report_json, "r", encoding="utf-8") as handle:
+        try:
             data = json.load(handle)
-    except FileNotFoundError:
-        print(f"report file not found: {args.report_json}", file=sys.stderr)
-        return _USAGE_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"invalid report {args.report_json}: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid report {args.report_json}: {exc}") from exc
     print(render_report_table(data))
     return 0
 

@@ -50,10 +50,7 @@ __all__ = [
     "HurstParam",
     "SeedRecord",
     "TimeGrid",
-    "covariance_formula",
     "estimate_holder",
-    "fbm_covariance",
-    "fgn_autocovariance",
     "generate_fbm",
     "path_stream",
     "refine_fbm",
@@ -74,10 +71,9 @@ class FbmGenerationError(RuntimeError):
 class HurstParam:
     """Roughness index of the driving noise, restricted to (0, 1/2).
 
-    Pure covariance formulas tolerate any exponent in (0, 1); the solver-side
+    The fBm covariance is defined for any exponent in (0, 1); the solver-side
     restriction to H < 1/2 is enforced here because every downstream object
-    carries a HurstParam.  Use :func:`covariance_formula` for out-of-range
-    formula sanity checks.
+    carries a HurstParam.
     """
 
     value: float
@@ -191,40 +187,6 @@ class HolderEstimate:
 # ---------------------------------------------------------------------------
 # covariance formulas
 # ---------------------------------------------------------------------------
-
-
-def covariance_formula(s: float, t: float, hurst_value: float) -> float:
-    """Raw two-point covariance (t^{2H} + s^{2H} - |t-s|^{2H})/2.
-
-    Unrestricted exponent evaluator: accepts any hurst_value in (0, 1) so the
-    standard-Brownian boundary case can be sanity-checked against min(s, t).
-    """
-
-    if s < 0.0 or t < 0.0:
-        raise ValueError(f"time arguments must be nonnegative, got s={s}, t={t}")
-    if not (0.0 < hurst_value < 1.0):
-        raise ValueError(f"exponent must lie in (0, 1), got {hurst_value}")
-    two_h = 2.0 * hurst_value
-    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
-
-
-def fbm_covariance(s: float, t: float, hurst: HurstParam) -> float:
-    """Covariance of the driving noise at times (s, t); symmetric in (s, t)."""
-
-    return covariance_formula(s, t, hurst.value)
-
-
-def fgn_autocovariance(k: int, hurst: HurstParam) -> float:
-    """Unit-variance increment autocovariance gamma(k); gamma(0) = 1.
-
-    Negative for every k >= 1 when H < 1/2 (antipersistent increments).
-    """
-
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValueError(f"lag must be a nonnegative integer, got {k}")
-    two_h = 2.0 * hurst.value
-    kk = float(k)
-    return 0.5 * ((kk + 1.0) ** two_h - 2.0 * kk**two_h + abs(kk - 1.0) ** two_h)
 
 
 def _fgn_kernel(n_lags: int, hurst_value: float) -> np.ndarray:

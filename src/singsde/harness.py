@@ -41,6 +41,7 @@ from .excursions import (
 )
 from .fbm import (
     GENERATOR_TAGS,
+    _CHOLESKY_MAX_STEPS,
     FbmPath,
     HurstParam,
     SeedRecord,
@@ -90,23 +91,8 @@ _DEFAULT_OUTPUT_DIR = "singsde-out"
 
 REPORT_FORMAT_VERSION = 1
 
-# Canonical execution order; also the order records appear in reports.
-CHECK_ORDER = (
-    "ordering",
-    "nested-zero-sets",
-    "upper-bound",
-    "measure-decay",
-    "measure-decay-mean",
-    "limit-nonneg",
-    "compensator",
-    "eps-continuity",
-    "contraction",
-    "excursion-endpoints",
-    "initial-identity",
-    "restart-refinement",
-)
-
-# One-sentence statement of the property each check verifies.
+# One-sentence statement of the property each check verifies, in canonical
+# execution order (also the order records appear in reports).
 CHECK_STATEMENTS: dict[str, str] = {
     "ordering": (
         "Under shared noise, solutions increase at every node as the "
@@ -163,12 +149,13 @@ CHECK_STATEMENTS: dict[str, str] = {
         "grid refinement."
     ),
 }
+CHECK_ORDER = tuple(CHECK_STATEMENTS)
 
 # Tolerance schema: name -> (default, kind).  Kinds: nonnegative float
 # ("nonneg"), strictly positive float ("pos"), positive integer ("int").
 # tol_* entries accept 0 deliberately — a zero tolerance is the documented
 # negative control for rounding-scale effects.
-_TOLERANCE_SCHEMA: dict[str, tuple[float | int | None, str]] = {
+_TOLERANCE_SCHEMA: dict[str, tuple[float | int, str]] = {
     "tol_mono": (DEFAULT_TOL_MONO, "nonneg"),
     "tol_bound": (DEFAULT_TOL_BOUND, "nonneg"),
     "tol_nonneg": (1e-9, "nonneg"),
@@ -180,11 +167,10 @@ _TOLERANCE_SCHEMA: dict[str, tuple[float | int | None, str]] = {
     "min_window_nodes": (20, "int"),
     "window_steps": (256, "int"),
     "endpoint_approach_nodes": (3, "int"),
-    "measure_last_max": (None, "pos"),
 }
 
 DEFAULT_TOLERANCES: dict[str, float | int] = {
-    name: default for name, (default, _) in _TOLERANCE_SCHEMA.items() if default is not None
+    name: default for name, (default, _) in _TOLERANCE_SCHEMA.items()
 }
 
 # Fraction of paths allowed to fail per check; unlisted checks allow none.
@@ -202,18 +188,20 @@ _WINDOW_LADDER_MAX_DEPTH = 64
 # ---------------------------------------------------------------------------
 
 
-def _reject_unknown(section: str, data: Mapping[str, Any], allowed: tuple[str, ...]) -> None:
+def _section(
+    name: str, data: Any, allowed: tuple[str, ...], required: tuple[str, ...] | None = None
+) -> Mapping[str, Any]:
+    """``data`` as a mapping with the ``required`` keys (default: all) and no others."""
+
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} must be a mapping, got {type(data).__name__}")
+    missing = sorted(set(allowed if required is None else required) - set(data))
+    if missing:
+        raise ValueError(f"missing {name} keys: {', '.join(missing)}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown {section} keys: {', '.join(unknown)}")
-
-
-def _require(section: str, data: Mapping[str, Any], required: tuple[str, ...]) -> None:
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{section} must be a mapping, got {type(data).__name__}")
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise ValueError(f"missing {section} keys: {', '.join(missing)}")
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    return data
 
 
 def _as_float(section: str, key: str, value: Any) -> float:
@@ -232,8 +220,7 @@ def _validated_tolerances(raw: Mapping[str, Any] | None) -> dict[str, float | in
     merged: dict[str, float | int] = dict(DEFAULT_TOLERANCES)
     if raw is None:
         return merged
-    _reject_unknown("tolerances", raw, tuple(_TOLERANCE_SCHEMA))
-    for key, value in raw.items():
+    for key, value in _section("tolerances", raw, tuple(_TOLERANCE_SCHEMA), ()).items():
         _, kind = _TOLERANCE_SCHEMA[key]
         if kind == "int":
             parsed: float | int = _as_int("tolerances", key, value)
@@ -255,8 +242,7 @@ def _validated_allowances(raw: Mapping[str, Any] | None) -> dict[str, float]:
     merged = dict(DEFAULT_ALLOWANCES)
     if raw is None:
         return merged
-    _reject_unknown("allowances", raw, CHECK_ORDER)
-    for key, value in raw.items():
+    for key, value in _section("allowances", raw, CHECK_ORDER, ()).items():
         fraction = _as_float("allowances", key, value)
         if not (0.0 <= fraction <= 1.0):
             raise ValueError(f"allowances.{key} must lie in [0, 1], got {fraction}")
@@ -272,7 +258,9 @@ class ExperimentConfig:
     ``allowances`` maps check ids to the fraction of paths allowed to fail;
     ``checks`` is the enabled subset in canonical order.  ``zero_noise``
     switches every driver to the deterministic zero path, turning the
-    campaign into a composition of closed-form oracles.
+    campaign into a composition of closed-form oracles.  Construction is the
+    one validation pass; partial (or None) tolerance and allowance maps are
+    merged over the defaults.
     """
 
     spec: SdeSpec
@@ -306,6 +294,13 @@ class ExperimentConfig:
         self.checks = tuple(check for check in CHECK_ORDER if check in self.checks)
         self.tolerances = _validated_tolerances(self.tolerances)
         self.allowances = _validated_allowances(self.allowances)
+        # Rejected here, or every path would record a generation failure.
+        steps = max(self.grid.step_count, self.tolerances["window_steps"])
+        if self.method == "cholesky" and not self.zero_noise and steps > _CHOLESKY_MAX_STEPS:
+            raise ValueError(
+                f"method 'cholesky' needs grid.steps and tolerances.window_steps at most "
+                f"{_CHOLESKY_MAX_STEPS}, got {steps}"
+            )
 
     def allowed_failures(self, check: str) -> int:
         return math.floor(self.allowances.get(check, 0.0) * self.path_count)
@@ -326,12 +321,9 @@ _TOP_LEVEL_OPTIONAL = (
 def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     """Build a validated config from parsed JSON; unknown keys are errors."""
 
-    _require("config", data, _TOP_LEVEL_REQUIRED)
-    _reject_unknown("config", data, _TOP_LEVEL_REQUIRED + _TOP_LEVEL_OPTIONAL)
+    _section("config", data, _TOP_LEVEL_REQUIRED + _TOP_LEVEL_OPTIONAL, _TOP_LEVEL_REQUIRED)
 
-    spec_data = data["spec"]
-    _require("spec", spec_data, ("x0", "a", "b", "sigma", "hurst"))
-    _reject_unknown("spec", spec_data, ("x0", "a", "b", "sigma", "hurst"))
+    spec_data = _section("spec", data["spec"], ("x0", "a", "b", "sigma", "hurst"))
     spec = SdeSpec(
         x0=_as_float("spec", "x0", spec_data["x0"]),
         a=_as_float("spec", "a", spec_data["a"]),
@@ -340,26 +332,20 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         hurst=HurstParam(_as_float("spec", "hurst", spec_data["hurst"])),
     )
 
-    grid_data = data["grid"]
-    _require("grid", grid_data, ("horizon", "steps"))
-    _reject_unknown("grid", grid_data, ("horizon", "steps"))
+    grid_data = _section("grid", data["grid"], ("horizon", "steps"))
     grid = TimeGrid(
         horizon=_as_float("grid", "horizon", grid_data["horizon"]),
         step_count=_as_int("grid", "steps", grid_data["steps"]),
     )
 
-    ladder_data = data["ladder"]
-    _require("ladder", ladder_data, ("eps0", "ratio", "depth"))
-    _reject_unknown("ladder", ladder_data, ("eps0", "ratio", "depth"))
+    ladder_data = _section("ladder", data["ladder"], ("eps0", "ratio", "depth"))
     ladder = EpsilonLadder(
         eps0=_as_float("ladder", "eps0", ladder_data["eps0"]),
         ratio=_as_float("ladder", "ratio", ladder_data["ratio"]),
         depth=_as_int("ladder", "depth", ladder_data["depth"]),
     )
 
-    seeds_data = data["seeds"]
-    _require("seeds", seeds_data, ("master_seed", "path_count"))
-    _reject_unknown("seeds", seeds_data, ("master_seed", "path_count"))
+    seeds_data = _section("seeds", data["seeds"], ("master_seed", "path_count"))
 
     checks_raw = data.get("checks")
     if checks_raw is None:
@@ -390,8 +376,8 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         ladder=ladder,
         master_seed=_as_int("seeds", "master_seed", seeds_data["master_seed"]),
         path_count=_as_int("seeds", "path_count", seeds_data["path_count"]),
-        tolerances=_validated_tolerances(data.get("tolerances")),
-        allowances=_validated_allowances(data.get("allowances")),
+        tolerances=data.get("tolerances"),
+        allowances=data.get("allowances"),
         output_dir=output_dir,
         checks=checks,
         method=method,
@@ -401,13 +387,16 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def load_config(path: str | os.PathLike[str]) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file; a ``ValueError`` names the file."""
 
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
-    return config_from_dict(data)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("config file must contain a JSON object")
+        return config_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"invalid config {os.fspath(path)}: {exc}") from exc
 
 
 def _semantic_config_dict(config: ExperimentConfig) -> dict[str, Any]:
@@ -523,44 +512,6 @@ def _package_version() -> str:
     return __version__
 
 
-class _Accumulator:
-    """Serialized aggregation point for one check's per-path outcomes."""
-
-    def __init__(self, check: str, tolerance: float) -> None:
-        self.check = check
-        self.tolerance = tolerance
-        self.pass_count = 0
-        self.fail_count = 0
-        self.worst: float | None = None
-        self.failures: list[str] = []
-        self.runtime = 0.0
-
-    def record(self, path_index: int, passed: bool, violation: float | None, note: str | None) -> None:
-        if passed:
-            self.pass_count += 1
-        else:
-            self.fail_count += 1
-            detail = note if note is not None else "check failed"
-            prefix = f"path {path_index}: " if path_index >= 0 else ""
-            self.failures.append(prefix + detail)
-        if violation is not None and math.isfinite(violation):
-            if self.worst is None or violation > self.worst:
-                self.worst = violation
-
-    def to_record(self, config: ExperimentConfig) -> CheckRecord:
-        return CheckRecord(
-            check=self.check,
-            statement=CHECK_STATEMENTS[self.check],
-            pass_count=self.pass_count,
-            fail_count=self.fail_count,
-            allowed_failures=config.allowed_failures(self.check),
-            worst_violation=self.worst,
-            tolerance=self.tolerance,
-            runtime_s=round(self.runtime, 6),
-            failures=tuple(self.failures),
-        )
-
-
 # ---------------------------------------------------------------------------
 # per-path checks
 # ---------------------------------------------------------------------------
@@ -609,17 +560,12 @@ def _check_upper_bound(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
 
 
 def _check_measure_decay(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    last_max = config.tolerances.get("measure_last_max")
-    result = verify_measure_decay(
-        ctx.family, last_level_max=None if last_max is None else float(last_max)
-    )
+    result = verify_measure_decay(ctx.family)
     increases = [b - a for a, b in zip(result.per_level[:-1], result.per_level[1:])]
     violation = max(increases) if increases else 0.0
-    note = None
-    if not result.nonincreasing:
-        note = f"measure increases by {violation:.3e} between adjacent levels"
-    elif result.last_below_threshold is False:
-        note = f"deepest-level measure {result.last_level:.6g} exceeds measure_last_max"
+    note = None if result.passes else (
+        f"measure increases by {violation:.3e} between adjacent levels"
+    )
     return result.passes, violation, note
 
 
@@ -829,33 +775,53 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
     return not notes, worst, ("; ".join(notes) if notes else None)
 
 
-_PER_PATH_CHECKS: dict[str, Callable[[ExperimentConfig, _PathContext], _CheckResult]] = {
-    "ordering": _check_ordering,
-    "nested-zero-sets": _check_nested_zero_sets,
-    "upper-bound": _check_upper_bound,
-    "measure-decay": _check_measure_decay,
-    "limit-nonneg": _check_limit_nonneg,
-    "compensator": _check_compensator,
-    "eps-continuity": _check_eps_continuity,
-    "contraction": _check_contraction,
-    "excursion-endpoints": _check_excursion_endpoints,
-    "initial-identity": _check_initial_identity,
-    "restart-refinement": _check_restart_refinement,
+# Per-path check -> (runner, the tolerance its record reports).  The report's
+# tolerance column is the named knob the check compares against; checks
+# without one, and the campaign-wide measure-decay-mean, report 0.
+_PER_PATH_CHECKS: dict[
+    str, tuple[Callable[[ExperimentConfig, _PathContext], _CheckResult], str | None]
+] = {
+    "ordering": (_check_ordering, "tol_mono"),
+    "nested-zero-sets": (_check_nested_zero_sets, None),
+    "upper-bound": (_check_upper_bound, "tol_bound"),
+    "measure-decay": (_check_measure_decay, None),
+    "limit-nonneg": (_check_limit_nonneg, "tol_nonneg"),
+    "compensator": (_check_compensator, None),
+    "eps-continuity": (_check_eps_continuity, "eps_star"),
+    "contraction": (_check_contraction, "contraction_slack"),
+    "excursion-endpoints": (_check_excursion_endpoints, None),
+    "initial-identity": (_check_initial_identity, None),
+    "restart-refinement": (_check_restart_refinement, None),
 }
 
+# One path's outcome of one check: (path index or None for a campaign-wide
+# verdict, passed, violation, note).
+_Outcome = tuple["int | None", bool, "float | None", "str | None"]
 
-def _check_tolerance(config: ExperimentConfig, check: str) -> float:
-    """The tolerance column of the report: the named knob the check compares against."""
 
-    tolerances = config.tolerances
-    named = {
-        "ordering": tolerances["tol_mono"],
-        "upper-bound": tolerances["tol_bound"],
-        "limit-nonneg": tolerances["tol_nonneg"],
-        "eps-continuity": tolerances["eps_star"],
-        "contraction": tolerances["contraction_slack"],
-    }
-    return float(named.get(check, 0.0))
+def _check_record(
+    config: ExperimentConfig, check: str, outcomes: list[_Outcome], runtime: float
+) -> CheckRecord:
+    """Aggregate one check's outcomes: counts, the largest finite violation, failure notes."""
+
+    _, tolerance = _PER_PATH_CHECKS.get(check, (None, None))
+    violations = [v for _, _, v, _ in outcomes if v is not None and math.isfinite(v)]
+    failures = tuple(
+        ("" if path is None else f"path {path}: ") + ("check failed" if note is None else note)
+        for path, passed, _, note in outcomes
+        if not passed
+    )
+    return CheckRecord(
+        check=check,
+        statement=CHECK_STATEMENTS[check],
+        pass_count=len(outcomes) - len(failures),
+        fail_count=len(failures),
+        allowed_failures=config.allowed_failures(check),
+        worst_violation=max(violations, default=None),
+        tolerance=0.0 if tolerance is None else float(config.tolerances[tolerance]),
+        runtime_s=round(runtime, 6),
+        failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -880,22 +846,21 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     if config.save_families:
         os.makedirs(families_dir, exist_ok=True)
 
-    accumulators = {
-        check: _Accumulator(check, _check_tolerance(config, check)) for check in config.checks
-    }
+    per_path_checks = [check for check in config.checks if check in _PER_PATH_CHECKS]
+    outcomes: dict[str, list[_Outcome]] = {check: [] for check in config.checks}
+    runtimes = dict.fromkeys(config.checks, 0.0)
     gather_measures = "measure-decay-mean" in config.checks
     first_level_measures: list[float] = []
     last_level_measures: list[float] = []
-    excursion_rows: list[dict[str, object]] = []
+    excursion_rows: list[tuple[object, ...]] = []
     method = "zero" if config.zero_noise else config.method
-    per_path_checks = [check for check in config.checks if check != "measure-decay-mean"]
 
     for index, outcome, elapsed in _path_families(config, method):
         if not isinstance(outcome, EpsilonFamily):
             note = f"family construction failed: {type(outcome).__name__}: {outcome}"
             for check in per_path_checks:
-                accumulators[check].record(index, False, None, note)
-                accumulators[check].runtime += elapsed / max(len(per_path_checks), 1)
+                outcomes[check].append((index, False, None, note))
+                runtimes[check] += elapsed / len(per_path_checks)
             continue
 
         family = outcome
@@ -906,14 +871,14 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
             last_level_measures.append(float(measures[-1]))
 
         for check in per_path_checks:
-            accumulator = accumulators[check]
+            runner, _ = _PER_PATH_CHECKS[check]
             started = time.perf_counter()
             try:
-                passed, violation, note = _PER_PATH_CHECKS[check](config, ctx)
+                passed, violation, note = runner(config, ctx)
             except Exception as exc:  # noqa: BLE001 - isolation policy
                 passed, violation, note = False, None, f"{type(exc).__name__}: {exc}"
-            accumulator.runtime += time.perf_counter() - started
-            accumulator.record(index, passed, violation, note)
+            runtimes[check] += time.perf_counter() - started
+            outcomes[check].append((index, passed, violation, note))
 
         if ctx.excursions is not None:
             excursion_rows.extend(_excursion_rows(ctx))
@@ -923,12 +888,14 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
 
     if gather_measures:
         started = time.perf_counter()
-        passed, violation, note = _mean_measure_verdict(first_level_measures, last_level_measures)
-        accumulator = accumulators["measure-decay-mean"]
-        accumulator.runtime += time.perf_counter() - started
-        accumulator.record(-1, passed, violation, note)
+        verdict = _mean_measure_verdict(first_level_measures, last_level_measures)
+        runtimes["measure-decay-mean"] += time.perf_counter() - started
+        outcomes["measure-decay-mean"].append((None, *verdict))
 
-    records = {check: accumulators[check].to_record(config) for check in config.checks}
+    records = {
+        check: _check_record(config, check, outcomes[check], runtimes[check])
+        for check in config.checks
+    }
     overall_pass = all(record.within_allowance for record in records.values())
     report = VerificationReport(
         version=_package_version(),
@@ -1004,27 +971,40 @@ def _mean_measure_verdict(
     return passed, violation, note
 
 
-def _excursion_rows(ctx: _PathContext) -> list[dict[str, object]]:
+# Column order of excursions.csv; an endpoint beyond the grid or an interval
+# without a restart residual is written as nan.
+_EXCURSION_COLUMNS = (
+    "path_index",
+    "interval_index",
+    "alpha_t",
+    "beta_t",
+    "length",
+    "endpoint_value_left",
+    "endpoint_value_right",
+    "sup_residual",
+    "threshold",
+)
+
+
+def _excursion_rows(ctx: _PathContext) -> list[tuple[object, ...]]:
     assert ctx.excursions is not None and ctx.threshold is not None
     values = ctx.family.limit_estimate
     dt = ctx.family.grid.dt
     last = values.size - 1
-    rows: list[dict[str, object]] = []
-    for index, (start, end) in enumerate(ctx.excursions.intervals):
-        rows.append(
-            {
-                "path_index": ctx.index,
-                "interval_index": index,
-                "alpha_t": start * dt,
-                "beta_t": end * dt,
-                "length": (end - start) * dt,
-                "endpoint_value_left": float(values[start - 1]) if start > 0 else None,
-                "endpoint_value_right": float(values[end + 1]) if end < last else None,
-                "sup_residual": ctx.restart_sup.get(index),
-                "threshold": ctx.threshold,
-            }
+    return [
+        (
+            ctx.index,
+            index,
+            start * dt,
+            end * dt,
+            (end - start) * dt,
+            float(values[start - 1]) if start > 0 else math.nan,
+            float(values[end + 1]) if end < last else math.nan,
+            ctx.restart_sup.get(index, math.nan),
+            ctx.threshold,
         )
-    return rows
+        for index, (start, end) in enumerate(ctx.excursions.intervals)
+    ]
 
 
 def _write_report_json(report: VerificationReport, path: str) -> None:
@@ -1073,27 +1053,11 @@ def _write_config_echo(config: ExperimentConfig, digest: str, path: str) -> None
 
 
 def _write_excursion_table(
-    rows: list[dict[str, object]], report: VerificationReport, path: str
+    rows: list[tuple[object, ...]], report: VerificationReport, path: str
 ) -> None:
-    names = (
-        "path_index",
-        "interval_index",
-        "alpha_t",
-        "beta_t",
-        "length",
-        "endpoint_value_left",
-        "endpoint_value_right",
-        "sup_residual",
-        "threshold",
-    )
-
-    def _cell(row: dict[str, object], key: str) -> object:
-        value = row.get(key)
-        return math.nan if value is None else value
-
     write_csv(
         path,
-        [(name, [_cell(row, name) for row in rows]) for name in names],
+        list(zip(_EXCURSION_COLUMNS, zip(*rows))),
         {
             "format_version": FORMAT_VERSION,
             "config_hash": report.config_hash,
@@ -1132,9 +1096,8 @@ def render_report_table(report: VerificationReport | Mapping[str, Any]) -> str:
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for name in CHECK_ORDER:
-        if name not in checks:
-            continue
+    names = [name for name in CHECK_ORDER if name in checks]
+    for name in names:
         record = checks[name]
         worst = record.get("worst_violation")
         worst_text = "-" if worst is None else f"{worst:.3e}"
@@ -1145,19 +1108,8 @@ def render_report_table(report: VerificationReport | Mapping[str, Any]) -> str:
         )
     lines.append("")
     lines.append("statements:")
-    for name in CHECK_ORDER:
-        if name not in checks:
-            continue
-        lines.append(f"  {name}: {checks[name].get('statement', '')}")
-    failing = [
-        (name, checks[name])
-        for name in CHECK_ORDER
-        if name in checks and checks[name].get("failures")
-    ]
-    if failing:
-        lines.append("")
-        lines.append("reported failures:")
-        for name, record in failing:
-            for entry in record.get("failures", []):
-                lines.append(f"  {name}: {entry}")
+    lines += [f"  {name}: {checks[name].get('statement', '')}" for name in names]
+    failures = [f"  {name}: {entry}" for name in names for entry in checks[name].get("failures", [])]
+    if failures:
+        lines += ["", "reported failures:", *failures]
     return "\n".join(lines)

@@ -283,33 +283,22 @@ class MeasureDecayResult:
 
     per_level: list[float]
     nonincreasing: bool
-    last_level: float
-    last_below_threshold: bool | None
-    passes: bool
+
+    @property
+    def passes(self) -> bool:
+        return self.nonincreasing
 
 
-def verify_measure_decay(
-    family: EpsilonFamily, last_level_max: float | None = None
-) -> MeasureDecayResult:
+def verify_measure_decay(family: EpsilonFamily) -> MeasureDecayResult:
     """Check the nonpositive-time measure is nonincreasing along the ladder.
 
     The ordering nests the nonpositive sets level by level, which forces the
-    measures to be nonincreasing; the optional threshold additionally demands
-    the deepest level's measure be small in absolute terms.
+    measures to be nonincreasing.
     """
 
     per_level = nonpositive_measure(family).tolist()
     nonincreasing = all(b <= a for a, b in zip(per_level[:-1], per_level[1:]))
-    last = per_level[-1]
-    below = None if last_level_max is None else (last <= last_level_max)
-    passes = nonincreasing and (below is not False)
-    return MeasureDecayResult(
-        per_level=per_level,
-        nonincreasing=nonincreasing,
-        last_level=last,
-        last_below_threshold=below,
-        passes=passes,
-    )
+    return MeasureDecayResult(per_level=per_level, nonincreasing=nonincreasing)
 
 
 def verify_nested_zero_sets(family: EpsilonFamily) -> tuple[bool, int]:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite.
 
-Closed-form oracles, Monte Carlo z-score machinery for the noise generators,
+Closed-form oracles (among them the fBm covariance formulas, which only the
+tests evaluate), Monte Carlo z-score machinery for the noise generators,
 report canonicalization for the determinism contract, and the cell-by-cell
 CSV writer that the column-wise one must match byte for byte.
 """
@@ -24,7 +25,6 @@ from singsde import (
     TimeGrid,
     VerificationReport,
     build_families,
-    fgn_autocovariance,
     generate_fbm,
 )
 
@@ -37,6 +37,40 @@ def closed_form(t: np.ndarray | float, x0: float, a: float, hurst_value: float):
     """
 
     return np.sqrt(x0 * x0 + a * np.power(t, 2.0 * hurst_value) / hurst_value)
+
+
+def covariance_formula(s: float, t: float, hurst_value: float) -> float:
+    """Raw two-point covariance (t^{2H} + s^{2H} - |t-s|^{2H})/2.
+
+    Unrestricted exponent evaluator: accepts any hurst_value in (0, 1) so the
+    standard-Brownian boundary case can be sanity-checked against min(s, t).
+    """
+
+    if s < 0.0 or t < 0.0:
+        raise ValueError(f"time arguments must be nonnegative, got s={s}, t={t}")
+    if not (0.0 < hurst_value < 1.0):
+        raise ValueError(f"exponent must lie in (0, 1), got {hurst_value}")
+    two_h = 2.0 * hurst_value
+    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
+
+
+def fbm_covariance(s: float, t: float, hurst: HurstParam) -> float:
+    """Covariance of the driving noise at times (s, t); symmetric in (s, t)."""
+
+    return covariance_formula(s, t, hurst.value)
+
+
+def fgn_autocovariance(k: int, hurst: HurstParam) -> float:
+    """Unit-variance increment autocovariance gamma(k); gamma(0) = 1.
+
+    Negative for every k >= 1 when H < 1/2 (antipersistent increments).
+    """
+
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError(f"lag must be a nonnegative integer, got {k}")
+    two_h = 2.0 * hurst.value
+    kk = float(k)
+    return 0.5 * ((kk + 1.0) ** two_h - 2.0 * kk**two_h + abs(kk - 1.0) ** two_h)
 
 
 def generate_increment_matrix(

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import singsde
 
@@ -18,3 +21,16 @@ def test_every_exported_name_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__} exports undefined names {missing}"
         assert len(set(module.__all__)) == len(module.__all__), f"{module.__name__} repeats a name"
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    # A fresh interpreter: this test process may already have loaded singsde.cli.
+    source_root = os.path.dirname(os.path.dirname(singsde.__file__))
+    paths = [source_root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    probe = "import sys, singsde; print('singsde.cli' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

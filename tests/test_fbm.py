@@ -21,17 +21,21 @@ from singsde import (
     HurstParam,
     SeedRecord,
     TimeGrid,
-    covariance_formula,
     estimate_holder,
-    fbm_covariance,
-    fgn_autocovariance,
     generate_fbm,
     path_stream,
     refine_fbm,
     zero_path,
 )
+from singsde import fbm as fbm_module
 
-from _support import dense_refinement_law, lag_autocov_zscores
+from _support import (
+    covariance_formula,
+    dense_refinement_law,
+    fbm_covariance,
+    fgn_autocovariance,
+    lag_autocov_zscores,
+)
 
 H_QUARTER = HurstParam(0.25)
 GRID_1024 = TimeGrid(horizon=1.0, step_count=1024)
@@ -82,6 +86,14 @@ def test_fgn_autocovariance_antipersistent_sign():
 def test_fgn_autocovariance_domain():
     with pytest.raises(ValueError, match="lag must be a nonnegative integer"):
         fgn_autocovariance(-1, H_QUARTER)
+
+
+def test_generator_kernel_matches_the_support_formula():
+    # The pinned formulas above live with the tests; the generators read the
+    # vectorized kernel, which must agree with them lag by lag.
+    for value in (0.1, 0.25, 0.4):
+        expected = [fgn_autocovariance(k, HurstParam(value)) for k in range(65)]
+        assert np.allclose(fbm_module._fgn_kernel(64, value), expected, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from singsde import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
     HurstParam,
-    cli_dispatch,
     config_digest,
     config_from_dict,
     load_config,
@@ -31,6 +30,7 @@ from singsde import (
 
 from singsde import harness as harness_module
 from singsde import ladder as ladder_module
+from singsde.cli import cli_dispatch
 
 from _support import canonical_report
 
@@ -88,6 +88,11 @@ def test_tolerance_validation():
         make_config(tolerances={"bogus": 1.0})
     with pytest.raises(ValueError, match="tol_bound must be nonnegative"):
         make_config(tolerances={"tol_bound": -1e-9})
+    # measure-decay sets no absolute threshold on the deepest level's measure,
+    # and every tolerance the schema accepts has a default
+    with pytest.raises(ValueError, match="unknown tolerances keys: measure_last_max"):
+        make_config(tolerances={"measure_last_max": 0.1})
+    assert set(harness_module._TOLERANCE_SCHEMA) == set(DEFAULT_TOLERANCES)
 
 
 def test_allowance_validation():
@@ -127,6 +132,43 @@ def test_structural_validation():
         make_config(method="hosking")  # H < 1/2 needs no fallback generator
     with pytest.raises(ValueError, match="zero_noise must be a boolean"):
         config_from_dict(config_dict(zero_noise="yes"))
+    # the Cholesky generator's step limit is enforced at the boundary, for the
+    # main grid and the contraction window alike, unless no noise is drawn
+    with pytest.raises(ValueError, match="method 'cholesky' needs .* at most 4096, got 8192"):
+        make_config(method="cholesky", grid={"horizon": 1.0, "steps": 8192})
+    with pytest.raises(ValueError, match="method 'cholesky' needs .* at most 4096, got 5000"):
+        make_config(method="cholesky", tolerances={"window_steps": 5000})
+    assert make_config(method="cholesky", grid={"horizon": 1.0, "steps": 4096}).method == "cholesky"
+    assert make_config(
+        method="cholesky", zero_noise=True, grid={"horizon": 1.0, "steps": 8192}
+    ).zero_noise
+
+
+def test_direct_construction_validates_like_config_from_dict():
+    # ExperimentConfig itself is the one validation pass, so building it
+    # directly raises exactly what the JSON path raises.
+    base = make_config()
+    fields = dict(
+        spec=base.spec,
+        grid=base.grid,
+        ladder=base.ladder,
+        master_seed=base.master_seed,
+        path_count=base.path_count,
+    )
+    cases = [
+        ({"tolerances": {"bogus": 1.0}}, "unknown tolerances keys: bogus"),
+        ({"allowances": {"ordering": 1.5}}, "allowances.ordering must lie in [0, 1], got 1.5"),
+        ({"checks": ("ordering", "ordering")}, "checks must not repeat"),
+    ]
+    for override, message in cases:
+        with pytest.raises(ValueError) as direct:
+            ExperimentConfig(**fields, **override)
+        with pytest.raises(ValueError) as parsed:
+            make_config(**override)
+        assert str(direct.value) == str(parsed.value) == message
+    direct_config = ExperimentConfig(**fields, tolerances={"tol_mono": 0})
+    assert direct_config.tolerances == make_config(tolerances={"tol_mono": 0}).tolerances
+    assert direct_config.tolerances["tol_mono"] == 0.0
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -464,7 +506,7 @@ def test_cli_ladder_limit_matches_oracle(tmp_path):
     assert abs(matrix[-1, -1] - 1.9566360) <= 5e-3
 
 
-def test_cli_verify_exit_codes(tmp_path):
+def test_cli_verify_exit_codes(tmp_path, capsys):
     passing = config_dict(
         spec={"x0": 1.0, "a": 1.0, "b": 0.5, "sigma": 1.0, "hurst": 0.25},
         grid={"horizon": 0.5, "steps": 512},
@@ -489,11 +531,20 @@ def test_cli_verify_exit_codes(tmp_path):
     failing_path = tmp_path / "failing.json"
     failing_path.write_text(json.dumps(failing), encoding="utf-8")
     assert cli_dispatch(["verify", "--config", str(failing_path)]) == 1
+    capsys.readouterr()
 
-    assert cli_dispatch(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+    # file errors exit 2 with one "error:" line that names the file
+    missing = str(tmp_path / "missing.json")
+    assert cli_dispatch(["verify", "--config", missing]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json", encoding="utf-8")
     assert cli_dispatch(["verify", "--config", str(malformed)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid config {malformed}: Expecting")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(config_dict(extra=1)), encoding="utf-8")
+    assert cli_dispatch(["verify", "--config", str(invalid)]) == 2
+    assert capsys.readouterr().err == f"error: invalid config {invalid}: unknown config keys: extra\n"
 
 
 def test_cli_report_rerenders(tmp_path, capsys):
@@ -511,16 +562,31 @@ def test_cli_report_rerenders(tmp_path, capsys):
     capsys.readouterr()
     assert cli_dispatch(["report", str(out_dir / "report.json")]) == 0
     assert "overall      : PASS" in capsys.readouterr().out
-    assert cli_dispatch(["report", str(tmp_path / "nope.json")]) == 2
+    missing = str(tmp_path / "nope.json")
+    assert cli_dispatch(["report", missing]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"checks": ', encoding="utf-8")
+    assert cli_dispatch(["report", str(malformed)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid report {malformed}: Expecting")
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert cli_dispatch(["fbm", "--hurst", "0.25", "--bogus", "1", "--out", out]) == 2
     assert cli_dispatch(["fbm", "--hurst", "abc", "--out", out]) == 2
     assert cli_dispatch(["fbm", "--hurst", "0.7", "--out", out]) == 2  # out of domain
     assert cli_dispatch(["frobnicate"]) == 2
     assert cli_dispatch([]) == 2
+    capsys.readouterr()
+    # the Cholesky generator's step limit is a usage error, not a traceback
+    argv = ["--hurst", "0.25", "--method", "cholesky", "--steps", "8192", "--out", out]
+    assert cli_dispatch(["solve", *argv, "--eps", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --steps must be at most 4096 with --method cholesky, got 8192\n"
+    )
+    assert cli_dispatch(["fbm", *argv]) == 2
+    assert not os.path.exists(out)
 
 
 def test_cli_file_errors_exit_2(tmp_path, capsys):
@@ -546,5 +612,7 @@ def test_cli_runs_as_a_module(tmp_path):
         [sys.executable, "-m", "singsde.cli", *argv[:-1], missing],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    # runpy warns that the package imported singsde.cli first; the error line follows
-    assert done.returncode == 2 and f"error: [Errno 2] No such file or directory: '{missing}'" in done.stderr
+    # importing the package does not load singsde.cli, so runpy has nothing to warn about
+    assert done.returncode == 2
+    assert done.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert "RuntimeWarning" not in done.stderr
