@@ -56,19 +56,19 @@ from .ladder import (
     DEFAULT_TOL_MONO,
     EpsilonFamily,
     EpsilonLadder,
+    _eps_continuity_levels,
     build_families,
     build_family,
     compensator_budget,
     compute_compensator,
     nonpositive_measure,
-    verify_eps_continuity,
     verify_limit_nonnegativity,
     verify_measure_decay,
     verify_nested_zero_sets,
     verify_upper_bound,
 )
 from .picard import LocalProblem, fixed_point_residual, picard_solve, select_delta
-from .sde import SdeSpec, solve_regularized
+from .sde import SdeSpec, SolverError, solve_regularized
 
 __all__ = [
     "CHECK_ORDER",
@@ -294,6 +294,12 @@ class ExperimentConfig:
         self.checks = tuple(check for check in CHECK_ORDER if check in self.checks)
         self.tolerances = _validated_tolerances(self.tolerances)
         self.allowances = _validated_allowances(self.allowances)
+        probe = _eps_continuity_probe(self)
+        if probe is not None:
+            try:
+                _eps_continuity_levels(*probe)
+            except ValueError as exc:
+                raise ValueError(f"tolerances.eps_star = {probe[0]} is unusable: {exc}") from None
         # Rejected here, or every path would record a generation failure.
         steps = max(self.grid.step_count, self.tolerances["window_steps"])
         if self.method == "cholesky" and not self.zero_noise and steps > _CHOLESKY_MAX_STEPS:
@@ -596,10 +602,20 @@ def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     return passed, violation, note
 
 
-def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _eps_continuity_probe(config: ExperimentConfig) -> tuple[float, list[float]] | None:
+    """(eps*, offsets eps* 2^-k for k = 1..3) when the eps-continuity check runs, else None."""
+
+    if "eps-continuity" not in config.checks:
+        return None
     eps_star = float(config.tolerances["eps_star"])
-    offsets = [eps_star * 0.5**k for k in range(1, 4)]
-    result = verify_eps_continuity(ctx.family.spec, ctx.family.noise, eps_star, offsets)
+    return eps_star, [eps_star * 0.5**k for k in range(1, 4)]
+
+
+def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+    # The levels were solved with the family's chunk (see _path_families).
+    result = ctx.family.eps_continuity
+    if isinstance(result, SolverError):
+        raise result
     plus = [row[1] for row in result.rows]
     minus = [row[2] for row in result.rows]
     breaches = [b - a for a, b in zip(plus[:-1], plus[1:])]
@@ -940,7 +956,11 @@ def _path_families(
             yield noise
 
     families = build_families(
-        config.spec, noises(), config.ladder, tol_mono=float(config.tolerances["tol_mono"])
+        config.spec,
+        noises(),
+        config.ladder,
+        tol_mono=float(config.tolerances["tol_mono"]),
+        eps_continuity=_eps_continuity_probe(config),
     )
     started = time.perf_counter()
     for family in families:

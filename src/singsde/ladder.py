@@ -20,7 +20,10 @@ bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma sup|B|``, decay of the
 nonpositive-time measure along the ladder, nonnegativity of the limit
 estimate, nonnegativity (up to budget) of the correction process closing the
 integral identity, and continuity of the solution in the regularization
-parameter.
+parameter.  The continuity check solves its own levels eps* and eps* +/- h,
+not the ladder's; :func:`verify_eps_continuity` solves them for a whole block
+of noise paths in one batched recursion, and :func:`build_families` runs it
+once per chunk when asked, so each family carries its gap table.
 """
 
 from __future__ import annotations
@@ -28,19 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .sde import (
-    SdeSpec,
-    SolverError,
-    _drift_table,
-    _integrate_batch,
-    kernel_column,
-    solve_regularized,
-)
+from .sde import SdeSpec, SolverError, _drift_table, _integrate_batch, kernel_column
 
 __all__ = [
     "BoundCertificate",
@@ -109,6 +105,8 @@ class EpsilonFamily:
     badly the shared-noise ordering failed beyond the rounding tolerance
     (zero in correct operation: when ``b dt < 1`` the drift-implicit step
     orders the levels exactly, so only rounding can break the ordering).
+    ``eps_continuity`` is the path's :func:`verify_eps_continuity` outcome
+    when the family was built with that probe, else None.
     """
 
     spec: SdeSpec
@@ -119,6 +117,7 @@ class EpsilonFamily:
     mono_violation_count: int
     mono_worst_deficit: float
     tol_mono: float
+    eps_continuity: EpsContinuityResult | SolverError | None = None
 
     @property
     def limit_estimate(self) -> np.ndarray:
@@ -138,6 +137,7 @@ def build_families(
     noises: Iterable[FbmPath],
     ladder: EpsilonLadder,
     tol_mono: float = DEFAULT_TOL_MONO,
+    eps_continuity: tuple[float, Sequence[float]] | None = None,
 ) -> Iterator[EpsilonFamily | SolverError]:
     """Solve every ladder level on each noise path, one batched chunk at a time.
 
@@ -149,6 +149,10 @@ def build_families(
     must all share one grid and the spec's roughness.  Each family owns a copy
     of its values; none aliases the chunk buffer.  The chunk buffer is
     allocated once, for the first chunk, and reused for the later ones.
+
+    With ``eps_continuity = (eps_star, offsets)``, each chunk first runs
+    :func:`verify_eps_continuity` on its noise block, and every family carries
+    its path's outcome; only the reduced gap tables outlive that call.
     """
 
     if ladder.depth < 2:
@@ -159,7 +163,8 @@ def build_families(
     if first is None:
         return
     grid = first.grid
-    width = max(1, _CHUNK_VALUES // (levels.size * (grid.step_count + 1)))
+    probe_levels = 0 if eps_continuity is None else 1 + 2 * len(eps_continuity[1])
+    width = max(1, _CHUNK_VALUES // (max(levels.size, probe_levels) * (grid.step_count + 1)))
     chunk = [first, *islice(noises, width - 1)]
     table = _drift_table(spec, levels, grid)
     buffer = np.empty((grid.step_count + 1, len(chunk), levels.size))
@@ -172,17 +177,34 @@ def build_families(
                 )
             if noise.grid != grid:
                 raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
-        solved = _integrate_batch(
-            spec,
-            levels,
-            grid,
-            table,
-            np.array([noise.values for noise in chunk]),
-            buffer[:, : len(chunk)],
-        )
-        for path, noise in enumerate(chunk):
-            yield _family(spec, noise, ladder, levels, solved[:, path].T.copy(), tol_mono)
+        block = np.array([noise.values for noise in chunk])
+        if eps_continuity is None:
+            probes: list[EpsContinuityResult | SolverError | None] = [None] * len(chunk)
+        else:
+            probes = verify_eps_continuity(spec, grid, block, *eps_continuity)
+        solved = _integrate_batch(spec, levels, grid, table, block, buffer[:, : len(chunk)])
+        for path, (noise, probe) in enumerate(zip(chunk, probes)):
+            values = solved[:, path].T.copy()
+            yield _family(spec, noise, ladder, levels, values, tol_mono, probe)
         chunk = list(islice(noises, width))
+
+
+def _first_non_finite(values: np.ndarray, levels: np.ndarray, dt: float) -> SolverError | None:
+    """The :class:`SolverError` of the first row (level) with a non-finite state, if any.
+
+    ``values`` is one path's (levels, nodes) block; the error names the first
+    non-finite step of that level, as :func:`solve_regularized` reports it.
+    """
+
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    level = int(np.argmin(finite.all(axis=1)))
+    step = int(np.argmin(finite[level]))
+    return SolverError(
+        f"non-finite state at step {step} (eps={float(levels[level])}, dt={dt})",
+        step_index=step,
+    )
 
 
 def _family(
@@ -192,17 +214,13 @@ def _family(
     levels: np.ndarray,
     values: np.ndarray,
     tol_mono: float,
+    eps_continuity: EpsContinuityResult | SolverError | None,
 ) -> EpsilonFamily | SolverError:
     """Wrap one path's (levels, nodes) block, or report its first non-finite state."""
 
-    finite = np.isfinite(values)
-    if not finite.all():
-        level = int(np.argmin(finite.all(axis=1)))
-        step = int(np.argmin(finite[level]))
-        return SolverError(
-            f"non-finite state at step {step} (eps={float(levels[level])}, dt={noise.grid.dt})",
-            step_index=step,
-        )
+    failure = _first_non_finite(values, levels, noise.grid.dt)
+    if failure is not None:
+        return failure
     deficit = values[:-1, 1:] - values[1:, 1:]
     mask = deficit > tol_mono
     return EpsilonFamily(
@@ -214,6 +232,7 @@ def _family(
         mono_violation_count=int(mask.sum()),
         mono_worst_deficit=float(deficit[mask].max(initial=0.0)),
         tol_mono=tol_mono,
+        eps_continuity=eps_continuity,
     )
 
 
@@ -430,10 +449,12 @@ def compensator_budget(
 class EpsContinuityResult:
     """Sup-gap table for symmetric perturbations of the regularization level.
 
-    ``rows`` holds (h, gap_plus, gap_minus) per offset.  The verdict demands
-    both one-sided gap sequences be nonincreasing and the final two-sided gap
-    (the max of the two sides) be at most a quarter of the first — an
-    artifact convention standing in for continuity without a proven rate.
+    ``rows`` holds (h, gap_plus, gap_minus) per offset, where gap_plus is
+    sup_t |X^{eps*+h} - X^{eps*}| over the grid and gap_minus the same for
+    eps* - h, all solved under one noise path.  The verdict demands both
+    one-sided gap sequences be nonincreasing and the final two-sided gap (the
+    max of the two sides) be at most a quarter of the first — an artifact
+    convention standing in for continuity without a proven rate.
     """
 
     eps_star: float
@@ -444,50 +465,83 @@ class EpsContinuityResult:
     passes: bool
 
 
-def verify_eps_continuity(
-    spec: SdeSpec,
-    noise: FbmPath,
-    eps_star: float,
-    h_sequence: list[float] | np.ndarray,
-) -> EpsContinuityResult:
-    """Solve at eps* and at eps* +/- h under shared noise and tabulate sup-gaps."""
+def _eps_continuity_levels(
+    eps_star: float, h_sequence: Sequence[float]
+) -> tuple[list[float], np.ndarray]:
+    """The validated offsets and the levels [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...]."""
 
     if not (eps_star > 0.0 and math.isfinite(eps_star)):
         raise ValueError(f"eps_star must be positive and finite, got {eps_star}")
     hs = [float(h) for h in h_sequence]
     if len(hs) < 2:
         raise ValueError("need at least 2 offsets to compare first and last gaps")
+    if not all(math.isfinite(h) for h in hs):
+        raise ValueError(f"offsets must be finite, got {hs}")
     if any(h <= 0.0 for h in hs):
         raise ValueError("offsets must be positive")
     if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
         raise ValueError("offsets must be strictly decreasing")
     if hs[0] >= eps_star:
         raise ValueError("offsets must stay below eps_star so eps* - h remains positive")
-    center = solve_regularized(spec, eps_star, noise).values
-    rows: list[tuple[float, float, float]] = []
-    for h in hs:
-        above = solve_regularized(spec, eps_star + h, noise).values
-        below = solve_regularized(spec, eps_star - h, noise).values
-        rows.append(
-            (
-                h,
-                float(np.abs(above - center).max()),
-                float(np.abs(below - center).max()),
+    if not math.isfinite(eps_star + hs[0]):
+        raise ValueError(f"eps_star + offsets must stay finite, got {eps_star} + {hs[0]}")
+    return hs, np.array([eps_star] + [eps for h in hs for eps in (eps_star + h, eps_star - h)])
+
+
+def verify_eps_continuity(
+    spec: SdeSpec,
+    grid: TimeGrid,
+    noise_values: np.ndarray,
+    eps_star: float,
+    h_sequence: Sequence[float],
+) -> list[EpsContinuityResult | SolverError]:
+    """Solve at eps* and at eps* +/- h under shared noise and tabulate sup-gaps.
+
+    ``noise_values`` holds one driver path on ``grid`` per row, shape
+    (paths, nodes).  Every path and every level
+    [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...] advance through one
+    batched kernel call, bit-identical to :func:`solve_regularized` at each
+    level, and the solved block is reduced to gap tables before returning.
+    Returns one :class:`EpsContinuityResult` per row, or, for a row with a
+    non-finite state, the :class:`SolverError` that solving its levels one by
+    one in that order would raise first.  Other rows are unaffected.
+    """
+
+    hs, levels = _eps_continuity_levels(eps_star, h_sequence)
+    noise_values = np.asarray(noise_values, dtype=float)
+    if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
+        raise ValueError(
+            f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
+        )
+    paths = noise_values.shape[0]
+    solved = np.empty((grid.step_count + 1, paths, levels.size))
+    _integrate_batch(spec, levels, grid, _drift_table(spec, levels, grid), noise_values, solved)
+    center = solved[:, :, 0]
+    with np.errstate(invalid="ignore"):  # a non-finite row is reported below
+        gaps = np.array(
+            [np.abs(solved[:, :, j] - center).max(axis=0) for j in range(1, levels.size)]
+        )
+    results: list[EpsContinuityResult | SolverError] = []
+    for path in range(paths):
+        failure = _first_non_finite(solved[:, path].T, levels, grid.dt)
+        if failure is not None:
+            results.append(failure)
+            continue
+        plus = gaps[0::2, path].tolist()
+        minus = gaps[1::2, path].tolist()
+        both_nonincreasing = all(b <= a for a, b in zip(plus[:-1], plus[1:])) and all(
+            b <= a for a, b in zip(minus[:-1], minus[1:])
+        )
+        first_gap = max(plus[0], minus[0])
+        last_gap = max(plus[-1], minus[-1])
+        results.append(
+            EpsContinuityResult(
+                eps_star=eps_star,
+                rows=list(zip(hs, plus, minus)),
+                both_nonincreasing=both_nonincreasing,
+                first_gap=first_gap,
+                last_gap=last_gap,
+                passes=both_nonincreasing and last_gap <= first_gap / 4.0,
             )
         )
-    plus = [row[1] for row in rows]
-    minus = [row[2] for row in rows]
-    both_nonincreasing = all(b <= a for a, b in zip(plus[:-1], plus[1:])) and all(
-        b <= a for a, b in zip(minus[:-1], minus[1:])
-    )
-    first_gap = max(plus[0], minus[0])
-    last_gap = max(plus[-1], minus[-1])
-    passes = both_nonincreasing and last_gap <= first_gap / 4.0
-    return EpsContinuityResult(
-        eps_star=eps_star,
-        rows=rows,
-        both_nonincreasing=both_nonincreasing,
-        first_gap=first_gap,
-        last_gap=last_gap,
-        passes=passes,
-    )
+    return results

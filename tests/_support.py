@@ -2,8 +2,9 @@
 
 Closed-form oracles (among them the fBm covariance formulas, which only the
 tests evaluate), Monte Carlo z-score machinery for the noise generators,
-report canonicalization for the determinism contract, and the cell-by-cell
-CSV writer that the column-wise one must match byte for byte.
+report canonicalization for the determinism contract, the cell-by-cell CSV
+writer that the column-wise one must match byte for byte, and the scalar
+eps-continuity loop that the batched check must match exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from singsde import (
+    EpsContinuityResult,
     EpsilonFamily,
     EpsilonLadder,
     FbmPath,
@@ -26,6 +28,7 @@ from singsde import (
     VerificationReport,
     build_families,
     generate_fbm,
+    solve_regularized,
 )
 
 
@@ -169,6 +172,45 @@ def seeded_families(
         if isinstance(outcome, SolverError):
             raise outcome
         yield outcome
+
+
+def eps_continuity_oracle(
+    spec: SdeSpec, noise: FbmPath, eps_star: float, h_sequence: Sequence[float]
+) -> EpsContinuityResult:
+    """Scalar reference of ``verify_eps_continuity`` for one path.
+
+    Seven (in general 1 + 2 * offsets) ``solve_regularized`` calls, in the
+    order eps*, eps* + h_1, eps* - h_1, ...; a non-finite state raises the
+    first failing level's SolverError.  No input validation.
+    """
+
+    center = solve_regularized(spec, eps_star, noise).values
+    rows: list[tuple[float, float, float]] = []
+    for h in (float(h) for h in h_sequence):
+        above = solve_regularized(spec, eps_star + h, noise).values
+        below = solve_regularized(spec, eps_star - h, noise).values
+        rows.append(
+            (
+                h,
+                float(np.abs(above - center).max()),
+                float(np.abs(below - center).max()),
+            )
+        )
+    plus = [row[1] for row in rows]
+    minus = [row[2] for row in rows]
+    both_nonincreasing = all(b <= a for a, b in zip(plus[:-1], plus[1:])) and all(
+        b <= a for a, b in zip(minus[:-1], minus[1:])
+    )
+    first_gap = max(plus[0], minus[0])
+    last_gap = max(plus[-1], minus[-1])
+    return EpsContinuityResult(
+        eps_star=eps_star,
+        rows=rows,
+        both_nonincreasing=both_nonincreasing,
+        first_gap=first_gap,
+        last_gap=last_gap,
+        passes=both_nonincreasing and last_gap <= first_gap / 4.0,
+    )
 
 
 def canonical_report(report: VerificationReport | Mapping) -> dict:

@@ -20,6 +20,7 @@ from singsde import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
     HurstParam,
+    SolverError,
     config_digest,
     config_from_dict,
     load_config,
@@ -88,6 +89,12 @@ def test_tolerance_validation():
         make_config(tolerances={"bogus": 1.0})
     with pytest.raises(ValueError, match="tol_bound must be nonnegative"):
         make_config(tolerances={"tol_bound": -1e-9})
+    # eps_star / 2 underflows to 0, so eps-continuity has no valid offsets
+    with pytest.raises(
+        ValueError, match="tolerances.eps_star = 5e-324 is unusable: offsets must be positive"
+    ):
+        make_config(tolerances={"eps_star": 5e-324})
+    assert make_config(tolerances={"eps_star": 5e-324}, checks=["ordering"])
     # measure-decay sets no absolute threshold on the deepest level's measure,
     # and every tolerance the schema accepts has a default
     with pytest.raises(ValueError, match="unknown tolerances keys: measure_last_max"):
@@ -314,6 +321,9 @@ def test_campaign_reports_are_deterministic(tmp_path):
 def test_campaign_report_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
     # Seven paths on the hot (sigma = 1) spec, so several checks record
     # failures: solved all in one chunk, one path per chunk, and 3 + 3 + 1.
+    # At seed 77 eps-continuity fails on paths 0 and 1, so its batched
+    # per-chunk verdicts are compared across the splits too.  A chunk is
+    # sized by its widest solve, here the 7 eps-continuity levels.
     def run(name):
         return canonical_report(
             run_campaign(
@@ -322,7 +332,7 @@ def test_campaign_report_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch
                     spec={"x0": 1.0, "a": 1.0, "b": 0.5, "sigma": 1.0, "hurst": 0.25},
                     grid={"horizon": 1.0, "steps": 512},
                     ladder={"eps0": 0.1, "ratio": 0.5, "depth": 5},
-                    seeds={"master_seed": 4, "path_count": 7},
+                    seeds={"master_seed": 77, "path_count": 7},
                 )
             )
         )
@@ -330,10 +340,11 @@ def test_campaign_report_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch
     default = run("default")
     monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 1)
     one_path = run("one")
-    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 3 * 6 * 513)
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 3 * 7 * 513)
     three_paths = run("three")
     assert default == one_path == three_paths
     assert sum(record["fail_count"] for record in default["checks"].values()) > 0
+    assert default["checks"]["eps-continuity"]["fail_count"] >= 1
 
 
 def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
@@ -437,6 +448,32 @@ def test_solver_abort_is_recorded_not_raised(tmp_path):
         assert record.fail_count == 1, name
         if name != "measure-decay-mean":
             assert "family construction failed: SolverError" in record.failures[0]
+
+
+def test_eps_continuity_solver_error_is_recorded_per_path(tmp_path, monkeypatch):
+    # A probe level that breaks while the ladder solves is recorded as that
+    # path's eps-continuity failure, with the scalar solver's message.
+    batched = ladder_module.verify_eps_continuity
+
+    def first_row_breaks(spec, grid, noise_values, eps_star, h_sequence):
+        results = batched(spec, grid, noise_values, eps_star, h_sequence)
+        results[0] = SolverError("non-finite state at step 3 (eps=0.05, dt=0.00390625)", 3)
+        return results
+
+    monkeypatch.setattr(ladder_module, "verify_eps_continuity", first_row_breaks)
+    report = run_campaign(
+        make_config(
+            seeds={"master_seed": 7, "path_count": 2},
+            checks=["upper-bound", "eps-continuity"],
+            output_dir=str(tmp_path / "probe"),
+        )
+    )
+    record = report.checks["eps-continuity"]
+    assert record.pass_count + record.fail_count == 2
+    assert record.failures[0] == (
+        "path 0: SolverError: non-finite state at step 3 (eps=0.05, dt=0.00390625)"
+    )
+    assert report.checks["upper-bound"].fail_count == 0
 
 
 def test_render_report_table(tmp_path):

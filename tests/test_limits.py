@@ -32,8 +32,9 @@ from singsde import (
     verify_upper_bound,
     zero_path,
 )
+from singsde import ladder as ladder_module
 
-from _support import closed_form, seeded_families
+from _support import closed_form, eps_continuity_oracle, seeded_families
 
 H_QUARTER = HurstParam(0.25)
 
@@ -176,6 +177,33 @@ def test_build_families_rejects_mixed_noises():
     with pytest.raises(ValueError, match="noise roughness 0.3 differs"):
         list(build_families(spec, [rough], ladder))
     assert list(build_families(spec, [], ladder)) == []
+
+
+def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
+    # Two paths per chunk: each family carries the outcome of one batched
+    # probe over its chunk, its ladder values are those of a build without
+    # the probe, and a path that breaks carries no family at all.
+    spec = make_spec(b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, 256)
+    ladder = EpsilonLadder(0.1, 0.5, 4)
+    probe = (0.05, [0.025, 0.0125, 0.00625])
+    noises = [generate_fbm(grid, H_QUARTER, SeedRecord(21, index)) for index in range(5)]
+    broken = noises[3].values.copy()
+    broken[100] = np.nan
+    noises[3] = FbmPath(grid, broken, H_QUARTER, SeedRecord(21, 3), "circulant")
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 7 * 257)
+
+    plain = list(build_families(spec, noises, ladder))
+    probed = list(build_families(spec, noises, ladder, eps_continuity=probe))
+    assert isinstance(probed[3], SolverError) and str(probed[3]) == str(plain[3])
+    for index in (0, 1, 2, 4):
+        assert plain[index].eps_continuity is None
+        assert np.array_equal(probed[index].values, plain[index].values)
+        assert probed[index].eps_continuity == eps_continuity_oracle(
+            spec, noises[index], *probe
+        )
+    with pytest.raises(ValueError, match="offsets must be positive"):
+        list(build_families(spec, noises, ladder, eps_continuity=(0.05, [0.025, -1.0])))
 
 
 def test_cauchy_gap_nonincreasing_in_depth():
@@ -416,16 +444,66 @@ def test_compensator_budget_property():
 def test_eps_continuity_offset_validation():
     spec = make_spec(b=0.5, sigma=2.0**-0.5)
     noise = zero_path(TimeGrid(1.0, 256), H_QUARTER)
+    grid, block = noise.grid, noise.values[None]
     with pytest.raises(ValueError, match="offsets must be positive"):
-        verify_eps_continuity(spec, noise, 0.1, [0.05, 0.0])
+        verify_eps_continuity(spec, grid, block, 0.1, [0.05, 0.0])
     with pytest.raises(ValueError, match="strictly decreasing"):
-        verify_eps_continuity(spec, noise, 0.1, [0.025, 0.05])
+        verify_eps_continuity(spec, grid, block, 0.1, [0.025, 0.05])
     with pytest.raises(ValueError, match="below eps_star"):
-        verify_eps_continuity(spec, noise, 0.1, [0.2, 0.1])
+        verify_eps_continuity(spec, grid, block, 0.1, [0.2, 0.1])
     with pytest.raises(ValueError, match="eps_star must be positive"):
-        verify_eps_continuity(spec, noise, 0.0, [0.05])
+        verify_eps_continuity(spec, grid, block, 0.0, [0.05])
     with pytest.raises(ValueError, match="eps_star must be positive and finite"):
-        verify_eps_continuity(spec, noise, np.inf, [0.05, 0.025])
+        verify_eps_continuity(spec, grid, block, np.inf, [0.05, 0.025])
+    with pytest.raises(ValueError, match=r"offsets must be finite, got \[0.05, nan\]"):
+        verify_eps_continuity(spec, grid, block, 0.1, [0.05, np.nan])
+    with pytest.raises(ValueError, match=r"eps_star \+ offsets must stay finite"):
+        verify_eps_continuity(spec, grid, block, 1.5e308, [1e308, 1.0])
+    with pytest.raises(ValueError, match=r"noise_values must have shape \(paths, 257\)"):
+        verify_eps_continuity(spec, grid, noise.values, 0.1, [0.05, 0.025])
+
+
+@pytest.mark.parametrize("hurst_value", [0.05, 0.25, 0.45])
+def test_eps_continuity_matches_the_scalar_oracle(hurst_value):
+    # One batched call over a zero-noise row and six seeded rows equals, row
+    # by row, the seven scalar solves; the rows include paths whose eps*
+    # solution crosses zero and paths whose does not.
+    hurst = HurstParam(hurst_value)
+    spec = SdeSpec(x0=0.3, a=0.5, b=0.5, sigma=1.0, hurst=hurst)
+    grid = TimeGrid(1.0, 512)
+    offsets = [0.025, 0.0125, 0.00625]
+    noises = [zero_path(grid, hurst)] + [
+        generate_fbm(grid, hurst, SeedRecord(seed, index)) for seed in (3, 41) for index in range(3)
+    ]
+    results = verify_eps_continuity(
+        spec, grid, np.array([noise.values for noise in noises]), 0.05, offsets
+    )
+    assert len(results) == len(noises)
+    for noise, result in zip(noises, results):
+        assert result == eps_continuity_oracle(spec, noise, 0.05, offsets)
+    minima = [solve_regularized(spec, 0.05, noise).values.min() for noise in noises]
+    assert min(minima) < 0.0 < max(minima)
+
+
+def test_eps_continuity_isolates_a_non_finite_row():
+    spec = make_spec(b=0.5, sigma=2.0**-0.5)
+    grid = TimeGrid(1.0, 512)
+    offsets = [0.025, 0.0125, 0.00625]
+    noises = [generate_fbm(grid, H_QUARTER, SeedRecord(5, index)) for index in range(3)]
+    broken = noises[1].values.copy()
+    broken[200] = np.inf
+    noises[1] = FbmPath(grid, broken, H_QUARTER, SeedRecord(5, 1), "circulant")
+
+    results = verify_eps_continuity(
+        spec, grid, np.array([noise.values for noise in noises]), 0.05, offsets
+    )
+    with pytest.raises(SolverError) as expected:
+        solve_regularized(spec, 0.05, noises[1])
+    assert isinstance(results[1], SolverError)
+    assert str(results[1]) == str(expected.value)
+    assert results[1].step_index == expected.value.step_index == 200
+    for index in (0, 2):
+        assert results[index] == eps_continuity_oracle(spec, noises[index], 0.05, offsets)
 
 
 def test_identical_level_has_zero_gap():
@@ -441,7 +519,9 @@ def test_identical_level_has_zero_gap():
 def test_eps_continuity_deterministic_gaps_decrease():
     spec = make_spec(b=0.0, sigma=1.0)
     noise = zero_path(TimeGrid(1.0, 2048), H_QUARTER)
-    result = verify_eps_continuity(spec, noise, 0.1, [0.05, 0.025, 0.0125])
+    (result,) = verify_eps_continuity(
+        spec, noise.grid, noise.values[None], 0.1, [0.05, 0.025, 0.0125]
+    )
     plus = [row[1] for row in result.rows]
     minus = [row[2] for row in result.rows]
     print(f"deterministic eps-continuity gaps: plus {plus}, minus {minus}")
@@ -453,8 +533,10 @@ def test_eps_continuity_deterministic_gaps_decrease():
 def test_eps_continuity_monte_carlo_sample():
     spec = make_spec(b=0.5, sigma=2.0**-0.5)
     grid = TimeGrid(1.0, 2048)
-    for index in range(3):
-        noise = generate_fbm(grid, H_QUARTER, SeedRecord(777, index))
-        result = verify_eps_continuity(spec, noise, 0.05, [0.025, 0.0125, 0.00625])
+    noises = [generate_fbm(grid, H_QUARTER, SeedRecord(777, index)) for index in range(3)]
+    results = verify_eps_continuity(
+        spec, grid, np.array([noise.values for noise in noises]), 0.05, [0.025, 0.0125, 0.00625]
+    )
+    for index, result in enumerate(results):
         ratio = result.first_gap / result.last_gap
         assert result.passes, f"path {index}: first/last ratio {ratio:.2f}"
