@@ -17,6 +17,7 @@ away from 0 to control the reciprocal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ class ExcursionSet:
 def decompose_excursions(values: np.ndarray, grid: TimeGrid, threshold: float) -> ExcursionSet:
     """Run-length decomposition of {k : values[k] > threshold}."""
 
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not (threshold >= 0.0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold}")
     x = np.asarray(values, dtype=float)
     if x.shape != (grid.step_count + 1,):
         raise ValueError(f"values must have {grid.step_count + 1} entries, got shape {x.shape}")
@@ -165,8 +166,6 @@ class RestartResidual:
     the excursion), where it is exactly 0.
     """
 
-    interval_index: int
-    margin_steps: int
     anchor_index: int
     window_end_index: int
     profile: np.ndarray
@@ -177,12 +176,11 @@ def restart_residual(
     values: np.ndarray,
     noise: FbmPath,
     spec: SdeSpec,
-    excursions: ExcursionSet,
-    interval_index: int,
+    start: int,
+    end: int,
     margin_steps: int = DEFAULT_MARGIN_STEPS,
-    floor: float | None = None,
 ) -> RestartResidual:
-    """Evaluate the restarted identity inside one excursion.
+    """Evaluate the restarted identity inside the excursion on nodes start..end.
 
     The window retreats ``margin_steps`` nodes from both ends of the run
     (the identity is an interior statement; boundary nodes sit at the
@@ -192,23 +190,23 @@ def restart_residual(
 
     if margin_steps < 1:
         raise ValueError(f"margin_steps must be positive, got {margin_steps}")
-    if floor is None:
-        floor = DEFAULT_FLOOR_SCALE * spec.x0
     x = np.asarray(values, dtype=float)
-    start, end = excursions.intervals[interval_index]
+    if x.shape != noise.values.shape:
+        raise ValueError(f"values must have {noise.values.size} entries, got shape {x.shape}")
+    if not (0 <= start and end < x.size):
+        raise ValueError(f"interval nodes {start}..{end} fall outside 0..{x.size - 1}")
     window_start = start + margin_steps
     window_end = end - margin_steps
     if window_end <= window_start:
         raise IntervalTooShortError(
-            f"interval {interval_index} spans nodes {start}..{end}; no interior window "
-            f"remains after a {margin_steps}-step margin"
+            f"the interval on nodes {start}..{end} leaves no interior window after a "
+            f"{margin_steps}-step margin"
         )
     profile = identity_residual(
-        x, noise.values, spec, noise.grid, window_start, window_end, x[window_start], floor
+        x, noise.values, spec, noise.grid, window_start, window_end, x[window_start],
+        DEFAULT_FLOOR_SCALE * spec.x0,
     )
     return RestartResidual(
-        interval_index=interval_index,
-        margin_steps=margin_steps,
         anchor_index=window_start,
         window_end_index=window_end,
         profile=profile,
@@ -229,7 +227,6 @@ class InitialIdentityResult:
 
     sup_residual: float
     budget: float
-    quadrature_budget: float
     window_end_index: int
     passes: bool
 
@@ -237,7 +234,6 @@ class InitialIdentityResult:
 def verify_initial_identity(
     family: EpsilonFamily,
     margin_steps: int = DEFAULT_MARGIN_STEPS,
-    floor: float | None = None,
 ) -> InitialIdentityResult:
     """Check the identity with the initial-value term on [0, first crossing).
 
@@ -247,8 +243,7 @@ def verify_initial_identity(
     """
 
     spec = family.spec
-    if floor is None:
-        floor = DEFAULT_FLOOR_SCALE * spec.x0
+    floor = DEFAULT_FLOOR_SCALE * spec.x0
     x = family.limit_estimate
     threshold = residual_window_threshold(family)
     below = np.flatnonzero(x[1:] <= threshold)
@@ -265,7 +260,6 @@ def verify_initial_identity(
     return InitialIdentityResult(
         sup_residual=sup_residual,
         budget=budget,
-        quadrature_budget=quadrature,
         window_end_index=window_end,
         passes=sup_residual <= budget,
     )

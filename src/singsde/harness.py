@@ -657,28 +657,18 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     window = _CONTRACTION_INITIAL_WINDOW
     problem = None
     certificate = None
-    window_noise = None
     for _ in range(_CONTRACTION_MAX_RECERTIFICATIONS):
         window_grid = TimeGrid(window, window_steps)
         window_noise = generate_fbm(window_grid, spec.hurst, seed, method=method, substream=2)
-        driver = spec.sigma * window_noise.values
-        holder = estimate_holder(driver, window_grid, beta)
-        problem = LocalProblem(
-            x0=spec.x0,
-            a=spec.a,
-            b=spec.b,
-            hurst=spec.hurst,
-            grid=window_grid,
-            driver_values=driver,
-            holder=holder,
-        )
+        holder = estimate_holder(spec.sigma * window_noise.values, window_grid, beta)
+        problem = LocalProblem(spec, window_noise, holder)
         certificate = select_delta(problem)
         if certificate.delta >= window * (1.0 - 1e-12):
             break
         window = certificate.delta
     else:
         return False, None, "window certification did not stabilize"
-    assert problem is not None and certificate is not None and window_noise is not None
+    assert problem is not None and certificate is not None
 
     result = picard_solve(problem, certificate, picard_tolerance)
     candidates: list[float] = []
@@ -699,7 +689,7 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     # than the main grid's before the Cauchy-gap budget is meaningful.
     window_ladder = _window_ladder(config.ladder, problem.grid.dt)
     window_family = build_family(
-        spec, window_noise, window_ladder, tol_mono=float(tolerances["tol_mono"])
+        spec, problem.noise, window_ladder, tol_mono=float(tolerances["tol_mono"])
     )
     consistency_gap = float(np.abs(result.values - window_family.limit_estimate).max())
     consistency_excess = consistency_gap - (window_family.cauchy_gap + consistency_extra)
@@ -764,21 +754,17 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
     fine_noise = refine_fbm(family.noise)
     deepest_eps = float(family.ladder.levels()[-1])
     fine_solution = solve_regularized(family.spec, deepest_eps, fine_noise)
-    fine_excursions = ExcursionSet(
-        intervals=tuple((2 * start, 2 * end) for start, end in excursions.intervals),
-        first_interval_closed_left=excursions.first_interval_closed_left,
-        last_interval_truncated_right=excursions.last_interval_truncated_right,
-        threshold=excursions.threshold,
-    )
     worst: float | None = None
     notes: list[str] = []
     for index in qualifying:
+        start, end = excursions.intervals[index]
         coarse = restart_residual(
-            family.limit_estimate, family.noise, family.spec, excursions, index, margin
+            family.limit_estimate, family.noise, family.spec, start, end, margin
         )
         ctx.restart_sup[index] = coarse.sup_residual
+        # The same interval on the refined grid, where node k becomes node 2k.
         fine = restart_residual(
-            fine_solution.values, fine_noise, family.spec, fine_excursions, index, 2 * margin
+            fine_solution.values, fine_noise, family.spec, 2 * start, 2 * end, 2 * margin
         )
         growth = fine.sup_residual - coarse.sup_residual
         if worst is None or growth > worst:

@@ -36,7 +36,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .sde import SdeSpec, SolverError, _drift_table, _integrate_batch, kernel_column
+from .sde import (
+    SdeSpec,
+    SolverError,
+    _drift_table,
+    _first_non_finite,
+    _integrate_batch,
+    kernel_column,
+    solve_batch,
+)
 
 __all__ = [
     "BoundCertificate",
@@ -62,6 +70,7 @@ __all__ = [
 DEFAULT_TOL_MONO = 1e-12
 DEFAULT_TOL_BOUND = 1e-9
 DEFAULT_FLOOR_SCALE = 1e-6
+COMPENSATOR_BUDGET_EXTRA = 1e-6
 
 # Solution values per solver chunk (16 MiB of float64): 11 paths of an
 # 11-level ladder on 2^14 steps.  Larger chunks spread the per-step ufunc
@@ -116,7 +125,6 @@ class EpsilonFamily:
     cauchy_gap: float
     mono_violation_count: int
     mono_worst_deficit: float
-    tol_mono: float
     eps_continuity: EpsContinuityResult | SolverError | None = None
 
     @property
@@ -189,24 +197,6 @@ def build_families(
         chunk = list(islice(noises, width))
 
 
-def _first_non_finite(values: np.ndarray, levels: np.ndarray, dt: float) -> SolverError | None:
-    """The :class:`SolverError` of the first row (level) with a non-finite state, if any.
-
-    ``values`` is one path's (levels, nodes) block; the error names the first
-    non-finite step of that level, as :func:`solve_regularized` reports it.
-    """
-
-    finite = np.isfinite(values)
-    if finite.all():
-        return None
-    level = int(np.argmin(finite.all(axis=1)))
-    step = int(np.argmin(finite[level]))
-    return SolverError(
-        f"non-finite state at step {step} (eps={float(levels[level])}, dt={dt})",
-        step_index=step,
-    )
-
-
 def _family(
     spec: SdeSpec,
     noise: FbmPath,
@@ -231,7 +221,6 @@ def _family(
         cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
         mono_violation_count=int(mask.sum()),
         mono_worst_deficit=float(deficit[mask].max(initial=0.0)),
-        tol_mono=tol_mono,
         eps_continuity=eps_continuity,
     )
 
@@ -428,12 +417,8 @@ def compute_compensator(family: EpsilonFamily, floor: float | None = None) -> Co
     return CompensatorEstimate(values=values, floor=floor, flagged_nodes=flagged)
 
 
-def compensator_budget(
-    family: EpsilonFamily,
-    estimate: CompensatorEstimate,
-    extra: float = 1e-6,
-) -> float:
-    """Negativity allowance: 2 * cauchy_gap + a * |flagged| * dt / floor + extra.
+def compensator_budget(family: EpsilonFamily, estimate: CompensatorEstimate) -> float:
+    """Negativity allowance: 2 * cauchy_gap + a * |flagged| * dt / floor + 1e-6.
 
     Two Cauchy gaps cover the monotone tail between the deepest level and the
     true limit on both sides of the identity; the flagged-mass term covers the
@@ -442,7 +427,7 @@ def compensator_budget(
 
     spec = family.spec
     truncation = spec.a * len(estimate.flagged_nodes) * family.grid.dt / estimate.floor
-    return 2.0 * family.cauchy_gap + truncation + extra
+    return 2.0 * family.cauchy_gap + truncation + COMPENSATOR_BUDGET_EXTRA
 
 
 @dataclass(frozen=True)
@@ -508,22 +493,15 @@ def verify_eps_continuity(
     """
 
     hs, levels = _eps_continuity_levels(eps_star, h_sequence)
-    noise_values = np.asarray(noise_values, dtype=float)
-    if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
-        raise ValueError(
-            f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
-        )
-    paths = noise_values.shape[0]
-    solved = np.empty((grid.step_count + 1, paths, levels.size))
-    _integrate_batch(spec, levels, grid, _drift_table(spec, levels, grid), noise_values, solved)
-    center = solved[:, :, 0]
+    solved = solve_batch(spec, levels, grid, noise_values)
+    center = solved[:, 0]
     with np.errstate(invalid="ignore"):  # a non-finite row is reported below
         gaps = np.array(
-            [np.abs(solved[:, :, j] - center).max(axis=0) for j in range(1, levels.size)]
+            [np.abs(solved[:, j] - center).max(axis=1) for j in range(1, levels.size)]
         )
     results: list[EpsContinuityResult | SolverError] = []
-    for path in range(paths):
-        failure = _first_non_finite(solved[:, path].T, levels, grid.dt)
+    for path, values in enumerate(solved):
+        failure = _first_non_finite(values, levels, grid.dt)
         if failure is not None:
             results.append(failure)
             continue

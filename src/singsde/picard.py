@@ -15,10 +15,14 @@ check grid: with ``C`` the driver's grid Hoelder constant at exponent beta,
 
 which pin every iterate inside the band.  The selector walks the dyadic
 candidates 2^-1, 2^-2, ... and returns the largest horizon satisfying q < 1
-and both envelopes with a 5% safety margin; the iteration then runs with the
-singular integral discretized exactly per step (frozen left state) and stops
-when successive sup-distances reach the tolerance, with an iteration cap
-predicted from the certified modulus.
+and both envelopes with a 5% safety margin.  The iteration then applies the
+discrete map x -> x - R(x), where R is the integral identity's residual
+(:func:`singsde.ladder.identity_residual`, the quadrature every identity check
+uses: exact per-step kernels with 1/x frozen at the right endpoint, and the
+trapezoid for the linear term), so its fixed point solves the same discrete
+equation that the ladder limit is checked against.  It stops when successive
+sup-distances reach the tolerance, with an iteration cap predicted from the
+certified modulus.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import HolderEstimate, HurstParam, TimeGrid
-from .sde import kernel_column
+from .fbm import FbmPath, HolderEstimate, TimeGrid
+from .ladder import DEFAULT_FLOOR_SCALE, identity_residual
+from .sde import SdeSpec
 
 __all__ = [
     "DeltaCertificate",
@@ -61,67 +66,61 @@ class PicardConvergenceError(RuntimeError):
     """The iteration missed the tolerance within its predicted budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalProblem:
-    """Local problem data: coefficients, driver path, and its Hoelder certificate.
+    """Local problem: the equation, its driver on the window, and the driver's certificate.
 
-    The driver g lives on a grid with horizon at most 1 (the certification
-    constants are normalized to a unit driver window) and must start at 0;
-    the certificate's exponent must sit strictly below the roughness index.
-    The driver is stored as raw values so that noise-times-coefficient
-    drivers compose without pretending to be unit-coefficient samples.
+    The driver ``spec.sigma * noise`` lives on a grid with horizon at most 1
+    (the certification constants are normalized to a unit driver window); the
+    certificate, for that scaled driver, must have its exponent strictly below
+    the roughness index and a finite nonnegative constant.
     """
 
-    x0: float
-    a: float
-    b: float
-    hurst: HurstParam
-    grid: TimeGrid
-    driver_values: np.ndarray
+    spec: SdeSpec
+    noise: FbmPath
     holder: HolderEstimate
 
     def __post_init__(self) -> None:
-        if not (self.x0 > 0.0 and math.isfinite(self.x0)):
-            raise ValueError(f"x0 must be positive, got {self.x0}")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not (self.b >= 0.0 and math.isfinite(self.b)):
-            raise ValueError(f"b must be nonnegative, got {self.b}")
-        self.driver_values = np.asarray(self.driver_values, dtype=float)
-        if self.driver_values.shape != (self.grid.step_count + 1,):
+        hurst = self.spec.hurst
+        if self.noise.hurst != hurst:
             raise ValueError(
-                f"driver must have {self.grid.step_count + 1} entries, "
-                f"got shape {self.driver_values.shape}"
+                f"noise roughness {self.noise.hurst.value} differs from spec roughness {hurst.value}"
             )
-        if self.driver_values[0] != 0.0:
-            raise ValueError("driver must start at 0")
         if self.grid.horizon > 1.0 + 1e-12:
             raise ValueError(
                 f"driver window must lie inside [0, 1], got horizon {self.grid.horizon}"
             )
-        if not (0.0 < self.holder.exponent < self.hurst.value):
+        if not (0.0 < self.holder.exponent < hurst.value):
             raise ValueError(
-                f"certificate exponent must lie in (0, {self.hurst.value}), got {self.holder.exponent}"
+                f"certificate exponent must lie in (0, {hurst.value}), got {self.holder.exponent}"
             )
-        if self.holder.constant < 0.0:
-            raise ValueError(f"certificate constant must be nonnegative, got {self.holder.constant}")
+        if not (self.holder.constant >= 0.0 and math.isfinite(self.holder.constant)):
+            raise ValueError(
+                f"certificate constant must be nonnegative and finite, got {self.holder.constant}"
+            )
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.noise.grid
 
 
 def contraction_modulus(delta: float, problem: LocalProblem) -> float:
     """q(delta) = 2 a delta^{2H} / (H x_0^2) + b delta."""
 
-    two_h = 2.0 * problem.hurst.value
-    return 2.0 * problem.a * delta**two_h / (problem.hurst.value * problem.x0**2) + problem.b * delta
+    spec = problem.spec
+    two_h = 2.0 * spec.hurst.value
+    return 2.0 * spec.a * delta**two_h / (spec.hurst.value * spec.x0**2) + spec.b * delta
 
 
 def envelope_upper(t: np.ndarray | float, problem: LocalProblem) -> np.ndarray | float:
     """Upper displacement envelope f(t); x_0 + f bounds every iterate from above."""
 
-    two_h = 2.0 * problem.hurst.value
-    hv, x0, c = problem.hurst.value, problem.x0, problem.holder.constant
+    spec = problem.spec
+    two_h = 2.0 * spec.hurst.value
+    hv, x0, c = spec.hurst.value, spec.x0, problem.holder.constant
     return (
-        problem.a * t**two_h / (hv * x0)
-        - 0.5 * problem.b * x0 * t
+        spec.a * t**two_h / (hv * x0)
+        - 0.5 * spec.b * x0 * t
         + c * t**problem.holder.exponent
     )
 
@@ -129,11 +128,12 @@ def envelope_upper(t: np.ndarray | float, problem: LocalProblem) -> np.ndarray |
 def envelope_lower(t: np.ndarray | float, problem: LocalProblem) -> np.ndarray | float:
     """Lower displacement envelope h(t); x_0 + h bounds every iterate from below."""
 
-    two_h = 2.0 * problem.hurst.value
-    hv, x0, c = problem.hurst.value, problem.x0, problem.holder.constant
+    spec = problem.spec
+    two_h = 2.0 * spec.hurst.value
+    hv, x0, c = spec.hurst.value, spec.x0, problem.holder.constant
     return (
-        0.5 * problem.a * t**two_h / (hv * x0)
-        - problem.b * x0 * t
+        0.5 * spec.a * t**two_h / (hv * x0)
+        - spec.b * x0 * t
         - c * t**problem.holder.exponent
     )
 
@@ -164,7 +164,7 @@ def select_delta(problem: LocalProblem, check_nodes: int = 256) -> DeltaCertific
 
     if check_nodes < 100:
         raise ValueError(f"need at least 100 check nodes, got {check_nodes}")
-    x0 = problem.x0
+    x0 = problem.spec.x0
     for power in range(1, _DELTA_CANDIDATE_FLOOR_POWER + 1):
         delta = 2.0**-power
         q = contraction_modulus(delta, problem)
@@ -205,16 +205,14 @@ class PicardResult:
     iteration_cap: int
 
 
-def _apply_map(
-    problem: LocalProblem,
-    kernel: np.ndarray,
-    dt: float,
-    driver_values: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
-    singular = np.concatenate([[0.0], np.cumsum(kernel / x[:-1])])
-    linear = np.concatenate([[0.0], np.cumsum(x[:-1] * dt)])
-    return problem.x0 + problem.a * singular - problem.b * linear + driver_values
+def _window_residual(problem: LocalProblem, x: np.ndarray) -> np.ndarray:
+    """The integral identity's residual R(x) on the whole window, anchored at x_0."""
+
+    spec, grid = problem.spec, problem.grid
+    return identity_residual(
+        x, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0,
+        DEFAULT_FLOOR_SCALE * spec.x0,
+    )
 
 
 def picard_solve(
@@ -223,19 +221,14 @@ def picard_solve(
     tolerance: float,
     start: np.ndarray | None = None,
 ) -> PicardResult:
-    """Iterate the integral map to its fixed point on the certified window.
+    """Iterate x -> x - R(x) to its fixed point on the certified window.
 
-    The grid is the driver's grid, whose horizon must not exceed the
-    certified delta.  The singular integral uses exact per-step kernels with
-    the state frozen at the left endpoint, and the linear term uses
-    left-endpoint rectangles.  (The ladder integrator freezes the state at the
-    right endpoint instead; on the certified window the path stays in
-    [x_0/2, 2 x_0], where the two rules differ by quadrature error only, and
-    the campaign's ``contraction`` check holds the two limits to the ladder's
-    Cauchy gap plus a fixed allowance.)  Every iterate must remain in
-    [x_0/2, 2 x_0] and the iteration must converge within
-    ceil(log(tol / d_1) / log q) + 10 steps, d_1 being the first
-    displacement.
+    R is the integral identity's residual (see the module docstring), so the
+    step's displacement is sup|R(x)|.  The grid is the driver's grid, whose
+    horizon must not exceed the certified delta.  Every iterate must remain
+    in [x_0/2, 2 x_0], where the residual's reciprocal floor never binds, and
+    the iteration must converge within ceil(log(tol / d_1) / log q) + 10
+    steps, d_1 being the first displacement.
     """
 
     if not (tolerance > 0.0):
@@ -245,13 +238,10 @@ def picard_solve(
         raise ValueError(
             f"driver horizon {grid.horizon} exceeds certified delta {certificate.delta}"
         )
-    dt = grid.dt
-    kernel = kernel_column(grid, 0.0, problem.hurst)
-    driver_values = problem.driver_values
-    x0 = problem.x0
+    x0 = problem.spec.x0
     band_lo, band_hi = 0.5 * x0, 2.0 * x0
     x = np.full(grid.step_count + 1, x0) if start is None else np.asarray(start, dtype=float).copy()
-    if x.shape != driver_values.shape:
+    if x.shape != (grid.step_count + 1,):
         raise ValueError("start iterate must live on the driver grid")
     if x.min() < band_lo or x.max() > band_hi:
         raise PicardBandError("start iterate lies outside [x_0/2, 2 x_0]")
@@ -261,8 +251,9 @@ def picard_solve(
     iteration = 0
     while True:
         iteration += 1
-        new_x = _apply_map(problem, kernel, dt, driver_values, x)
-        distance = float(np.abs(new_x - x).max())
+        residual = _window_residual(problem, x)
+        new_x = x - residual
+        distance = float(np.abs(residual).max())
         ratio = distance / previous_distance if previous_distance and not math.isnan(previous_distance) else math.nan
         log.append((iteration, distance, ratio))
         if new_x.min() < band_lo - 1e-12 or new_x.max() > band_hi + 1e-12:
@@ -297,9 +288,6 @@ def picard_solve(
 
 
 def fixed_point_residual(problem: LocalProblem, values: np.ndarray) -> float:
-    """Sup-distance between the path and its image under the integral map."""
+    """Sup-distance between the path and its image under the map: sup|R(values)|."""
 
-    grid = problem.grid
-    kernel = kernel_column(grid, 0.0, problem.hurst)
-    image = _apply_map(problem, kernel, grid.dt, problem.driver_values, np.asarray(values, dtype=float))
-    return float(np.abs(image - values).max())
+    return float(np.abs(_window_residual(problem, np.asarray(values, dtype=float))).max())

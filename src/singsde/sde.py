@@ -110,6 +110,27 @@ def kernel_column(grid: TimeGrid, epsilon: float, hurst: HurstParam) -> np.ndarr
     return np.diff(powered) / two_h
 
 
+def _first_non_finite(
+    values: np.ndarray, levels: np.ndarray | tuple[float, ...], dt: float
+) -> SolverError | None:
+    """The :class:`SolverError` of the first row (level) with a non-finite state, if any.
+
+    ``values`` is one path's (levels, nodes) block and ``levels`` its
+    regularization levels; the error names the first non-finite step of that
+    level.  Every solver reports its failures through this one message.
+    """
+
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    level = int(np.argmin(finite.all(axis=1)))
+    step = int(np.argmin(finite[level]))
+    return SolverError(
+        f"non-finite state at step {step} (eps={float(levels[level])}, dt={dt})",
+        step_index=step,
+    )
+
+
 def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> RegularizedPath:
     """Integrate the regularized recursion along the given noise path.
 
@@ -145,12 +166,9 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
         append(shifted)
     values = np.fromiter(shifted_values, float, n + 1) - epsilon
     values[0] = spec.x0
-    finite = np.isfinite(values)
-    if not finite.all():
-        step = int(np.argmin(finite))
-        raise SolverError(
-            f"non-finite state at step {step} (eps={epsilon}, dt={dt})", step_index=step
-        )
+    failure = _first_non_finite(values[None], (epsilon,), dt)
+    if failure is not None:
+        raise failure
     return RegularizedPath(
         spec=spec,
         epsilon=epsilon,

@@ -102,9 +102,7 @@ def test_acceptance_2_solver_convergence():
     for power in range(10, 15):
         grid = TimeGrid(2.0**-7, 2**power)
         problem = LocalProblem(
-            x0=1.0, a=1.0, b=0.0, hurst=H_QUARTER, grid=grid,
-            driver_values=np.zeros(grid.step_count + 1),
-            holder=HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
+            spec, zero_path(grid, H_QUARTER), HolderEstimate(exponent=0.125, constant=0.0, grid=grid)
         )
         result = picard_solve(problem, select_delta(problem), 1e-10)
         picard_errors.append(float(np.abs(result.values - closed_form(grid.nodes(), 1.0, 1.0, 0.25)).max()))
@@ -262,9 +260,9 @@ def test_acceptance_7_compensator():
 def test_acceptance_8_local_contraction():
     grid = TimeGrid(2.0**-7, 4096)
     problem = LocalProblem(
-        x0=1.0, a=1.0, b=0.0, hurst=H_QUARTER, grid=grid,
-        driver_values=np.zeros(grid.step_count + 1),
-        holder=HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
+        SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=H_QUARTER),
+        zero_path(grid, H_QUARTER),
+        HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
     )
     modulus_ok = abs(contraction_modulus(0.01, problem) - 0.8) <= 1e-12
     certificate = select_delta(problem)

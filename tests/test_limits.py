@@ -61,7 +61,6 @@ def hand_built_family(values, horizon=1.0, spec=None) -> EpsilonFamily:
         cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
         mono_violation_count=0,
         mono_worst_deficit=0.0,
-        tol_mono=0.0,
     )
 
 

@@ -5,12 +5,13 @@ integral residuals against a closed-form quadrature oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from singsde import (
     EpsilonLadder,
-    ExcursionSet,
     HurstParam,
     IntervalTooShortError,
     SdeSpec,
@@ -67,6 +68,11 @@ def test_decomposition_input_validation():
     grid = TimeGrid(1.0, 100)
     with pytest.raises(ValueError, match="threshold must be nonnegative"):
         decompose_excursions(np.zeros(101), grid, threshold=-0.1)
+    for threshold in (math.nan, math.inf):
+        # A NaN threshold compares false against every node, so a path
+        # positive everywhere would decompose into no excursion at all.
+        with pytest.raises(ValueError, match="threshold must be nonnegative and finite"):
+            decompose_excursions(np.ones(101), grid, threshold)
     with pytest.raises(ValueError, match="values must have 101 entries"):
         decompose_excursions(np.zeros(10), grid, threshold=0.0)
 
@@ -157,20 +163,20 @@ def zero_noise_fixture(steps: int):
 def test_restart_residual_validation():
     _, spec, noise, values, excursions = zero_noise_fixture(512)
     with pytest.raises(ValueError, match="margin_steps must be positive"):
-        restart_residual(values, noise, spec, excursions, 0, margin_steps=0)
-    cramped = ExcursionSet(
-        intervals=((100, 101),),
-        first_interval_closed_left=False,
-        last_interval_truncated_right=False,
-        threshold=0.0,
-    )
-    with pytest.raises(IntervalTooShortError):
-        restart_residual(values, noise, spec, cramped, 0, margin_steps=1)
+        restart_residual(values, noise, spec, *excursions.intervals[0], margin_steps=0)
+    with pytest.raises(IntervalTooShortError, match="nodes 100..101 leaves no interior window"):
+        restart_residual(values, noise, spec, 100, 101, margin_steps=1)
+    # Node ranges arrive as raw indices: an end past the grid would silently
+    # shorten the window instead of failing.
+    with pytest.raises(ValueError, match="interval nodes 0..600 fall outside 0..512"):
+        restart_residual(values, noise, spec, 0, 600, margin_steps=1)
+    with pytest.raises(ValueError, match="values must have 513 entries"):
+        restart_residual(values[:-1], noise, spec, 0, 511, margin_steps=1)
 
 
 def test_restart_profile_is_anchored_at_zero():
     _, spec, noise, values, excursions = zero_noise_fixture(512)
-    result = restart_residual(values, noise, spec, excursions, 0, margin_steps=1)
+    result = restart_residual(values, noise, spec, *excursions.intervals[0], margin_steps=1)
     assert result.profile[0] == 0.0
     assert result.anchor_index == 1
     assert result.window_end_index == 511
@@ -180,13 +186,13 @@ def test_restart_profile_is_anchored_at_zero():
 def test_restart_quadrature_error_shrinks_with_the_grid():
     # The exact trajectory sqrt(1 + 4 sqrt(t)) satisfies the continuum
     # identity identically, so the restarted residual is pure quadrature
-    # error of the left-frozen singular integral and must shrink as the
+    # error of the right-frozen singular integral and must shrink as the
     # grid refines.
     frozen = {1024: 8.953e-4, 2048: 5.233e-4, 4096: 3.007e-4}
     sups = []
     for steps, expected in frozen.items():
         _, spec, noise, values, excursions = zero_noise_fixture(steps)
-        result = restart_residual(values, noise, spec, excursions, 0, margin_steps=1)
+        result = restart_residual(values, noise, spec, *excursions.intervals[0], margin_steps=1)
         sups.append(result.sup_residual)
         assert result.sup_residual <= 1.2 * expected
     print("restart residual sups over n=1024/2048/4096:", [f"{s:.3e}" for s in sups])

@@ -25,8 +25,10 @@ from singsde import (
     estimate_holder,
     fixed_point_residual,
     generate_fbm,
+    identity_residual,
     picard_solve,
     select_delta,
+    zero_path,
 )
 from singsde.picard import envelope_lower, envelope_upper
 
@@ -38,13 +40,9 @@ DELTA = 2.0**-7
 
 def driver_free_problem(grid: TimeGrid, x0=1.0, a=1.0, b=0.0) -> LocalProblem:
     return LocalProblem(
-        x0=x0,
-        a=a,
-        b=b,
-        hurst=H_QUARTER,
-        grid=grid,
-        driver_values=np.zeros(grid.step_count + 1),
-        holder=HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
+        SdeSpec(x0=x0, a=a, b=b, sigma=1.0, hurst=H_QUARTER),
+        zero_path(grid, H_QUARTER),
+        HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
     )
 
 
@@ -79,13 +77,9 @@ def test_envelopes_never_cross():
     # f - h = a t^{2H}/(2 H x0) + b x0 t / 2 + 2 C t^beta >= 0 identically.
     grid = TimeGrid(1.0, 512)
     rough = LocalProblem(
-        x0=0.7,
-        a=1.3,
-        b=0.8,
-        hurst=H_QUARTER,
-        grid=grid,
-        driver_values=np.zeros(513),
-        holder=HolderEstimate(exponent=0.125, constant=2.5, grid=grid),
+        SdeSpec(x0=0.7, a=1.3, b=0.8, sigma=1.0, hurst=H_QUARTER),
+        zero_path(grid, H_QUARTER),
+        HolderEstimate(exponent=0.125, constant=2.5, grid=grid),
     )
     t = np.linspace(0.0, 1.0, 513)
     assert np.all(envelope_upper(t, rough) >= envelope_lower(t, rough) - 1e-15)
@@ -94,13 +88,9 @@ def test_envelopes_never_cross():
 def test_select_delta_infeasible_for_enormous_constant():
     grid = TimeGrid(1.0, 256)
     hopeless = LocalProblem(
-        x0=1.0,
-        a=1.0,
-        b=0.0,
-        hurst=H_QUARTER,
-        grid=grid,
-        driver_values=np.zeros(257),
-        holder=HolderEstimate(exponent=0.125, constant=1e40, grid=grid),
+        SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=H_QUARTER),
+        zero_path(grid, H_QUARTER),
+        HolderEstimate(exponent=0.125, constant=1e40, grid=grid),
     )
     with pytest.raises(InfeasibleProblemError):
         select_delta(hopeless)
@@ -113,24 +103,27 @@ def test_select_delta_needs_check_nodes():
 
 def test_problem_validation():
     grid = TimeGrid(1.0, 64)
-    with pytest.raises(ValueError, match="driver must start at 0"):
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=H_QUARTER)
+    noise = zero_path(grid, H_QUARTER)
+    with pytest.raises(ValueError, match="noise roughness 0.3 differs from spec roughness 0.25"):
         LocalProblem(
-            x0=1.0, a=1.0, b=0.0, hurst=H_QUARTER, grid=grid,
-            driver_values=np.full(65, 0.5),
-            holder=HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
+            spec,
+            zero_path(grid, HurstParam(0.3)),
+            HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
+        )
+    with pytest.raises(ValueError, match="driver window must lie inside"):
+        wide = TimeGrid(2.0, 64)
+        LocalProblem(
+            spec, zero_path(wide, H_QUARTER), HolderEstimate(exponent=0.125, constant=0.0, grid=wide)
         )
     with pytest.raises(ValueError, match="exponent must lie in"):
-        LocalProblem(
-            x0=1.0, a=1.0, b=0.0, hurst=H_QUARTER, grid=grid,
-            driver_values=np.zeros(65),
-            holder=HolderEstimate(exponent=0.4, constant=0.0, grid=grid),
-        )
+        LocalProblem(spec, noise, HolderEstimate(exponent=0.4, constant=0.0, grid=grid))
     with pytest.raises(ValueError, match="constant must be nonnegative"):
-        LocalProblem(
-            x0=1.0, a=1.0, b=0.0, hurst=H_QUARTER, grid=grid,
-            driver_values=np.zeros(65),
-            holder=HolderEstimate(exponent=0.125, constant=-1.0, grid=grid),
-        )
+        LocalProblem(spec, noise, HolderEstimate(exponent=0.125, constant=-1.0, grid=grid))
+    for constant in (math.nan, math.inf):
+        # NaN slips past every envelope comparison; it must not reach select_delta.
+        with pytest.raises(ValueError, match="constant must be nonnegative and finite"):
+            LocalProblem(spec, noise, HolderEstimate(exponent=0.125, constant=constant, grid=grid))
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +207,44 @@ def test_discretization_error_decreases_monotonically():
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
 
 
+def rough_driver_problem() -> LocalProblem:
+    """A 256-step window of 2^-7 driven by sigma = 0.3 times a seeded fBm path."""
+
+    window = TimeGrid(2.0**-7, 256)
+    noise = generate_fbm(window, H_QUARTER, SeedRecord(99, 0), substream=2)
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=0.3, hurst=H_QUARTER)
+    return LocalProblem(spec, noise, estimate_holder(spec.sigma * noise.values, window, beta=0.125))
+
+
+def test_fixed_point_solves_the_discrete_integral_identity():
+    # The map iterates the identity residual itself, so its fixed point makes
+    # the campaign's identity quadrature vanish to rounding, driver or not.
+    for problem in (driver_free_problem(ORACLE_GRID), rough_driver_problem()):
+        certificate = select_delta(problem)
+        assert certificate.delta >= problem.grid.horizon
+        result = picard_solve(problem, certificate, 1e-10)
+        spec, grid = problem.spec, problem.grid
+        residual = identity_residual(
+            result.values, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0,
+            1e-6 * spec.x0,
+        )
+        worst = float(np.abs(residual).max())
+        print(f"fixed point's identity residual on {grid.step_count} steps: {worst:.2e}")
+        assert worst <= 1e-12
+
+
 def test_picard_with_rough_driver_stays_consistent_with_ladder():
     # Cross-module consistency on a short window: the fixed point against the
     # family limit built from the same driver, within cauchy_gap + 1e-3.
-    hurst = H_QUARTER
-    window = TimeGrid(2.0**-7, 256)
-    noise = generate_fbm(window, hurst, SeedRecord(99, 0), substream=2)
-    sigma = 0.3
-    driver = sigma * noise.values
-    holder = estimate_holder(driver, window, beta=0.125)
-    problem = LocalProblem(
-        x0=1.0, a=1.0, b=0.5, hurst=hurst, grid=window,
-        driver_values=driver, holder=holder,
-    )
+    problem = rough_driver_problem()
     certificate = select_delta(problem)
-    if certificate.delta < window.horizon:
+    if certificate.delta < problem.grid.horizon:
         pytest.skip("certificate does not cover the fixture window for this draw")
     result = picard_solve(problem, certificate, 1e-10)
 
-    spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=sigma, hurst=hurst)
     # Deep ladder: at ratio 0.5 the residual distance to the limit is about
     # 2.4x the last gap, so the gap must sit well below the 1e-3 slack.
-    family = build_family(spec, noise, EpsilonLadder(0.01, 0.5, 16))
+    family = build_family(problem.spec, problem.noise, EpsilonLadder(0.01, 0.5, 16))
     gap = np.abs(result.values - family.limit_estimate).max()
     print(f"picard vs ladder limit on the window: {gap:.3e} vs {family.cauchy_gap + 1e-3:.3e}")
     assert gap <= family.cauchy_gap + 1e-3
