@@ -487,8 +487,8 @@ class CheckRecord:
 class VerificationReport:
     """Campaign outcome: per-check records plus the package version.
 
-    The package version is the only environment detail recorded; Python,
-    numpy and scipy versions and the host are not.
+    The package version is the only environment detail recorded; the Python
+    and numpy versions and the host are not.
     """
 
     version: str

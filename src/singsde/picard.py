@@ -72,8 +72,9 @@ class LocalProblem:
 
     The driver ``spec.sigma * noise`` lives on a grid with horizon at most 1
     (the certification constants are normalized to a unit driver window); the
-    certificate, for that scaled driver, must have its exponent strictly below
-    the roughness index and a finite nonnegative constant.
+    certificate, for that scaled driver, must be computed on the driver's own
+    grid and have its exponent strictly below the roughness index and a
+    finite nonnegative constant.
     """
 
     spec: SdeSpec
@@ -85,6 +86,10 @@ class LocalProblem:
         if self.noise.hurst != hurst:
             raise ValueError(
                 f"noise roughness {self.noise.hurst.value} differs from spec roughness {hurst.value}"
+            )
+        if self.holder.grid != self.grid:
+            raise ValueError(
+                f"certificate grid {self.holder.grid} differs from driver grid {self.grid}"
             )
         if self.grid.horizon > 1.0 + 1e-12:
             raise ValueError(

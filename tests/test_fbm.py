@@ -373,11 +373,27 @@ def test_refine_fbm_conditional_covariance_monte_carlo(hurst_value):
     assert z_trace < 5.0
 
 
+def test_refine_fbm_rejects_non_finite_nodes():
+    coarse = generate_fbm(TimeGrid(1.0, 64), H_QUARTER, SeedRecord(77, 6))
+    for bad in (math.nan, math.inf):
+        values = coarse.values.copy()
+        values[17] = bad
+        broken = FbmPath(coarse.grid, values, coarse.hurst, coarse.seed_record, coarse.generator_tag)
+        with pytest.raises(ValueError, match="(?i)inf|nan"):
+            refine_fbm(broken)
+
+
+def test_refine_fbm_raises_at_the_iteration_cap(monkeypatch):
+    # An unconverged solve must raise, never return a biased draw.
+    monkeypatch.setattr(fbm_module, "_REFINE_MAX_ITERATIONS", 1)
+    coarse = generate_fbm(TimeGrid(1.0, 2**11), H_QUARTER, SeedRecord(77, 7))
+    with pytest.raises(FbmGenerationError, match="did not reach relative residual"):
+        refine_fbm(coarse)
+
+
 def test_refine_fbm_memory_at_acceptance_grid():
     # 2^14 steps, the acceptance grid: dense conditional tables would need
     # about 20 GiB; kriging must stay in O(n) memory.
-    import scipy.linalg  # noqa: F401  (module import is not refinement memory)
-
     coarse = generate_fbm(TimeGrid(1.0, 2**14), H_QUARTER, SeedRecord(77, 5))
     tracemalloc.start()
     try:

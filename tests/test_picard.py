@@ -116,6 +116,12 @@ def test_problem_validation():
         LocalProblem(
             spec, zero_path(wide, H_QUARTER), HolderEstimate(exponent=0.125, constant=0.0, grid=wide)
         )
+    with pytest.raises(ValueError, match="certificate grid .* differs from driver grid"):
+        # A certificate of another path's grid says nothing about this driver.
+        window = TimeGrid(2**-7, 256)
+        LocalProblem(
+            spec, zero_path(window, H_QUARTER), HolderEstimate(exponent=0.125, constant=0.0, grid=grid)
+        )
     with pytest.raises(ValueError, match="exponent must lie in"):
         LocalProblem(spec, noise, HolderEstimate(exponent=0.4, constant=0.0, grid=grid))
     with pytest.raises(ValueError, match="constant must be nonnegative"):
