@@ -14,8 +14,8 @@ identities.
 Modules
 -------
 fbm
-    Exact fractional Brownian motion sampling (circulant embedding,
-    Cholesky), Hoelder-constant estimation, nested refinement by kriging.
+    Exact fractional Brownian motion sampling by circulant embedding, the
+    zero driver, Hoelder-constant estimation, nested refinement by kriging.
 sde
     The regularized integrator with exact per-step kernel integration and
     its batched form over many paths and levels.

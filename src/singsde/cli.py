@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from .fbm import _CHOLESKY_MAX_STEPS, GENERATOR_TAGS, HurstParam, SeedRecord, TimeGrid, generate_fbm
+from .fbm import GENERATOR_TAGS, HurstParam, SeedRecord, TimeGrid, generate_fbm, zero_path
 from .harness import load_config, render_report_table, run_campaign
 from .io import write_family_csv, write_fbm_csv, write_solution_csv
 from .ladder import EpsilonLadder, build_family
@@ -90,15 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_noise(args: argparse.Namespace):
-    if args.method == "cholesky" and args.steps > _CHOLESKY_MAX_STEPS:
-        raise ValueError(
-            f"--steps must be at most {_CHOLESKY_MAX_STEPS} with --method cholesky, "
-            f"got {args.steps}"
-        )
     grid = TimeGrid(horizon=args.horizon, step_count=args.steps)
     hurst = HurstParam(args.hurst)
     seed = SeedRecord(args.seed, args.index)
-    return generate_fbm(grid, hurst, seed, method=args.method)
+    if args.method == "zero":
+        return zero_path(grid, hurst, seed)
+    return generate_fbm(grid, hurst, seed)
 
 
 def _cmd_fbm(args: argparse.Namespace) -> int:
@@ -140,12 +137,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    with open(args.report_json, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(args.report_json, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid report {args.report_json}: {exc}") from exc
-    print(render_report_table(data))
+        if not isinstance(data, dict):
+            raise TypeError("the top level must be a JSON object")
+        checks = data.get("checks", {})
+        if not isinstance(checks, dict) or any(
+            not isinstance(entry, dict) for entry in checks.values()
+        ):
+            raise TypeError("checks must map check ids to JSON objects")
+        table = render_report_table(data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid report {args.report_json}: {exc}") from exc
+    print(table)
     return 0
 
 

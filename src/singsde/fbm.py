@@ -7,20 +7,17 @@ stationary sequence whose unit-variance autocovariance at lag k is
 ``gamma(k) = (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})/2``; for H < 1/2 every
 nonzero lag is negative (antipersistence).
 
-Two exact generators and a zero driver are provided:
+One exact generator and a zero driver are provided:
 
 ``circulant``
     Embeds the stationary fGn covariance into a circulant matrix diagonalized
-    by the FFT; O(n log n).  The default.  The embedding eigenvalues are
-    computed once per (n, H) and kept in a small LRU cache.  For H < 1/2 the
-    embedding is nonnegative definite (Craigmile 2003), so a genuinely
-    negative eigenvalue (below -1e-10) indicates a bug and aborts.
-``cholesky``
-    Dense Cholesky factor of the increment covariance; O(n^3), limited to
-    n <= 4096 by policy.  Kept as the test oracle of the circulant sampler.
+    by the FFT; O(n log n).  The embedding eigenvalues are computed once per
+    (n, H) and kept in a small LRU cache.  For H < 1/2 the embedding is
+    nonnegative definite (Dietrich & Newsam 1997; Craigmile 2003), so a
+    genuinely negative eigenvalue (below -1e-10) indicates a bug and aborts.
 ``zero``
-    A deterministic path of zeros, used as the driver of zero-noise
-    experiments; consumes no randomness.
+    A deterministic path of zeros (``zero_path``), used as the driver of
+    zero-noise experiments; consumes no randomness.
 
 Nested 2x refinement (``refine_fbm``) samples the fine path conditionally on
 the coarse one by kriging: an unconditional circulant draw on the fine grid,
@@ -61,9 +58,8 @@ __all__ = [
     "zero_path",
 ]
 
-GENERATOR_TAGS = ("cholesky", "circulant", "zero")
+GENERATOR_TAGS = ("circulant", "zero")
 
-_CHOLESKY_MAX_STEPS = 4096
 _EMBEDDING_EIG_FLOOR = -1e-10
 _REFINE_RELATIVE_RESIDUAL = 1e-14
 # The refinement PCG takes 5-21 iterations for H in [0.05, 0.5) up to 2^16
@@ -206,7 +202,7 @@ def _fgn_kernel(n_lags: int, hurst_value: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generators (unit-variance fGn; scaling to the grid happens in generate_fbm)
+# generator (unit-variance fGn; scaling to the grid happens in generate_fbm)
 # ---------------------------------------------------------------------------
 
 
@@ -240,56 +236,27 @@ def _fgn_unit_circulant(n: int, hurst_value: float, rng: Generator) -> np.ndarra
     return w.real[:n].copy()
 
 
-def _fgn_unit_cholesky(n: int, hurst_value: float, rng: Generator) -> np.ndarray:
-    if n > _CHOLESKY_MAX_STEPS:
-        raise FbmGenerationError(
-            f"cholesky generator is limited to n <= {_CHOLESKY_MAX_STEPS} by policy, got {n}"
-        )
-    gamma = _fgn_kernel(n, hurst_value)[:n]
-    idx = np.arange(n)
-    cov = gamma[np.abs(idx[:, None] - idx[None, :])]
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise FbmGenerationError(
-            f"increment covariance is not numerically positive definite (n={n}, H={hurst_value})"
-        ) from exc
-    return factor @ rng.standard_normal(n)
-
-
-_UNIT_GENERATORS = {
-    "circulant": _fgn_unit_circulant,
-    "cholesky": _fgn_unit_cholesky,
-}
-
-
 def generate_fbm(
     grid: TimeGrid,
     hurst: HurstParam,
     seed_record: SeedRecord,
-    method: str = "circulant",
     substream: int = 0,
 ) -> FbmPath:
-    """Sample one trajectory on the grid: values[0] = 0, increments exact fGn.
+    """Sample one trajectory by circulant embedding: values[0] = 0, increments exact fGn.
 
-    The increments carry covariance ``dt^{2H} * gamma(k)``.  A circulant
-    failure is raised to the caller (who may fall back to ``cholesky``); it is
-    not silently absorbed.  ``method='zero'`` returns the deterministic zero
-    driver without consuming randomness.  ``substream`` selects a disjoint
+    The increments carry covariance ``dt^{2H} * gamma(k)``.  An embedding
+    failure raises ``FbmGenerationError``.  ``substream`` selects a disjoint
     portion of the path's counter block for auxiliary draws (0 is the base
     path; 1 is reserved for nested refinement) and is part of the
-    reproducibility key.
+    reproducibility key.  The zero driver is ``zero_path``.
     """
 
-    if method == "zero":
-        return zero_path(grid, hurst, seed_record)
-    if method not in _UNIT_GENERATORS:
-        raise ValueError(f"unknown generation method {method!r}; expected one of {GENERATOR_TAGS}")
     rng = path_stream(seed_record, substream=substream)
-    unit = _UNIT_GENERATORS[method](grid.step_count, hurst.value, rng)
-    increments = unit * grid.dt**hurst.value
+    increments = _fgn_unit_circulant(grid.step_count, hurst.value, rng) * grid.dt**hurst.value
     values = np.concatenate([[0.0], np.cumsum(increments)])
-    return FbmPath(grid=grid, values=values, hurst=hurst, seed_record=seed_record, generator_tag=method)
+    return FbmPath(
+        grid=grid, values=values, hurst=hurst, seed_record=seed_record, generator_tag="circulant"
+    )
 
 
 def zero_path(grid: TimeGrid, hurst: HurstParam, seed_record: SeedRecord | None = None) -> FbmPath:
@@ -323,8 +290,6 @@ def estimate_holder(values: np.ndarray, grid: TimeGrid, beta: float) -> HolderEs
     g = np.asarray(values, dtype=float)
     if g.shape != (grid.step_count + 1,):
         raise ValueError(f"values must have {grid.step_count + 1} entries, got shape {g.shape}")
-    if g.size < 2:
-        raise ValueError("need at least 2 grid nodes")
     dt = grid.dt
     best = 0.0
     for offset in range(1, grid.step_count + 1):
@@ -333,8 +298,6 @@ def estimate_holder(values: np.ndarray, grid: TimeGrid, beta: float) -> HolderEs
         if ratio > best:
             best = ratio
     return HolderEstimate(exponent=beta, constant=best, grid=grid)
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ from .excursions import (
     verify_initial_identity,
 )
 from .fbm import (
-    GENERATOR_TAGS,
-    _CHOLESKY_MAX_STEPS,
     FbmPath,
     HurstParam,
     SeedRecord,
@@ -49,6 +47,7 @@ from .fbm import (
     estimate_holder,
     generate_fbm,
     refine_fbm,
+    zero_path,
 )
 from .io import FORMAT_VERSION, write_csv, write_family_csv
 from .ladder import (
@@ -272,7 +271,6 @@ class ExperimentConfig:
     allowances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ALLOWANCES))
     output_dir: str = _DEFAULT_OUTPUT_DIR
     checks: tuple[str, ...] = CHECK_ORDER
-    method: str = "circulant"
     zero_noise: bool = False
     save_families: bool = False
 
@@ -282,8 +280,6 @@ class ExperimentConfig:
             raise ValueError(f"path_count must be a positive integer, got {self.path_count}")
         if self.ladder.depth < 2:
             raise ValueError(f"ladder depth must be at least 2, got {self.ladder.depth}")
-        if self.method not in GENERATOR_TAGS:
-            raise ValueError(f"unknown generation method {self.method!r}")
         unknown = sorted(set(self.checks) - set(CHECK_ORDER))
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
@@ -300,13 +296,6 @@ class ExperimentConfig:
                 _eps_continuity_levels(*probe)
             except ValueError as exc:
                 raise ValueError(f"tolerances.eps_star = {probe[0]} is unusable: {exc}") from None
-        # Rejected here, or every path would record a generation failure.
-        steps = max(self.grid.step_count, self.tolerances["window_steps"])
-        if self.method == "cholesky" and not self.zero_noise and steps > _CHOLESKY_MAX_STEPS:
-            raise ValueError(
-                f"method 'cholesky' needs grid.steps and tolerances.window_steps at most "
-                f"{_CHOLESKY_MAX_STEPS}, got {steps}"
-            )
 
     def allowed_failures(self, check: str) -> int:
         return math.floor(self.allowances.get(check, 0.0) * self.path_count)
@@ -318,7 +307,6 @@ _TOP_LEVEL_OPTIONAL = (
     "allowances",
     "output_dir",
     "checks",
-    "method",
     "zero_noise",
     "save_families",
 )
@@ -369,9 +357,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     elif not isinstance(output_dir, str):
         raise ValueError(f"output_dir must be a string, got {output_dir!r}")
 
-    method = data.get("method", "circulant")
-    if not isinstance(method, str):
-        raise ValueError(f"method must be a string, got {method!r}")
     for flag in ("zero_noise", "save_families"):
         if flag in data and not isinstance(data[flag], bool):
             raise ValueError(f"{flag} must be a boolean, got {data[flag]!r}")
@@ -386,7 +371,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         allowances=data.get("allowances"),
         output_dir=output_dir,
         checks=checks,
-        method=method,
         zero_noise=bool(data.get("zero_noise", False)),
         save_families=bool(data.get("save_families", False)),
     )
@@ -426,7 +410,6 @@ def _semantic_config_dict(config: ExperimentConfig) -> dict[str, Any]:
         "tolerances": dict(sorted(config.tolerances.items())),
         "allowances": dict(sorted(config.allowances.items())),
         "checks": list(config.checks),
-        "method": config.method,
         "zero_noise": config.zero_noise,
     }
 
@@ -648,7 +631,6 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     slack = float(tolerances["contraction_slack"])
     consistency_extra = float(tolerances["consistency_extra"])
     beta = _HOLDER_EXPONENT_FRACTION * spec.hurst.value
-    method = "zero" if config.zero_noise else config.method
     seed = ctx.family.noise.seed_record
 
     # Certify a window that the driver's own roughness permits: sample the
@@ -659,7 +641,10 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     certificate = None
     for _ in range(_CONTRACTION_MAX_RECERTIFICATIONS):
         window_grid = TimeGrid(window, window_steps)
-        window_noise = generate_fbm(window_grid, spec.hurst, seed, method=method, substream=2)
+        if config.zero_noise:
+            window_noise = zero_path(window_grid, spec.hurst, seed)
+        else:
+            window_noise = generate_fbm(window_grid, spec.hurst, seed, substream=2)
         holder = estimate_holder(spec.sigma * window_noise.values, window_grid, beta)
         problem = LocalProblem(spec, window_noise, holder)
         certificate = select_delta(problem)
@@ -855,9 +840,8 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     first_level_measures: list[float] = []
     last_level_measures: list[float] = []
     excursion_rows: list[tuple[object, ...]] = []
-    method = "zero" if config.zero_noise else config.method
 
-    for index, outcome, elapsed in _path_families(config, method):
+    for index, outcome, elapsed in _path_families(config):
         if not isinstance(outcome, EpsilonFamily):
             note = f"family construction failed: {type(outcome).__name__}: {outcome}"
             for check in per_path_checks:
@@ -918,7 +902,7 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
 
 
 def _path_families(
-    config: ExperimentConfig, method: str
+    config: ExperimentConfig,
 ) -> Iterator[tuple[int, EpsilonFamily | Exception, float]]:
     """Per path in index order: (index, family or failure, seconds).
 
@@ -934,7 +918,10 @@ def _path_families(
         for index in range(config.path_count):
             seed = SeedRecord(config.master_seed, index)
             try:
-                noise = generate_fbm(config.grid, config.spec.hurst, seed, method=method)
+                if config.zero_noise:
+                    noise = zero_path(config.grid, config.spec.hurst, seed)
+                else:
+                    noise = generate_fbm(config.grid, config.spec.hurst, seed)
             except Exception as exc:  # noqa: BLE001 - aborts become recorded failures
                 pending.append((index, exc))
                 continue

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
 Closed-form oracles (among them the fBm covariance formulas, which only the
-tests evaluate), Monte Carlo z-score machinery for the noise generators,
+tests evaluate), a dense Cholesky sampler as the oracle of the circulant
+noise generator, Monte Carlo z-score machinery for the noise generator,
 report canonicalization for the determinism contract, the cell-by-cell CSV
 writer that the column-wise one must match byte for byte, and the scalar
 eps-continuity loop that the batched check must match exactly.
@@ -28,6 +29,7 @@ from singsde import (
     VerificationReport,
     build_families,
     generate_fbm,
+    path_stream,
     solve_regularized,
 )
 
@@ -76,12 +78,30 @@ def fgn_autocovariance(k: int, hurst: HurstParam) -> float:
     return 0.5 * ((kk + 1.0) ** two_h - 2.0 * kk**two_h + abs(kk - 1.0) ** two_h)
 
 
+def cholesky_fbm_values(grid: TimeGrid, hurst: HurstParam, seed_record: SeedRecord) -> np.ndarray:
+    """Dense Cholesky sampler: path values with the law of ``generate_fbm``'s, O(n^3).
+
+    The lower Cholesky factor of the unit fGn covariance gamma(|i - j|) maps
+    the normals of ``path_stream(seed_record)`` to unit increments; scaled by
+    dt^H and summed after a leading 0, they form the path, as in
+    ``generate_fbm``.
+    """
+
+    n = grid.step_count
+    k = np.arange(n + 1, dtype=float)
+    two_h = 2.0 * hurst.value
+    gamma = (0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h))[:n]
+    idx = np.arange(n)
+    factor = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
+    increments = factor @ path_stream(seed_record).standard_normal(n) * grid.dt**hurst.value
+    return np.concatenate([[0.0], np.cumsum(increments)])
+
+
 def generate_increment_matrix(
     hurst_value: float,
     n: int,
     path_count: int,
     master_seed: int,
-    method: str = "circulant",
     horizon: float = 1.0,
 ) -> np.ndarray:
     """Increments of `path_count` independent paths, one row per path."""
@@ -90,7 +110,7 @@ def generate_increment_matrix(
     hurst = HurstParam(hurst_value)
     rows = np.empty((path_count, n))
     for index in range(path_count):
-        path = generate_fbm(grid, hurst, SeedRecord(master_seed, index), method=method)
+        path = generate_fbm(grid, hurst, SeedRecord(master_seed, index))
         rows[index] = np.diff(path.values)
     return rows
 
@@ -101,7 +121,6 @@ def lag_autocov_zscores(
     path_count: int,
     master_seed: int,
     max_lag: int = 10,
-    method: str = "circulant",
 ) -> np.ndarray:
     """z-scores of the empirical lag-k autocovariance of normalized increments.
 
@@ -112,7 +131,7 @@ def lag_autocov_zscores(
 
     grid = TimeGrid(horizon=1.0, step_count=n)
     hurst = HurstParam(hurst_value)
-    increments = generate_increment_matrix(hurst_value, n, path_count, master_seed, method)
+    increments = generate_increment_matrix(hurst_value, n, path_count, master_seed)
     normalized = increments / grid.dt**hurst_value
     zscores = np.empty(max_lag + 1)
     for lag in range(max_lag + 1):

@@ -30,6 +30,7 @@ from singsde import (
 from singsde import fbm as fbm_module
 
 from _support import (
+    cholesky_fbm_values,
     covariance_formula,
     dense_refinement_law,
     fbm_covariance,
@@ -119,11 +120,10 @@ def test_single_increment_unit_variance():
 
 
 def test_same_seed_is_bit_identical():
-    for method in ("circulant", "cholesky"):
-        first = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3), method=method)
-        second = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3), method=method)
-        assert np.array_equal(first.values, second.values), method
-        assert first.generator_tag == method
+    first = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3))
+    second = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3))
+    assert np.array_equal(first.values, second.values)
+    assert first.generator_tag == "circulant"
     other_path = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 4))
     other_sub = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3), substream=1)
     base = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3))
@@ -132,9 +132,12 @@ def test_same_seed_is_bit_identical():
 
 
 def test_paths_start_at_zero():
-    for method in GENERATOR_TAGS:
-        path = generate_fbm(TimeGrid(1.0, 64), H_QUARTER, SeedRecord(1, 0), method=method)
-        assert path.values[0] == 0.0, method
+    assert GENERATOR_TAGS == ("circulant", "zero")
+    for path in (
+        generate_fbm(TimeGrid(1.0, 64), H_QUARTER, SeedRecord(1, 0)),
+        zero_path(TimeGrid(1.0, 64), H_QUARTER, SeedRecord(1, 0)),
+    ):
+        assert path.values[0] == 0.0, path.generator_tag
 
 
 def test_lag_autocovariance_monte_carlo():
@@ -146,16 +149,16 @@ def test_lag_autocovariance_monte_carlo():
 
 
 def test_generator_cross_validation():
-    # Circulant vs Cholesky from independent seeds: entrywise difference of
-    # the empirical increment covariance matrices within 5 standard errors.
+    # Circulant vs the dense Cholesky oracle from independent seeds: entrywise
+    # difference of the empirical increment covariance matrices within 5
+    # standard errors.
     n, paths = 64, 4096
     grid = TimeGrid(horizon=1.0, step_count=n)
 
-    def increment_rows(method: str, master: int) -> np.ndarray:
+    def increment_rows(sample, master: int) -> np.ndarray:
         rows = np.empty((paths, n))
         for index in range(paths):
-            path = generate_fbm(grid, H_QUARTER, SeedRecord(master, index), method=method)
-            rows[index] = np.diff(path.values)
+            rows[index] = np.diff(sample(grid, H_QUARTER, SeedRecord(master, index)))
         return rows
 
     def covariance_and_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,8 +166,10 @@ def test_generator_cross_validation():
         second = (rows**2).T @ (rows**2) / rows.shape[0]
         return cov, second - cov**2
 
-    cov_a, var_a = covariance_and_variance(increment_rows("circulant", 101))
-    cov_b, var_b = covariance_and_variance(increment_rows("cholesky", 202))
+    cov_a, var_a = covariance_and_variance(
+        increment_rows(lambda *key: generate_fbm(*key).values, 101)
+    )
+    cov_b, var_b = covariance_and_variance(increment_rows(cholesky_fbm_values, 202))
     stderr = np.sqrt((var_a + var_b) / paths)
     zmatrix = np.abs(cov_a - cov_b) / stderr
     print(f"cross-validation worst entrywise z: {zmatrix.max():.3f}")
@@ -190,13 +195,6 @@ def test_terminal_value_moments():
     )
     assert abs(terminal.mean()) <= mean_bar
     assert abs(terminal.var(ddof=1) - 1.0) <= var_bar
-
-
-def test_cholesky_step_limit_and_unknown_method():
-    with pytest.raises(FbmGenerationError, match="limited to n <= 4096 by policy"):
-        generate_fbm(TimeGrid(1.0, 4097), H_QUARTER, SeedRecord(0, 0), method="cholesky")
-    with pytest.raises(ValueError, match="unknown generation method"):
-        generate_fbm(GRID_1024, H_QUARTER, SeedRecord(0, 0), method="fft")
 
 
 def test_zero_generator():

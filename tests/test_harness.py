@@ -133,22 +133,13 @@ def test_structural_validation():
         make_config(seeds={"master_seed": 7, "path_count": 0})
     with pytest.raises(ValueError, match="ladder depth must be at least 2"):
         make_config(ladder={"eps0": 0.1, "ratio": 0.5, "depth": 1})
-    with pytest.raises(ValueError, match="unknown generation method"):
-        make_config(method="fourier")
-    with pytest.raises(ValueError, match="unknown generation method 'hosking'"):
-        make_config(method="hosking")  # H < 1/2 needs no fallback generator
     with pytest.raises(ValueError, match="zero_noise must be a boolean"):
         config_from_dict(config_dict(zero_noise="yes"))
-    # the Cholesky generator's step limit is enforced at the boundary, for the
-    # main grid and the contraction window alike, unless no noise is drawn
-    with pytest.raises(ValueError, match="method 'cholesky' needs .* at most 4096, got 8192"):
-        make_config(method="cholesky", grid={"horizon": 1.0, "steps": 8192})
-    with pytest.raises(ValueError, match="method 'cholesky' needs .* at most 4096, got 5000"):
-        make_config(method="cholesky", tolerances={"window_steps": 5000})
-    assert make_config(method="cholesky", grid={"horizon": 1.0, "steps": 4096}).method == "cholesky"
-    assert make_config(
-        method="cholesky", zero_noise=True, grid={"horizon": 1.0, "steps": 8192}
-    ).zero_noise
+    # campaigns draw circulant noise unless zero_noise is set: there is no
+    # generator to choose, so a method key is unknown
+    for method in ("circulant", "zero", "cholesky"):
+        with pytest.raises(ValueError, match="^unknown config keys: method$"):
+            make_config(method=method)
 
 
 def test_direct_construction_validates_like_config_from_dict():
@@ -616,13 +607,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli_dispatch(["frobnicate"]) == 2
     assert cli_dispatch([]) == 2
     capsys.readouterr()
-    # the Cholesky generator's step limit is a usage error, not a traceback
-    argv = ["--hurst", "0.25", "--method", "cholesky", "--steps", "8192", "--out", out]
-    assert cli_dispatch(["solve", *argv, "--eps", "0.01"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --steps must be at most 4096 with --method cholesky, got 8192\n"
-    )
-    assert cli_dispatch(["fbm", *argv]) == 2
+    # the generators are circulant and zero; cholesky is argparse's invalid choice
+    argv = ["--hurst", "0.25", "--method", "cholesky", "--steps", "8", "--out", out]
+    for command in (["fbm"], ["solve", "--eps", "0.01"]):
+        assert cli_dispatch([*command, *argv]) == 2
+        assert "argument --method: invalid choice: 'cholesky'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -631,6 +620,24 @@ def test_cli_file_errors_exit_2(tmp_path, capsys):
     assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{out}'")
     assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_report_rejects_a_report_of_the_wrong_shape(tmp_path, capsys):
+    # valid JSON that is not a report is an invalid file (exit 2), not a failed campaign
+    cases = [
+        ("[1, 2]", "the top level must be a JSON object"),
+        ('{"checks": {"ordering": 5}}', "checks must map check ids to JSON objects"),
+        ('{"checks": ["ordering"]}', "checks must map check ids to JSON objects"),
+        ('{"checks": {"ordering": {"pass_count": [1]}}}', "unsupported format string"),
+    ]
+    for index, (text, reason) in enumerate(cases):
+        path = tmp_path / f"report_{index}.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli_dispatch(["report", str(path)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid report {path}: {reason}"), captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_runs_as_a_module(tmp_path):
