@@ -56,13 +56,9 @@ from .sde import (
     solve_regularized,
 )
 from .ladder import (
-    BoundCertificate,
-    CompensatorEstimate,
     EpsilonFamily,
     EpsilonLadder,
     EpsContinuityResult,
-    MeasureDecayResult,
-    NonnegativityResult,
     build_families,
     build_family,
     compensator_budget,
@@ -76,23 +72,17 @@ from .ladder import (
     verify_upper_bound,
 )
 from .picard import (
-    DeltaCertificate,
     InfeasibleProblemError,
     LocalProblem,
     PicardBandError,
-    PicardConvergenceError,
-    PicardResult,
     contraction_modulus,
     fixed_point_residual,
     picard_solve,
     select_delta,
 )
 from .excursions import (
-    EndpointCheck,
     ExcursionSet,
-    InitialIdentityResult,
     IntervalTooShortError,
-    RestartResidual,
     decompose_excursions,
     residual_window_threshold,
     restart_residual,
@@ -101,10 +91,7 @@ from .excursions import (
 )
 from .harness import (
     CHECK_ORDER,
-    CHECK_STATEMENTS,
-    DEFAULT_ALLOWANCES,
     DEFAULT_TOLERANCES,
-    CheckRecord,
     ExperimentConfig,
     VerificationReport,
     config_digest,
@@ -124,15 +111,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECK_ORDER",
-    "CHECK_STATEMENTS",
-    "DEFAULT_ALLOWANCES",
     "DEFAULT_TOLERANCES",
     "GENERATOR_TAGS",
-    "BoundCertificate",
-    "CheckRecord",
-    "CompensatorEstimate",
-    "DeltaCertificate",
-    "EndpointCheck",
     "EpsContinuityResult",
     "EpsilonFamily",
     "EpsilonLadder",
@@ -143,16 +123,10 @@ __all__ = [
     "HolderEstimate",
     "HurstParam",
     "InfeasibleProblemError",
-    "InitialIdentityResult",
     "IntervalTooShortError",
     "LocalProblem",
-    "MeasureDecayResult",
-    "NonnegativityResult",
     "PicardBandError",
-    "PicardConvergenceError",
-    "PicardResult",
     "RegularizedPath",
-    "RestartResidual",
     "SdeSpec",
     "SeedRecord",
     "SolverError",

@@ -242,6 +242,8 @@ def verify_initial_identity(
     such node exists).
     """
 
+    if margin_steps < 1:
+        raise ValueError(f"margin_steps must be positive, got {margin_steps}")
     spec = family.spec
     floor = DEFAULT_FLOOR_SCALE * spec.x0
     x = family.limit_estimate

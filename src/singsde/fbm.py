@@ -97,7 +97,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be a positive finite real, got {self.horizon}")
-        if not (isinstance(self.step_count, int) and self.step_count >= 1):
+        if isinstance(self.step_count, bool) or not (
+            isinstance(self.step_count, int) and self.step_count >= 1
+        ):
             raise ValueError(f"step_count must be a positive integer, got {self.step_count}")
 
     @property
@@ -163,6 +165,8 @@ class FbmPath:
             raise ValueError(f"a noise path must start at 0, got {self.values[0]}")
         if self.generator_tag not in GENERATOR_TAGS:
             raise ValueError(f"unknown generator tag {self.generator_tag!r}")
+        if self.generator_tag == "zero" and np.any(self.values):
+            raise ValueError("a path tagged 'zero' must be identically 0")
 
     @property
     def ref(self) -> str:

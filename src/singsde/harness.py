@@ -10,6 +10,12 @@ artifacts, all stamped with the config's hash.  Report content is a pure
 function of the config content: rerunning the same config reproduces the
 report byte for byte except for the timestamp and runtime fields.
 
+The one configurable tolerance is ``tol_mono``, the rounding slack of the
+shared-noise ordering; setting it to 0 is the documented negative control.
+Every other pass rule compares against a fixed constant kept beside the check
+that reads it (``ladder.DEFAULT_TOL_BOUND``, the ``excursions`` defaults, and
+the private constants below), and each record reports the tolerance it used.
+
 The campaign fails (``overall_pass`` false, nonzero CLI status) iff some
 check's failure count exceeds its allowance — zero by default, a configured
 fraction of the path count for statistical checks (the correction-process
@@ -55,7 +61,6 @@ from .ladder import (
     DEFAULT_TOL_MONO,
     EpsilonFamily,
     EpsilonLadder,
-    _eps_continuity_levels,
     build_families,
     build_family,
     compensator_budget,
@@ -150,27 +155,9 @@ CHECK_STATEMENTS: dict[str, str] = {
 }
 CHECK_ORDER = tuple(CHECK_STATEMENTS)
 
-# Tolerance schema: name -> (default, kind).  Kinds: nonnegative float
-# ("nonneg"), strictly positive float ("pos"), positive integer ("int").
-# tol_* entries accept 0 deliberately — a zero tolerance is the documented
-# negative control for rounding-scale effects.
-_TOLERANCE_SCHEMA: dict[str, tuple[float | int, str]] = {
-    "tol_mono": (DEFAULT_TOL_MONO, "nonneg"),
-    "tol_bound": (DEFAULT_TOL_BOUND, "nonneg"),
-    "tol_nonneg": (1e-9, "nonneg"),
-    "picard_tolerance": (1e-10, "pos"),
-    "eps_star": (0.05, "pos"),
-    "consistency_extra": (1e-3, "pos"),
-    "contraction_slack": (0.05, "nonneg"),
-    "margin_steps": (DEFAULT_MARGIN_STEPS, "int"),
-    "min_window_nodes": (20, "int"),
-    "window_steps": (256, "int"),
-    "endpoint_approach_nodes": (3, "int"),
-}
-
-DEFAULT_TOLERANCES: dict[str, float | int] = {
-    name: default for name, (default, _) in _TOLERANCE_SCHEMA.items()
-}
+# The campaign's one tolerance.  tol_mono accepts 0 deliberately: a zero
+# tolerance is the documented negative control for rounding-scale effects.
+DEFAULT_TOLERANCES: dict[str, float] = {"tol_mono": DEFAULT_TOL_MONO}
 
 # Fraction of paths allowed to fail per check; unlisted checks allow none.
 DEFAULT_ALLOWANCES: dict[str, float] = {"compensator": 0.05}
@@ -180,6 +167,15 @@ _CONTRACTION_INITIAL_WINDOW = 0.5
 _HOLDER_EXPONENT_FRACTION = 0.5  # certificate exponent beta = H/2
 _WINDOW_LADDER_EXTRA_LEVELS = 4
 _WINDOW_LADDER_MAX_DEPTH = 64
+_CONTRACTION_WINDOW_STEPS = 256
+_CONTRACTION_SLACK = 0.05  # allowed excess of a measured ratio over the modulus
+_PICARD_TOLERANCE = 1e-10
+_CONSISTENCY_EXTRA = 1e-3  # fixed point vs window ladder limit, beyond the Cauchy gap
+_TOL_NONNEG = 1e-9  # limit-nonneg: slack beyond the Cauchy gap
+# eps-continuity solves at eps* and eps* +/- eps* 2^-k for k = 1..3.
+_EPS_STAR = 0.05
+_EPS_CONTINUITY = (_EPS_STAR, tuple(_EPS_STAR * 0.5**k for k in range(1, 4)))
+_MIN_WINDOW_NODES = 20  # restart-refinement: shortest excursion it evaluates
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +211,16 @@ def _as_int(section: str, key: str, value: Any) -> int:
     return value
 
 
-def _validated_tolerances(raw: Mapping[str, Any] | None) -> dict[str, float | int]:
-    merged: dict[str, float | int] = dict(DEFAULT_TOLERANCES)
+def _validated_tolerances(raw: Mapping[str, Any] | None) -> dict[str, float]:
+    merged = dict(DEFAULT_TOLERANCES)
     if raw is None:
         return merged
-    for key, value in _section("tolerances", raw, tuple(_TOLERANCE_SCHEMA), ()).items():
-        _, kind = _TOLERANCE_SCHEMA[key]
-        if kind == "int":
-            parsed: float | int = _as_int("tolerances", key, value)
-            if parsed < 1:
-                raise ValueError(f"tolerances.{key} must be a positive integer, got {parsed}")
-        else:
-            parsed = _as_float("tolerances", key, value)
-            if not math.isfinite(parsed):
-                raise ValueError(f"tolerances.{key} must be finite, got {parsed}")
-            if kind == "pos" and parsed <= 0.0:
-                raise ValueError(f"tolerances.{key} must be positive, got {parsed}")
-            if kind == "nonneg" and parsed < 0.0:
-                raise ValueError(f"tolerances.{key} must be nonnegative, got {parsed}")
+    for key, value in _section("tolerances", raw, tuple(DEFAULT_TOLERANCES), ()).items():
+        parsed = _as_float("tolerances", key, value)
+        if not math.isfinite(parsed):
+            raise ValueError(f"tolerances.{key} must be finite, got {parsed}")
+        if parsed < 0.0:
+            raise ValueError(f"tolerances.{key} must be nonnegative, got {parsed}")
         merged[key] = parsed
     return merged
 
@@ -253,7 +241,7 @@ def _validated_allowances(raw: Mapping[str, Any] | None) -> dict[str, float]:
 class ExperimentConfig:
     """Complete, validated description of one verification campaign.
 
-    ``tolerances`` is the fully materialized named map (defaults merged);
+    ``tolerances`` is the fully materialized map ``{"tol_mono": ...}``;
     ``allowances`` maps check ids to the fraction of paths allowed to fail;
     ``checks`` is the enabled subset in canonical order.  ``zero_noise``
     switches every driver to the deterministic zero path, turning the
@@ -267,7 +255,7 @@ class ExperimentConfig:
     ladder: EpsilonLadder
     master_seed: int
     path_count: int
-    tolerances: dict[str, float | int] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     allowances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ALLOWANCES))
     output_dir: str = _DEFAULT_OUTPUT_DIR
     checks: tuple[str, ...] = CHECK_ORDER
@@ -290,12 +278,6 @@ class ExperimentConfig:
         self.checks = tuple(check for check in CHECK_ORDER if check in self.checks)
         self.tolerances = _validated_tolerances(self.tolerances)
         self.allowances = _validated_allowances(self.allowances)
-        probe = _eps_continuity_probe(self)
-        if probe is not None:
-            try:
-                _eps_continuity_levels(*probe)
-            except ValueError as exc:
-                raise ValueError(f"tolerances.eps_star = {probe[0]} is unusable: {exc}") from None
 
     def allowed_failures(self, check: str) -> int:
         return math.floor(self.allowances.get(check, 0.0) * self.path_count)
@@ -543,7 +525,7 @@ def _check_nested_zero_sets(config: ExperimentConfig, ctx: _PathContext) -> _Che
 
 
 def _check_upper_bound(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    cert = verify_upper_bound(ctx.family, tol_bound=float(config.tolerances["tol_bound"]))
+    cert = verify_upper_bound(ctx.family)
     note = None if cert.passes else f"exceeds bound {cert.bound:.6g} by {cert.max_violation:.3e}"
     return cert.passes, cert.max_violation, note
 
@@ -560,8 +542,7 @@ def _check_measure_decay(config: ExperimentConfig, ctx: _PathContext) -> _CheckR
 
 def _check_limit_nonneg(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     family = ctx.family
-    tol_nonneg = float(config.tolerances["tol_nonneg"])
-    result = verify_limit_nonnegativity(family, family.cauchy_gap + tol_nonneg)
+    result = verify_limit_nonnegativity(family, family.cauchy_gap + _TOL_NONNEG)
     violation = -result.worst_value - family.cauchy_gap
     note = None if result.passes else (
         f"limit estimate reaches {result.worst_value:.6g} at node {result.worst_index}"
@@ -583,15 +564,6 @@ def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     passed = violation <= 0.0
     note = None if passed else f"{label} {measured:.3e} exceeds budget {budget:.3e}"
     return passed, violation, note
-
-
-def _eps_continuity_probe(config: ExperimentConfig) -> tuple[float, list[float]] | None:
-    """(eps*, offsets eps* 2^-k for k = 1..3) when the eps-continuity check runs, else None."""
-
-    if "eps-continuity" not in config.checks:
-        return None
-    eps_star = float(config.tolerances["eps_star"])
-    return eps_star, [eps_star * 0.5**k for k in range(1, 4)]
 
 
 def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
@@ -625,11 +597,6 @@ def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
 
 def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     spec = config.spec
-    tolerances = config.tolerances
-    window_steps = int(tolerances["window_steps"])
-    picard_tolerance = float(tolerances["picard_tolerance"])
-    slack = float(tolerances["contraction_slack"])
-    consistency_extra = float(tolerances["consistency_extra"])
     beta = _HOLDER_EXPONENT_FRACTION * spec.hurst.value
     seed = ctx.family.noise.seed_record
 
@@ -640,7 +607,7 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     problem = None
     certificate = None
     for _ in range(_CONTRACTION_MAX_RECERTIFICATIONS):
-        window_grid = TimeGrid(window, window_steps)
+        window_grid = TimeGrid(window, _CONTRACTION_WINDOW_STEPS)
         if config.zero_noise:
             window_noise = zero_path(window_grid, spec.hurst, seed)
         else:
@@ -655,13 +622,13 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
         return False, None, "window certification did not stabilize"
     assert problem is not None and certificate is not None
 
-    result = picard_solve(problem, certificate, picard_tolerance)
+    result = picard_solve(problem, certificate, _PICARD_TOLERANCE)
     candidates: list[float] = []
     notes: list[str] = []
 
     ratios = [row[2] for row in result.log if math.isfinite(row[2])]
     if ratios:
-        ratio_excess = max(ratios) - (certificate.modulus + slack)
+        ratio_excess = max(ratios) - (certificate.modulus + _CONTRACTION_SLACK)
         candidates.append(ratio_excess)
         if ratio_excess > 0.0:
             notes.append(
@@ -674,18 +641,18 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     # than the main grid's before the Cauchy-gap budget is meaningful.
     window_ladder = _window_ladder(config.ladder, problem.grid.dt)
     window_family = build_family(
-        spec, problem.noise, window_ladder, tol_mono=float(tolerances["tol_mono"])
+        spec, problem.noise, window_ladder, tol_mono=config.tolerances["tol_mono"]
     )
     consistency_gap = float(np.abs(result.values - window_family.limit_estimate).max())
-    consistency_excess = consistency_gap - (window_family.cauchy_gap + consistency_extra)
+    consistency_excess = consistency_gap - (window_family.cauchy_gap + _CONSISTENCY_EXTRA)
     candidates.append(consistency_excess)
     if consistency_excess > 0.0:
         notes.append(
             f"fixed point differs from ladder limit by {consistency_gap:.3e} "
-            f"(allowed {window_family.cauchy_gap + consistency_extra:.3e})"
+            f"(allowed {window_family.cauchy_gap + _CONSISTENCY_EXTRA:.3e})"
         )
 
-    residual_excess = fixed_point_residual(problem, result.values) - 2.0 * picard_tolerance
+    residual_excess = fixed_point_residual(problem, result.values) - 2.0 * _PICARD_TOLERANCE
     candidates.append(residual_excess)
     if residual_excess > 0.0:
         notes.append("fixed-point residual exceeds twice the iteration tolerance")
@@ -697,19 +664,14 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
 
 def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     threshold, excursions = ctx.ensure_excursions()
-    checks = verify_endpoint_limits(
-        ctx.family.limit_estimate,
-        excursions,
-        tol=threshold,
-        approach_nodes=int(config.tolerances["endpoint_approach_nodes"]),
-    )
+    checks = verify_endpoint_limits(ctx.family.limit_estimate, excursions, tol=threshold)
     failing = [check.interval_index for check in checks if not check.passes]
     note = None if not failing else f"boundary check fails on intervals {failing}"
     return not failing, float(len(failing)), note
 
 
 def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    result = verify_initial_identity(ctx.family, margin_steps=int(config.tolerances["margin_steps"]))
+    result = verify_initial_identity(ctx.family)
     violation = result.sup_residual - result.budget
     note = None if result.passes else (
         f"residual {result.sup_residual:.3e} exceeds budget {result.budget:.3e} "
@@ -720,15 +682,14 @@ def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> _Che
 
 def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     threshold, excursions = ctx.ensure_excursions()
-    margin = int(config.tolerances["margin_steps"])
-    min_nodes = int(config.tolerances["min_window_nodes"])
+    margin = DEFAULT_MARGIN_STEPS
     # The restart identity anchors at a left endpoint where the limit process
     # vanishes; the closed-left component containing t=0 starts at X_0 > 0
     # instead and is covered by the initial-identity check.
     qualifying = [
         index
         for index, (start, end) in enumerate(excursions.intervals)
-        if (end - start + 1) >= min_nodes
+        if (end - start + 1) >= _MIN_WINDOW_NODES
         and (end - 2 * margin) > start
         and not (index == 0 and excursions.first_interval_closed_left)
     ]
@@ -763,22 +724,23 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
 
 
 # Per-path check -> (runner, the tolerance its record reports).  The report's
-# tolerance column is the named knob the check compares against; checks
-# without one, and the campaign-wide measure-decay-mean, report 0.
+# tolerance column is the constant the check compares against, None standing
+# for the campaign's tol_mono; checks without one, and the campaign-wide
+# measure-decay-mean, report 0.
 _PER_PATH_CHECKS: dict[
-    str, tuple[Callable[[ExperimentConfig, _PathContext], _CheckResult], str | None]
+    str, tuple[Callable[[ExperimentConfig, _PathContext], _CheckResult], float | None]
 ] = {
-    "ordering": (_check_ordering, "tol_mono"),
-    "nested-zero-sets": (_check_nested_zero_sets, None),
-    "upper-bound": (_check_upper_bound, "tol_bound"),
-    "measure-decay": (_check_measure_decay, None),
-    "limit-nonneg": (_check_limit_nonneg, "tol_nonneg"),
-    "compensator": (_check_compensator, None),
-    "eps-continuity": (_check_eps_continuity, "eps_star"),
-    "contraction": (_check_contraction, "contraction_slack"),
-    "excursion-endpoints": (_check_excursion_endpoints, None),
-    "initial-identity": (_check_initial_identity, None),
-    "restart-refinement": (_check_restart_refinement, None),
+    "ordering": (_check_ordering, None),
+    "nested-zero-sets": (_check_nested_zero_sets, 0.0),
+    "upper-bound": (_check_upper_bound, DEFAULT_TOL_BOUND),
+    "measure-decay": (_check_measure_decay, 0.0),
+    "limit-nonneg": (_check_limit_nonneg, _TOL_NONNEG),
+    "compensator": (_check_compensator, 0.0),
+    "eps-continuity": (_check_eps_continuity, _EPS_STAR),
+    "contraction": (_check_contraction, _CONTRACTION_SLACK),
+    "excursion-endpoints": (_check_excursion_endpoints, 0.0),
+    "initial-identity": (_check_initial_identity, 0.0),
+    "restart-refinement": (_check_restart_refinement, 0.0),
 }
 
 # One path's outcome of one check: (path index or None for a campaign-wide
@@ -791,7 +753,7 @@ def _check_record(
 ) -> CheckRecord:
     """Aggregate one check's outcomes: counts, the largest finite violation, failure notes."""
 
-    _, tolerance = _PER_PATH_CHECKS.get(check, (None, None))
+    _, tolerance = _PER_PATH_CHECKS.get(check, (None, 0.0))
     violations = [v for _, _, v, _ in outcomes if v is not None and math.isfinite(v)]
     failures = tuple(
         ("" if path is None else f"path {path}: ") + ("check failed" if note is None else note)
@@ -805,7 +767,7 @@ def _check_record(
         fail_count=len(failures),
         allowed_failures=config.allowed_failures(check),
         worst_violation=max(violations, default=None),
-        tolerance=0.0 if tolerance is None else float(config.tolerances[tolerance]),
+        tolerance=config.tolerances["tol_mono"] if tolerance is None else tolerance,
         runtime_s=round(runtime, 6),
         failures=failures,
     )
@@ -932,8 +894,8 @@ def _path_families(
         config.spec,
         noises(),
         config.ladder,
-        tol_mono=float(config.tolerances["tol_mono"]),
-        eps_continuity=_eps_continuity_probe(config),
+        tol_mono=config.tolerances["tol_mono"],
+        eps_continuity=_EPS_CONTINUITY if "eps-continuity" in config.checks else None,
     )
     started = time.perf_counter()
     for family in families:

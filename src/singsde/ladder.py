@@ -91,7 +91,7 @@ class EpsilonLadder:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if not (0.0 < self.ratio < 1.0):
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if not (isinstance(self.depth, int) and self.depth >= 1):
+        if isinstance(self.depth, bool) or not (isinstance(self.depth, int) and self.depth >= 1):
             raise ValueError(f"depth must be a positive integer, got {self.depth}")
         if not self.levels()[-1] > 0.0:
             raise ValueError(

@@ -67,6 +67,8 @@ class SdeSpec:
     hurst: HurstParam
 
     def __post_init__(self) -> None:
+        if not isinstance(self.hurst, HurstParam):
+            raise ValueError(f"hurst must be a HurstParam, got {self.hurst!r}")
         if not (self.x0 > 0.0 and math.isfinite(self.x0)):
             raise ValueError(f"x0 must be positive, got {self.x0}")
         if not (self.a > 0.0 and math.isfinite(self.a)):

@@ -210,6 +210,23 @@ def test_path_must_start_at_zero():
         FbmPath(grid, values, H_QUARTER, SeedRecord(0, 0), "zero")
 
 
+def test_zero_tag_requires_a_zero_path():
+    # refine_fbm refines a "zero" path to zeros, so a nonzero path under that
+    # tag would lose its coarse nodes on refinement.
+    grid = TimeGrid(1.0, 4)
+    for values in ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, math.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="a path tagged 'zero' must be identically 0"):
+            FbmPath(grid, values, H_QUARTER, SeedRecord(0, 0), "zero")
+    refined = refine_fbm(FbmPath(grid, np.zeros(5), H_QUARTER, SeedRecord(0, 0), "zero"))
+    assert refined.values.tobytes() == np.zeros(9).tobytes()
+
+
+def test_time_grid_rejects_a_boolean_step_count():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="step_count must be a positive integer"):
+            TimeGrid(1.0, flag)
+
+
 def test_seed_record_rejects_indices_beyond_64_bits():
     SeedRecord(2**64 - 1, 2**64 - 1)
     with pytest.raises(ValueError, match="path_index must be a nonnegative 64-bit integer"):

@@ -5,7 +5,10 @@ command-line front end.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -76,30 +79,59 @@ def test_unknown_and_missing_keys_are_named():
 
 
 def test_tolerance_validation():
-    # tol_* knobs accept 0 — a zero tolerance is the negative control — but
-    # structural knobs must stay positive.
-    config = make_config(tolerances={"tol_mono": 0.0})
-    assert config.tolerances["tol_mono"] == 0.0
-    assert config.tolerances["eps_star"] == DEFAULT_TOLERANCES["eps_star"]
-    with pytest.raises(ValueError, match="picard_tolerance must be positive"):
-        make_config(tolerances={"picard_tolerance": 0.0})
-    with pytest.raises(ValueError, match="margin_steps must be a positive integer"):
-        make_config(tolerances={"margin_steps": 0})
-    with pytest.raises(ValueError, match="unknown tolerances keys: bogus"):
-        make_config(tolerances={"bogus": 1.0})
-    with pytest.raises(ValueError, match="tol_bound must be nonnegative"):
-        make_config(tolerances={"tol_bound": -1e-9})
-    # eps_star / 2 underflows to 0, so eps-continuity has no valid offsets
-    with pytest.raises(
-        ValueError, match="tolerances.eps_star = 5e-324 is unusable: offsets must be positive"
-    ):
-        make_config(tolerances={"eps_star": 5e-324})
-    assert make_config(tolerances={"eps_star": 5e-324}, checks=["ordering"])
-    # measure-decay sets no absolute threshold on the deepest level's measure,
-    # and every tolerance the schema accepts has a default
-    with pytest.raises(ValueError, match="unknown tolerances keys: measure_last_max"):
-        make_config(tolerances={"measure_last_max": 0.1})
-    assert set(harness_module._TOLERANCE_SCHEMA) == set(DEFAULT_TOLERANCES)
+    # tol_mono is the one tolerance: it accepts 0 — a zero tolerance is the
+    # negative control — but no negative or non-finite value.
+    assert DEFAULT_TOLERANCES == {"tol_mono": 1e-12}
+    assert make_config().tolerances == {"tol_mono": 1e-12}
+    assert make_config(tolerances={"tol_mono": 0.0}).tolerances == {"tol_mono": 0.0}
+    with pytest.raises(ValueError, match="^tolerances.tol_mono must be nonnegative, got -1e-12$"):
+        make_config(tolerances={"tol_mono": -1e-12})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^tolerances.tol_mono must be finite"):
+            make_config(tolerances={"tol_mono": bad})
+    with pytest.raises(ValueError, match="^tolerances.tol_mono must be a number"):
+        make_config(tolerances={"tol_mono": True})
+    # every other pass-rule constant is fixed beside its check, so naming one
+    # is an unknown key, as is measure-decay's former absolute threshold
+    removed = (
+        "tol_bound",
+        "tol_nonneg",
+        "picard_tolerance",
+        "eps_star",
+        "consistency_extra",
+        "contraction_slack",
+        "margin_steps",
+        "min_window_nodes",
+        "window_steps",
+        "endpoint_approach_nodes",
+        "measure_last_max",
+        "bogus",
+    )
+    for key in removed:
+        with pytest.raises(ValueError, match=f"^unknown tolerances keys: {key}$"):
+            make_config(tolerances={key: 1})
+
+
+def test_readme_campaign_config_matches_the_code():
+    # The README's example config names every key and must validate; its
+    # table of pass-rule constants must give the values the checks use.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("## Campaign config\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    keys = harness_module._TOP_LEVEL_REQUIRED + harness_module._TOP_LEVEL_OPTIONAL
+    assert sorted(example) == sorted(keys)
+    config = config_from_dict(example)
+    assert config.tolerances == DEFAULT_TOLERANCES
+    assert config.allowances == harness_module.DEFAULT_ALLOWANCES
+    assert config.checks == CHECK_ORDER
+    rows = re.findall(r"^\| [^|]+ \| `(\w+)\.(\w+)(?:\((\w+)\))?` \| ([^|]+) \|", section, re.M)
+    assert len(rows) == 10
+    for module, name, parameter, value in rows:
+        constant = getattr(importlib.import_module(f"singsde.{module}"), name)
+        if parameter:
+            constant = inspect.signature(constant).parameters[parameter].default
+        assert constant == float(value), f"{module}.{name}: code {constant}, README {value}"
 
 
 def test_allowance_validation():

@@ -76,6 +76,9 @@ def test_ladder_validation_and_levels():
         EpsilonLadder(0.1, 1.0, 4)
     with pytest.raises(ValueError, match="depth must be a positive integer"):
         EpsilonLadder(0.1, 0.5, 0)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="depth must be a positive integer"):
+            EpsilonLadder(0.1, 0.5, flag)
     with pytest.raises(ValueError, match="deepest level underflows to 0"):
         EpsilonLadder(1e-300, 1e-10, 3)
     ladder = EpsilonLadder(0.1, 0.5, 10)

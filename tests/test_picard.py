@@ -30,7 +30,7 @@ from singsde import (
     select_delta,
     zero_path,
 )
-from singsde.picard import envelope_lower, envelope_upper
+from singsde.picard import PicardConvergenceError, envelope_lower, envelope_upper
 
 from _support import closed_form
 
@@ -198,6 +198,15 @@ def test_horizon_must_fit_certificate():
     certificate = select_delta(wide)
     with pytest.raises(ValueError, match="exceeds certified delta"):
         picard_solve(wide, certificate, 1e-10)
+
+
+def test_unreachable_tolerance_raises_at_the_iteration_cap():
+    # The displacement stalls at rounding level (about 1e-16), so a 1e-30
+    # tolerance is never met; the iteration must stop at its predicted budget.
+    problem = driver_free_problem(ORACLE_GRID)
+    certificate = select_delta(problem)
+    with pytest.raises(PicardConvergenceError, match=r"no convergence to 1e-30 within \d+ iterations"):
+        picard_solve(problem, certificate, 1e-30)
 
 
 def test_discretization_error_decreases_monotonically():

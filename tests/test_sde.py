@@ -54,6 +54,9 @@ def test_spec_field_domains():
         make_spec(b=-0.1)
     with pytest.raises(ValueError, match="sigma must be positive"):
         make_spec(sigma=0.0)
+    # a bare float would fail later, deep in the solver, on hurst.value
+    with pytest.raises(ValueError, match="hurst must be a HurstParam, got 0.25"):
+        SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=0.25)
 
 
 def test_solution_invariants():
