@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -281,27 +282,55 @@ def zero_path(grid: TimeGrid, hurst: HurstParam, seed_record: SeedRecord | None 
 # ---------------------------------------------------------------------------
 
 
-def estimate_holder(values: np.ndarray, grid: TimeGrid, beta: float) -> HolderEstimate:
-    """Exact maximal pair ratio max |g(t_j) - g(t_i)| / (t_j - t_i)^beta.
+def estimate_holder(
+    values: np.ndarray, grid: TimeGrid | Sequence[TimeGrid], beta: float
+) -> HolderEstimate | list[HolderEstimate]:
+    """Exact maximal pair ratio max |g(t_j) - g(t_i)| / (t_j - t_i)^beta, per path.
 
-    Scans every offset; on a uniform grid the denominator depends only on the
-    offset, so taking the per-offset maximum of |differences| reproduces the
-    full O(n^2) pair scan exactly.
+    ``values`` is one path, shape (nodes,), with its grid, or a block of
+    paths, shape (paths, nodes), with their common grid or one grid per row;
+    the grids must share one step count.  Returns one
+    :class:`HolderEstimate`, or a list of one per row.
+
+    One loop over offsets scans the whole block; on a uniform grid the
+    denominator depends only on the offset, so taking each row's per-offset
+    maximum of |differences| reproduces the full O(n^2) pair scan exactly.
+    The denominators (offset * dt)^beta are Python float powers: numpy's
+    array power may differ from them in the last bit.
     """
 
     if not (0.0 < beta < 1.0):
         raise ValueError(f"exponent must lie in (0, 1), got {beta}")
     g = np.asarray(values, dtype=float)
-    if g.shape != (grid.step_count + 1,):
-        raise ValueError(f"values must have {grid.step_count + 1} entries, got shape {g.shape}")
-    dt = grid.dt
-    best = 0.0
-    for offset in range(1, grid.step_count + 1):
-        spread = float(np.abs(g[offset:] - g[:-offset]).max())
-        ratio = spread / (offset * dt) ** beta
-        if ratio > best:
-            best = ratio
-    return HolderEstimate(exponent=beta, constant=best, grid=grid)
+    single = g.ndim == 1
+    block = g[None, :] if single else g
+    grids = [grid] * len(block) if isinstance(grid, TimeGrid) else list(grid)
+    if len(grids) != len(block):
+        raise ValueError(f"need one grid per row, got {len(grids)} grids for {len(block)} rows")
+    if not grids:
+        return []
+    steps = grids[0].step_count
+    if any(row_grid.step_count != steps for row_grid in grids):
+        raise ValueError("every row's grid must have the same step count")
+    if block.ndim != 2 or block.shape[1] != steps + 1:
+        raise ValueError(f"values must have {steps + 1} entries, got shape {g.shape}")
+    powers: dict[float, list[float]] = {}
+    for row_grid in grids:
+        dt = row_grid.dt
+        if dt not in powers:
+            powers[dt] = [(offset * dt) ** beta for offset in range(1, steps + 1)]
+    denominators = np.array([powers[row_grid.dt] for row_grid in grids]).T
+    nodes_major = np.ascontiguousarray(block.T)
+    spreads = np.empty((steps, len(grids)))
+    for offset in range(1, steps + 1):
+        np.abs(nodes_major[offset:] - nodes_major[:-offset]).max(axis=0, out=spreads[offset - 1])
+    # fmax skips a NaN ratio, as a running maximum by ``ratio > best`` does.
+    best = np.fmax.reduce(spreads / denominators, axis=0, initial=0.0)
+    estimates = [
+        HolderEstimate(exponent=beta, constant=float(constant), grid=row_grid)
+        for constant, row_grid in zip(best, grids)
+    ]
+    return estimates[0] if single else estimates
 
 
 # ---------------------------------------------------------------------------

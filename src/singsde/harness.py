@@ -24,6 +24,7 @@ check defaults to 5%).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -50,7 +51,6 @@ from .fbm import (
     HurstParam,
     SeedRecord,
     TimeGrid,
-    estimate_holder,
     generate_fbm,
     refine_fbm,
     zero_path,
@@ -62,7 +62,6 @@ from .ladder import (
     EpsilonFamily,
     EpsilonLadder,
     build_families,
-    build_family,
     compensator_budget,
     compute_compensator,
     nonpositive_measure,
@@ -71,7 +70,14 @@ from .ladder import (
     verify_nested_zero_sets,
     verify_upper_bound,
 )
-from .picard import LocalProblem, fixed_point_residual, picard_solve, select_delta
+from .picard import (
+    DeltaCertificate,
+    LocalProblem,
+    PicardResult,
+    certify_windows,
+    fixed_point_residual,
+    picard_solve,
+)
 from .sde import SdeSpec, SolverError, solve_regularized
 
 __all__ = [
@@ -168,6 +174,7 @@ _HOLDER_EXPONENT_FRACTION = 0.5  # certificate exponent beta = H/2
 _WINDOW_LADDER_EXTRA_LEVELS = 4
 _WINDOW_LADDER_MAX_DEPTH = 64
 _CONTRACTION_WINDOW_STEPS = 256
+_CONTRACTION_BLOCK_PATHS = 64  # paths whose contraction checks run as one block
 _CONTRACTION_SLACK = 0.05  # allowed excess of a measured ratio over the modulus
 _PICARD_TOLERANCE = 1e-10
 _CONSISTENCY_EXTRA = 1e-3  # fixed point vs window ladder limit, beyond the Cauchy gap
@@ -494,6 +501,7 @@ class _PathContext:
 
     index: int
     family: EpsilonFamily
+    contraction: _CheckResult | Exception | None = None
     threshold: float | None = None
     excursions: ExcursionSet | None = None
     restart_sup: dict[int, float] = field(default_factory=dict)
@@ -595,34 +603,86 @@ def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
     return EpsilonLadder(ladder.eps0, ladder.ratio, min(depth, _WINDOW_LADDER_MAX_DEPTH))
 
 
-def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _window_driver(config: ExperimentConfig, index: int, window: float) -> FbmPath:
+    """The contraction window's driver of one path: a fresh draw on substream 2."""
+
+    grid = TimeGrid(window, _CONTRACTION_WINDOW_STEPS)
+    seed = SeedRecord(config.master_seed, index)
+    if config.zero_noise:
+        return zero_path(grid, config.spec.hurst, seed)
+    return generate_fbm(grid, config.spec.hurst, seed, substream=2)
+
+
+def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult | Exception]:
+    """The contraction outcome of each path in ``indices``: its record or its exception.
+
+    Windows are certified for the whole block (:func:`certify_windows`) and
+    Picard iterates per path.  Paths with the same certified window share its
+    grid and window ladder, so their window families are one
+    :func:`build_families` call.  Every path keeps the outcome it would get
+    on its own.
+    """
+
     spec = config.spec
-    beta = _HOLDER_EXPONENT_FRACTION * spec.hurst.value
-    seed = ctx.family.noise.seed_record
+    certified = certify_windows(
+        spec,
+        functools.partial(_window_driver, config),
+        indices,
+        _HOLDER_EXPONENT_FRACTION * spec.hurst.value,
+        _CONTRACTION_INITIAL_WINDOW,
+        _CONTRACTION_MAX_RECERTIFICATIONS,
+    )
+    outcomes: dict[int, _CheckResult | Exception] = {}
+    solved: dict[TimeGrid, dict[int, PicardResult]] = {}
+    for index, certification in certified.items():
+        if certification is None:
+            outcomes[index] = (False, None, "window certification did not stabilize")
+            continue
+        if isinstance(certification, Exception):
+            outcomes[index] = certification
+            continue
+        problem, certificate = certification
+        try:
+            result = picard_solve(problem, certificate, _PICARD_TOLERANCE)
+        except Exception as exc:  # noqa: BLE001 - isolation policy
+            outcomes[index] = exc
+            continue
+        solved.setdefault(problem.grid, {})[index] = result
 
-    # Certify a window that the driver's own roughness permits: sample the
-    # driver on a trial window, certify, and shrink the window to the
-    # certified horizon until the certificate covers the whole window.
-    window = _CONTRACTION_INITIAL_WINDOW
-    problem = None
-    certificate = None
-    for _ in range(_CONTRACTION_MAX_RECERTIFICATIONS):
-        window_grid = TimeGrid(window, _CONTRACTION_WINDOW_STEPS)
-        if config.zero_noise:
-            window_noise = zero_path(window_grid, spec.hurst, seed)
-        else:
-            window_noise = generate_fbm(window_grid, spec.hurst, seed, substream=2)
-        holder = estimate_holder(spec.sigma * window_noise.values, window_grid, beta)
-        problem = LocalProblem(spec, window_noise, holder)
-        certificate = select_delta(problem)
-        if certificate.delta >= window * (1.0 - 1e-12):
-            break
-        window = certificate.delta
-    else:
-        return False, None, "window certification did not stabilize"
-    assert problem is not None and certificate is not None
+    # The ladder limit is only trustworthy where the regularization level sits
+    # well below the step size (the per-step kernel converges in eps at scale
+    # dt); the certified window's fine spacing therefore needs a deeper ladder
+    # than the main grid's before the Cauchy-gap budget is meaningful.
+    for grid, results in solved.items():
+        try:
+            families = build_families(
+                spec,
+                [certified[index][0].noise for index in results],
+                _window_ladder(config.ladder, grid.dt),
+                tol_mono=config.tolerances["tol_mono"],
+            )
+            for (index, result), family in zip(results.items(), families):
+                if isinstance(family, SolverError):
+                    outcomes[index] = family
+                    continue
+                try:
+                    outcomes[index] = _contraction_verdict(*certified[index], result, family)
+                except Exception as exc:  # noqa: BLE001 - isolation policy
+                    outcomes[index] = exc
+        except Exception as exc:  # noqa: BLE001 - the group's shared window ladder failed
+            for index in results:
+                outcomes.setdefault(index, exc)
+    return [outcomes[index] for index in indices]
 
-    result = picard_solve(problem, certificate, _PICARD_TOLERANCE)
+
+def _contraction_verdict(
+    problem: LocalProblem,
+    certificate: DeltaCertificate,
+    result: PicardResult,
+    window_family: EpsilonFamily,
+) -> _CheckResult:
+    """Measured ratios against the modulus, the fixed point against the window ladder limit."""
+
     candidates: list[float] = []
     notes: list[str] = []
 
@@ -635,14 +695,6 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
                 f"measured ratio {max(ratios):.4f} exceeds modulus {certificate.modulus:.4f} + slack"
             )
 
-    # The ladder limit is only trustworthy where the regularization level sits
-    # well below the step size (the per-step kernel converges in eps at scale
-    # dt); the certified window's fine spacing therefore needs a deeper ladder
-    # than the main grid's before the Cauchy-gap budget is meaningful.
-    window_ladder = _window_ladder(config.ladder, problem.grid.dt)
-    window_family = build_family(
-        spec, problem.noise, window_ladder, tol_mono=config.tolerances["tol_mono"]
-    )
     consistency_gap = float(np.abs(result.values - window_family.limit_estimate).max())
     consistency_excess = consistency_gap - (window_family.cauchy_gap + _CONSISTENCY_EXTRA)
     candidates.append(consistency_excess)
@@ -660,6 +712,42 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     violation = max(candidates)
     passed = violation <= 0.0
     return passed, violation, ("; ".join(notes) if notes else None)
+
+
+def _contraction_outcomes(config: ExperimentConfig) -> list[_CheckResult | Exception]:
+    """Every path's contraction outcome, run in blocks of consecutive paths.
+
+    ``_CONTRACTION_BLOCK_PATHS`` bounds the memory of a block's window
+    solves.  A failure of a block's shared work is the failure of each of
+    its paths; stored exceptions drop their tracebacks, so that they do not
+    keep the failing frames alive.
+    """
+
+    outcomes: list[_CheckResult | Exception] = []
+    for start in range(0, config.path_count, _CONTRACTION_BLOCK_PATHS):
+        indices = range(start, min(start + _CONTRACTION_BLOCK_PATHS, config.path_count))
+        try:
+            block = _contraction_block(config, indices)
+        except Exception as exc:  # noqa: BLE001 - isolation policy
+            block = [exc] * len(indices)
+        outcomes += [
+            outcome.with_traceback(None) if isinstance(outcome, Exception) else outcome
+            for outcome in block
+        ]
+    return outcomes
+
+
+def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+    """The path's local contraction outcome, computed with its block of paths.
+
+    The window driver is a fresh draw on substream 2, not the campaign path
+    restricted to the window, so the check certifies the equation locally,
+    not the path's own solution.
+    """
+
+    if isinstance(ctx.contraction, Exception):
+        raise ctx.contraction
+    return ctx.contraction
 
 
 def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
@@ -802,6 +890,13 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     first_level_measures: list[float] = []
     last_level_measures: list[float] = []
     excursion_rows: list[tuple[object, ...]] = []
+    contraction: list[_CheckResult | Exception] = []
+    if "contraction" in config.checks:
+        # The check reads only the seeds, so it runs before the family build,
+        # and its window solves never hold memory next to a family chunk.
+        started = time.perf_counter()
+        contraction = _contraction_outcomes(config)
+        runtimes["contraction"] += time.perf_counter() - started
 
     for index, outcome, elapsed in _path_families(config):
         if not isinstance(outcome, EpsilonFamily):
@@ -812,7 +907,9 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
             continue
 
         family = outcome
-        ctx = _PathContext(index=index, family=family)
+        ctx = _PathContext(
+            index=index, family=family, contraction=contraction[index] if contraction else None
+        )
         if gather_measures:
             measures = nonpositive_measure(family)
             first_level_measures.append(float(measures[0]))

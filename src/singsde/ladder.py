@@ -28,6 +28,7 @@ once per chunk when asked, so each family carries its gap table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -35,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fbm import FbmPath, TimeGrid
+from .fbm import FbmPath, HurstParam, TimeGrid
 from .sde import (
     SdeSpec,
     SolverError,
@@ -351,6 +352,18 @@ def verify_limit_nonnegativity(family: EpsilonFamily, tol: float) -> Nonnegativi
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _identity_kernel(grid: TimeGrid, hurst: HurstParam) -> np.ndarray:
+    """``kernel_column(grid, 0, hurst)``, cached per grid in a small LRU cache.
+
+    Read-only, because every caller shares the array.
+    """
+
+    kernel = kernel_column(grid, 0.0, hurst)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def identity_residual(
     values: np.ndarray,
     noise_values: np.ndarray,
@@ -369,14 +382,15 @@ def identity_residual(
     exact kernel and freezes 1/X at each step's right endpoint, as the
     drift-implicit solver step does; the floor keeps it finite where X dips
     below the floor.  ``anchor`` is X_0 for the identity from the time
-    origin and X(t_start) for an identity restarted at t_start.
+    origin and X(t_start) for an identity restarted at t_start.  The kernel
+    is computed once per grid and reused by later calls.
     """
 
     if not (floor > 0.0):
         raise ValueError(f"floor must be positive, got {floor}")
     x = values[start : end + 1]
     noise = noise_values[start : end + 1]
-    kernel = kernel_column(grid, 0.0, spec.hurst)[start:end]
+    kernel = _identity_kernel(grid, spec.hurst)[start:end]
     singular = np.concatenate([[0.0], np.cumsum(kernel / np.maximum(x[1:], floor))])
     trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * grid.dt)])
     return x - anchor - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise - noise[0])

@@ -15,7 +15,9 @@ check grid: with ``C`` the driver's grid Hoelder constant at exponent beta,
 
 which pin every iterate inside the band.  The selector walks the dyadic
 candidates 2^-1, 2^-2, ... and returns the largest horizon satisfying q < 1
-and both envelopes with a 5% safety margin.  The iteration then applies the
+and both envelopes with a 5% safety margin; it certifies a block of drivers
+in one pass, and :func:`certify_windows` shrinks each driver's window to its
+certified horizon until the certificate covers the window.  The iteration then applies the
 discrete map x -> x - R(x), where R is the integral identity's residual
 (:func:`singsde.ladder.identity_residual`, the quadrature every identity check
 uses: exact per-step kernels with 1/x frozen at the right endpoint, and the
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fbm import FbmPath, HolderEstimate, TimeGrid
+from .fbm import FbmPath, HolderEstimate, TimeGrid, estimate_holder
 from .ladder import DEFAULT_FLOOR_SCALE, identity_residual
 from .sde import SdeSpec
 
@@ -43,6 +46,7 @@ __all__ = [
     "PicardBandError",
     "PicardConvergenceError",
     "PicardResult",
+    "certify_windows",
     "contraction_modulus",
     "fixed_point_residual",
     "picard_solve",
@@ -117,30 +121,22 @@ def contraction_modulus(delta: float, problem: LocalProblem) -> float:
     return 2.0 * spec.a * delta**two_h / (spec.hurst.value * spec.x0**2) + spec.b * delta
 
 
-def envelope_upper(t: np.ndarray | float, problem: LocalProblem) -> np.ndarray | float:
-    """Upper displacement envelope f(t); x_0 + f bounds every iterate from above."""
+def _envelopes(
+    spec: SdeSpec, t: np.ndarray, constant: np.ndarray | float, exponent: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement envelopes (f(t), h(t)); x_0 + f and x_0 + h bound every iterate.
 
-    spec = problem.spec
-    two_h = 2.0 * spec.hurst.value
-    hv, x0, c = spec.hurst.value, spec.x0, problem.holder.constant
-    return (
-        spec.a * t**two_h / (hv * x0)
-        - 0.5 * spec.b * x0 * t
-        + c * t**problem.holder.exponent
-    )
+    ``constant`` is the driver's Hoelder constant, or a column of constants
+    for one row of envelopes per driver; the powers of ``t`` are computed
+    once for all rows.
+    """
 
-
-def envelope_lower(t: np.ndarray | float, problem: LocalProblem) -> np.ndarray | float:
-    """Lower displacement envelope h(t); x_0 + h bounds every iterate from below."""
-
-    spec = problem.spec
-    two_h = 2.0 * spec.hurst.value
-    hv, x0, c = spec.hurst.value, spec.x0, problem.holder.constant
-    return (
-        0.5 * spec.a * t**two_h / (hv * x0)
-        - spec.b * x0 * t
-        - c * t**problem.holder.exponent
-    )
+    hv, x0 = spec.hurst.value, spec.x0
+    singular = t ** (2.0 * hv)
+    rough = constant * t**exponent
+    upper = spec.a * singular / (hv * x0) - 0.5 * spec.b * x0 * t + rough
+    lower = 0.5 * spec.a * singular / (hv * x0) - spec.b * x0 * t - rough
+    return upper, lower
 
 
 @dataclass(frozen=True)
@@ -158,40 +154,125 @@ class DeltaCertificate:
     margin_high: float
 
 
-def select_delta(problem: LocalProblem, check_nodes: int = 256) -> DeltaCertificate:
+def select_delta(
+    problem: LocalProblem | Sequence[LocalProblem], check_nodes: int = 256
+) -> DeltaCertificate | list[DeltaCertificate | InfeasibleProblemError]:
     """Largest dyadic horizon passing modulus and envelopes with a 5% margin.
 
     Every inequality is tightened by 5%: q <= 0.95, f(t) <= 0.95 x_0, and
     h(t) >= -0.95 x_0/2, evaluated at ``check_nodes`` nodes of [0, delta].
     A deterministic, reproducible choice — any smaller certified horizon
     would do as well.
+
+    Given a sequence of problems that share the spec and the certificate
+    exponent, each candidate is evaluated for all rows not yet certified at
+    once, and the result holds per problem its certificate or its
+    :class:`InfeasibleProblemError`.  One problem is the one-row case; it
+    returns its certificate or raises.
     """
 
     if check_nodes < 100:
         raise ValueError(f"need at least 100 check nodes, got {check_nodes}")
-    x0 = problem.spec.x0
+    single = isinstance(problem, LocalProblem)
+    problems = [problem] if single else list(problem)
+    if not problems:
+        return []
+    spec, exponent = problems[0].spec, problems[0].holder.exponent
+    if any(p.spec != spec or p.holder.exponent != exponent for p in problems):
+        raise ValueError("a block of problems must share the spec and the certificate exponent")
+    x0 = spec.x0
+    constants = np.array([p.holder.constant for p in problems])
+    outcomes: list[DeltaCertificate | InfeasibleProblemError | None] = [None] * len(problems)
+    open_rows = np.arange(len(problems))
     for power in range(1, _DELTA_CANDIDATE_FLOOR_POWER + 1):
+        if not open_rows.size:
+            break
         delta = 2.0**-power
-        q = contraction_modulus(delta, problem)
+        q = contraction_modulus(delta, problems[0])
         if q > (1.0 - _SAFETY_MARGIN):
             continue
         t = np.linspace(0.0, delta, check_nodes + 1)[1:]
-        f_vals = envelope_upper(t, problem)
-        h_vals = envelope_lower(t, problem)
-        if f_vals.max() > (1.0 - _SAFETY_MARGIN) * x0:
-            continue
-        if h_vals.min() < -(1.0 - _SAFETY_MARGIN) * 0.5 * x0:
-            continue
-        return DeltaCertificate(
-            delta=delta,
-            modulus=q,
-            margin_low=float((x0 + h_vals).min() - 0.5 * x0),
-            margin_high=float(2.0 * x0 - (x0 + f_vals).max()),
+        f_vals, h_vals = _envelopes(spec, t, constants[open_rows, None], exponent)
+        accepted = ~(
+            (f_vals.max(axis=1) > (1.0 - _SAFETY_MARGIN) * x0)
+            | (h_vals.min(axis=1) < -(1.0 - _SAFETY_MARGIN) * 0.5 * x0)
         )
-    raise InfeasibleProblemError(
-        f"no dyadic horizon down to 2^-{_DELTA_CANDIDATE_FLOOR_POWER} satisfies the "
-        f"certificate (driver constant {problem.holder.constant:.3g} too large?)"
-    )
+        for row, f_row, h_row in zip(open_rows[accepted], f_vals[accepted], h_vals[accepted]):
+            outcomes[row] = DeltaCertificate(
+                delta=delta,
+                modulus=q,
+                margin_low=float((x0 + h_row).min() - 0.5 * x0),
+                margin_high=float(2.0 * x0 - (x0 + f_row).max()),
+            )
+        open_rows = open_rows[~accepted]
+    for row in open_rows:
+        outcomes[row] = InfeasibleProblemError(
+            f"no dyadic horizon down to 2^-{_DELTA_CANDIDATE_FLOOR_POWER} satisfies the "
+            f"certificate (driver constant {problems[row].holder.constant:.3g} too large?)"
+        )
+    if single:
+        (outcome,) = outcomes
+        if isinstance(outcome, InfeasibleProblemError):
+            raise outcome
+        return outcome
+    return outcomes
+
+
+def certify_windows(
+    spec: SdeSpec,
+    draw: Callable[[int, float], FbmPath],
+    paths: Iterable[int],
+    exponent: float,
+    initial_window: float,
+    max_rounds: int,
+) -> dict[int, tuple[LocalProblem, DeltaCertificate] | Exception | None]:
+    """Certify for each path a window that its own driver permits.
+
+    ``draw(path, window)`` samples the path's noise on [0, window]; the
+    driver is ``spec.sigma`` times it, certified at Hoelder ``exponent``.
+    Each round draws every path still certifying on its trial window, scans
+    their Hoelder constants as one block and selects their horizons
+    together; a path whose certified horizon does not cover its window
+    retries on that horizon.  Maps each path to its (problem, certificate),
+    to the exception it raised, or to None when its window still shrinks
+    after ``max_rounds`` rounds.  One path's failure does not touch the
+    others.
+    """
+
+    outcomes: dict[int, tuple[LocalProblem, DeltaCertificate] | Exception | None] = {}
+    windows = dict.fromkeys(paths, initial_window)
+    for _ in range(max_rounds):
+        drivers: dict[int, FbmPath] = {}
+        for path, window in windows.items():
+            try:
+                drivers[path] = draw(path, window)
+            except Exception as exc:  # noqa: BLE001 - the failure is this path's own
+                outcomes[path] = exc
+        if not drivers:
+            return outcomes
+        holders = estimate_holder(
+            np.array([spec.sigma * driver.values for driver in drivers.values()]),
+            [driver.grid for driver in drivers.values()],
+            exponent,
+        )
+        problems: dict[int, LocalProblem] = {}
+        for (path, driver), holder in zip(drivers.items(), holders):
+            try:
+                problems[path] = LocalProblem(spec, driver, holder)
+            except Exception as exc:  # noqa: BLE001 - the failure is this path's own
+                outcomes[path] = exc
+        certificates = select_delta(list(problems.values()))
+        shrunk: dict[int, float] = {}
+        for (path, problem), certificate in zip(problems.items(), certificates):
+            if isinstance(certificate, InfeasibleProblemError):
+                outcomes[path] = certificate
+            elif certificate.delta >= windows[path] * (1.0 - 1e-12):
+                outcomes[path] = (problem, certificate)
+            else:
+                shrunk[path] = certificate.delta
+        windows = shrunk
+    outcomes.update(dict.fromkeys(windows))
+    return outcomes
 
 
 @dataclass

@@ -5,7 +5,8 @@ tests evaluate), a dense Cholesky sampler as the oracle of the circulant
 noise generator, Monte Carlo z-score machinery for the noise generator,
 report canonicalization for the determinism contract, the cell-by-cell CSV
 writer that the column-wise one must match byte for byte, and the scalar
-eps-continuity loop that the batched check must match exactly.
+eps-continuity loop and per-path contraction check that the batched checks
+must match exactly.
 """
 
 from __future__ import annotations
@@ -20,18 +21,27 @@ from singsde import (
     EpsContinuityResult,
     EpsilonFamily,
     EpsilonLadder,
+    ExperimentConfig,
     FbmPath,
     HurstParam,
+    LocalProblem,
     SdeSpec,
     SeedRecord,
     SolverError,
     TimeGrid,
     VerificationReport,
     build_families,
+    build_family,
+    estimate_holder,
+    fixed_point_residual,
     generate_fbm,
     path_stream,
+    picard_solve,
+    select_delta,
     solve_regularized,
+    zero_path,
 )
+from singsde import harness
 
 
 def closed_form(t: np.ndarray | float, x0: float, a: float, hurst_value: float):
@@ -232,6 +242,67 @@ def eps_continuity_oracle(
     )
 
 
+def contraction_oracle(config: ExperimentConfig, index: int) -> tuple[bool, float | None, str | None]:
+    """Per-path reference of the campaign's ``contraction`` check: (passed, violation, note).
+
+    One path at a time: the window certification loop with 1-D Hoelder
+    scans and one-problem horizon selections, the Picard solve, and one
+    ``build_family`` call for the window ladder.  Raises what the check
+    would record as the path's exception note.
+    """
+
+    spec = config.spec
+    beta = harness._HOLDER_EXPONENT_FRACTION * spec.hurst.value
+    seed = SeedRecord(config.master_seed, index)
+    window = harness._CONTRACTION_INITIAL_WINDOW
+    for _ in range(harness._CONTRACTION_MAX_RECERTIFICATIONS):
+        window_grid = TimeGrid(window, harness._CONTRACTION_WINDOW_STEPS)
+        if config.zero_noise:
+            window_noise = zero_path(window_grid, spec.hurst, seed)
+        else:
+            window_noise = generate_fbm(window_grid, spec.hurst, seed, substream=2)
+        holder = estimate_holder(spec.sigma * window_noise.values, window_grid, beta)
+        problem = LocalProblem(spec, window_noise, holder)
+        certificate = select_delta(problem)
+        if certificate.delta >= window * (1.0 - 1e-12):
+            break
+        window = certificate.delta
+    else:
+        return False, None, "window certification did not stabilize"
+
+    tolerance = harness._PICARD_TOLERANCE
+    result = picard_solve(problem, certificate, tolerance)
+    candidates: list[float] = []
+    notes: list[str] = []
+    ratios = [row[2] for row in result.log if math.isfinite(row[2])]
+    if ratios:
+        ratio_excess = max(ratios) - (certificate.modulus + harness._CONTRACTION_SLACK)
+        candidates.append(ratio_excess)
+        if ratio_excess > 0.0:
+            notes.append(
+                f"measured ratio {max(ratios):.4f} exceeds modulus {certificate.modulus:.4f} + slack"
+            )
+    window_ladder = harness._window_ladder(config.ladder, problem.grid.dt)
+    window_family = build_family(
+        spec, problem.noise, window_ladder, tol_mono=config.tolerances["tol_mono"]
+    )
+    allowed = window_family.cauchy_gap + harness._CONSISTENCY_EXTRA
+    consistency_gap = float(np.abs(result.values - window_family.limit_estimate).max())
+    consistency_excess = consistency_gap - allowed
+    candidates.append(consistency_excess)
+    if consistency_excess > 0.0:
+        notes.append(
+            f"fixed point differs from ladder limit by {consistency_gap:.3e} "
+            f"(allowed {allowed:.3e})"
+        )
+    residual_excess = fixed_point_residual(problem, result.values) - 2.0 * tolerance
+    candidates.append(residual_excess)
+    if residual_excess > 0.0:
+        notes.append("fixed-point residual exceeds twice the iteration tolerance")
+    violation = max(candidates)
+    return violation <= 0.0, violation, ("; ".join(notes) if notes else None)
+
+
 def canonical_report(report: VerificationReport | Mapping) -> dict:
     """Report content with the timing fields removed (the determinism view)."""
 
@@ -271,6 +342,4 @@ def per_cell_csv(columns: Sequence[tuple[str, Sequence | np.ndarray]], meta: Map
 
 
 def zero_noise_path(n: int, horizon: float, hurst_value: float) -> FbmPath:
-    from singsde import zero_path
-
     return zero_path(TimeGrid(horizon=horizon, step_count=n), HurstParam(hurst_value))

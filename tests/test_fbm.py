@@ -284,18 +284,70 @@ def test_estimate_holder_monotone_in_beta():
     assert constants[0] <= constants[1] <= constants[2]
 
 
+def pair_scan(values: np.ndarray, grid: TimeGrid, beta: float) -> float:
+    """The O(n^2) reference: the largest pair ratio over every pair of nodes."""
+
+    times = grid.nodes()
+    best = 0.0
+    for i in range(times.size):
+        for j in range(i + 1, times.size):
+            best = max(best, abs(values[j] - values[i]) / (times[j] - times[i]) ** beta)
+    return best
+
+
 def test_estimate_holder_matches_reference_scan():
     # The vectorized per-offset scan must equal the O(n^2) reference maximum.
     path = generate_fbm(TimeGrid(1.0, 128), H_QUARTER, SeedRecord(3, 0))
     beta = 0.125
-    times = path.grid.nodes()
-    reference = 0.0
-    for i in range(times.size):
-        for j in range(i + 1, times.size):
-            ratio = abs(path.values[j] - path.values[i]) / (times[j] - times[i]) ** beta
-            reference = max(reference, ratio)
     fast = estimate_holder(path.values, path.grid, beta=beta).constant
-    assert fast == pytest.approx(reference, rel=1e-12)
+    assert fast == pytest.approx(pair_scan(path.values, path.grid, beta), rel=1e-12)
+
+
+def offset_scan(values: np.ndarray, grid: TimeGrid, beta: float) -> float:
+    """The scalar per-offset scan: each offset's largest |difference| over (offset dt)^beta."""
+
+    best = 0.0
+    for offset in range(1, grid.step_count + 1):
+        spread = float(np.abs(values[offset:] - values[:-offset]).max())
+        ratio = spread / (offset * grid.dt) ** beta
+        if ratio > best:
+            best = ratio
+    return best
+
+
+def test_estimate_holder_block_rows_equal_their_one_path_scans():
+    # One block scan over rows on different grids (one step count, windows
+    # from 1 down to 2^-47, rows sharing a grid) gives each row exactly its
+    # 1-D scan and the scalar per-offset scan, whose denominators are Python
+    # float powers, and stays within rounding of the pair scan.
+    beta = 0.125
+    grids = [TimeGrid(2.0**-(power % 48), 96) for power in range(64)]
+    paths = [generate_fbm(grid, H_QUARTER, SeedRecord(21, i)) for i, grid in enumerate(grids)]
+    block = np.array([path.values for path in paths])
+    estimates = estimate_holder(block, grids, beta)
+    assert len(estimates) == len(paths)
+    for index, (path, estimate) in enumerate(zip(paths, estimates)):
+        assert estimate == estimate_holder(path.values, path.grid, beta)
+        assert estimate.grid == path.grid
+        assert estimate.constant == offset_scan(path.values, path.grid, beta)
+        if index % 16 == 0:
+            assert estimate.constant == pytest.approx(pair_scan(path.values, path.grid, beta), rel=1e-12)
+    shared = estimate_holder(block, grids[0], beta)
+    assert shared == [estimate_holder(row, grids[0], beta) for row in block]
+    assert estimate_holder(block[:0], [], beta) == []
+
+
+def test_estimate_holder_block_validation():
+    grid = TimeGrid(1.0, 8)
+    block = np.zeros((2, 9))
+    with pytest.raises(ValueError, match="need one grid per row, got 1 grids for 2 rows"):
+        estimate_holder(block, [grid], 0.1)
+    with pytest.raises(ValueError, match="same step count"):
+        estimate_holder(block, [grid, TimeGrid(1.0, 16)], 0.1)
+    with pytest.raises(ValueError, match="values must have 9 entries"):
+        estimate_holder(np.zeros((2, 8)), grid, 0.1)
+    with pytest.raises(ValueError, match="values must have 9 entries"):
+        estimate_holder(np.zeros(8), grid, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ command-line front end.
 from __future__ import annotations
 
 import importlib
-import inspect
 import json
 import math
 import os
@@ -14,6 +13,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import singsde
@@ -22,7 +22,9 @@ from singsde import (
     CHECK_ORDER,
     DEFAULT_TOLERANCES,
     ExperimentConfig,
+    FbmGenerationError,
     HurstParam,
+    PicardBandError,
     SolverError,
     config_digest,
     config_from_dict,
@@ -34,9 +36,10 @@ from singsde import (
 
 from singsde import harness as harness_module
 from singsde import ladder as ladder_module
+from singsde import picard as picard_module
 from singsde.cli import cli_dispatch
 
-from _support import canonical_report
+from _support import canonical_report, contraction_oracle
 
 H_QUARTER = HurstParam(0.25)
 
@@ -125,12 +128,10 @@ def test_readme_campaign_config_matches_the_code():
     assert config.tolerances == DEFAULT_TOLERANCES
     assert config.allowances == harness_module.DEFAULT_ALLOWANCES
     assert config.checks == CHECK_ORDER
-    rows = re.findall(r"^\| [^|]+ \| `(\w+)\.(\w+)(?:\((\w+)\))?` \| ([^|]+) \|", section, re.M)
-    assert len(rows) == 10
-    for module, name, parameter, value in rows:
+    rows = re.findall(r"^\| [^|]+ \| `(\w+)\.(\w+)` \| ([^|]+) \|", section, re.M)
+    assert len(rows) == 9
+    for module, name, value in rows:
         constant = getattr(importlib.import_module(f"singsde.{module}"), name)
-        if parameter:
-            constant = inspect.signature(constant).parameters[parameter].default
         assert constant == float(value), f"{module}.{name}: code {constant}, README {value}"
 
 
@@ -497,6 +498,222 @@ def test_eps_continuity_solver_error_is_recorded_per_path(tmp_path, monkeypatch)
         "path 0: SolverError: non-finite state at step 3 (eps=0.05, dt=0.00390625)"
     )
     assert report.checks["upper-bound"].fail_count == 0
+
+
+# ---------------------------------------------------------------------------
+# the batched contraction check
+# ---------------------------------------------------------------------------
+
+ALL_CHECKS_SPEC = {"x0": 0.5, "a": 1.5, "b": 0.5, "sigma": 1.0, "hurst": 0.25}
+
+# Specs on which the per-path oracle and the block must agree: the
+# all-checks-11 spec at its frozen and held-out seeds, zero noise, one spec
+# each at H = 0.05 (where most paths are infeasible and the others fail the
+# consistency comparison) and H = 0.45, and a ladder whose window ladder
+# underflows, so that every window group fails as a whole.
+CONTRACTION_CASES = {
+    "seed-99": {"seeds": {"master_seed": 99, "path_count": 16}},
+    "seed-4242": {"seeds": {"master_seed": 4242, "path_count": 16}},
+    "zero-noise": {"zero_noise": True},
+    "hurst-0.05": {"spec": {"x0": 1.0, "a": 0.01, "b": 0.5, "sigma": 0.3, "hurst": 0.05}},
+    "hurst-0.45": {"spec": {**ALL_CHECKS_SPEC, "hurst": 0.45}},
+    "window-ladder-underflow": {"ladder": {"eps0": 0.1, "ratio": 1e-80, "depth": 2}},
+}
+
+
+def contraction_config(out_dir, **overrides) -> ExperimentConfig:
+    """A contraction-only campaign on the all-checks-11 spec, 16 paths."""
+
+    data = config_dict(
+        spec=ALL_CHECKS_SPEC,
+        grid={"horizon": 1.0, "steps": 2048},
+        ladder={"eps0": 0.1, "ratio": 0.4, "depth": 8},
+        seeds={"master_seed": 99, "path_count": 16},
+        checks=["contraction"],
+        output_dir=str(out_dir),
+    )
+    data.update(overrides)
+    return config_from_dict(data)
+
+
+def as_record(outcome) -> tuple:
+    """(passed, violation, note), with an exception turned into the runner's note."""
+
+    if isinstance(outcome, Exception):
+        return False, None, f"{type(outcome).__name__}: {outcome}"
+    return outcome
+
+
+def oracle_records(config: ExperimentConfig) -> list[tuple]:
+    records = []
+    for index in range(config.path_count):
+        try:
+            outcome = contraction_oracle(config, index)
+        except Exception as exc:  # noqa: BLE001 - the runner's isolation policy
+            outcome = exc
+        records.append(as_record(outcome))
+    return records
+
+
+def block_records(config: ExperimentConfig) -> list[tuple]:
+    return [
+        as_record(outcome)
+        for outcome in harness_module._contraction_block(config, range(config.path_count))
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+def test_contraction_block_matches_the_per_path_oracle(tmp_path, case):
+    config = contraction_config(tmp_path, **CONTRACTION_CASES[case])
+    expected = oracle_records(config)
+    assert block_records(config) == expected
+    print(f"{case}: {sum(passed for passed, _, _ in expected)} of {len(expected)} pass")
+
+
+def test_contraction_block_outcomes_cover_pass_fail_and_error():
+    # The cases above reach every kind of outcome the check records.
+    notes = set()
+    for case in ("seed-99", "hurst-0.05"):
+        for passed, _, note in oracle_records(contraction_config("unused", **CONTRACTION_CASES[case])):
+            notes.add("pass" if passed else note.split(":")[0].split(" ")[0])
+    assert {"pass", "fixed", "InfeasibleProblemError"} <= notes
+
+
+@pytest.mark.parametrize("stage", ["driver", "picard", "window-family"])
+def test_contraction_failure_is_isolated_to_its_path(tmp_path, monkeypatch, stage):
+    # One path breaks at one stage of the batched check; it records its own
+    # exception note, and every other path's record equals the oracle's.
+    config = contraction_config(tmp_path)
+    expected = oracle_records(config)
+    broken = 5
+    if stage == "driver":
+        generate = harness_module.generate_fbm
+
+        def planted(grid, hurst, seed, substream=0):
+            if substream == 2 and seed.path_index == broken:
+                raise FbmGenerationError("planted driver failure")
+            return generate(grid, hurst, seed, substream=substream)
+
+        monkeypatch.setattr(harness_module, "generate_fbm", planted)
+        note = "FbmGenerationError: planted driver failure"
+    elif stage == "picard":
+        solve = harness_module.picard_solve
+
+        def planted(problem, certificate, tolerance):
+            if problem.noise.seed_record.path_index == broken:
+                raise PicardBandError("planted band escape")
+            return solve(problem, certificate, tolerance)
+
+        monkeypatch.setattr(harness_module, "picard_solve", planted)
+        note = "PicardBandError: planted band escape"
+    else:
+        build = harness_module.build_families
+
+        def planted(spec, noises, ladder, **kwargs):
+            noises = list(noises)
+            for noise, outcome in zip(noises, build(spec, noises, ladder, **kwargs)):
+                if ladder != config.ladder and noise.seed_record.path_index == broken:
+                    outcome = SolverError("planted non-finite state", 7)
+                yield outcome
+
+        monkeypatch.setattr(harness_module, "build_families", planted)
+        note = "SolverError: planted non-finite state"
+
+    records = block_records(config)
+    assert records[broken] == (False, None, note)
+    assert records[:broken] + records[broken + 1 :] == expected[:broken] + expected[broken + 1 :]
+    record = run_campaign(config).checks["contraction"]
+    assert record.failures == (f"path {broken}: {note}",)
+    assert record.pass_count == sum(passed for passed, _, _ in expected) - 1
+
+
+def test_contraction_block_failure_is_recorded_per_path(tmp_path, monkeypatch):
+    # A failure of the work a block shares is each of its paths' failure; the
+    # campaign and the other checks go on.
+    def broken_scan(values, grid, beta):
+        raise RuntimeError("planted scan failure")
+
+    monkeypatch.setattr(picard_module, "estimate_holder", broken_scan)
+    report = run_campaign(
+        contraction_config(
+            tmp_path,
+            seeds={"master_seed": 99, "path_count": 3},
+            checks=["upper-bound", "contraction"],
+        )
+    )
+    assert report.checks["contraction"].failures == tuple(
+        f"path {index}: RuntimeError: planted scan failure" for index in range(3)
+    )
+    assert report.checks["upper-bound"].fail_count == 0
+
+
+def test_contraction_window_certification_that_does_not_stabilize(tmp_path, monkeypatch):
+    # With one certification round, a path whose first trial window is not
+    # covered by its certificate records the isolation note; the block and
+    # the oracle agree path by path.
+    monkeypatch.setattr(harness_module, "_CONTRACTION_MAX_RECERTIFICATIONS", 1)
+    config = contraction_config(tmp_path)
+    expected = oracle_records(config)
+    assert block_records(config) == expected
+    unstable = [i for i, record in enumerate(expected) if record[2] == "window certification did not stabilize"]
+    assert unstable
+    record = run_campaign(config).checks["contraction"]
+    assert record.fail_count == len(unstable)
+    assert f"path {unstable[0]}: window certification did not stabilize" in record.failures
+
+
+def test_contraction_runs_one_window_solve_per_certified_window(tmp_path, monkeypatch):
+    # Guard against a return to per-path work, by call counts: the window
+    # families of one certified window are one build_families call, no
+    # build_family call is made, and the Hoelder scan runs once per round on
+    # a block of every path still certifying.
+    config = contraction_config(tmp_path)
+    window_grids: list = []
+    scanned_rows: list[int] = []
+    attempts: dict[int, int] = {}
+
+    build = harness_module.build_families
+
+    def counting_build(spec, noises, ladder, **kwargs):
+        if ladder != config.ladder:
+            noises = list(noises)
+            window_grids.append({noise.grid for noise in noises})
+        return build(spec, noises, ladder, **kwargs)
+
+    def no_build_family(*args, **kwargs):
+        raise AssertionError("build_family called")
+
+    scan = picard_module.estimate_holder
+
+    def counting_scan(values, grid, beta):
+        assert np.ndim(values) == 2
+        scanned_rows.append(len(values))
+        return scan(values, grid, beta)
+
+    generate = harness_module.generate_fbm
+
+    def counting_generate(grid, hurst, seed, substream=0):
+        if substream == 2:
+            attempts[seed.path_index] = attempts.get(seed.path_index, 0) + 1
+        return generate(grid, hurst, seed, substream=substream)
+
+    monkeypatch.setattr(harness_module, "build_families", counting_build)
+    monkeypatch.setattr(ladder_module, "build_families", counting_build)
+    monkeypatch.setattr(harness_module, "build_family", no_build_family, raising=False)
+    monkeypatch.setattr(ladder_module, "build_family", no_build_family)
+    monkeypatch.setattr(picard_module, "estimate_holder", counting_scan)
+    monkeypatch.setattr(harness_module, "generate_fbm", counting_generate)
+    record = run_campaign(config).checks["contraction"]
+
+    assert record.pass_count == 16
+    assert all(len(grids) == 1 for grids in window_grids)
+    distinct = [grid for grids in window_grids for grid in grids]
+    assert len(distinct) == len(set(distinct)) >= 2
+    assert sorted(attempts) == list(range(16))
+    assert len(scanned_rows) == max(attempts.values()) >= 2
+    assert scanned_rows[0] == 16
+    assert sum(scanned_rows) == sum(attempts.values())
+    print(f"{len(distinct)} window solves, Hoelder blocks of {scanned_rows} rows")
 
 
 def test_render_report_table(tmp_path):

@@ -23,6 +23,7 @@ from singsde import (
     compute_compensator,
     generate_fbm,
     identity_residual,
+    kernel_column,
     nonpositive_measure,
     solve_regularized,
     verify_eps_continuity,
@@ -377,6 +378,29 @@ def test_singular_integral_constant_path():
     assert residual[0] == 0.0
     assert -residual[-1] == pytest.approx(1.0, abs=1e-12)  # 2 / c with c = 2
     assert compute_compensator(hand_built_family([values] * 3)).flagged_nodes.size == 0
+
+
+def test_identity_residual_reuses_one_read_only_kernel_per_grid():
+    # The zero-level kernel is computed once per (grid, H) and shared, so it
+    # must equal a fresh kernel_column and refuse writes.
+    grid = TimeGrid(2.0**-20, 256)
+    kernel = ladder_module._identity_kernel(grid, H_QUARTER)
+    assert np.array_equal(kernel, kernel_column(grid, 0.0, H_QUARTER))
+    assert ladder_module._identity_kernel(TimeGrid(2.0**-20, 256), H_QUARTER) is kernel
+    assert ladder_module._identity_kernel(grid, HurstParam(0.45)) is not kernel
+    with pytest.raises(ValueError, match="read-only"):
+        kernel[0] = 1.0
+    spec = make_spec(b=0.5, sigma=0.7)
+    values = np.linspace(1.0, 1.5, 257)
+    noise = np.linspace(0.0, 0.3, 257)
+    residual = identity_residual(values, noise, spec, grid, 3, 200, 1.1, 1e-6)
+    x = values[3:201]
+    singular = np.concatenate(
+        [[0.0], np.cumsum(kernel_column(grid, 0.0, H_QUARTER)[3:200] / np.maximum(x[1:], 1e-6))]
+    )
+    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * grid.dt)])
+    expected = x - 1.1 - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise[3:201] - noise[3])
+    assert np.array_equal(residual, expected)
 
 
 def test_singular_integral_closed_form_identity():

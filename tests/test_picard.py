@@ -6,6 +6,7 @@ preservation, uniqueness, and the certified contraction rate.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from singsde import (
     select_delta,
     zero_path,
 )
-from singsde.picard import PicardConvergenceError, envelope_lower, envelope_upper
+from singsde.picard import DeltaCertificate, PicardConvergenceError, _envelopes
 
 from _support import closed_form
 
@@ -75,14 +76,9 @@ def test_contraction_modulus_formula():
 
 def test_envelopes_never_cross():
     # f - h = a t^{2H}/(2 H x0) + b x0 t / 2 + 2 C t^beta >= 0 identically.
-    grid = TimeGrid(1.0, 512)
-    rough = LocalProblem(
-        SdeSpec(x0=0.7, a=1.3, b=0.8, sigma=1.0, hurst=H_QUARTER),
-        zero_path(grid, H_QUARTER),
-        HolderEstimate(exponent=0.125, constant=2.5, grid=grid),
-    )
-    t = np.linspace(0.0, 1.0, 513)
-    assert np.all(envelope_upper(t, rough) >= envelope_lower(t, rough) - 1e-15)
+    spec = SdeSpec(x0=0.7, a=1.3, b=0.8, sigma=1.0, hurst=H_QUARTER)
+    upper, lower = _envelopes(spec, np.linspace(0.0, 1.0, 513), 2.5, 0.125)
+    assert np.all(upper >= lower - 1e-15)
 
 
 def test_select_delta_infeasible_for_enormous_constant():
@@ -94,6 +90,58 @@ def test_select_delta_infeasible_for_enormous_constant():
     )
     with pytest.raises(InfeasibleProblemError):
         select_delta(hopeless)
+
+
+def one_candidate_at_a_time(problem: LocalProblem, check_nodes: int = 256) -> DeltaCertificate | None:
+    """Reference selector for one problem: the dyadic candidates in turn, None if none passes."""
+
+    x0 = problem.spec.x0
+    for power in range(1, 41):
+        delta = 2.0**-power
+        q = contraction_modulus(delta, problem)
+        if q > 0.95:
+            continue
+        t = np.linspace(0.0, delta, check_nodes + 1)[1:]
+        f, h = _envelopes(problem.spec, t, problem.holder.constant, problem.holder.exponent)
+        if f.max() > 0.95 * x0 or h.min() < -0.95 * 0.5 * x0:
+            continue
+        return DeltaCertificate(
+            delta, q, float((x0 + h).min() - 0.5 * x0), float(2.0 * x0 - (x0 + f).max())
+        )
+    return None
+
+
+def test_select_delta_block_matches_one_problem_at_a_time():
+    # Rows resolve at different candidates (and one never does); each row of
+    # the block gets exactly its own certificate or its own error.
+    grid = TimeGrid(2.0**-10, 256)
+    spec = SdeSpec(x0=0.5, a=1.5, b=0.5, sigma=1.0, hurst=H_QUARTER)
+    constants = [0.0, 0.3, 2.0, 1e40, 7.5, 0.3]
+    problems = [
+        LocalProblem(spec, zero_path(grid, H_QUARTER), HolderEstimate(0.125, c, grid))
+        for c in constants
+    ]
+    block = select_delta(problems)
+    assert len(block) == len(problems)
+    assert len({outcome.delta for outcome in block if isinstance(outcome, DeltaCertificate)}) >= 3
+    for problem, outcome in zip(problems, block):
+        expected = one_candidate_at_a_time(problem)
+        if expected is None:
+            assert isinstance(outcome, InfeasibleProblemError)
+            assert "driver constant 1e+40" in str(outcome)
+            with pytest.raises(InfeasibleProblemError, match=re.escape(str(outcome))):
+                select_delta(problem)
+        else:
+            assert outcome == expected
+            assert select_delta(problem) == expected
+    assert select_delta([]) == []
+    damped = LocalProblem(
+        SdeSpec(x0=0.5, a=1.5, b=0.6, sigma=1.0, hurst=H_QUARTER),
+        zero_path(grid, H_QUARTER),
+        HolderEstimate(0.125, 0.3, grid),
+    )
+    with pytest.raises(ValueError, match="must share the spec"):
+        select_delta([problems[0], damped])
 
 
 def test_select_delta_needs_check_nodes():
