@@ -660,6 +660,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
                 [certified[index][0].noise for index in results],
                 _window_ladder(config.ladder, grid.dt),
                 tol_mono=config.tolerances["tol_mono"],
+                keep_values=False,
             )
             for (index, result), family in zip(results.items(), families):
                 if isinstance(family, SolverError):
@@ -993,6 +994,7 @@ def _path_families(
         config.ladder,
         tol_mono=config.tolerances["tol_mono"],
         eps_continuity=_EPS_CONTINUITY if "eps-continuity" in config.checks else None,
+        keep_values=config.save_families,
     )
     started = time.perf_counter()
     for family in families:

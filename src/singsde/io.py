@@ -195,8 +195,13 @@ def write_solution_csv(
 def write_family_csv(
     family: EpsilonFamily, target, extra_meta: Mapping[str, object] | None = None
 ) -> None:
-    """Ladder export: (t, noise, X_eps_0 .. X_eps_J, limit_estimate)."""
+    """Ladder export: (t, noise, X_eps_0 .. X_eps_J, limit_estimate).
 
+    The family must keep its levels (``build_families(..., keep_values=True)``).
+    """
+
+    if family.values is None:
+        raise ValueError("the family keeps no levels to export; build it with keep_values=True")
     spec = family.spec
     meta: dict[str, object] = {
         "format_version": FORMAT_VERSION,

@@ -13,7 +13,12 @@ the limit estimate's error budget throughout — the convergence is monotone
 with no proven rate, so reporting the remaining gap is the honest
 extrapolation.
 Families of many paths are solved together: every path and level of a chunk
-advance through one batched recursion (:func:`build_families`).
+advance through one batched recursion (:func:`build_families`), and each time
+block of it is folded into exact per-path reductions as it leaves the step
+loop.  A family keeps its limit row and the reductions its checks read; it
+keeps every level only when built with ``keep_values``.  A chunk is sized by
+the rows each of its paths keeps alive, so a campaign chunk that keeps no
+levels holds several times more paths than one that does.
 
 Verification operations check, per path: the ordering itself, a uniform upper
 bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma sup|B|``, decay of the
@@ -31,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,6 +48,7 @@ from .sde import (
     _drift_table,
     _first_non_finite,
     _integrate_batch,
+    _solver_error,
     kernel_column,
     solve_batch,
 )
@@ -73,9 +79,10 @@ DEFAULT_TOL_BOUND = 1e-9
 DEFAULT_FLOOR_SCALE = 1e-6
 COMPENSATOR_BUDGET_EXTRA = 1e-6
 
-# Solution values per solver chunk (16 MiB of float64): 11 paths of an
-# 11-level ladder on 2^14 steps.  Larger chunks spread the per-step ufunc
-# overhead over more paths but cost resident memory.
+# Values a solver chunk keeps alive (16 MiB of float64), counted as the rows
+# its paths retain: on 2^14 steps, 63 paths that keep a noise and a limit row,
+# or 10 that keep a noise row and 11 levels.  Larger chunks spread the
+# per-step ufunc overhead over more paths but cost resident memory.
 _CHUNK_VALUES = 2**21
 
 
@@ -106,15 +113,26 @@ class EpsilonLadder:
 
 @dataclass
 class EpsilonFamily:
-    """All ladder levels on one grid under one noise path.
+    """All ladder levels on one grid under one noise path, kept as exact reductions.
 
-    ``values`` holds one row per level, shape (levels, nodes), shallowest
-    first; its last row is the limit estimate.  ``cauchy_gap`` is the
-    sup-distance between the two deepest levels.
-    ``mono_violation_count`` / ``mono_worst_deficit`` record how often and how
-    badly the shared-noise ordering failed beyond the rounding tolerance
-    (zero in correct operation: when ``b dt < 1`` the drift-implicit step
-    orders the levels exactly, so only rounding can break the ordering).
+    ``limit_estimate`` is the deepest level's row.  ``values`` holds every
+    level, shape (levels, nodes), shallowest first, when the family was built
+    to keep them (``keep_values``), else None; its last row is the limit row.
+    Besides the limit row, the checks read only these reductions, each equal
+    to the same reduction of the full values:
+
+    - ``value_max``, the largest value over every level and node;
+    - ``nonpositive_counts``, per level, the number of nodes k >= 1 with
+      X_k <= 0;
+    - ``nested_breaks``, per pair of adjacent levels (j, j + 1), whether some
+      node k >= 1 is nonpositive on level j + 1 but not on level j;
+    - ``cauchy_gap``, the sup-distance between the two deepest levels;
+    - ``mono_violation_count`` / ``mono_worst_deficit``, how often and how
+      badly the shared-noise ordering failed beyond the rounding tolerance on
+      nodes k >= 1 (zero in correct operation: when ``b dt < 1`` the
+      drift-implicit step orders the levels exactly, so only rounding can
+      break the ordering).
+
     ``eps_continuity`` is the path's :func:`verify_eps_continuity` outcome
     when the family was built with that probe, else None.
     """
@@ -122,15 +140,30 @@ class EpsilonFamily:
     spec: SdeSpec
     noise: FbmPath
     ladder: EpsilonLadder
-    values: np.ndarray
+    limit_estimate: np.ndarray
+    value_max: float
+    nonpositive_counts: np.ndarray
+    nested_breaks: np.ndarray
     cauchy_gap: float
     mono_violation_count: int
     mono_worst_deficit: float
+    values: np.ndarray | None = None
     eps_continuity: EpsContinuityResult | SolverError | None = None
 
-    @property
-    def limit_estimate(self) -> np.ndarray:
-        return self.values[-1]
+    def __post_init__(self) -> None:
+        nodes = self.noise.grid.step_count + 1
+        if self.limit_estimate.shape != (nodes,):
+            raise ValueError(
+                f"limit_estimate must have {nodes} entries, got shape {self.limit_estimate.shape}"
+            )
+        if self.values is None:
+            return
+        if self.values.shape != (self.ladder.depth + 1, nodes):
+            raise ValueError(
+                f"values must have shape {(self.ladder.depth + 1, nodes)}, got {self.values.shape}"
+            )
+        if not np.array_equal(self.values[-1], self.limit_estimate):
+            raise ValueError("the last row of values must be the limit row")
 
     @property
     def noise_ref(self) -> str:
@@ -141,27 +174,148 @@ class EpsilonFamily:
         return self.noise.grid
 
 
+class _Reductions:
+    """The per-path reductions of one solve, folded one time block at a time.
+
+    Built from node 0's values, shape (paths, levels); :meth:`fold` takes the
+    later nodes in order, in time-major blocks of shape (steps, paths, levels).
+    Every reduction is a max, a count, an or, a first index or a copy, so
+    folding block by block gives exactly the reduction over all nodes at once.
+    Each block is reduced over its time axis first, which is the fast axis of
+    a time-major block.  With ``keep_values`` every level is copied into one
+    (levels, nodes) array per path; otherwise only the deepest level is kept.
+    """
+
+    def __init__(self, head: np.ndarray, nodes: int, tol_mono: float, keep_values: bool):
+        paths, levels = head.shape
+        self.tol_mono = tol_mono
+        self.value_max = head.copy()
+        self.nonpositive_counts = np.zeros((paths, levels), dtype=np.int64)
+        self.nested_breaks = np.zeros((paths, levels - 1), dtype=bool)
+        self.mono_count = np.zeros(paths, dtype=np.int64)
+        self.mono_worst = np.zeros(paths)
+        self.gap = np.abs(head[:, -1] - head[:, -2])
+        # per (path, level): the first node with a non-finite state, or -1
+        self.first_non_finite = np.where(np.isfinite(head), -1, 0)
+        self.values: list[np.ndarray] | None = None
+        self.limit: np.ndarray | None = None
+        if keep_values:
+            self.values = [np.empty((levels, nodes)) for _ in range(paths)]
+            for rows, first in zip(self.values, head):
+                rows[:, 0] = first
+        else:
+            self.limit = np.empty((paths, nodes))
+            self.limit[:, 0] = head[:, -1]
+
+    def fold(self, first: int, block: np.ndarray) -> None:
+        """Fold in nodes ``first .. first + steps - 1``, given as a (steps, paths, levels) block."""
+
+        stop = first + len(block)
+        # In the flattened block entry i + 1 is the next level of entry i's
+        # path, unless entry i is a path's deepest level.  So adjacent levels
+        # are compared on the flat block, and the last level column, which
+        # holds the pairs that straddle two paths, is dropped.
+        flat = np.ascontiguousarray(block).reshape(-1)
+        with np.errstate(invalid="ignore"):  # a non-finite path is reported, not reduced
+            top = block.max(axis=0)
+            if not (np.isfinite(top).all() and np.isfinite(block.min(axis=0)).all()):
+                finite = np.isfinite(block)
+                fresh = ~finite.all(axis=0) & (self.first_non_finite < 0)
+                self.first_non_finite[fresh] = first + np.argmin(finite, axis=0)[fresh]
+            np.maximum(self.value_max, top, out=self.value_max)
+
+            nonpositive = flat <= 0.0
+            self.nonpositive_counts += nonpositive.reshape(block.shape).sum(axis=0, dtype=np.int32)
+            entering = np.empty(block.shape, dtype=bool)
+            np.greater(nonpositive[1:], nonpositive[:-1], out=entering.reshape(-1)[:-1])
+            self.nested_breaks |= np.logical_or.reduce(entering, axis=0)[:, :-1]
+
+            # A deficit beyond a nonnegative tolerance needs a shallow value
+            # above the deep one, and that is rare, so the deficits are only
+            # computed for a block that has one.
+            ahead = np.empty(block.shape, dtype=bool)
+            np.greater(flat[:-1], flat[1:], out=ahead.reshape(-1)[:-1])
+            ahead[..., -1] = False
+            if ahead.any() or not self.tol_mono >= 0.0:
+                deficit = np.empty(block.shape)
+                np.subtract(flat[:-1], flat[1:], out=deficit.reshape(-1)[:-1])
+                mask = deficit > self.tol_mono
+                mask[..., -1] = False
+                self.mono_count += mask.sum(axis=0).sum(axis=1)
+                worst = np.where(mask, deficit, 0.0).max(axis=0).max(axis=1)
+                np.maximum(self.mono_worst, worst, out=self.mono_worst)
+            gap = np.abs(block[..., -1] - block[..., -2]).max(axis=0)
+            np.maximum(self.gap, gap, out=self.gap)
+        if self.values is None:
+            self.limit[:, first:stop] = block[..., -1].T
+        else:
+            for path, rows in enumerate(self.values):
+                rows[:, first:stop] = block[:, path].T
+
+    def family(
+        self,
+        path: int,
+        spec: SdeSpec,
+        noise: FbmPath,
+        ladder: EpsilonLadder,
+        eps_continuity: EpsContinuityResult | SolverError | None = None,
+    ) -> EpsilonFamily | SolverError:
+        """The path's family, or the error of its first level with a non-finite state.
+
+        The error is the one :func:`_first_non_finite` gives for the path's
+        full (levels, nodes) values.
+        """
+
+        failing = np.flatnonzero(self.first_non_finite[path] >= 0)
+        if failing.size:
+            level = int(failing[0])
+            step = int(self.first_non_finite[path, level])
+            return _solver_error(step, float(ladder.levels()[level]), noise.grid.dt)
+        values = None if self.values is None else self.values[path]
+        return EpsilonFamily(
+            spec=spec,
+            noise=noise,
+            ladder=ladder,
+            limit_estimate=self.limit[path].copy() if values is None else values[-1],
+            value_max=float(self.value_max[path].max()),
+            nonpositive_counts=self.nonpositive_counts[path].copy(),
+            nested_breaks=self.nested_breaks[path].copy(),
+            cauchy_gap=float(self.gap[path]),
+            mono_violation_count=int(self.mono_count[path]),
+            mono_worst_deficit=float(self.mono_worst[path]),
+            values=values,
+            eps_continuity=eps_continuity,
+        )
+
+
 def build_families(
     spec: SdeSpec,
     noises: Iterable[FbmPath],
     ladder: EpsilonLadder,
     tol_mono: float = DEFAULT_TOL_MONO,
     eps_continuity: tuple[float, Sequence[float]] | None = None,
+    keep_values: bool = True,
 ) -> Iterator[EpsilonFamily | SolverError]:
     """Solve every ladder level on each noise path, one batched chunk at a time.
 
     Yields, in input order, one :class:`EpsilonFamily` per noise, or the
     :class:`SolverError` that :func:`solve_regularized` would raise for it (the
     first failing level, at its first non-finite step).  A failing path does
-    not disturb the others in its chunk.  Noises are drawn from the iterable
-    lazily, one chunk of about ``_CHUNK_VALUES`` solution values ahead, and
-    must all share one grid and the spec's roughness.  Each family owns a copy
-    of its values; none aliases the chunk buffer.  The chunk buffer is
-    allocated once, for the first chunk, and reused for the later ones.
+    not disturb the others in its chunk.  Noises must all share one grid and
+    the spec's roughness.
+
+    Each time block of a chunk's solve is folded into the families'
+    reductions as it leaves the step loop, so a family keeps its limit row
+    and, with ``keep_values``, its own copy of every level; nothing else of
+    the solve outlives the block.  A chunk is sized by the rows each of its
+    paths keeps alive: the noise row and the limit row, or the noise row and
+    every level with ``keep_values``, at about ``_CHUNK_VALUES`` values in all.
+    Noises are drawn from the iterable lazily, one chunk ahead.
 
     With ``eps_continuity = (eps_star, offsets)``, each chunk first runs
     :func:`verify_eps_continuity` on its noise block, and every family carries
-    its path's outcome; only the reduced gap tables outlive that call.
+    its path's outcome; only the reduced gap tables outlive that call, and the
+    chunk is narrow enough for that call's full output too.
     """
 
     if ladder.depth < 2:
@@ -172,58 +326,92 @@ def build_families(
     if first is None:
         return
     grid = first.grid
-    probe_levels = 0 if eps_continuity is None else 1 + 2 * len(eps_continuity[1])
-    width = max(1, _CHUNK_VALUES // (max(levels.size, probe_levels) * (grid.step_count + 1)))
-    chunk = [first, *islice(noises, width - 1)]
+    rows = 1 + (levels.size if keep_values else 1)
+    if eps_continuity is not None:
+        rows = max(rows, 1 + 2 * len(eps_continuity[1]))
+    width = max(1, _CHUNK_VALUES // (rows * (grid.step_count + 1)))
     table = _drift_table(spec, levels, grid)
-    buffer = np.empty((grid.step_count + 1, len(chunk), levels.size))
-    while chunk:
-        for noise in chunk:
-            if noise.hurst != spec.hurst:
-                raise ValueError(
-                    f"noise roughness {noise.hurst.value} differs from spec roughness "
-                    f"{spec.hurst.value}"
-                )
-            if noise.grid != grid:
-                raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
+    noises = chain([first], noises)
+    while chunk := list(islice(noises, width)):
+        yield from _chunk_families(
+            spec, ladder, grid, table, chunk, tol_mono, eps_continuity, keep_values
+        )
+        del chunk  # the chunk's noises go before the next chunk's are drawn
+
+
+def _chunk_families(
+    spec: SdeSpec,
+    ladder: EpsilonLadder,
+    grid: TimeGrid,
+    table: np.ndarray,
+    chunk: list[FbmPath],
+    tol_mono: float,
+    eps_continuity: tuple[float, Sequence[float]] | None,
+    keep_values: bool,
+) -> Iterator[EpsilonFamily | SolverError]:
+    """Check and solve one chunk of noises, and yield its outcomes in order."""
+
+    for noise in chunk:
+        if noise.hurst != spec.hurst:
+            raise ValueError(
+                f"noise roughness {noise.hurst.value} differs from spec roughness "
+                f"{spec.hurst.value}"
+            )
+        if noise.grid != grid:
+            raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
+    levels = ladder.levels()
+    if eps_continuity is None:
+        probes: list[EpsContinuityResult | SolverError | None] = [None] * len(chunk)
+    else:
         block = np.array([noise.values for noise in chunk])
-        if eps_continuity is None:
-            probes: list[EpsContinuityResult | SolverError | None] = [None] * len(chunk)
-        else:
-            probes = verify_eps_continuity(spec, grid, block, *eps_continuity)
-        solved = _integrate_batch(spec, levels, grid, table, block, buffer[:, : len(chunk)])
-        for path, (noise, probe) in enumerate(zip(chunk, probes)):
-            values = solved[:, path].T.copy()
-            yield _family(spec, noise, ladder, levels, values, tol_mono, probe)
-        chunk = list(islice(noises, width))
+        probes = verify_eps_continuity(spec, grid, block, *eps_continuity)
+        del block  # the probe's copy of the noise goes before the ladder solve
+    reductions = _solve_reduced(spec, levels, table, chunk, tol_mono, keep_values)
+    for path, (noise, probe) in enumerate(zip(chunk, probes)):
+        yield reductions.family(path, spec, noise, ladder, probe)
+
+
+def _solve_reduced(
+    spec: SdeSpec,
+    levels: np.ndarray,
+    table: np.ndarray,
+    chunk: list[FbmPath],
+    tol_mono: float,
+    keep_values: bool,
+) -> _Reductions:
+    """The reductions of every path and level of the chunk, its solve folded block by block.
+
+    A function of its own, so that the solve's scratch blocks are released
+    before the chunk's families are handed out.
+    """
+
+    grid = chunk[0].grid
+    head = np.broadcast_to(spec.x0, (len(chunk), levels.size))
+    reductions = _Reductions(head, grid.step_count + 1, tol_mono, keep_values)
+    noise_rows = [noise.values for noise in chunk]
+    for first, values in _integrate_batch(spec, levels, grid, table, noise_rows):
+        reductions.fold(first, values)
+    return reductions
 
 
 def _family(
     spec: SdeSpec,
     noise: FbmPath,
     ladder: EpsilonLadder,
-    levels: np.ndarray,
     values: np.ndarray,
-    tol_mono: float,
-    eps_continuity: EpsContinuityResult | SolverError | None,
+    tol_mono: float = DEFAULT_TOL_MONO,
+    eps_continuity: EpsContinuityResult | SolverError | None = None,
 ) -> EpsilonFamily | SolverError:
-    """Wrap one path's (levels, nodes) block, or report its first non-finite state."""
+    """A family of given (levels, nodes) values, which it keeps: the reducer over one block.
 
-    failure = _first_non_finite(values, levels, noise.grid.dt)
-    if failure is not None:
-        return failure
-    deficit = values[:-1, 1:] - values[1:, 1:]
-    mask = deficit > tol_mono
-    return EpsilonFamily(
-        spec=spec,
-        noise=noise,
-        ladder=ladder,
-        values=values,
-        cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
-        mono_violation_count=int(mask.sum()),
-        mono_worst_deficit=float(deficit[mask].max(initial=0.0)),
-        eps_continuity=eps_continuity,
-    )
+    Returns the :class:`SolverError` that :func:`_first_non_finite` gives when
+    a value is not finite.
+    """
+
+    values = np.asarray(values, dtype=float)
+    reductions = _Reductions(values[None, :, 0], values.shape[1], tol_mono, keep_values=True)
+    reductions.fold(1, values[:, 1:].T[:, None, :])
+    return reductions.family(0, spec, noise, ladder, eps_continuity)
 
 
 def build_family(
@@ -234,7 +422,8 @@ def build_family(
 ) -> EpsilonFamily:
     """Solve every ladder level on the shared noise and record the diagnostics.
 
-    The one-noise case of :func:`build_families`; raises its :class:`SolverError`.
+    The one-noise case of :func:`build_families`, keeping every level; raises
+    its :class:`SolverError`.
     """
 
     (outcome,) = build_families(spec, [noise], ladder, tol_mono)
@@ -267,7 +456,7 @@ def verify_upper_bound(family: EpsilonFamily, tol_bound: float = DEFAULT_TOL_BOU
     constant = spec.x0 + spec.a * grid.horizon**two_h / (spec.hurst.value * spec.x0)
     noise_sup = float(np.abs(family.noise.values).max())
     bound = constant + 2.0 * spec.sigma * noise_sup
-    max_violation = float(family.values.max()) - bound
+    max_violation = family.value_max - bound
     return BoundCertificate(
         constant=constant,
         noise_sup=noise_sup,
@@ -283,7 +472,7 @@ def nonpositive_measure(family: EpsilonFamily) -> np.ndarray:
     Entry j is dt * #{k >= 1 : X^{eps_j}_k <= 0}.
     """
 
-    return family.grid.dt * np.count_nonzero(family.values[:, 1:] <= 0.0, axis=1)
+    return family.grid.dt * family.nonpositive_counts
 
 
 @dataclass(frozen=True)
@@ -318,8 +507,7 @@ def verify_nested_zero_sets(family: EpsilonFamily) -> tuple[bool, int]:
     ordering slip that flips a set membership is caught and localized.
     """
 
-    nonpositive = family.values[:, 1:] <= 0.0
-    breaks = np.flatnonzero((nonpositive[1:] & ~nonpositive[:-1]).any(axis=1))
+    breaks = np.flatnonzero(family.nested_breaks)
     if breaks.size:
         return False, int(breaks[0]) + 1
     return True, -1

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,6 +113,12 @@ def kernel_column(grid: TimeGrid, epsilon: float, hurst: HurstParam) -> np.ndarr
     return np.diff(powered) / two_h
 
 
+def _solver_error(step: int, epsilon: float, dt: float) -> SolverError:
+    """The one message every solver gives for a level's first non-finite state."""
+
+    return SolverError(f"non-finite state at step {step} (eps={epsilon}, dt={dt})", step_index=step)
+
+
 def _first_non_finite(
     values: np.ndarray, levels: np.ndarray | tuple[float, ...], dt: float
 ) -> SolverError | None:
@@ -119,18 +126,14 @@ def _first_non_finite(
 
     ``values`` is one path's (levels, nodes) block and ``levels`` its
     regularization levels; the error names the first non-finite step of that
-    level.  Every solver reports its failures through this one message.
+    level.
     """
 
     finite = np.isfinite(values)
     if finite.all():
         return None
     level = int(np.argmin(finite.all(axis=1)))
-    step = int(np.argmin(finite[level]))
-    return SolverError(
-        f"non-finite state at step {step} (eps={float(levels[level])}, dt={dt})",
-        step_index=step,
-    )
+    return _solver_error(int(np.argmin(finite[level])), float(levels[level]), dt)
 
 
 def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> RegularizedPath:
@@ -180,7 +183,10 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
     )
 
 
-_BLOCK_VALUES = 2**17
+# Entries per scratch array of the batched step loop (512 KiB of float64),
+# which holds four: the time block's drifts, drift ratios, pushes and values.
+# A larger block shortens no step, and costs memory next to every chunk.
+_BLOCK_VALUES = 2**16
 
 
 def _drift_table(spec: SdeSpec, eps_levels: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -197,41 +203,49 @@ def _integrate_batch(
     eps_levels: np.ndarray,
     grid: TimeGrid,
     table: np.ndarray,
-    noise_values: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Step every path and level of ``out`` (time-major: nodes x paths x levels).
+    noise_rows: Sequence[np.ndarray],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Step every path and level, yielding ``(first node, values)`` per time block.
 
-    ``table`` is :func:`_drift_table` for the same spec, levels and grid.  The
-    buffer carries ``v = X + eps``, as the scalar solver does, and each entry
-    goes through the scalar recursion's operations in the same order,
-    ``h = v (1 - b dt)/2 + (sigma dB/2 + eps b dt/2)`` and
-    ``v' = h + min(sqrt(h h + c), h + c/eps)``, so the result is bit-identical
-    to :func:`solve_regularized`.  ``eps`` is subtracted from the whole buffer
-    once at the end, and row 0 is reset to ``x0`` (``(x0 + eps) - eps`` need
-    not round back to ``x0``).  Non-finite states are left in place; the
-    caller inspects each path.
+    ``noise_rows`` holds one driver path per row (a 2-D array or a list of
+    rows) and ``table`` is :func:`_drift_table` for the same spec, levels and
+    grid.  Each yielded block is time-major, shape (steps, paths, levels), and
+    holds the solution at nodes ``first .. first + steps - 1``; together the
+    blocks cover nodes 1..n in order.  Node 0 is ``x0`` on every path and
+    level and is never yielded.  A block is a scratch buffer that the next
+    block overwrites, so a consumer copies what it keeps.
+
+    The state is carried across blocks as ``v = X + eps``, as the scalar
+    solver carries it, and each entry goes through the scalar recursion's
+    operations in the same order, ``h = v (1 - b dt)/2 + (sigma dB/2 + eps b dt/2)``
+    and ``v' = h + min(sqrt(h h + c), h + c/eps)``; a block's ``eps`` is
+    subtracted once as it leaves the step loop.  So every value is
+    bit-identical to :func:`solve_regularized`.  Non-finite states are left in
+    place; the consumer inspects each path.
 
     A ufunc call costs far more than its few hundred elements, so every
     operand is a same-shape contiguous array: the per-level ``c`` and
     ``c/eps`` and the per-path half pushes are broadcast into scratch blocks
-    of about ``_BLOCK_VALUES`` entries once per block, not once per step.
+    of about ``_BLOCK_VALUES`` entries once per block, not once per step.  The
+    half pushes are read from the noise rows block by block, so no copy of the
+    whole noise is made.
     """
 
-    shape = out.shape[1:]
-    block = min(grid.step_count, max(1, _BLOCK_VALUES // max(1, out[0].size)))
+    shape = (len(noise_rows), eps_levels.size)
+    block = min(grid.step_count, max(1, _BLOCK_VALUES // max(1, shape[0] * shape[1])))
     bdt = spec.b * grid.dt
-    half_pushes = spec.sigma * np.diff(noise_values, axis=1) * 0.5
     levels = np.broadcast_to(eps_levels, shape).copy()
     half_eps_bdt = levels * bdt * 0.5
     damping = np.full(shape, (1.0 - bdt) * 0.5)
     h = np.empty(shape)
     root = np.empty(shape)
     floor = np.empty(shape)
+    state = np.empty(shape)
+    state[...] = spec.x0 + eps_levels
     drift_block = np.empty((block,) + shape)
     ratio_block = np.empty((block,) + shape)
     push_block = np.empty((block,) + shape)
-    out[0] = spec.x0 + eps_levels
+    value_block = np.empty((block,) + shape)
     with np.errstate(all="ignore"):
         for start in range(0, grid.step_count, block):
             stop = min(start + block, grid.step_count)
@@ -239,12 +253,13 @@ def _integrate_batch(
             drifts[...] = table[start:stop, None, :]
             ratios = ratio_block[: stop - start]
             ratios[...] = (table[start:stop] / eps_levels)[:, None, :]
+            window = np.array([row[start : stop + 1] for row in noise_rows])
             steps = push_block[: stop - start]
-            steps[...] = half_pushes[:, start:stop].T[:, :, None]
+            steps[...] = (spec.sigma * np.diff(window, axis=1) * 0.5).T[:, :, None]
             np.add(steps, half_eps_bdt, out=steps)
-            for v, following, drift, ratio, push in zip(
-                out[start:stop], out[start + 1 : stop + 1], drifts, ratios, steps
-            ):
+            values = value_block[: stop - start]
+            v = state
+            for following, drift, ratio, push in zip(values, drifts, ratios, steps):
                 np.multiply(v, damping, out=h)
                 np.add(h, push, out=h)
                 np.multiply(h, h, out=root)
@@ -253,9 +268,10 @@ def _integrate_batch(
                 np.add(h, ratio, out=floor)
                 np.minimum(root, floor, out=root)
                 np.add(h, root, out=following)
-        np.subtract(out, levels, out=out)
-    out[0] = spec.x0
-    return out
+                v = following
+            state[...] = v
+            np.subtract(values, levels, out=values)
+            yield start + 1, values
 
 
 def solve_batch(
@@ -285,5 +301,8 @@ def solve_batch(
             f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
         )
     out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
-    _integrate_batch(spec, levels, grid, _drift_table(spec, levels, grid), noise_values, out)
+    out[0] = spec.x0
+    table = _drift_table(spec, levels, grid)
+    for first, values in _integrate_batch(spec, levels, grid, table, noise_values):
+        out[first : first + len(values)] = values
     return out.transpose(1, 2, 0)

@@ -4,9 +4,10 @@ Closed-form oracles (among them the fBm covariance formulas, which only the
 tests evaluate), a dense Cholesky sampler as the oracle of the circulant
 noise generator, Monte Carlo z-score machinery for the noise generator,
 report canonicalization for the determinism contract, the cell-by-cell CSV
-writer that the column-wise one must match byte for byte, and the scalar
+writer that the column-wise one must match byte for byte, the scalar
 eps-continuity loop and per-path contraction check that the batched checks
-must match exactly.
+must match exactly, and the whole-array family reductions that the
+block-streamed ones must equal.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ from singsde import (
     estimate_holder,
     fixed_point_residual,
     generate_fbm,
+    nonpositive_measure,
     path_stream,
     picard_solve,
     select_delta,
     solve_regularized,
+    verify_nested_zero_sets,
     zero_path,
 )
 from singsde import harness
+from singsde.sde import _first_non_finite
 
 
 def closed_form(t: np.ndarray | float, x0: float, a: float, hurst_value: float):
@@ -201,6 +205,48 @@ def seeded_families(
         if isinstance(outcome, SolverError):
             raise outcome
         yield outcome
+
+
+def family_reductions_oracle(
+    values: np.ndarray, levels: np.ndarray, dt: float, tol_mono: float
+) -> dict | SolverError:
+    """Reference of a family's reductions, computed on one path's full (levels, nodes) values.
+
+    The arithmetic families used when they kept every level: whole-array
+    reductions, and ``_first_non_finite``'s error for a non-finite value.
+    Arrays are rendered as bytes, so that ``==`` compares them bit for bit.
+    """
+
+    failure = _first_non_finite(values, levels, dt)
+    if failure is not None:
+        return failure
+    deficit = values[:-1, 1:] - values[1:, 1:]
+    mask = deficit > tol_mono
+    nonpositive = values[:, 1:] <= 0.0
+    breaks = np.flatnonzero((nonpositive[1:] & ~nonpositive[:-1]).any(axis=1))
+    return {
+        "limit_estimate": values[-1].tobytes(),
+        "value_max": float(values.max()),
+        "nonpositive_measure": (dt * np.count_nonzero(nonpositive, axis=1)).tobytes(),
+        "nested": (False, int(breaks[0]) + 1) if breaks.size else (True, -1),
+        "cauchy_gap": float(np.abs(values[-1] - values[-2]).max()),
+        "mono_violation_count": int(mask.sum()),
+        "mono_worst_deficit": float(deficit[mask].max(initial=0.0)),
+    }
+
+
+def family_reductions(family: EpsilonFamily) -> dict:
+    """The reductions of a family as its checks read them, in the oracle's form."""
+
+    return {
+        "limit_estimate": family.limit_estimate.tobytes(),
+        "value_max": family.value_max,
+        "nonpositive_measure": nonpositive_measure(family).tobytes(),
+        "nested": verify_nested_zero_sets(family),
+        "cauchy_gap": family.cauchy_gap,
+        "mono_violation_count": family.mono_violation_count,
+        "mono_worst_deficit": family.mono_worst_deficit,
+    }
 
 
 def eps_continuity_oracle(

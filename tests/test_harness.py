@@ -382,7 +382,8 @@ def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
         return generate(grid, hurst, seed, **kwargs)
 
     monkeypatch.setattr(harness_module, "generate_fbm", flaky)
-    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 5 * 257)
+    # two paths per chunk: each keeps its noise row and its limit row
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 2 * 257)
     report = run_campaign(
         make_config(
             seeds={"master_seed": 7, "path_count": 6},

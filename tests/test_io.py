@@ -15,6 +15,7 @@ from singsde import (
     SdeSpec,
     SeedRecord,
     TimeGrid,
+    build_families,
     build_family,
     generate_fbm,
     read_csv_with_meta,
@@ -22,6 +23,7 @@ from singsde import (
     write_family_csv,
 )
 from singsde import io as io_module
+from singsde import sde as sde_module
 
 from _support import per_cell_csv
 
@@ -102,6 +104,12 @@ def test_write_csv_rejects_unequal_lengths(tmp_path):
     assert not target.exists()
 
 
+def _family_columns(family):
+    levels = [(f"X_eps_{level}", row) for level, row in enumerate(family.values)]
+    columns = [("t", family.grid.nodes()), ("noise", family.noise.values), *levels]
+    return columns + [("limit_estimate", family.limit_estimate)]
+
+
 def test_family_export_round_trips_exactly(tmp_path):
     hurst = HurstParam(0.25)
     grid = TimeGrid(1.0, 2 * BLOCK + 7)
@@ -120,7 +128,32 @@ def test_family_export_round_trips_exactly(tmp_path):
     assert np.array_equal(matrix[:, -1], family.limit_estimate)
 
     # the file's own header values are text and re-render to themselves
-    levels = [(f"X_eps_{level}", row) for level, row in enumerate(family.values)]
-    columns = [("t", grid.nodes()), ("noise", family.noise.values), *levels]
-    columns.append(("limit_estimate", family.limit_estimate))
-    assert target.read_text(encoding="utf-8") == per_cell_csv(columns, meta)
+    assert target.read_text(encoding="utf-8") == per_cell_csv(_family_columns(family), meta)
+
+
+def test_streamed_family_export_matches_the_cell_oracle(tmp_path, monkeypatch):
+    # Three paths in one chunk, solved in time blocks of 5 steps: each kept
+    # family's CSV equals the cell-by-cell rendering of its levels.
+    hurst = HurstParam(0.25)
+    grid = TimeGrid(1.0, BLOCK + 9)
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=1.0, hurst=hurst)
+    ladder = EpsilonLadder(0.1, 0.5, 6)
+    noises = [generate_fbm(grid, hurst, SeedRecord(8, index)) for index in range(3)]
+    monkeypatch.setattr(sde_module, "_BLOCK_VALUES", 5 * 3 * 7)
+    for index, family in enumerate(build_families(spec, noises, ladder, keep_values=True)):
+        target = tmp_path / f"path_{index}.csv"
+        write_family_csv(family, target, extra_meta={"config_hash": "abc"})
+        meta, _, _ = read_csv_with_meta(target)
+        assert target.read_text(encoding="utf-8") == per_cell_csv(_family_columns(family), meta)
+
+
+def test_family_export_needs_kept_values(tmp_path):
+    hurst = HurstParam(0.25)
+    grid = TimeGrid(1.0, 32)
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=1.0, hurst=hurst)
+    noise = generate_fbm(grid, hurst, SeedRecord(8, 0))
+    (family,) = build_families(spec, [noise], EpsilonLadder(0.1, 0.5, 3), keep_values=False)
+    target = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match="keep_values"):
+        write_family_csv(family, target)
+    assert not target.exists()

@@ -5,6 +5,9 @@ compensator reconstruction, and continuity in the regularization level.
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,8 +37,16 @@ from singsde import (
     zero_path,
 )
 from singsde import ladder as ladder_module
+from singsde import sde as sde_module
+from singsde.sde import _first_non_finite
 
-from _support import closed_form, eps_continuity_oracle, seeded_families
+from _support import (
+    closed_form,
+    eps_continuity_oracle,
+    family_reductions,
+    family_reductions_oracle,
+    seeded_families,
+)
 
 H_QUARTER = HurstParam(0.25)
 
@@ -54,14 +65,11 @@ def hand_built_family(values, horizon=1.0, spec=None) -> EpsilonFamily:
 
     values = np.asarray(values, dtype=float)
     levels, nodes = values.shape
-    return EpsilonFamily(
-        spec=make_spec(x0=float(values[0, 0])) if spec is None else spec,
-        noise=zero_path(TimeGrid(horizon, nodes - 1), H_QUARTER),
-        ladder=EpsilonLadder(0.1, 0.5, levels - 1),
-        values=values,
-        cauchy_gap=float(np.abs(values[-1] - values[-2]).max()),
-        mono_violation_count=0,
-        mono_worst_deficit=0.0,
+    return ladder_module._family(
+        make_spec(x0=float(values[0, 0])) if spec is None else spec,
+        zero_path(TimeGrid(horizon, nodes - 1), H_QUARTER),
+        EpsilonLadder(0.1, 0.5, levels - 1),
+        values,
     )
 
 
@@ -207,6 +215,170 @@ def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
         )
     with pytest.raises(ValueError, match="offsets must be positive"):
         list(build_families(spec, noises, ladder, eps_continuity=(0.05, [0.025, -1.0])))
+
+
+# ---------------------------------------------------------------------------
+# block-streamed reductions
+# ---------------------------------------------------------------------------
+
+# (spec, grid, ladder, master seed or None for the zero driver): the shared
+# ladder-14 spec on 2^12 steps, the all-checks-11 spec, and zero noise.
+_SHARED = (
+    SdeSpec(1.0, 1.0, 0.5, 1.0, H_QUARTER), TimeGrid(1.0, 2**12), EpsilonLadder(0.1, 0.5, 10)
+)
+_STREAM_CASES = {
+    "ladder-14": (*_SHARED, 12345),
+    "all-checks-11": (
+        SdeSpec(0.5, 1.5, 0.5, 1.0, H_QUARTER), TimeGrid(1.0, 2**11), EpsilonLadder(0.1, 0.4, 8), 99
+    ),
+    "zero-noise": (*_SHARED, None),
+}
+
+
+def _stream_noises(grid, seed, paths):
+    if seed is None:
+        return [zero_path(grid, H_QUARTER, SeedRecord(0, index)) for index in range(paths)]
+    return [generate_fbm(grid, H_QUARTER, SeedRecord(seed, index)) for index in range(paths)]
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+@pytest.mark.parametrize("block_steps", [1, 2, 7, None])
+def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, monkeypatch):
+    # 16 paths, one chunk, time blocks of 1, 2, 7 or the default number of
+    # steps: every reduction equals the oracle's on the full values, which
+    # are solved beforehand at the default block size.
+    spec, grid, ladder, seed = _STREAM_CASES[case]
+    noises = _stream_noises(grid, seed, 16)
+    levels = ladder.levels()
+    full = sde_module.solve_batch(spec, levels, grid, np.array([noise.values for noise in noises]))
+    if block_steps is not None:
+        monkeypatch.setattr(sde_module, "_BLOCK_VALUES", block_steps * 16 * levels.size)
+    streamed = list(build_families(spec, noises, ladder, keep_values=False))
+    for values, family in zip(full, streamed):
+        assert family.values is None
+        assert family_reductions(family) == family_reductions_oracle(
+            values, levels, grid.dt, ladder_module.DEFAULT_TOL_MONO
+        )
+    kept = list(build_families(spec, noises[:3], ladder))
+    for values, family in zip(full, kept):
+        assert family.values.tobytes() == values.tobytes()
+        assert family_reductions(family) == family_reductions_oracle(
+            values, levels, grid.dt, ladder_module.DEFAULT_TOL_MONO
+        )
+    if case == "ladder-14":
+        # the fixture reaches zero, so the counts and breaks are exercised
+        assert any(family.nonpositive_counts.any() for family in streamed)
+
+
+def _planted_values(spec, grid, ladder, noises):
+    """A solve of the noises with one defect planted on each of paths 0..4."""
+
+    values = sde_module.solve_batch(
+        spec, ladder.levels(), grid, np.array([noise.values for noise in noises])
+    )
+    values[0, 3, 20] = values[0, 4, 20] + 1e-3  # shallow above deep: ordering
+    values[1, 5, 30] = -0.1  # deep nonpositive below a positive shallow node
+    values[2, 0, 1] = -0.25  # nonpositive at node 1, the first streamed node
+    values[3, 5, 7] = np.nan  # a middle level, at a block boundary
+    values[3, 8, 3] = -np.inf  # earlier, but on a deeper level
+    values[3, 5, 30] = np.inf
+    values[4, 7, 8] = np.inf  # earlier, but on a deeper level than ...
+    values[4, 2, 40] = np.nan  # ... the level the error must name
+    return values
+
+
+@pytest.mark.parametrize("block_steps", [1, 2, 7])
+def test_streamed_reductions_with_planted_defects(block_steps, monkeypatch):
+    # The solve is replaced by planted values handed out in time blocks, so
+    # the defects reach build_families exactly as a solve would yield them.
+    spec = make_spec(x0=1.0, b=0.5, sigma=0.5)
+    grid = TimeGrid(1.0, 64)
+    ladder = EpsilonLadder(0.1, 0.5, 10)
+    levels = ladder.levels()
+    noises = _stream_noises(grid, 5, 6)
+    values = _planted_values(spec, grid, ladder, noises)
+    assert values[1, 4, 30] > 0.0 and values[2, 1, 1] > 0.0
+
+    def planted(spec_, levels_, grid_, table, noise_rows):
+        assert len(noise_rows) == len(noises)
+        for first in range(1, grid.step_count + 1, block_steps):
+            block = values[:, :, first : first + block_steps].transpose(2, 0, 1)
+            yield first, np.ascontiguousarray(block)
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", planted)
+    tol = ladder_module.DEFAULT_TOL_MONO
+    for path, outcome in enumerate(build_families(spec, noises, ladder, keep_values=False)):
+        given = ladder_module._family(spec, noises[path], ladder, values[path])
+        expected = family_reductions_oracle(values[path], levels, grid.dt, tol)
+        if isinstance(expected, SolverError):
+            assert path in (3, 4)
+            for error in (outcome, given):
+                assert isinstance(error, SolverError)
+                assert str(error) == str(expected) and error.step_index == expected.step_index
+            continue
+        assert family_reductions(outcome) == family_reductions(given) == expected
+    middle = _first_non_finite(values[3], levels, grid.dt)
+    assert str(middle) == f"non-finite state at step 7 (eps={levels[5]}, dt={grid.dt})"
+    assert _first_non_finite(values[4], levels, grid.dt).step_index == 40
+    ordering, nested, node_one = (
+        family_reductions_oracle(values[path], levels, grid.dt, tol) for path in range(3)
+    )
+    assert ordering["mono_violation_count"] == 1 and ordering["mono_worst_deficit"] > 0.0
+    assert nested["nested"] == (False, 5)
+    assert node_one["nonpositive_measure"] != family_reductions_oracle(
+        values[5], levels, grid.dt, tol
+    )["nonpositive_measure"]
+
+
+def test_given_values_reduce_node_zero_like_the_oracle():
+    # A family of given values reduces node 0 too: here the largest value,
+    # the whole Cauchy gap and a non-finite state sit at node 0 alone.
+    values = np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 0.6], [3.0, 0.5, 0.6]])
+    family = hand_built_family(values)
+    assert family_reductions(family) == family_reductions_oracle(
+        values, family.ladder.levels(), 0.5, ladder_module.DEFAULT_TOL_MONO
+    )
+    assert (family.cauchy_gap, family.value_max) == (2.0, 3.0)
+    values[1, 0] = np.nan
+    failure = ladder_module._family(family.spec, family.noise, family.ladder, values)
+    expected = _first_non_finite(values, family.ladder.levels(), 0.5)
+    assert isinstance(failure, SolverError) and str(failure) == str(expected)
+    assert failure.step_index == 0
+
+
+def test_campaign_families_keep_no_levels_and_stay_small():
+    # 16 paths of 2^12 steps and 11 levels, values not kept: the traced peak
+    # of building them, noise included, stays below the bytes of one
+    # (paths, levels, nodes) array, and no family holds its levels.
+    spec = make_spec(b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, 2**12)
+    ladder = EpsilonLadder(0.1, 0.5, 10)
+    full_bytes = 16 * 11 * (grid.step_count + 1) * 8
+    tracemalloc.start()
+    try:
+        noises = (generate_fbm(grid, H_QUARTER, SeedRecord(12345, index)) for index in range(16))
+        families = list(build_families(spec, noises, ladder, keep_values=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"traced peak {peak / 1e6:.2f} MB against {full_bytes / 1e6:.2f} MB of full values")
+    assert peak < full_bytes
+    assert len(families) == 16
+    assert all(family.values is None for family in families)
+    assert all(family.limit_estimate.shape == (grid.step_count + 1,) for family in families)
+
+
+def test_family_rejects_values_that_do_not_end_in_its_limit_row():
+    family = deterministic_family(n=64)
+    shifted = family.values.copy()
+    shifted[-1, 5] += 1e-9
+    with pytest.raises(ValueError, match="last row of values must be the limit row"):
+        dataclasses.replace(family, values=shifted)
+    with pytest.raises(ValueError, match=r"values must have shape \(9, 65\)"):
+        dataclasses.replace(family, values=family.values[1:])
+    with pytest.raises(ValueError, match="limit_estimate must have 65 entries"):
+        dataclasses.replace(family, limit_estimate=family.limit_estimate[1:], values=None)
+    assert dataclasses.replace(family, values=None).values is None
 
 
 def test_cauchy_gap_nonincreasing_in_depth():
