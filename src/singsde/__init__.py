@@ -17,8 +17,8 @@ fbm
     Exact fractional Brownian motion sampling by circulant embedding, the
     zero driver, Hoelder-constant estimation, nested refinement by kriging.
 sde
-    The regularized integrator with exact per-step kernel integration and
-    its batched form over many paths and levels.
+    The regularized integrator with exact per-step kernel integration, and
+    the batched step loop the ladder runs over many paths and levels.
 ladder
     Vanishing-regularization ladders: monotone families, each one
     (levels, nodes) array solved in batched chunks of paths, limit
@@ -52,7 +52,6 @@ from .sde import (
     SdeSpec,
     SolverError,
     kernel_column,
-    solve_batch,
     solve_regularized,
 )
 from .ladder import (
@@ -156,7 +155,6 @@ __all__ = [
     "restart_residual",
     "run_campaign",
     "select_delta",
-    "solve_batch",
     "solve_regularized",
     "verify_endpoint_limits",
     "verify_eps_continuity",

@@ -575,7 +575,7 @@ def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
 
 
 def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    # The levels were solved with the family's chunk (see _path_families).
+    # The levels were solved in the step loop of the family's chunk (see _path_families).
     result = ctx.family.eps_continuity
     if isinstance(result, SolverError):
         raise result

@@ -26,9 +26,11 @@ nonpositive-time measure along the ladder, nonnegativity of the limit
 estimate, nonnegativity (up to budget) of the correction process closing the
 integral identity, and continuity of the solution in the regularization
 parameter.  The continuity check solves its own levels eps* and eps* +/- h,
-not the ladder's; :func:`verify_eps_continuity` solves them for a whole block
-of noise paths in one batched recursion, and :func:`build_families` runs it
-once per chunk when asked, so each family carries its gap table.
+not the ladder's.  When asked, :func:`build_families` solves them as extra
+columns of the ladder's own step loop and folds them block by block into
+exact sup-gaps against eps*, so each family carries its gap table;
+:func:`verify_eps_continuity` runs the same fold over a block of noise paths
+on its own.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from .sde import (
     SdeSpec,
     SolverError,
     _drift_table,
-    _first_non_finite,
     _integrate_batch,
     _solver_error,
     kernel_column,
-    solve_batch,
 )
 
 __all__ = [
@@ -134,7 +134,8 @@ class EpsilonFamily:
       break the ordering).
 
     ``eps_continuity`` is the path's :func:`verify_eps_continuity` outcome
-    when the family was built with that probe, else None.
+    when the family was built with that probe, else None; a failing probe
+    level makes it that level's :class:`SolverError` and leaves the family intact.
     """
 
     spec: SdeSpec
@@ -174,11 +175,30 @@ class EpsilonFamily:
         return self.noise.grid
 
 
+def _note_non_finite(first_non_finite: np.ndarray, first: int, block: np.ndarray) -> None:
+    """Record, per (path, level) not yet recorded, the first non-finite node of a block."""
+
+    finite = np.isfinite(block)
+    fresh = ~finite.all(axis=0) & (first_non_finite < 0)
+    first_non_finite[fresh] = first + np.argmin(finite, axis=0)[fresh]
+
+
+def _level_error(first_non_finite: np.ndarray, levels: np.ndarray, dt: float) -> SolverError | None:
+    """:func:`solve_regularized`'s error for a path's first level with a non-finite node, if any."""
+
+    failing = np.flatnonzero(first_non_finite >= 0)
+    if not failing.size:
+        return None
+    level = int(failing[0])
+    return _solver_error(int(first_non_finite[level]), float(levels[level]), dt)
+
+
 class _Reductions:
     """The per-path reductions of one solve, folded one time block at a time.
 
     Built from node 0's values, shape (paths, levels); :meth:`fold` takes the
-    later nodes in order, in time-major blocks of shape (steps, paths, levels).
+    later nodes in order, in time-major blocks of shape (steps, paths, levels),
+    copied when not contiguous (the ladder columns of a solve with a probe).
     Every reduction is a max, a count, an or, a first index or a copy, so
     folding block by block gives exactly the reduction over all nodes at once.
     Each block is reduced over its time axis first, which is the fast axis of
@@ -215,13 +235,12 @@ class _Reductions:
         # path, unless entry i is a path's deepest level.  So adjacent levels
         # are compared on the flat block, and the last level column, which
         # holds the pairs that straddle two paths, is dropped.
-        flat = np.ascontiguousarray(block).reshape(-1)
+        block = np.ascontiguousarray(block)
+        flat = block.reshape(-1)
         with np.errstate(invalid="ignore"):  # a non-finite path is reported, not reduced
             top = block.max(axis=0)
             if not (np.isfinite(top).all() and np.isfinite(block.min(axis=0)).all()):
-                finite = np.isfinite(block)
-                fresh = ~finite.all(axis=0) & (self.first_non_finite < 0)
-                self.first_non_finite[fresh] = first + np.argmin(finite, axis=0)[fresh]
+                _note_non_finite(self.first_non_finite, first, block)
             np.maximum(self.value_max, top, out=self.value_max)
 
             nonpositive = flat <= 0.0
@@ -260,17 +279,11 @@ class _Reductions:
         ladder: EpsilonLadder,
         eps_continuity: EpsContinuityResult | SolverError | None = None,
     ) -> EpsilonFamily | SolverError:
-        """The path's family, or the error of its first level with a non-finite state.
+        """The path's family, or the error of its first level with a non-finite state."""
 
-        The error is the one :func:`_first_non_finite` gives for the path's
-        full (levels, nodes) values.
-        """
-
-        failing = np.flatnonzero(self.first_non_finite[path] >= 0)
-        if failing.size:
-            level = int(failing[0])
-            step = int(self.first_non_finite[path, level])
-            return _solver_error(step, float(ladder.levels()[level]), noise.grid.dt)
+        failure = _level_error(self.first_non_finite[path], ladder.levels(), noise.grid.dt)
+        if failure is not None:
+            return failure
         values = None if self.values is None else self.values[path]
         return EpsilonFamily(
             spec=spec,
@@ -312,29 +325,30 @@ def build_families(
     every level with ``keep_values``, at about ``_CHUNK_VALUES`` values in all.
     Noises are drawn from the iterable lazily, one chunk ahead.
 
-    With ``eps_continuity = (eps_star, offsets)``, each chunk first runs
-    :func:`verify_eps_continuity` on its noise block, and every family carries
-    its path's outcome; only the reduced gap tables outlive that call, and the
-    chunk is narrow enough for that call's full output too.
+    With ``eps_continuity = (eps_star, offsets)``, the levels of
+    :func:`verify_eps_continuity` are solved as extra columns of the same
+    step loop and folded block by block into exact sup-gaps against eps*,
+    apart from the ladder's reductions; every family carries its path's
+    outcome.  The probe keeps no row, so it does not narrow a chunk, and its
+    arguments are checked before any noise is drawn.
     """
 
     if ladder.depth < 2:
         raise ValueError(f"ladder depth must be at least 2, got {ladder.depth}")
-    levels = ladder.levels()
+    probe = None if eps_continuity is None else _eps_continuity_levels(*eps_continuity)
+    levels = ladder.levels() if probe is None else np.concatenate([ladder.levels(), probe[2]])
     noises = iter(noises)
     first = next(noises, None)
     if first is None:
         return
     grid = first.grid
-    rows = 1 + (levels.size if keep_values else 1)
-    if eps_continuity is not None:
-        rows = max(rows, 1 + 2 * len(eps_continuity[1]))
+    rows = 1 + (ladder.depth + 1 if keep_values else 1)
     width = max(1, _CHUNK_VALUES // (rows * (grid.step_count + 1)))
     table = _drift_table(spec, levels, grid)
     noises = chain([first], noises)
     while chunk := list(islice(noises, width)):
         yield from _chunk_families(
-            spec, ladder, grid, table, chunk, tol_mono, eps_continuity, keep_values
+            spec, ladder, grid, levels, table, chunk, tol_mono, probe, keep_values
         )
         del chunk  # the chunk's noises go before the next chunk's are drawn
 
@@ -343,13 +357,18 @@ def _chunk_families(
     spec: SdeSpec,
     ladder: EpsilonLadder,
     grid: TimeGrid,
+    levels: np.ndarray,
     table: np.ndarray,
     chunk: list[FbmPath],
     tol_mono: float,
-    eps_continuity: tuple[float, Sequence[float]] | None,
+    probe: tuple[float, list[float], np.ndarray] | None,
     keep_values: bool,
 ) -> Iterator[EpsilonFamily | SolverError]:
-    """Check and solve one chunk of noises, and yield its outcomes in order."""
+    """Check and solve one chunk of noises, and yield its outcomes in order.
+
+    ``levels`` (``table``'s) are the ladder's, then the probe's if any: each
+    block's ladder columns go to the ladder's reductions, the rest to the probe.
+    """
 
     for noise in chunk:
         if noise.hurst != spec.hurst:
@@ -359,59 +378,19 @@ def _chunk_families(
             )
         if noise.grid != grid:
             raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
-    levels = ladder.levels()
-    if eps_continuity is None:
-        probes: list[EpsContinuityResult | SolverError | None] = [None] * len(chunk)
-    else:
-        block = np.array([noise.values for noise in chunk])
-        probes = verify_eps_continuity(spec, grid, block, *eps_continuity)
-        del block  # the probe's copy of the noise goes before the ladder solve
-    reductions = _solve_reduced(spec, levels, table, chunk, tol_mono, keep_values)
-    for path, (noise, probe) in enumerate(zip(chunk, probes)):
-        yield reductions.family(path, spec, noise, ladder, probe)
-
-
-def _solve_reduced(
-    spec: SdeSpec,
-    levels: np.ndarray,
-    table: np.ndarray,
-    chunk: list[FbmPath],
-    tol_mono: float,
-    keep_values: bool,
-) -> _Reductions:
-    """The reductions of every path and level of the chunk, its solve folded block by block.
-
-    A function of its own, so that the solve's scratch blocks are released
-    before the chunk's families are handed out.
-    """
-
-    grid = chunk[0].grid
-    head = np.broadcast_to(spec.x0, (len(chunk), levels.size))
+    rungs = ladder.depth + 1
+    head = np.broadcast_to(spec.x0, (len(chunk), rungs))
     reductions = _Reductions(head, grid.step_count + 1, tol_mono, keep_values)
+    gaps = None if probe is None else _ProbeGaps(*probe, len(chunk))
     noise_rows = [noise.values for noise in chunk]
     for first, values in _integrate_batch(spec, levels, grid, table, noise_rows):
-        reductions.fold(first, values)
-    return reductions
-
-
-def _family(
-    spec: SdeSpec,
-    noise: FbmPath,
-    ladder: EpsilonLadder,
-    values: np.ndarray,
-    tol_mono: float = DEFAULT_TOL_MONO,
-    eps_continuity: EpsContinuityResult | SolverError | None = None,
-) -> EpsilonFamily | SolverError:
-    """A family of given (levels, nodes) values, which it keeps: the reducer over one block.
-
-    Returns the :class:`SolverError` that :func:`_first_non_finite` gives when
-    a value is not finite.
-    """
-
-    values = np.asarray(values, dtype=float)
-    reductions = _Reductions(values[None, :, 0], values.shape[1], tol_mono, keep_values=True)
-    reductions.fold(1, values[:, 1:].T[:, None, :])
-    return reductions.family(0, spec, noise, ladder, eps_continuity)
+        reductions.fold(first, values[..., :rungs])
+        if gaps is not None:
+            gaps.fold(first, values[..., rungs:])
+    del values  # the solve's last scratch block goes before the families are handed out
+    for path, noise in enumerate(chunk):
+        outcome = None if gaps is None else gaps.outcome(path, grid.dt)
+        yield reductions.family(path, spec, noise, ladder, outcome)
 
 
 def build_family(
@@ -654,8 +633,8 @@ class EpsContinuityResult:
 
 def _eps_continuity_levels(
     eps_star: float, h_sequence: Sequence[float]
-) -> tuple[list[float], np.ndarray]:
-    """The validated offsets and the levels [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...]."""
+) -> tuple[float, list[float], np.ndarray]:
+    """eps*, the checked offsets and the levels [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...]."""
 
     if not (eps_star > 0.0 and math.isfinite(eps_star)):
         raise ValueError(f"eps_star must be positive and finite, got {eps_star}")
@@ -672,7 +651,51 @@ def _eps_continuity_levels(
         raise ValueError("offsets must stay below eps_star so eps* - h remains positive")
     if not math.isfinite(eps_star + hs[0]):
         raise ValueError(f"eps_star + offsets must stay finite, got {eps_star} + {hs[0]}")
-    return hs, np.array([eps_star] + [eps for h in hs for eps in (eps_star + h, eps_star - h)])
+    return eps_star, hs, np.array([eps_star] + [e for h in hs for e in (eps_star + h, eps_star - h)])
+
+
+class _ProbeGaps:
+    """Per-path sup-gaps of the eps-continuity levels against eps*, folded one time block at a time.
+
+    Node 0 is x0 on every level, so each gap starts at 0; a max over blocks is
+    the max over all nodes.
+    """
+
+    def __init__(self, eps_star: float, hs: list[float], levels: np.ndarray, paths: int):
+        self.eps_star = eps_star
+        self.hs = hs
+        self.levels = levels
+        self.gaps = np.zeros((paths, levels.size - 1))
+        # per (path, level): the first node with a non-finite state, or -1
+        self.first_non_finite = np.full((paths, levels.size), -1)
+
+    def fold(self, first: int, block: np.ndarray) -> None:
+        """Fold in nodes ``first .. first + steps - 1``, given as a (steps, paths, levels) block."""
+
+        with np.errstate(invalid="ignore"):  # a non-finite path is reported, not reduced
+            gaps = np.abs(block[..., 1:] - block[..., :1]).max(axis=0)
+            # a non-finite state on any level, eps* included, leaves a gap non-finite
+            if not np.isfinite(gaps).all():
+                _note_non_finite(self.first_non_finite, first, block)
+            np.maximum(self.gaps, gaps, out=self.gaps)
+
+    def outcome(self, path: int, dt: float) -> EpsContinuityResult | SolverError:
+        """The path's gap table and verdict, or the error of its first non-finite level."""
+
+        failure = _level_error(self.first_non_finite[path], self.levels, dt)
+        if failure is not None:
+            return failure
+        table = self.gaps[path].reshape(-1, 2)  # per offset: (gap_plus, gap_minus)
+        both_nonincreasing = bool((np.diff(table, axis=0) <= 0.0).all())
+        first_gap, last_gap = float(table[0].max()), float(table[-1].max())
+        return EpsContinuityResult(
+            eps_star=self.eps_star,
+            rows=[(h, plus, minus) for h, (plus, minus) in zip(self.hs, table.tolist())],
+            both_nonincreasing=both_nonincreasing,
+            first_gap=first_gap,
+            last_gap=last_gap,
+            passes=both_nonincreasing and last_gap <= first_gap / 4.0,
+        )
 
 
 def verify_eps_continuity(
@@ -687,41 +710,21 @@ def verify_eps_continuity(
     ``noise_values`` holds one driver path on ``grid`` per row, shape
     (paths, nodes).  Every path and every level
     [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...] advance through one
-    batched kernel call, bit-identical to :func:`solve_regularized` at each
-    level, and the solved block is reduced to gap tables before returning.
-    Returns one :class:`EpsContinuityResult` per row, or, for a row with a
-    non-finite state, the :class:`SolverError` that solving its levels one by
-    one in that order would raise first.  Other rows are unaffected.
+    batched step loop, bit-identical to :func:`solve_regularized` at each
+    level, through the fold of :func:`build_families`' probe.  Returns one
+    :class:`EpsContinuityResult` per row, or, for a row with a non-finite
+    state, the :class:`SolverError` that solving its levels one by one in that
+    order would raise first.  Other rows are unaffected.
     """
 
-    hs, levels = _eps_continuity_levels(eps_star, h_sequence)
-    solved = solve_batch(spec, levels, grid, noise_values)
-    center = solved[:, 0]
-    with np.errstate(invalid="ignore"):  # a non-finite row is reported below
-        gaps = np.array(
-            [np.abs(solved[:, j] - center).max(axis=1) for j in range(1, levels.size)]
+    probe = _eps_continuity_levels(eps_star, h_sequence)
+    noise_values = np.asarray(noise_values, dtype=float)
+    if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
+        raise ValueError(
+            f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
         )
-    results: list[EpsContinuityResult | SolverError] = []
-    for path, values in enumerate(solved):
-        failure = _first_non_finite(values, levels, grid.dt)
-        if failure is not None:
-            results.append(failure)
-            continue
-        plus = gaps[0::2, path].tolist()
-        minus = gaps[1::2, path].tolist()
-        both_nonincreasing = all(b <= a for a, b in zip(plus[:-1], plus[1:])) and all(
-            b <= a for a, b in zip(minus[:-1], minus[1:])
-        )
-        first_gap = max(plus[0], minus[0])
-        last_gap = max(plus[-1], minus[-1])
-        results.append(
-            EpsContinuityResult(
-                eps_star=eps_star,
-                rows=list(zip(hs, plus, minus)),
-                both_nonincreasing=both_nonincreasing,
-                first_gap=first_gap,
-                last_gap=last_gap,
-                passes=both_nonincreasing and last_gap <= first_gap / 4.0,
-            )
-        )
-    return results
+    gaps = _ProbeGaps(*probe, len(noise_values))
+    table = _drift_table(spec, gaps.levels, grid)
+    for first, values in _integrate_batch(spec, gaps.levels, grid, table, noise_values):
+        gaps.fold(first, values)
+    return [gaps.outcome(path, grid.dt) for path in range(len(noise_values))]

@@ -44,7 +44,6 @@ __all__ = [
     "SdeSpec",
     "SolverError",
     "kernel_column",
-    "solve_batch",
     "solve_regularized",
 ]
 
@@ -273,36 +272,3 @@ def _integrate_batch(
             np.subtract(values, levels, out=values)
             yield start + 1, values
 
-
-def solve_batch(
-    spec: SdeSpec,
-    eps_levels,
-    grid: TimeGrid,
-    noise_values: np.ndarray,
-) -> np.ndarray:
-    """Solve the regularized recursion for every noise path and every level at once.
-
-    ``noise_values`` holds one driver path per row, shape (paths, nodes).  The
-    result has shape (paths, levels, nodes), a view of a time-major array, and
-    equals, entry for entry, what :func:`solve_regularized` computes for each
-    (path, level) pair.  Unlike
-    the scalar solver it does not raise on a non-finite state: such states
-    stay in the result, and the caller checks each path.
-    """
-
-    levels = np.asarray(eps_levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ValueError(f"eps_levels must be a nonempty 1-D sequence, got shape {levels.shape}")
-    if not ((levels > 0.0) & np.isfinite(levels)).all():
-        raise ValueError(f"every epsilon must be positive and finite, got {levels.tolist()}")
-    noise_values = np.asarray(noise_values, dtype=float)
-    if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
-        raise ValueError(
-            f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
-        )
-    out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
-    out[0] = spec.x0
-    table = _drift_table(spec, levels, grid)
-    for first, values in _integrate_batch(spec, levels, grid, table, noise_values):
-        out[first : first + len(values)] = values
-    return out.transpose(1, 2, 0)

@@ -6,8 +6,8 @@ noise generator, Monte Carlo z-score machinery for the noise generator,
 report canonicalization for the determinism contract, the cell-by-cell CSV
 writer that the column-wise one must match byte for byte, the scalar
 eps-continuity loop and per-path contraction check that the batched checks
-must match exactly, and the whole-array family reductions that the
-block-streamed ones must equal.
+must match exactly, the batched solve collected into one whole array, and the
+whole-array family reductions that the block-streamed ones must equal.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from singsde import (
     zero_path,
 )
 from singsde import harness
-from singsde.sde import _first_non_finite
+from singsde import ladder as ladder_module
+from singsde.sde import _drift_table, _first_non_finite, _integrate_batch
 
 
 def closed_form(t: np.ndarray | float, x0: float, a: float, hurst_value: float):
@@ -205,6 +206,61 @@ def seeded_families(
         if isinstance(outcome, SolverError):
             raise outcome
         yield outcome
+
+
+def solve_batch(
+    spec: SdeSpec,
+    eps_levels,
+    grid: TimeGrid,
+    noise_values: np.ndarray,
+) -> np.ndarray:
+    """The batched step loop's blocks collected into one array: the oracle of the streamed folds.
+
+    ``noise_values`` holds one driver path per row, shape (paths, nodes).  The
+    result has shape (paths, levels, nodes), a view of a time-major array, and
+    equals, entry for entry, what ``solve_regularized`` computes for each
+    (path, level) pair.  Unlike the scalar solver it does not raise on a
+    non-finite state: such states stay in the result, and the caller checks
+    each path.
+    """
+
+    levels = np.asarray(eps_levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError(f"eps_levels must be a nonempty 1-D sequence, got shape {levels.shape}")
+    if not ((levels > 0.0) & np.isfinite(levels)).all():
+        raise ValueError(f"every epsilon must be positive and finite, got {levels.tolist()}")
+    noise_values = np.asarray(noise_values, dtype=float)
+    if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
+        raise ValueError(
+            f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
+        )
+    out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
+    out[0] = spec.x0
+    table = _drift_table(spec, levels, grid)
+    for first, values in _integrate_batch(spec, levels, grid, table, noise_values):
+        out[first : first + len(values)] = values
+    return out.transpose(1, 2, 0)
+
+
+def given_values_family(
+    spec: SdeSpec,
+    noise: FbmPath,
+    ladder: EpsilonLadder,
+    values: np.ndarray,
+    tol_mono: float = ladder_module.DEFAULT_TOL_MONO,
+) -> EpsilonFamily | SolverError:
+    """A family of given (levels, nodes) values, which it keeps: the ladder's reducer over one block.
+
+    Node 0 is reduced as given too.  Returns the SolverError that
+    ``_first_non_finite`` gives when a value is not finite.
+    """
+
+    values = np.asarray(values, dtype=float)
+    reductions = ladder_module._Reductions(
+        values[None, :, 0], values.shape[1], tol_mono, keep_values=True
+    )
+    reductions.fold(1, values[:, 1:].T[:, None, :])
+    return reductions.family(0, spec, noise, ladder)
 
 
 def family_reductions_oracle(

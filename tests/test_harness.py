@@ -477,15 +477,20 @@ def test_solver_abort_is_recorded_not_raised(tmp_path):
 
 def test_eps_continuity_solver_error_is_recorded_per_path(tmp_path, monkeypatch):
     # A probe level that breaks while the ladder solves is recorded as that
-    # path's eps-continuity failure, with the scalar solver's message.
-    batched = ladder_module.verify_eps_continuity
+    # path's eps-continuity failure, with the scalar solver's message.  The
+    # probe's levels follow the ladder's in the one step loop; the value
+    # planted on path 0's eps* column at node 3 leaves the ladder intact.
+    solve = ladder_module._integrate_batch
+    eps_star_column = -(1 + 2 * len(harness_module._EPS_CONTINUITY[1]))
 
-    def first_row_breaks(spec, grid, noise_values, eps_star, h_sequence):
-        results = batched(spec, grid, noise_values, eps_star, h_sequence)
-        results[0] = SolverError("non-finite state at step 3 (eps=0.05, dt=0.00390625)", 3)
-        return results
+    def eps_star_breaks(spec, eps_levels, grid, table, noise_rows):
+        assert eps_levels[eps_star_column] == 0.05
+        for first, values in solve(spec, eps_levels, grid, table, noise_rows):
+            if first <= 3 < first + len(values):
+                values[3 - first, 0, eps_star_column] = np.nan
+            yield first, values
 
-    monkeypatch.setattr(ladder_module, "verify_eps_continuity", first_row_breaks)
+    monkeypatch.setattr(ladder_module, "_integrate_batch", eps_star_breaks)
     report = run_campaign(
         make_config(
             seeds={"master_seed": 7, "path_count": 2},

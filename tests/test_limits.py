@@ -6,6 +6,7 @@ compensator reconstruction, and continuity in the regularization level.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from singsde import (
     verify_upper_bound,
     zero_path,
 )
+from singsde import harness as harness_module
 from singsde import ladder as ladder_module
 from singsde import sde as sde_module
 from singsde.sde import _first_non_finite
@@ -45,7 +47,9 @@ from _support import (
     eps_continuity_oracle,
     family_reductions,
     family_reductions_oracle,
+    given_values_family,
     seeded_families,
+    solve_batch,
 )
 
 H_QUARTER = HurstParam(0.25)
@@ -65,7 +69,7 @@ def hand_built_family(values, horizon=1.0, spec=None) -> EpsilonFamily:
 
     values = np.asarray(values, dtype=float)
     levels, nodes = values.shape
-    return ladder_module._family(
+    return given_values_family(
         make_spec(x0=float(values[0, 0])) if spec is None else spec,
         zero_path(TimeGrid(horizon, nodes - 1), H_QUARTER),
         EpsilonLadder(0.1, 0.5, levels - 1),
@@ -191,9 +195,9 @@ def test_build_families_rejects_mixed_noises():
 
 
 def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
-    # Two paths per chunk: each family carries the outcome of one batched
-    # probe over its chunk, its ladder values are those of a build without
-    # the probe, and a path that breaks carries no family at all.
+    # Two paths per chunk: each family carries the probe outcome of its
+    # chunk's step loop, its ladder values are those of a build without the
+    # probe, and a path that breaks carries no family at all.
     spec = make_spec(b=0.5, sigma=1.0)
     grid = TimeGrid(1.0, 256)
     ladder = EpsilonLadder(0.1, 0.5, 4)
@@ -222,17 +226,22 @@ def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # (spec, grid, ladder, master seed or None for the zero driver): the shared
-# ladder-14 spec on 2^12 steps, the all-checks-11 spec, and zero noise.
+# ladder-14 spec on 2^12 steps, the all-checks-11 spec at its frozen and a
+# held-out seed, and zero noise.
 _SHARED = (
     SdeSpec(1.0, 1.0, 0.5, 1.0, H_QUARTER), TimeGrid(1.0, 2**12), EpsilonLadder(0.1, 0.5, 10)
 )
+_ALL_CHECKS = (
+    SdeSpec(0.5, 1.5, 0.5, 1.0, H_QUARTER), TimeGrid(1.0, 2**11), EpsilonLadder(0.1, 0.4, 8)
+)
 _STREAM_CASES = {
     "ladder-14": (*_SHARED, 12345),
-    "all-checks-11": (
-        SdeSpec(0.5, 1.5, 0.5, 1.0, H_QUARTER), TimeGrid(1.0, 2**11), EpsilonLadder(0.1, 0.4, 8), 99
-    ),
+    "all-checks-11": (*_ALL_CHECKS, 99),
+    "all-checks-11-4242": (*_ALL_CHECKS, 4242),
     "zero-noise": (*_SHARED, None),
 }
+# the campaign's eps-continuity probe: eps* = 0.05 and three offsets
+_EPS_CONTINUITY = harness_module._EPS_CONTINUITY
 
 
 def _stream_noises(grid, seed, paths):
@@ -241,18 +250,51 @@ def _stream_noises(grid, seed, paths):
     return [generate_fbm(grid, H_QUARTER, SeedRecord(seed, index)) for index in range(paths)]
 
 
+@functools.lru_cache(maxsize=None)
+def _stream_probe_oracle(case):
+    """The scalar eps-continuity outcome of each of the case's 16 paths."""
+
+    spec, grid, _, seed = _STREAM_CASES[case]
+    return [
+        eps_continuity_oracle(spec, noise, *_EPS_CONTINUITY)
+        for noise in _stream_noises(grid, seed, 16)
+    ]
+
+
+def _replay(values, block_steps):
+    """A stand-in for the step loop that hands out given (paths, levels, nodes) values.
+
+    The blocks are time-major, ``block_steps`` nodes each from node 1 on, as
+    the step loop yields them.
+    """
+
+    def replay(spec, levels, grid, table, noise_rows):
+        assert (len(noise_rows), levels.size) == values.shape[:2]
+        for first in range(1, values.shape[2], block_steps):
+            block = values[:, :, first : first + block_steps].transpose(2, 0, 1)
+            yield first, np.ascontiguousarray(block)
+
+    return replay
+
+
 @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
 @pytest.mark.parametrize("block_steps", [1, 2, 7, None])
 def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, monkeypatch):
     # 16 paths, one chunk, time blocks of 1, 2, 7 or the default number of
     # steps: every reduction equals the oracle's on the full values, which
-    # are solved beforehand at the default block size.
+    # are solved beforehand at the default block size.  With the campaign's
+    # eps-continuity probe riding the same step loop, the reductions stay the
+    # same and every gap table equals the scalar solver's.
     spec, grid, ladder, seed = _STREAM_CASES[case]
     noises = _stream_noises(grid, seed, 16)
     levels = ladder.levels()
-    full = sde_module.solve_batch(spec, levels, grid, np.array([noise.values for noise in noises]))
-    if block_steps is not None:
-        monkeypatch.setattr(sde_module, "_BLOCK_VALUES", block_steps * 16 * levels.size)
+    full = solve_batch(spec, levels, grid, np.array([noise.values for noise in noises]))
+
+    def block_of(columns):
+        if block_steps is not None:
+            monkeypatch.setattr(sde_module, "_BLOCK_VALUES", block_steps * 16 * columns)
+
+    block_of(levels.size)
     streamed = list(build_families(spec, noises, ladder, keep_values=False))
     for values, family in zip(full, streamed):
         assert family.values is None
@@ -269,11 +311,44 @@ def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, mon
         # the fixture reaches zero, so the counts and breaks are exercised
         assert any(family.nonpositive_counts.any() for family in streamed)
 
+    block_of(levels.size + 1 + 2 * len(_EPS_CONTINUITY[1]))
+    probed = list(
+        build_families(spec, noises, ladder, eps_continuity=_EPS_CONTINUITY, keep_values=False)
+    )
+    for family, plain, oracle in zip(probed, streamed, _stream_probe_oracle(case)):
+        assert family_reductions(family) == family_reductions(plain)
+        assert family.eps_continuity == oracle
+
+
+def test_eps_continuity_rides_the_ladder_step_loop(monkeypatch):
+    # With the probe on, each chunk runs one step loop, over the ladder's
+    # levels and then the probe's; the probe keeps no row, so a chunk holds
+    # as many paths as without it (two here).
+    spec = make_spec(b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, 256)
+    ladder = EpsilonLadder(0.1, 0.5, 4)
+    probe = (0.05, [0.025, 0.0125, 0.00625])
+    noises = [generate_fbm(grid, H_QUARTER, SeedRecord(21, index)) for index in range(5)]
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 2 * 257)
+    solve = ladder_module._integrate_batch
+    calls = []
+
+    def counted(spec_, levels, grid_, table, noise_rows):
+        calls.append((levels.tolist(), len(noise_rows)))
+        return solve(spec_, levels, grid_, table, noise_rows)
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
+    families = list(build_families(spec, noises, ladder, eps_continuity=probe, keep_values=False))
+    solved = ladder.levels().tolist() + ladder_module._eps_continuity_levels(*probe)[2].tolist()
+    assert calls == [(solved, 2), (solved, 2), (solved, 1)]
+    for noise, family in zip(noises, families):
+        assert family.eps_continuity == eps_continuity_oracle(spec, noise, *probe)
+
 
 def _planted_values(spec, grid, ladder, noises):
     """A solve of the noises with one defect planted on each of paths 0..4."""
 
-    values = sde_module.solve_batch(
+    values = solve_batch(
         spec, ladder.levels(), grid, np.array([noise.values for noise in noises])
     )
     values[0, 3, 20] = values[0, 4, 20] + 1e-3  # shallow above deep: ordering
@@ -299,16 +374,10 @@ def test_streamed_reductions_with_planted_defects(block_steps, monkeypatch):
     values = _planted_values(spec, grid, ladder, noises)
     assert values[1, 4, 30] > 0.0 and values[2, 1, 1] > 0.0
 
-    def planted(spec_, levels_, grid_, table, noise_rows):
-        assert len(noise_rows) == len(noises)
-        for first in range(1, grid.step_count + 1, block_steps):
-            block = values[:, :, first : first + block_steps].transpose(2, 0, 1)
-            yield first, np.ascontiguousarray(block)
-
-    monkeypatch.setattr(ladder_module, "_integrate_batch", planted)
+    monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
     tol = ladder_module.DEFAULT_TOL_MONO
     for path, outcome in enumerate(build_families(spec, noises, ladder, keep_values=False)):
-        given = ladder_module._family(spec, noises[path], ladder, values[path])
+        given = given_values_family(spec, noises[path], ladder, values[path])
         expected = family_reductions_oracle(values[path], levels, grid.dt, tol)
         if isinstance(expected, SolverError):
             assert path in (3, 4)
@@ -330,6 +399,45 @@ def test_streamed_reductions_with_planted_defects(block_steps, monkeypatch):
     )["nonpositive_measure"]
 
 
+@pytest.mark.parametrize("block_steps", [1, 7])
+def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypatch):
+    # Non-finite values planted in probe columns only: every family's
+    # reductions equal a build without the probe, and its eps_continuity is
+    # the scalar solver's error for the first failing probe level in the
+    # order eps*, eps* + h_1, eps* - h_1, ..., not for the earliest node.
+    spec = make_spec(x0=1.0, b=0.5, sigma=0.5)
+    grid = TimeGrid(1.0, 64)
+    ladder = EpsilonLadder(0.1, 0.5, 4)
+    probe = (0.05, [0.025, 0.0125, 0.00625])
+    probe_levels = ladder_module._eps_continuity_levels(*probe)[2]
+    noises = _stream_noises(grid, 5, 3)
+    plain = list(build_families(spec, noises, ladder, keep_values=False))
+    rungs = ladder.depth + 1
+    values = solve_batch(
+        spec,
+        np.concatenate([ladder.levels(), probe_levels]),
+        grid,
+        np.array([noise.values for noise in noises]),
+    )
+    values[1, rungs + 2, 40] = np.nan  # eps* - h_1: the first failing level in probe order
+    values[1, rungs + 5, 9] = np.inf  # earlier, but on the later level eps* + h_3
+    values[2, rungs, 64] = -np.inf  # eps*, at the last node
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
+    probed = list(build_families(spec, noises, ladder, eps_continuity=probe, keep_values=False))
+    for family, clean in zip(probed, plain):
+        assert family_reductions(family) == family_reductions(clean)
+    assert probed[0].eps_continuity == eps_continuity_oracle(spec, noises[0], *probe)
+    for path, level, step in ((1, 2, 40), (2, 0, 64)):
+        error = probed[path].eps_continuity
+        expected = _first_non_finite(values[path, rungs:], probe_levels, grid.dt)
+        assert isinstance(error, SolverError) and error.step_index == step
+        assert str(error) == str(expected)
+        assert str(error) == (
+            f"non-finite state at step {step} (eps={probe_levels[level]}, dt={grid.dt})"
+        )
+
+
 def test_given_values_reduce_node_zero_like_the_oracle():
     # A family of given values reduces node 0 too: here the largest value,
     # the whole Cauchy gap and a non-finite state sit at node 0 alone.
@@ -340,7 +448,7 @@ def test_given_values_reduce_node_zero_like_the_oracle():
     )
     assert (family.cauchy_gap, family.value_max) == (2.0, 3.0)
     values[1, 0] = np.nan
-    failure = ladder_module._family(family.spec, family.noise, family.ladder, values)
+    failure = given_values_family(family.spec, family.noise, family.ladder, values)
     expected = _first_non_finite(values, family.ladder.levels(), 0.5)
     assert isinstance(failure, SolverError) and str(failure) == str(expected)
     assert failure.step_index == 0

@@ -20,12 +20,11 @@ from singsde import (
     TimeGrid,
     generate_fbm,
     kernel_column,
-    solve_batch,
     solve_regularized,
     zero_path,
 )
 
-from _support import closed_form
+from _support import closed_form, solve_batch
 
 H_QUARTER = HurstParam(0.25)
 
