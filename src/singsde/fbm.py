@@ -11,8 +11,10 @@ One exact generator and a zero driver are provided:
 
 ``circulant``
     Embeds the stationary fGn covariance into a circulant matrix diagonalized
-    by the FFT; O(n log n).  The embedding eigenvalues are computed once per
-    (n, H) and kept in a small LRU cache.  For H < 1/2 the embedding is
+    by the FFT; O(n log n).  The weights sqrt(lambda_k / 2n) of the embedding
+    eigenvalues lambda_k are computed once per (n, H) and kept in a small LRU
+    cache; each path is one complex buffer, filled by its weighted normals
+    and transformed in place.  For H < 1/2 the embedding is
     nonnegative definite (Dietrich & Newsam 1997; Craigmile 2003), so a
     genuinely negative eigenvalue (below -1e-10) indicates a bug and aborts.
 ``zero``
@@ -111,20 +113,32 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.step_count + 1)
 
 
+def _uint64(name: str, value: object, bound: str) -> int:
+    """``value`` as an ``int`` in [0, 2^64); bools and non-integers are rejected."""
+
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SeedRecord:
-    """Provenance of one path: a 64-bit master seed plus a path index."""
+    """Provenance of one path: a 64-bit master seed plus a path index.
+
+    Both are integers in [0, 2^64), not bools; numpy integers become ``int``.
+    """
 
     master_seed: int
     path_index: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.master_seed < 2**64):
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if not (0 <= self.path_index < 2**64):
-            raise ValueError(
-                f"path_index must be a nonnegative 64-bit integer, got {self.path_index}"
-            )
+        seed = _uint64("master_seed", self.master_seed, "fit in 64 bits")
+        index = _uint64("path_index", self.path_index, "be a nonnegative 64-bit integer")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "path_index", index)
 
 
 def path_stream(seed_record: SeedRecord, substream: int = 0) -> Generator:
@@ -132,11 +146,11 @@ def path_stream(seed_record: SeedRecord, substream: int = 0) -> Generator:
 
     Each path index owns a disjoint counter block; substreams partition the
     block so that derived draws (nested refinement, auxiliary drivers) never
-    collide with the base path's stream.
+    collide with the base path's stream.  ``substream`` is an integer in
+    [0, 2^64), not a bool.
     """
 
-    if not (0 <= substream < 2**64):
-        raise ValueError(f"substream must fit in 64 bits, got {substream}")
+    substream = _uint64("substream", substream, "fit in 64 bits")
     counter = (seed_record.path_index << 192) + (substream << 128)
     return Generator(Philox(key=seed_record.master_seed, counter=counter))
 
@@ -212,11 +226,12 @@ def _fgn_kernel(n_lags: int, hurst_value: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _circulant_eigenvalues(n: int, hurst_value: float) -> np.ndarray:
-    """Eigenvalues of the length-2n circulant embedding of gamma(0..n-1).
+def _circulant_weights(n: int, hurst_value: float) -> np.ndarray:
+    """Weights sqrt(lambda_k / 2n) of the length-2n circulant embedding of gamma(0..n-1).
 
-    Cached per (n, H) in a small LRU cache; the returned array is read-only
-    because every caller shares it.
+    lambda_k are the embedding's eigenvalues, clipped at 0 once they pass the
+    floor check.  Cached per (n, H) in a small LRU cache; the returned array
+    is read-only because every caller shares it.
     """
 
     g = _fgn_kernel(n, hurst_value)
@@ -227,18 +242,25 @@ def _circulant_eigenvalues(n: int, hurst_value: float) -> np.ndarray:
             f"circulant embedding produced eigenvalue {eig.min():.3e} below "
             f"{_EMBEDDING_EIG_FLOOR:.0e} for n={n}, H={hurst_value}"
         )
-    eig = np.clip(eig, 0.0, None)
-    eig.setflags(write=False)
-    return eig
+    weights = np.sqrt(np.clip(eig, 0.0, None) / (2 * n))
+    weights.setflags(write=False)
+    return weights
 
 
 def _fgn_unit_circulant(n: int, hurst_value: float, rng: Generator) -> np.ndarray:
-    eig = _circulant_eigenvalues(n, hurst_value)
-    m = 2 * n
-    z_re = rng.standard_normal(m)
-    z_im = rng.standard_normal(m)
-    w = np.fft.fft((z_re + 1j * z_im) * np.sqrt(eig / m))
-    return w.real[:n].copy()
+    """n unit-variance fGn increments: the real part of the FFT of weighted complex normals.
+
+    The real normals are drawn first, then the imaginary ones, each 2n long,
+    and weighted straight into one complex buffer that the FFT overwrites.
+    The result is a view of that buffer.
+    """
+
+    weights = _circulant_weights(n, hurst_value)
+    w = np.empty(2 * n, dtype=complex)
+    np.multiply(rng.standard_normal(2 * n), weights, out=w.real)
+    np.multiply(rng.standard_normal(2 * n), weights, out=w.imag)
+    np.fft.fft(w, out=w)
+    return w.real[:n]
 
 
 def generate_fbm(
@@ -257,8 +279,10 @@ def generate_fbm(
     """
 
     rng = path_stream(seed_record, substream=substream)
-    increments = _fgn_unit_circulant(grid.step_count, hurst.value, rng) * grid.dt**hurst.value
-    values = np.concatenate([[0.0], np.cumsum(increments)])
+    increments = _fgn_unit_circulant(grid.step_count, hurst.value, rng)
+    values = np.empty(grid.step_count + 1)
+    values[0] = 0.0
+    np.cumsum(increments * grid.dt**hurst.value, out=values[1:])
     return FbmPath(
         grid=grid, values=values, hurst=hurst, seed_record=seed_record, generator_tag="circulant"
     )

@@ -270,7 +270,8 @@ class ExperimentConfig:
     save_families: bool = False
 
     def __post_init__(self) -> None:
-        SeedRecord(self.master_seed, 0)  # domain check on the seed
+        # domain check on the seed; a numpy integer becomes an int
+        self.master_seed = SeedRecord(self.master_seed, 0).master_seed
         if not (isinstance(self.path_count, int) and self.path_count >= 1):
             raise ValueError(f"path_count must be a positive integer, got {self.path_count}")
         if self.ladder.depth < 2:

@@ -239,15 +239,20 @@ class _Reductions:
         flat = block.reshape(-1)
         with np.errstate(invalid="ignore"):  # a non-finite path is reported, not reduced
             top = block.max(axis=0)
-            if not (np.isfinite(top).all() and np.isfinite(block.min(axis=0)).all()):
+            low = block.min(axis=0)
+            if not (np.isfinite(top).all() and np.isfinite(low).all()):
                 _note_non_finite(self.first_non_finite, first, block)
             np.maximum(self.value_max, top, out=self.value_max)
 
-            nonpositive = flat <= 0.0
-            self.nonpositive_counts += nonpositive.reshape(block.shape).sum(axis=0, dtype=np.int32)
-            entering = np.empty(block.shape, dtype=bool)
-            np.greater(nonpositive[1:], nonpositive[:-1], out=entering.reshape(-1)[:-1])
-            self.nested_breaks |= np.logical_or.reduce(entering, axis=0)[:, :-1]
+            # A block whose every value is positive adds no nonpositive node
+            # and no break; a NaN fails ``> 0`` and takes the full count.
+            if not (low > 0.0).all():
+                nonpositive = flat <= 0.0
+                counts = nonpositive.reshape(block.shape).sum(axis=0, dtype=np.int32)
+                self.nonpositive_counts += counts
+                entering = np.empty(block.shape, dtype=bool)
+                np.greater(nonpositive[1:], nonpositive[:-1], out=entering.reshape(-1)[:-1])
+                self.nested_breaks |= np.logical_or.reduce(entering, axis=0)[:, :-1]
 
             # A deficit beyond a nonnegative tolerance needs a shallow value
             # above the deep one, and that is rare, so the deficits are only

@@ -44,6 +44,7 @@ from singsde import (
     verify_nested_zero_sets,
     zero_path,
 )
+from singsde import fbm as fbm_module
 from singsde import harness
 from singsde import ladder as ladder_module
 from singsde.sde import _drift_table, _first_non_finite, _integrate_batch
@@ -110,6 +111,22 @@ def cholesky_fbm_values(grid: TimeGrid, hurst: HurstParam, seed_record: SeedReco
     factor = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
     increments = factor @ path_stream(seed_record).standard_normal(n) * grid.dt**hurst.value
     return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+def circulant_fgn_oracle(n: int, hurst_value: float, rng: np.random.Generator) -> np.ndarray:
+    """The circulant sampler's formula through complex temporaries: n unit-variance fGn increments.
+
+    The eigenvalues of the length-2n circulant embedding of gamma(0..n-1),
+    clipped at 0, weight two draws of 2n normals, the real parts first; the
+    increments are the real part of the first n outputs of one complex FFT.
+    """
+
+    g = fbm_module._fgn_kernel(n, hurst_value)
+    m = 2 * n
+    eig = np.clip(np.fft.fft(np.concatenate([g[:n], [g[n]], g[1:n][::-1]])).real, 0.0, None)
+    z_re = rng.standard_normal(m)
+    z_im = rng.standard_normal(m)
+    return np.fft.fft((z_re + 1j * z_im) * np.sqrt(eig / m)).real[:n]
 
 
 def generate_increment_matrix(

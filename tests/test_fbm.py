@@ -31,6 +31,7 @@ from singsde import fbm as fbm_module
 
 from _support import (
     cholesky_fbm_values,
+    circulant_fgn_oracle,
     covariance_formula,
     dense_refinement_law,
     fbm_covariance,
@@ -129,6 +130,36 @@ def test_same_seed_is_bit_identical():
     base = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(42, 3))
     assert not np.array_equal(base.values, other_path.values)
     assert not np.array_equal(base.values, other_sub.values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 2**11, 2**14])
+@pytest.mark.parametrize("hurst_value", [0.01, 0.25, 0.49])
+def test_circulant_draws_equal_the_complex_temporaries_oracle(n, hurst_value, monkeypatch):
+    # The sampler weights its normals straight into one complex buffer and
+    # transforms it in place; every value must equal the formula through
+    # complex temporaries bit for bit, on each substream and in refine_fbm's
+    # unconditional draw.
+    grid, hurst, rec = TimeGrid(1.0, n), HurstParam(hurst_value), SeedRecord(2024, 7)
+    for substream in (0, 1, 2):
+        path = generate_fbm(grid, hurst, rec, substream=substream)
+        unit = circulant_fgn_oracle(n, hurst_value, path_stream(rec, substream))
+        expected = np.concatenate([[0.0], np.cumsum(unit * grid.dt**hurst_value)])
+        assert np.array_equal(path.values, expected), substream
+        assert path.values.flags.owndata and path.values.base is None
+    assert not fbm_module._circulant_weights(n, hurst_value).flags.writeable
+
+    coarse = generate_fbm(grid, hurst, rec)
+    sampler = fbm_module._fgn_unit_circulant
+    draws = []
+
+    def recorded(size, value, rng):
+        draws.append(sampler(size, value, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(fbm_module, "_fgn_unit_circulant", recorded)
+    refine_fbm(coarse)
+    assert len(draws) == 1
+    assert np.array_equal(draws[0], circulant_fgn_oracle(2 * n, hurst_value, path_stream(rec, 1)))
 
 
 def test_paths_start_at_zero():
@@ -235,6 +266,29 @@ def test_seed_record_rejects_indices_beyond_64_bits():
         SeedRecord(0, -1)
     with pytest.raises(ValueError, match="master_seed must fit in 64 bits"):
         SeedRecord(2**64, 0)
+
+
+def test_seed_record_and_substream_take_integers_only():
+    # Non-integers and bools are rejected at the boundary, not inside the
+    # counter arithmetic of path_stream; numpy integers become ints.
+    for master_seed in (1.5, True, "3"):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            SeedRecord(master_seed, 0)
+    for path_index in (2.0, False):
+        with pytest.raises(ValueError, match="path_index must be an integer"):
+            SeedRecord(1, path_index)
+    record = SeedRecord(np.int64(5), np.uint64(1))
+    assert type(record.master_seed) is int and type(record.path_index) is int
+    assert record == SeedRecord(5, 1) and hash(record) == hash(SeedRecord(5, 1))
+    for substream in (2.0, True):
+        with pytest.raises(ValueError, match="substream must be an integer"):
+            path_stream(record, substream=substream)
+    with pytest.raises(ValueError, match="substream must fit in 64 bits"):
+        path_stream(record, substream=-1)
+    assert np.array_equal(
+        path_stream(record, substream=np.int32(2)).standard_normal(8),
+        path_stream(SeedRecord(5, 1), substream=2).standard_normal(8),
+    )
 
 
 def test_path_stream_determinism():

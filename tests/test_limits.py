@@ -310,6 +310,9 @@ def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, mon
     if case == "ladder-14":
         # the fixture reaches zero, so the counts and breaks are exercised
         assert any(family.nonpositive_counts.any() for family in streamed)
+    if case == "zero-noise":
+        # every value is positive, so every block skips the counts and breaks
+        assert full.min() > 0.0
 
     block_of(levels.size + 1 + 2 * len(_EPS_CONTINUITY[1]))
     probed = list(
@@ -360,6 +363,38 @@ def _planted_values(spec, grid, ladder, noises):
     values[4, 7, 8] = np.inf  # earlier, but on a deeper level than ...
     values[4, 2, 40] = np.nan  # ... the level the error must name
     return values
+
+
+@pytest.mark.parametrize("block_steps", [1, 2, 7])
+def test_positive_blocks_skip_only_what_they_cannot_change(block_steps, monkeypatch):
+    # Under zero noise from x0 = 1 every value is positive, and a block whose
+    # minimum is positive skips the nonpositive counts and the nested breaks.
+    # A -inf that only the block minimum sees is still reported, and a
+    # planted zero is still counted and breaks the nesting, as on the whole
+    # array.
+    spec = make_spec(x0=1.0, b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, 64)
+    ladder = EpsilonLadder(0.1, 0.5, 10)
+    levels = ladder.levels()
+    noises = _stream_noises(grid, None, 4)
+    values = solve_batch(spec, levels, grid, np.array([noise.values for noise in noises]))
+    assert values.min() > 0.0
+    values[1, 3, 20] = -np.inf
+    values[2, 6, 33] = 0.0
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
+    tol = ladder_module.DEFAULT_TOL_MONO
+    outcomes = list(build_families(spec, noises, ladder, keep_values=False))
+    for path, outcome in enumerate(outcomes):
+        expected = family_reductions_oracle(values[path], levels, grid.dt, tol)
+        if path == 1:
+            assert isinstance(outcome, SolverError) and isinstance(expected, SolverError)
+            assert str(outcome) == str(expected) and outcome.step_index == expected.step_index == 20
+            continue
+        assert family_reductions(outcome) == expected
+    assert np.flatnonzero(outcomes[2].nonpositive_counts).tolist() == [6]
+    assert verify_nested_zero_sets(outcomes[2]) == (False, 6)
+    assert not outcomes[0].nonpositive_counts.any() and not outcomes[3].nonpositive_counts.any()
 
 
 @pytest.mark.parametrize("block_steps", [1, 2, 7])
