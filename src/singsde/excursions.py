@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .ladder import DEFAULT_FLOOR_SCALE, EpsilonFamily, _identity_kernel, identity_residual
+from .ladder import DEFAULT_FLOOR_SCALE, EpsilonFamily, _identity_kernel, _limit_row, identity_residual
 from .sde import SdeSpec
 
 __all__ = [
@@ -73,22 +73,15 @@ def decompose_excursions(values: np.ndarray, grid: TimeGrid, threshold: float) -
     x = np.asarray(values, dtype=float)
     if x.shape != (grid.step_count + 1,):
         raise ValueError(f"values must have {grid.step_count + 1} entries, got shape {x.shape}")
-    above = x > threshold
-    intervals: list[tuple[int, int]] = []
-    k = 0
-    n_nodes = x.size
-    while k < n_nodes:
-        if above[k]:
-            start = k
-            while k < n_nodes and above[k]:
-                k += 1
-            intervals.append((start, k - 1))
-        else:
-            k += 1
+    # Padded with a node below on each side, the above-mask changes value at
+    # each run's first node and one past its last, in that order.
+    above = np.concatenate([[False], x > threshold, [False]])
+    edges = np.flatnonzero(above[1:] != above[:-1])
+    intervals = tuple(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
     return ExcursionSet(
-        intervals=tuple(intervals),
+        intervals=intervals,
         first_interval_closed_left=bool(intervals and intervals[0][0] == 0),
-        last_interval_truncated_right=bool(intervals and intervals[-1][1] == n_nodes - 1),
+        last_interval_truncated_right=bool(intervals and intervals[-1][1] == x.size - 1),
         threshold=threshold,
     )
 
@@ -233,7 +226,7 @@ def verify_initial_identity(
         raise ValueError(f"margin_steps must be positive, got {margin_steps}")
     spec = family.spec
     floor = DEFAULT_FLOOR_SCALE * spec.x0
-    x = family.limit_estimate
+    x = _limit_row(family)
     threshold = residual_window_threshold(family)
     below = np.flatnonzero(x[1:] <= threshold)
     first_crossing = int(below[0] + 1) if below.size else family.grid.step_count

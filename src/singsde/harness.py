@@ -61,6 +61,7 @@ from .ladder import (
     DEFAULT_TOL_MONO,
     EpsilonFamily,
     EpsilonLadder,
+    _limit_row,
     build_families,
     compensator_budget,
     compute_compensator,
@@ -511,7 +512,7 @@ class _PathContext:
         if self.excursions is None:
             self.threshold = residual_window_threshold(self.family)
             self.excursions = decompose_excursions(
-                self.family.limit_estimate, self.family.grid, self.threshold
+                _limit_row(self.family), self.family.grid, self.threshold
             )
         assert self.threshold is not None
         return self.threshold, self.excursions
@@ -661,7 +662,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
                 [certified[index][0].noise for index in results],
                 _window_ladder(config.ladder, grid.dt),
                 tol_mono=config.tolerances["tol_mono"],
-                keep_values=False,
+                keep="limit",
             )
             for (index, result), family in zip(results.items(), families):
                 if isinstance(family, SolverError):
@@ -833,6 +834,11 @@ _PER_PATH_CHECKS: dict[
     "restart-refinement": (_check_restart_refinement, 0.0),
 }
 
+# The checks that read the limit row whole: campaigns keep it only for them.
+_LIMIT_ROW_CHECKS = frozenset(
+    {"compensator", "excursion-endpoints", "initial-identity", "restart-refinement"}
+)
+
 # One path's outcome of one check: (path index or None for a campaign-wide
 # verdict, passed, violation, note).
 _Outcome = tuple["int | None", bool, "float | None", "str | None"]
@@ -970,10 +976,12 @@ def _path_families(
     Noise is generated lazily as :func:`build_families` draws it chunk by
     chunk; a path whose generation fails is held back until the families of
     the paths before it have been handed out, so outcomes stay in index order.
-    The seconds are the time spent producing that outcome.
+    The seconds are the time spent producing that outcome.  The families
+    keep every level with ``save_families``, else only the rows checks read.
     """
 
     pending: deque[tuple[int, Exception | None]] = deque()
+    reads_limit = not _LIMIT_ROW_CHECKS.isdisjoint(config.checks)
 
     def noises() -> Iterator[FbmPath]:
         for index in range(config.path_count):
@@ -995,7 +1003,7 @@ def _path_families(
         config.ladder,
         tol_mono=config.tolerances["tol_mono"],
         eps_continuity=_EPS_CONTINUITY if "eps-continuity" in config.checks else None,
-        keep_values=config.save_families,
+        keep="levels" if config.save_families else ("limit" if reads_limit else "none"),
     )
     started = time.perf_counter()
     for family in families:

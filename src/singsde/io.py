@@ -197,11 +197,12 @@ def write_family_csv(
 ) -> None:
     """Ladder export: (t, noise, X_eps_0 .. X_eps_J, limit_estimate).
 
-    The family must keep its levels (``build_families(..., keep_values=True)``).
+    The family must keep its levels (``build_families(..., keep="levels")``).
     """
 
     if family.values is None:
-        raise ValueError("the family keeps no levels to export; build it with keep_values=True")
+        keep = "none" if family.limit_estimate is None else "limit"
+        raise ValueError(f"the family keeps no levels to export (keep={keep!r}); keep 'levels'")
     spec = family.spec
     meta: dict[str, object] = {
         "format_version": FORMAT_VERSION,

@@ -15,10 +15,10 @@ extrapolation.
 Families of many paths are solved together: every path and level of a chunk
 advance through one batched recursion (:func:`build_families`), and each time
 block of it is folded into exact per-path reductions as it leaves the step
-loop.  A family keeps its limit row and the reductions its checks read; it
-keeps every level only when built with ``keep_values``.  A chunk is sized by
-the rows each of its paths keeps alive, so a campaign chunk that keeps no
-levels holds several times more paths than one that does.
+loop.  A family keeps the reductions its checks read and, by the ``keep``
+choice it is built with, no row, the limit row or every level.  A chunk is
+sized by the rows each of its paths keeps alive, so a campaign chunk that
+keeps no row holds twice as many paths as one that keeps the limit row.
 
 Verification operations check, per path: the ordering itself, a uniform upper
 bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma sup|B|``, decay of the
@@ -80,9 +80,10 @@ DEFAULT_FLOOR_SCALE = 1e-6
 COMPENSATOR_BUDGET_EXTRA = 1e-6
 
 # Values a solver chunk keeps alive (16 MiB of float64), counted as the rows
-# its paths retain: on 2^14 steps, 63 paths that keep a noise and a limit row,
-# or 10 that keep a noise row and 11 levels.  Larger chunks spread the
-# per-step ufunc overhead over more paths but cost resident memory.
+# its paths retain: on 2^14 steps, 127 paths that keep only a noise row, 63
+# that also keep the limit row, or 10 that keep a noise row and 11 levels.
+# Larger chunks spread the per-step ufunc overhead over more paths but cost
+# resident memory.
 _CHUNK_VALUES = 2**21
 
 
@@ -115,12 +116,14 @@ class EpsilonLadder:
 class EpsilonFamily:
     """All ladder levels on one grid under one noise path, kept as exact reductions.
 
-    ``limit_estimate`` is the deepest level's row.  ``values`` holds every
-    level, shape (levels, nodes), shallowest first, when the family was built
-    to keep them (``keep_values``), else None; its last row is the limit row.
-    Besides the limit row, the checks read only these reductions, each equal
-    to the same reduction of the full values:
+    ``limit_estimate`` is the deepest level's row, and ``values`` holds every
+    level, shape (levels, nodes), shallowest first, ending in the limit row.
+    Each is None unless the family was built to keep it (``keep``: ``"none"``,
+    ``"limit"`` or ``"levels"``).  Besides the limit row, the checks read only
+    these reductions, each equal to the same reduction of the full values:
 
+    - ``limit_min`` / ``limit_argmin``, the limit row's minimum and the first
+      node where it falls;
     - ``value_max``, the largest value over every level and node;
     - ``nonpositive_counts``, per level, the number of nodes k >= 1 with
       X_k <= 0;
@@ -141,22 +144,25 @@ class EpsilonFamily:
     spec: SdeSpec
     noise: FbmPath
     ladder: EpsilonLadder
-    limit_estimate: np.ndarray
+    limit_min: float
+    limit_argmin: int
     value_max: float
     nonpositive_counts: np.ndarray
     nested_breaks: np.ndarray
     cauchy_gap: float
     mono_violation_count: int
     mono_worst_deficit: float
+    limit_estimate: np.ndarray | None = None
     values: np.ndarray | None = None
     eps_continuity: EpsContinuityResult | SolverError | None = None
 
     def __post_init__(self) -> None:
         nodes = self.noise.grid.step_count + 1
-        if self.limit_estimate.shape != (nodes,):
-            raise ValueError(
-                f"limit_estimate must have {nodes} entries, got shape {self.limit_estimate.shape}"
-            )
+        row = self.limit_estimate
+        if row is not None and row.shape != (nodes,):
+            raise ValueError(f"limit_estimate must have {nodes} entries, got shape {row.shape}")
+        if row is not None and (self.limit_min, self.limit_argmin) != (row.min(), row.argmin()):
+            raise ValueError("limit_min and limit_argmin must be the limit row's min and argmin")
         if self.values is None:
             return
         if self.values.shape != (self.ladder.depth + 1, nodes):
@@ -173,6 +179,14 @@ class EpsilonFamily:
     @property
     def grid(self) -> TimeGrid:
         return self.noise.grid
+
+
+def _limit_row(family: EpsilonFamily) -> np.ndarray:
+    """The family's limit row, for a check that reads it whole."""
+
+    if family.limit_estimate is None:
+        raise ValueError("the family keeps no limit row (keep='none'); keep 'limit' or 'levels'")
+    return family.limit_estimate
 
 
 def _note_non_finite(first_non_finite: np.ndarray, first: int, block: np.ndarray) -> None:
@@ -202,13 +216,15 @@ class _Reductions:
     Every reduction is a max, a count, an or, a first index or a copy, so
     folding block by block gives exactly the reduction over all nodes at once.
     Each block is reduced over its time axis first, which is the fast axis of
-    a time-major block.  With ``keep_values`` every level is copied into one
-    (levels, nodes) array per path; otherwise only the deepest level is kept.
+    a time-major block.  The deepest ``kept`` levels (none, the limit row or
+    every level) are copied into one (kept, nodes) array per path.
     """
 
-    def __init__(self, head: np.ndarray, nodes: int, tol_mono: float, keep_values: bool):
+    def __init__(self, head: np.ndarray, nodes: int, tol_mono: float, kept: int):
         paths, levels = head.shape
         self.tol_mono = tol_mono
+        self.limit_min = head[:, -1].copy()
+        self.limit_argmin = np.zeros(paths, dtype=np.int64)
         self.value_max = head.copy()
         self.nonpositive_counts = np.zeros((paths, levels), dtype=np.int64)
         self.nested_breaks = np.zeros((paths, levels - 1), dtype=bool)
@@ -217,15 +233,10 @@ class _Reductions:
         self.gap = np.abs(head[:, -1] - head[:, -2])
         # per (path, level): the first node with a non-finite state, or -1
         self.first_non_finite = np.where(np.isfinite(head), -1, 0)
-        self.values: list[np.ndarray] | None = None
-        self.limit: np.ndarray | None = None
-        if keep_values:
-            self.values = [np.empty((levels, nodes)) for _ in range(paths)]
-            for rows, first in zip(self.values, head):
-                rows[:, 0] = first
-        else:
-            self.limit = np.empty((paths, nodes))
-            self.limit[:, 0] = head[:, -1]
+        self.shallowest_kept = levels - kept
+        self.rows = [np.empty((kept, nodes)) for _ in range(paths)] if kept else []
+        for rows, first in zip(self.rows, head):
+            rows[:, 0] = first[self.shallowest_kept :]
 
     def fold(self, first: int, block: np.ndarray) -> None:
         """Fold in nodes ``first .. first + steps - 1``, given as a (steps, paths, levels) block."""
@@ -243,6 +254,11 @@ class _Reductions:
             if not (np.isfinite(top).all() and np.isfinite(low).all()):
                 _note_non_finite(self.first_non_finite, first, block)
             np.maximum(self.value_max, top, out=self.value_max)
+            # only a strictly lower minimum moves the limit row's first argmin
+            at = block[..., -1].argmin(axis=0)
+            value = block[at, np.arange(len(at)), -1]
+            lower = value < self.limit_min
+            self.limit_min[lower], self.limit_argmin[lower] = value[lower], first + at[lower]
 
             # A block whose every value is positive adds no nonpositive node
             # and no break; a NaN fails ``> 0`` and takes the full count.
@@ -270,11 +286,8 @@ class _Reductions:
                 np.maximum(self.mono_worst, worst, out=self.mono_worst)
             gap = np.abs(block[..., -1] - block[..., -2]).max(axis=0)
             np.maximum(self.gap, gap, out=self.gap)
-        if self.values is None:
-            self.limit[:, first:stop] = block[..., -1].T
-        else:
-            for path, rows in enumerate(self.values):
-                rows[:, first:stop] = block[:, path].T
+        for rows, kept in zip(self.rows, block[..., self.shallowest_kept :].transpose(1, 2, 0)):
+            rows[:, first:stop] = kept
 
     def family(
         self,
@@ -289,19 +302,21 @@ class _Reductions:
         failure = _level_error(self.first_non_finite[path], ladder.levels(), noise.grid.dt)
         if failure is not None:
             return failure
-        values = None if self.values is None else self.values[path]
+        rows = self.rows[path] if self.rows else None
         return EpsilonFamily(
             spec=spec,
             noise=noise,
             ladder=ladder,
-            limit_estimate=self.limit[path].copy() if values is None else values[-1],
+            limit_min=float(self.limit_min[path]),
+            limit_argmin=int(self.limit_argmin[path]),
             value_max=float(self.value_max[path].max()),
             nonpositive_counts=self.nonpositive_counts[path].copy(),
             nested_breaks=self.nested_breaks[path].copy(),
             cauchy_gap=float(self.gap[path]),
             mono_violation_count=int(self.mono_count[path]),
             mono_worst_deficit=float(self.mono_worst[path]),
-            values=values,
+            limit_estimate=None if rows is None else rows[-1],
+            values=None if self.shallowest_kept else rows,
             eps_continuity=eps_continuity,
         )
 
@@ -312,7 +327,7 @@ def build_families(
     ladder: EpsilonLadder,
     tol_mono: float = DEFAULT_TOL_MONO,
     eps_continuity: tuple[float, Sequence[float]] | None = None,
-    keep_values: bool = True,
+    keep: str = "levels",
 ) -> Iterator[EpsilonFamily | SolverError]:
     """Solve every ladder level on each noise path, one batched chunk at a time.
 
@@ -323,12 +338,12 @@ def build_families(
     the spec's roughness.
 
     Each time block of a chunk's solve is folded into the families'
-    reductions as it leaves the step loop, so a family keeps its limit row
-    and, with ``keep_values``, its own copy of every level; nothing else of
-    the solve outlives the block.  A chunk is sized by the rows each of its
-    paths keeps alive: the noise row and the limit row, or the noise row and
-    every level with ``keep_values``, at about ``_CHUNK_VALUES`` values in all.
-    Noises are drawn from the iterable lazily, one chunk ahead.
+    reductions as it leaves the step loop, and into the rows ``keep`` names:
+    ``"none"``, the limit row (``"limit"``) or every level (``"levels"``),
+    one array per path; nothing else of the solve outlives the block.  A
+    chunk is sized by the rows each of its paths keeps alive, its noise row
+    and its kept rows, at about ``_CHUNK_VALUES`` values in all.  Noises are
+    drawn from the iterable lazily, one chunk ahead.
 
     With ``eps_continuity = (eps_star, offsets)``, the levels of
     :func:`verify_eps_continuity` are solved as extra columns of the same
@@ -340,6 +355,9 @@ def build_families(
 
     if ladder.depth < 2:
         raise ValueError(f"ladder depth must be at least 2, got {ladder.depth}")
+    kept = {"none": 0, "limit": 1, "levels": ladder.depth + 1}.get(keep)
+    if kept is None:
+        raise ValueError(f"keep must be 'none', 'limit' or 'levels', got {keep!r}")
     probe = None if eps_continuity is None else _eps_continuity_levels(*eps_continuity)
     levels = ladder.levels() if probe is None else np.concatenate([ladder.levels(), probe[2]])
     noises = iter(noises)
@@ -347,13 +365,12 @@ def build_families(
     if first is None:
         return
     grid = first.grid
-    rows = 1 + (ladder.depth + 1 if keep_values else 1)
-    width = max(1, _CHUNK_VALUES // (rows * (grid.step_count + 1)))
+    width = max(1, _CHUNK_VALUES // ((1 + kept) * (grid.step_count + 1)))
     table = _drift_table(spec, levels, grid)
     noises = chain([first], noises)
     while chunk := list(islice(noises, width)):
         yield from _chunk_families(
-            spec, ladder, grid, levels, table, chunk, tol_mono, probe, keep_values
+            spec, ladder, grid, levels, table, chunk, tol_mono, probe, kept
         )
         del chunk  # the chunk's noises go before the next chunk's are drawn
 
@@ -367,7 +384,7 @@ def _chunk_families(
     chunk: list[FbmPath],
     tol_mono: float,
     probe: tuple[float, list[float], np.ndarray] | None,
-    keep_values: bool,
+    kept: int,
 ) -> Iterator[EpsilonFamily | SolverError]:
     """Check and solve one chunk of noises, and yield its outcomes in order.
 
@@ -385,7 +402,7 @@ def _chunk_families(
             raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
     rungs = ladder.depth + 1
     head = np.broadcast_to(spec.x0, (len(chunk), rungs))
-    reductions = _Reductions(head, grid.step_count + 1, tol_mono, keep_values)
+    reductions = _Reductions(head, grid.step_count + 1, tol_mono, kept)
     gaps = None if probe is None else _ProbeGaps(*probe, len(chunk))
     noise_rows = [noise.values for noise in chunk]
     for first, values in _integrate_batch(spec, levels, grid, table, noise_rows):
@@ -508,19 +525,19 @@ class NonnegativityResult:
 
 
 def verify_limit_nonnegativity(family: EpsilonFamily, tol: float) -> NonnegativityResult:
-    """Pass iff min_k limit_estimate[k] >= -tol.
+    """Pass iff min_k limit_estimate[k] >= -tol, read from ``limit_min``.
 
-    The natural tolerance is ``cauchy_gap + small``: the true limit dominates
-    the deepest level from above by at most the remaining monotone gap.
+    So a family that keeps no limit row is checked too; the worst node is
+    the first where the minimum falls.  The natural tolerance is
+    ``cauchy_gap + small``: the true limit dominates the deepest level from
+    above by at most the remaining monotone gap.
     """
 
-    worst_index = int(np.argmin(family.limit_estimate))
-    worst_value = float(family.limit_estimate[worst_index])
     return NonnegativityResult(
-        worst_value=worst_value,
-        worst_index=worst_index,
+        worst_value=family.limit_min,
+        worst_index=family.limit_argmin,
         tolerance=tol,
-        passes=worst_value >= -tol,
+        passes=family.limit_min >= -tol,
     )
 
 
@@ -595,7 +612,7 @@ def compute_compensator(family: EpsilonFamily, floor: float | None = None) -> Co
     grid = family.grid
     if floor is None:
         floor = DEFAULT_FLOOR_SCALE * spec.x0
-    x = family.limit_estimate
+    x = _limit_row(family)
     values = identity_residual(
         x, family.noise.values, spec, grid, 0, grid.step_count, spec.x0, floor
     )

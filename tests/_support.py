@@ -6,8 +6,9 @@ noise generator, Monte Carlo z-score machinery for the noise generator,
 report canonicalization for the determinism contract, the cell-by-cell CSV
 writer that the column-wise one must match byte for byte, the scalar
 eps-continuity loop and per-path contraction check that the batched checks
-must match exactly, the batched solve collected into one whole array, and the
-whole-array family reductions that the block-streamed ones must equal.
+must match exactly, the batched solve collected into one whole array, the
+whole-array family reductions that the block-streamed ones must equal, and
+the node-by-node excursion decomposition that the vectorized one must equal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from singsde import (
     EpsContinuityResult,
     EpsilonFamily,
     EpsilonLadder,
+    ExcursionSet,
     ExperimentConfig,
     FbmPath,
     HurstParam,
@@ -274,7 +276,7 @@ def given_values_family(
 
     values = np.asarray(values, dtype=float)
     reductions = ladder_module._Reductions(
-        values[None, :, 0], values.shape[1], tol_mono, keep_values=True
+        values[None, :, 0], values.shape[1], tol_mono, kept=values.shape[0]
     )
     reductions.fold(1, values[:, 1:].T[:, None, :])
     return reductions.family(0, spec, noise, ladder)
@@ -299,6 +301,7 @@ def family_reductions_oracle(
     breaks = np.flatnonzero((nonpositive[1:] & ~nonpositive[:-1]).any(axis=1))
     return {
         "limit_estimate": values[-1].tobytes(),
+        "limit_min": (float(np.min(values[-1])), int(np.argmin(values[-1]))),
         "value_max": float(values.max()),
         "nonpositive_measure": (dt * np.count_nonzero(nonpositive, axis=1)).tobytes(),
         "nested": (False, int(breaks[0]) + 1) if breaks.size else (True, -1),
@@ -309,10 +312,15 @@ def family_reductions_oracle(
 
 
 def family_reductions(family: EpsilonFamily) -> dict:
-    """The reductions of a family as its checks read them, in the oracle's form."""
+    """The reductions of a family as its checks read them, in the oracle's form.
 
+    A family that keeps no limit row reports None for it.
+    """
+
+    limit = family.limit_estimate
     return {
-        "limit_estimate": family.limit_estimate.tobytes(),
+        "limit_estimate": None if limit is None else limit.tobytes(),
+        "limit_min": (family.limit_min, family.limit_argmin),
         "value_max": family.value_max,
         "nonpositive_measure": nonpositive_measure(family).tobytes(),
         "nested": verify_nested_zero_sets(family),
@@ -320,6 +328,29 @@ def family_reductions(family: EpsilonFamily) -> dict:
         "mono_violation_count": family.mono_violation_count,
         "mono_worst_deficit": family.mono_worst_deficit,
     }
+
+
+def decompose_excursions_oracle(values: np.ndarray, threshold: float) -> ExcursionSet:
+    """Node-by-node reference of ``decompose_excursions``: one run at a time, no validation."""
+
+    above = np.asarray(values, dtype=float) > threshold
+    intervals: list[tuple[int, int]] = []
+    k = 0
+    n_nodes = above.size
+    while k < n_nodes:
+        if above[k]:
+            start = k
+            while k < n_nodes and above[k]:
+                k += 1
+            intervals.append((start, k - 1))
+        else:
+            k += 1
+    return ExcursionSet(
+        intervals=tuple(intervals),
+        first_interval_closed_left=bool(intervals and intervals[0][0] == 0),
+        last_interval_truncated_right=bool(intervals and intervals[-1][1] == n_nodes - 1),
+        threshold=threshold,
+    )
 
 
 def eps_continuity_oracle(

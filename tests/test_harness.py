@@ -26,12 +26,14 @@ from singsde import (
     HurstParam,
     PicardBandError,
     SolverError,
+    build_families,
     config_digest,
     config_from_dict,
     load_config,
     read_csv_with_meta,
     render_report_table,
     run_campaign,
+    zero_path,
 )
 
 from singsde import harness as harness_module
@@ -42,6 +44,16 @@ from singsde.cli import cli_dispatch
 from _support import canonical_report, contraction_oracle
 
 H_QUARTER = HurstParam(0.25)
+# the checks of the frozen ladder-14 campaign: none reads the limit row whole
+ROWLESS_CHECKS = [
+    "ordering",
+    "nested-zero-sets",
+    "upper-bound",
+    "measure-decay",
+    "measure-decay-mean",
+    "limit-nonneg",
+]
+ROW_READING_CHECKS = ["compensator", "excursion-endpoints", "initial-identity", "restart-refinement"]
 
 
 def config_dict(**overrides) -> dict:
@@ -345,10 +357,11 @@ def test_campaign_reports_are_deterministic(tmp_path):
 def test_campaign_report_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
     # Seven paths on the hot (sigma = 1) spec, so several checks record
     # failures: solved all in one chunk, one path per chunk, and 3 + 3 + 1.
-    # At seed 77 eps-continuity fails on paths 0 and 1, so its batched
-    # per-chunk verdicts are compared across the splits too.  A chunk is
-    # sized by its widest solve, here the 7 eps-continuity levels.
-    def run(name):
+    # Every check keeps the limit row; ladder-14's checks keep no row, so a
+    # chunk of three paths holds half the values.  At seed 77 eps-continuity
+    # fails on paths 0 and 1, so its batched per-chunk verdicts are compared
+    # across the splits too.
+    def run(name, **checks):
         return canonical_report(
             run_campaign(
                 smoke_config(
@@ -357,18 +370,121 @@ def test_campaign_report_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch
                     grid={"horizon": 1.0, "steps": 512},
                     ladder={"eps0": 0.1, "ratio": 0.5, "depth": 5},
                     seeds={"master_seed": 77, "path_count": 7},
+                    **checks,
                 )
             )
         )
 
-    default = run("default")
-    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 1)
-    one_path = run("one")
-    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 3 * 7 * 513)
-    three_paths = run("three")
-    assert default == one_path == three_paths
-    assert sum(record["fail_count"] for record in default["checks"].values()) > 0
-    assert default["checks"]["eps-continuity"]["fail_count"] >= 1
+    for rows, checks in ((2, {}), (1, {"checks": ROWLESS_CHECKS})):
+        monkeypatch.undo()
+        default = run(f"default-{rows}", **checks)
+        monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 1)
+        one_path = run(f"one-{rows}", **checks)
+        monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 3 * rows * 513)
+        three_paths = run(f"three-{rows}", **checks)
+        assert default == one_path == three_paths
+        if not checks:
+            assert sum(record["fail_count"] for record in default["checks"].values()) > 0
+            assert default["checks"]["eps-continuity"]["fail_count"] >= 1
+
+
+def recorded_family_builds(monkeypatch) -> list[tuple[str, list]]:
+    """(keep, families) of each family build a campaign makes, appended as it starts."""
+
+    build = harness_module.build_families
+    builds: list[tuple[str, list]] = []
+
+    def recording(spec, noises, ladder, **kwargs):
+        families: list = []
+        builds.append((kwargs["keep"], families))
+        for family in build(spec, noises, ladder, **kwargs):
+            families.append(family)
+            yield family
+
+    monkeypatch.setattr(harness_module, "build_families", recording)
+    return builds
+
+
+def test_campaign_families_keep_only_the_rows_their_checks_read(tmp_path, monkeypatch):
+    # ladder-14's checks read no row whole, so its families keep none; adding
+    # any one check that reads the limit row keeps that row, and
+    # save_families keeps every level.
+    cases = [(ROWLESS_CHECKS, False, "none")]
+    cases += [(ROWLESS_CHECKS + [check], False, "limit") for check in ROW_READING_CHECKS]
+    cases += [(ROWLESS_CHECKS, True, "levels")]
+    builds = recorded_family_builds(monkeypatch)
+    for number, (checks, save, keep) in enumerate(cases):
+        builds.clear()
+        run_campaign(
+            make_config(
+                checks=checks,
+                save_families=save,
+                seeds={"master_seed": 7, "path_count": 2},
+                output_dir=str(tmp_path / str(number)),
+            )
+        )
+        ((kept, families),) = builds
+        assert kept == keep and len(families) == 2
+        for family in families:
+            assert (family.limit_estimate is None) == (keep == "none")
+            assert (family.values is None) == (keep != "levels")
+
+
+def counted_chunks(monkeypatch) -> list[int]:
+    """The number of paths of each run of the ladder's step loop, appended as it starts."""
+
+    solve = ladder_module._integrate_batch
+    chunks: list[int] = []
+
+    def counted(spec, levels, grid, table, noise_rows):
+        chunks.append(len(noise_rows))
+        return solve(spec, levels, grid, table, noise_rows)
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
+    return chunks
+
+
+def test_a_rowless_campaign_chunk_holds_twice_the_paths(tmp_path, monkeypatch):
+    # Four paths' worth of rows per chunk: four noise rows, or two noise
+    # rows and their two limit rows.
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 4 * 257)
+    chunks = counted_chunks(monkeypatch)
+    for checks in (ROWLESS_CHECKS, ROWLESS_CHECKS + ["compensator"]):
+        run_campaign(
+            make_config(
+                checks=checks,
+                seeds={"master_seed": 7, "path_count": 8},
+                output_dir=str(tmp_path / str(len(checks))),
+            )
+        )
+    assert chunks == [4, 4] + [2, 2, 2, 2]
+
+
+def test_ladder_14_solves_its_paths_in_one_step_loop(tmp_path, monkeypatch):
+    # The frozen 100-path, 2^14-step shared-noise campaign keeps no row, so
+    # all of its paths fit in one chunk and one run of the step loop.
+    chunks = counted_chunks(monkeypatch)
+    report = run_campaign(
+        make_config(
+            grid={"horizon": 1.0, "steps": 2**14},
+            ladder={"eps0": 0.1, "ratio": 0.5, "depth": 10},
+            checks=ROWLESS_CHECKS,
+            seeds={"master_seed": 12345, "path_count": 100},
+            output_dir=str(tmp_path / "ladder-14"),
+        )
+    )
+    assert chunks == [100]
+    assert report.checks["limit-nonneg"].pass_count == 100
+
+
+def test_restart_check_needs_the_limit_row():
+    config = make_config(checks=["excursion-endpoints", "restart-refinement"])
+    (family,) = build_families(
+        config.spec, [zero_path(config.grid, config.spec.hurst)], config.ladder, keep="none"
+    )
+    context = harness_module._PathContext(index=0, family=family)
+    with pytest.raises(ValueError, match=r"keeps no limit row \(keep='none'\)"):
+        harness_module._check_restart_refinement(config, context)
 
 
 def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
@@ -382,8 +498,8 @@ def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
         return generate(grid, hurst, seed, **kwargs)
 
     monkeypatch.setattr(harness_module, "generate_fbm", flaky)
-    # two paths per chunk: each keeps its noise row and its limit row
-    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 2 * 257)
+    # two paths per chunk: upper-bound reads no row, so each keeps only its noise row
+    monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 257)
     report = run_campaign(
         make_config(
             seeds={"master_seed": 7, "path_count": 6},

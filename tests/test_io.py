@@ -140,7 +140,7 @@ def test_streamed_family_export_matches_the_cell_oracle(tmp_path, monkeypatch):
     ladder = EpsilonLadder(0.1, 0.5, 6)
     noises = [generate_fbm(grid, hurst, SeedRecord(8, index)) for index in range(3)]
     monkeypatch.setattr(sde_module, "_BLOCK_VALUES", 5 * 3 * 7)
-    for index, family in enumerate(build_families(spec, noises, ladder, keep_values=True)):
+    for index, family in enumerate(build_families(spec, noises, ladder, keep="levels")):
         target = tmp_path / f"path_{index}.csv"
         write_family_csv(family, target, extra_meta={"config_hash": "abc"})
         meta, _, _ = read_csv_with_meta(target)
@@ -152,8 +152,9 @@ def test_family_export_needs_kept_values(tmp_path):
     grid = TimeGrid(1.0, 32)
     spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=1.0, hurst=hurst)
     noise = generate_fbm(grid, hurst, SeedRecord(8, 0))
-    (family,) = build_families(spec, [noise], EpsilonLadder(0.1, 0.5, 3), keep_values=False)
     target = tmp_path / "never.csv"
-    with pytest.raises(ValueError, match="keep_values"):
-        write_family_csv(family, target)
-    assert not target.exists()
+    for keep in ("limit", "none"):
+        (family,) = build_families(spec, [noise], EpsilonLadder(0.1, 0.5, 3), keep=keep)
+        with pytest.raises(ValueError, match=f"no levels to export \\(keep='{keep}'\\)"):
+            write_family_csv(family, target)
+        assert not target.exists()

@@ -295,12 +295,20 @@ def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, mon
             monkeypatch.setattr(sde_module, "_BLOCK_VALUES", block_steps * 16 * columns)
 
     block_of(levels.size)
-    streamed = list(build_families(spec, noises, ladder, keep_values=False))
+    streamed = list(build_families(spec, noises, ladder, keep="limit"))
     for values, family in zip(full, streamed):
         assert family.values is None
         assert family_reductions(family) == family_reductions_oracle(
             values, levels, grid.dt, ladder_module.DEFAULT_TOL_MONO
         )
+    # Without its row, a family keeps the same reductions, and the limit
+    # nonnegativity check returns the same record from them.
+    rowless = list(build_families(spec, noises, ladder, keep="none"))
+    for family, plain in zip(rowless, streamed):
+        assert family.limit_estimate is None and family.values is None
+        assert family_reductions(family) == {**family_reductions(plain), "limit_estimate": None}
+        tol = family.cauchy_gap + 1e-9
+        assert verify_limit_nonnegativity(family, tol) == verify_limit_nonnegativity(plain, tol)
     kept = list(build_families(spec, noises[:3], ladder))
     for values, family in zip(full, kept):
         assert family.values.tobytes() == values.tobytes()
@@ -315,12 +323,12 @@ def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, mon
         assert full.min() > 0.0
 
     block_of(levels.size + 1 + 2 * len(_EPS_CONTINUITY[1]))
-    probed = list(
-        build_families(spec, noises, ladder, eps_continuity=_EPS_CONTINUITY, keep_values=False)
-    )
-    for family, plain, oracle in zip(probed, streamed, _stream_probe_oracle(case)):
-        assert family_reductions(family) == family_reductions(plain)
-        assert family.eps_continuity == oracle
+    oracles = _stream_probe_oracle(case)
+    for keep, plains in (("limit", streamed), ("none", rowless)):
+        probed = build_families(spec, noises, ladder, eps_continuity=_EPS_CONTINUITY, keep=keep)
+        for family, plain, oracle in zip(probed, plains, oracles, strict=True):
+            assert family_reductions(family) == family_reductions(plain)
+            assert family.eps_continuity == oracle
 
 
 def test_eps_continuity_rides_the_ladder_step_loop(monkeypatch):
@@ -341,7 +349,7 @@ def test_eps_continuity_rides_the_ladder_step_loop(monkeypatch):
         return solve(spec_, levels, grid_, table, noise_rows)
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
-    families = list(build_families(spec, noises, ladder, eps_continuity=probe, keep_values=False))
+    families = list(build_families(spec, noises, ladder, eps_continuity=probe, keep="limit"))
     solved = ladder.levels().tolist() + ladder_module._eps_continuity_levels(*probe)[2].tolist()
     assert calls == [(solved, 2), (solved, 2), (solved, 1)]
     for noise, family in zip(noises, families):
@@ -366,6 +374,36 @@ def _planted_values(spec, grid, ladder, noises):
 
 
 @pytest.mark.parametrize("block_steps", [1, 2, 7])
+def test_limit_minimum_folds_to_its_first_node(block_steps, monkeypatch):
+    # Minima planted on the limit row of a positive zero-noise solve: a
+    # three-way tie (within one block and across blocks at these block
+    # sizes), a row whose minimum x0 at node 0 ties a later node, and minima
+    # on node 15 and node 14, the first and the last node of a block.  The
+    # first node of the minimum wins, as in np.argmin of the whole row.
+    spec = make_spec(x0=1.0, b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, 64)
+    ladder = EpsilonLadder(0.1, 0.5, 4)
+    levels = ladder.levels()
+    noises = _stream_noises(grid, None, 4)
+    values = solve_batch(spec, levels, grid, np.array([noise.values for noise in noises]))
+    values[0, -1, [10, 12, 40]] = -0.5
+    values[1, -1, 1:] = np.abs(values[1, -1, 1:]) + 1.5
+    values[1, -1, 30] = 1.0
+    values[2, -1, 15] = -1.0
+    values[3, -1, 14] = -1.0
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
+    tol = ladder_module.DEFAULT_TOL_MONO
+    families = list(build_families(spec, noises, ladder, keep="none"))
+    for path, family in enumerate(families):
+        expected = family_reductions_oracle(values[path], levels, grid.dt, tol)
+        assert family_reductions(family) == {**expected, "limit_estimate": None}
+    assert [(family.limit_min, family.limit_argmin) for family in families] == [
+        (-0.5, 10), (1.0, 0), (-1.0, 15), (-1.0, 14)
+    ]
+
+
+@pytest.mark.parametrize("block_steps", [1, 2, 7])
 def test_positive_blocks_skip_only_what_they_cannot_change(block_steps, monkeypatch):
     # Under zero noise from x0 = 1 every value is positive, and a block whose
     # minimum is positive skips the nonpositive counts and the nested breaks.
@@ -384,7 +422,7 @@ def test_positive_blocks_skip_only_what_they_cannot_change(block_steps, monkeypa
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
     tol = ladder_module.DEFAULT_TOL_MONO
-    outcomes = list(build_families(spec, noises, ladder, keep_values=False))
+    outcomes = list(build_families(spec, noises, ladder, keep="limit"))
     for path, outcome in enumerate(outcomes):
         expected = family_reductions_oracle(values[path], levels, grid.dt, tol)
         if path == 1:
@@ -411,7 +449,7 @@ def test_streamed_reductions_with_planted_defects(block_steps, monkeypatch):
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
     tol = ladder_module.DEFAULT_TOL_MONO
-    for path, outcome in enumerate(build_families(spec, noises, ladder, keep_values=False)):
+    for path, outcome in enumerate(build_families(spec, noises, ladder, keep="limit")):
         given = given_values_family(spec, noises[path], ladder, values[path])
         expected = family_reductions_oracle(values[path], levels, grid.dt, tol)
         if isinstance(expected, SolverError):
@@ -446,7 +484,7 @@ def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypa
     probe = (0.05, [0.025, 0.0125, 0.00625])
     probe_levels = ladder_module._eps_continuity_levels(*probe)[2]
     noises = _stream_noises(grid, 5, 3)
-    plain = list(build_families(spec, noises, ladder, keep_values=False))
+    plain = list(build_families(spec, noises, ladder, keep="limit"))
     rungs = ladder.depth + 1
     values = solve_batch(
         spec,
@@ -459,7 +497,7 @@ def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypa
     values[2, rungs, 64] = -np.inf  # eps*, at the last node
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
-    probed = list(build_families(spec, noises, ladder, eps_continuity=probe, keep_values=False))
+    probed = list(build_families(spec, noises, ladder, eps_continuity=probe, keep="limit"))
     for family, clean in zip(probed, plain):
         assert family_reductions(family) == family_reductions(clean)
     assert probed[0].eps_continuity == eps_continuity_oracle(spec, noises[0], *probe)
@@ -490,25 +528,34 @@ def test_given_values_reduce_node_zero_like_the_oracle():
 
 
 def test_campaign_families_keep_no_levels_and_stay_small():
-    # 16 paths of 2^12 steps and 11 levels, values not kept: the traced peak
-    # of building them, noise included, stays below the bytes of one
-    # (paths, levels, nodes) array, and no family holds its levels.
+    # 16 paths of 2^12 steps and 11 levels, keeping the limit row or no row:
+    # the traced peak of building them, noise included, stays below the
+    # bytes of one (paths, levels, nodes) array, and no family holds its
+    # levels.
     spec = make_spec(b=0.5, sigma=1.0)
     grid = TimeGrid(1.0, 2**12)
     ladder = EpsilonLadder(0.1, 0.5, 10)
     full_bytes = 16 * 11 * (grid.step_count + 1) * 8
-    tracemalloc.start()
-    try:
-        noises = (generate_fbm(grid, H_QUARTER, SeedRecord(12345, index)) for index in range(16))
-        families = list(build_families(spec, noises, ladder, keep_values=False))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    print(f"traced peak {peak / 1e6:.2f} MB against {full_bytes / 1e6:.2f} MB of full values")
-    assert peak < full_bytes
-    assert len(families) == 16
-    assert all(family.values is None for family in families)
-    assert all(family.limit_estimate.shape == (grid.step_count + 1,) for family in families)
+    for keep in ("limit", "none"):
+        tracemalloc.start()
+        try:
+            noises = (
+                generate_fbm(grid, H_QUARTER, SeedRecord(12345, index)) for index in range(16)
+            )
+            families = list(build_families(spec, noises, ladder, keep=keep))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"keep {keep}: traced peak {peak / 1e6:.2f} MB against {full_bytes / 1e6:.2f} MB")
+        assert peak < full_bytes
+        assert len(families) == 16
+        assert all(family.values is None for family in families)
+        kept = [family.limit_estimate for family in families]
+        if keep == "none":
+            assert all(row is None for row in kept)
+        else:
+            assert all(row.shape == (grid.step_count + 1,) for row in kept)
+        del families
 
 
 def test_family_rejects_values_that_do_not_end_in_its_limit_row():
@@ -522,6 +569,26 @@ def test_family_rejects_values_that_do_not_end_in_its_limit_row():
     with pytest.raises(ValueError, match="limit_estimate must have 65 entries"):
         dataclasses.replace(family, limit_estimate=family.limit_estimate[1:], values=None)
     assert dataclasses.replace(family, values=None).values is None
+
+
+def test_family_rejects_a_limit_minimum_its_row_does_not_hold():
+    family = deterministic_family(n=64)
+    row = family.limit_estimate
+    assert (family.limit_min, family.limit_argmin) == (row.min(), row.argmin())
+    lowered = row.copy()
+    lowered[40] = row.min() - 1.0
+    tied = row.copy()
+    tied[row.argmin() + 1] = row.min()  # a later tie leaves the first argmin
+    assert dataclasses.replace(family, limit_estimate=tied, values=None).limit_argmin == row.argmin()
+    match = "limit_min and limit_argmin must be the limit row's min and argmin"
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(family, limit_estimate=lowered, values=None)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(family, limit_min=row.min() - 1.0)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(family, limit_argmin=family.limit_argmin + 1)
+    rowless = dataclasses.replace(family, limit_estimate=None, values=None, limit_min=-1.0)
+    assert rowless.limit_min == -1.0  # nothing to check a rowless family against
 
 
 def test_cauchy_gap_nonincreasing_in_depth():
@@ -761,6 +828,21 @@ def test_compensator_deterministic_and_origin():
     print(f"deterministic compensator sup {worst:.3e} vs allowance {allowance:.3e}")
     assert worst <= allowance
     assert len(estimate.flagged_nodes) == 0
+
+
+def test_compensator_needs_the_limit_row():
+    (family,) = build_families(
+        make_spec(), [zero_path(TimeGrid(1.0, 64), H_QUARTER)], EpsilonLadder(0.1, 0.5, 3),
+        keep="none",
+    )
+    with pytest.raises(ValueError, match=r"keeps no limit row \(keep='none'\)"):
+        compute_compensator(family)
+
+
+def test_build_families_rejects_an_unknown_keep_choice():
+    noise = zero_path(TimeGrid(1.0, 64), H_QUARTER)
+    with pytest.raises(ValueError, match="keep must be 'none', 'limit' or 'levels', got 'all'"):
+        list(build_families(make_spec(), [noise], EpsilonLadder(0.1, 0.5, 3), keep="all"))
 
 
 def test_compensator_budget_property():

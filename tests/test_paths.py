@@ -17,6 +17,7 @@ from singsde import (
     SdeSpec,
     SeedRecord,
     TimeGrid,
+    build_families,
     build_family,
     decompose_excursions,
     generate_fbm,
@@ -27,7 +28,7 @@ from singsde import (
     zero_path,
 )
 
-from _support import closed_form
+from _support import closed_form, decompose_excursions_oracle
 
 H_QUARTER = HurstParam(0.25)
 
@@ -95,6 +96,48 @@ def test_intervals_partition_the_strictly_positive_set():
             if end < 400:
                 assert values[end + 1] <= threshold
         assert np.array_equal(covered, values > threshold)
+
+
+def _edge_masks(n):
+    """Above-masks on n + 1 nodes that put runs against the grid's ends."""
+
+    nodes = n + 1
+    masks = {
+        "nothing above": np.zeros(nodes, dtype=bool),
+        "everything above": np.ones(nodes, dtype=bool),
+        "alternating from node 0": np.arange(nodes) % 2 == 0,
+        "alternating from node 1": np.arange(nodes) % 2 == 1,
+    }
+    for node in (0, n):
+        single = np.zeros(nodes, dtype=bool)
+        single[node] = True
+        masks[f"one node at {node}"] = single
+    ends = np.zeros(nodes, dtype=bool)
+    ends[[0, n]] = True
+    masks["one node at each end"] = ends
+    return masks
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_decomposition_equals_the_node_by_node_oracle(n):
+    # Edge masks and random masks of every density, as values above or at
+    # the threshold: the vectorized run edges give the oracle's set, flags
+    # and all.
+    grid = TimeGrid(1.0, n)
+    threshold = 0.25
+    masks = list(_edge_masks(n).values())
+    rng = np.random.default_rng(n)
+    masks += [rng.random(n + 1) < density for density in (0.05, 0.5, 0.95) for _ in range(10)]
+    for mask in masks:
+        values = np.where(mask, threshold + rng.random(n + 1), threshold - rng.random(n + 1))
+        values[(rng.random(n + 1) < 0.1) & ~mask] = threshold  # at the threshold is not above
+        assert decompose_excursions(values, grid, threshold) == decompose_excursions_oracle(
+            values, threshold
+        )
+    excursions = decompose_excursions(np.arange(n + 1) % 2 == 0, grid, 0.0)
+    assert excursions.intervals == tuple((node, node) for node in range(0, n + 1, 2))
+    assert excursions.first_interval_closed_left
+    assert excursions.last_interval_truncated_right == (n % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +266,16 @@ def test_initial_identity_rejects_a_nonpositive_margin():
         with pytest.raises(ValueError, match="margin_steps must be positive"):
             verify_initial_identity(family, margin_steps=margin)
     assert verify_initial_identity(family, margin_steps=1).window_end_index == 255
+
+
+def test_initial_identity_needs_the_limit_row():
+    grid = TimeGrid(0.5, 256)
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=H_QUARTER)
+    (family,) = build_families(
+        spec, [zero_path(grid, H_QUARTER)], EpsilonLadder(0.1, 0.3, 4), keep="none"
+    )
+    with pytest.raises(ValueError, match=r"keeps no limit row \(keep='none'\)"):
+        verify_initial_identity(family)
 
 
 def test_initial_identity_on_stochastic_paths():
