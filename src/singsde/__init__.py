@@ -20,10 +20,10 @@ sde
     The regularized integrator with exact per-step kernel integration, and
     the batched step loop the ladder runs over many paths and levels.
 ladder
-    Vanishing-regularization ladders: monotone families, each one
-    (levels, nodes) array solved in batched chunks of paths, limit
-    extrapolation, the integral-identity residual, and the pathwise
-    verification operations.
+    Vanishing-regularization ladders: monotone families solved in batched
+    chunks of paths, each keeping exact per-path reductions and the rows
+    its ``keep`` choice names (none, the limit row or every level), the
+    integral-identity residual, and the pathwise verification operations.
 picard
     Horizon certification and contraction iteration for the local problem.
 excursions

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .ladder import DEFAULT_FLOOR_SCALE, EpsilonFamily, _identity_kernel, _limit_row, identity_residual
+from .ladder import EpsilonFamily, _identity_floor, _identity_kernel, _limit_row, identity_residual
 from .sde import SdeSpec
 
 __all__ = [
@@ -183,8 +183,7 @@ def restart_residual(
             f"{margin_steps}-step margin"
         )
     profile = identity_residual(
-        x, noise.values, spec, noise.grid, window_start, window_end, x[window_start],
-        DEFAULT_FLOOR_SCALE * spec.x0,
+        x, noise.values, spec, noise.grid, window_start, window_end, x[window_start]
     )
     return RestartResidual(
         anchor_index=window_start,
@@ -211,29 +210,22 @@ class InitialIdentityResult:
     passes: bool
 
 
-def verify_initial_identity(
-    family: EpsilonFamily,
-    margin_steps: int = DEFAULT_MARGIN_STEPS,
-) -> InitialIdentityResult:
+def verify_initial_identity(family: EpsilonFamily) -> InitialIdentityResult:
     """Check the identity with the initial-value term on [0, first crossing).
 
-    The window runs from the origin to ``margin_steps`` nodes before the
-    first node at or below the residual threshold (the whole grid when no
-    such node exists).
+    The window runs from the origin to ``DEFAULT_MARGIN_STEPS`` nodes before
+    the first node at or below the residual threshold (the whole grid when
+    no such node exists).
     """
 
-    if margin_steps < 1:
-        raise ValueError(f"margin_steps must be positive, got {margin_steps}")
     spec = family.spec
-    floor = DEFAULT_FLOOR_SCALE * spec.x0
+    floor = _identity_floor(spec)
     x = _limit_row(family)
     threshold = residual_window_threshold(family)
     below = np.flatnonzero(x[1:] <= threshold)
     first_crossing = int(below[0] + 1) if below.size else family.grid.step_count
-    window_end = max(first_crossing - margin_steps, 1)
-    profile = identity_residual(
-        x, family.noise.values, spec, family.grid, 0, window_end, spec.x0, floor
-    )
+    window_end = max(first_crossing - DEFAULT_MARGIN_STEPS, 1)
+    profile = identity_residual(x, family.noise.values, spec, family.grid, 0, window_end, spec.x0)
     sup_residual = float(np.abs(profile).max())
     kernel = _identity_kernel(family.grid, spec.hurst)[:window_end]
     reciprocal = 1.0 / np.maximum(x[: window_end + 1], floor)

@@ -307,14 +307,13 @@ def zero_path(grid: TimeGrid, hurst: HurstParam, seed_record: SeedRecord | None 
 
 
 def estimate_holder(
-    values: np.ndarray, grid: TimeGrid | Sequence[TimeGrid], beta: float
-) -> HolderEstimate | list[HolderEstimate]:
+    values: np.ndarray, grids: Sequence[TimeGrid], beta: float
+) -> list[HolderEstimate]:
     """Exact maximal pair ratio max |g(t_j) - g(t_i)| / (t_j - t_i)^beta, per path.
 
-    ``values`` is one path, shape (nodes,), with its grid, or a block of
-    paths, shape (paths, nodes), with their common grid or one grid per row;
-    the grids must share one step count.  Returns one
-    :class:`HolderEstimate`, or a list of one per row.
+    ``values`` is a block of paths, shape (paths, nodes), with one grid per
+    row; the grids must share one step count.  Returns one
+    :class:`HolderEstimate` per row.
 
     One loop over offsets scans the whole block; on a uniform grid the
     denominator depends only on the offset, so taking each row's per-offset
@@ -325,10 +324,10 @@ def estimate_holder(
 
     if not (0.0 < beta < 1.0):
         raise ValueError(f"exponent must lie in (0, 1), got {beta}")
-    g = np.asarray(values, dtype=float)
-    single = g.ndim == 1
-    block = g[None, :] if single else g
-    grids = [grid] * len(block) if isinstance(grid, TimeGrid) else list(grid)
+    block = np.asarray(values, dtype=float)
+    if block.ndim != 2:
+        raise ValueError(f"values must be a (paths, nodes) block, got shape {block.shape}")
+    grids = list(grids)
     if len(grids) != len(block):
         raise ValueError(f"need one grid per row, got {len(grids)} grids for {len(block)} rows")
     if not grids:
@@ -336,8 +335,8 @@ def estimate_holder(
     steps = grids[0].step_count
     if any(row_grid.step_count != steps for row_grid in grids):
         raise ValueError("every row's grid must have the same step count")
-    if block.ndim != 2 or block.shape[1] != steps + 1:
-        raise ValueError(f"values must have {steps + 1} entries, got shape {g.shape}")
+    if block.shape[1] != steps + 1:
+        raise ValueError(f"values must have {steps + 1} entries, got shape {block.shape}")
     powers: dict[float, list[float]] = {}
     for row_grid in grids:
         dt = row_grid.dt
@@ -350,11 +349,10 @@ def estimate_holder(
         np.abs(nodes_major[offset:] - nodes_major[:-offset]).max(axis=0, out=spreads[offset - 1])
     # fmax skips a NaN ratio, as a running maximum by ``ratio > best`` does.
     best = np.fmax.reduce(spreads / denominators, axis=0, initial=0.0)
-    estimates = [
+    return [
         HolderEstimate(exponent=beta, constant=float(constant), grid=row_grid)
         for constant, row_grid in zip(best, grids)
     ]
-    return estimates[0] if single else estimates
 
 
 # ---------------------------------------------------------------------------

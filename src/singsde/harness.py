@@ -504,18 +504,15 @@ class _PathContext:
     index: int
     family: EpsilonFamily
     contraction: _CheckResult | Exception | None = None
-    threshold: float | None = None
     excursions: ExcursionSet | None = None
     restart_sup: dict[int, float] = field(default_factory=dict)
 
-    def ensure_excursions(self) -> tuple[float, ExcursionSet]:
+    def ensure_excursions(self) -> ExcursionSet:
         if self.excursions is None:
-            self.threshold = residual_window_threshold(self.family)
             self.excursions = decompose_excursions(
-                _limit_row(self.family), self.family.grid, self.threshold
+                _limit_row(self.family), self.family.grid, residual_window_threshold(self.family)
             )
-        assert self.threshold is not None
-        return self.threshold, self.excursions
+        return self.excursions
 
 
 _CheckResult = tuple[bool, "float | None", "str | None"]
@@ -754,8 +751,8 @@ def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
 
 
 def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    threshold, excursions = ctx.ensure_excursions()
-    checks = verify_endpoint_limits(ctx.family.limit_estimate, excursions, tol=threshold)
+    excursions = ctx.ensure_excursions()
+    checks = verify_endpoint_limits(ctx.family.limit_estimate, excursions, tol=excursions.threshold)
     failing = [check.interval_index for check in checks if not check.passes]
     note = None if not failing else f"boundary check fails on intervals {failing}"
     return not failing, float(len(failing)), note
@@ -772,7 +769,7 @@ def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> _Che
 
 
 def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    threshold, excursions = ctx.ensure_excursions()
+    excursions = ctx.ensure_excursions()
     margin = DEFAULT_MARGIN_STEPS
     # The restart identity anchors at a left endpoint where the limit process
     # vanishes; the closed-left component containing t=0 starts at X_0 > 0
@@ -1050,7 +1047,7 @@ _EXCURSION_COLUMNS = (
 
 
 def _excursion_rows(ctx: _PathContext) -> list[tuple[object, ...]]:
-    assert ctx.excursions is not None and ctx.threshold is not None
+    assert ctx.excursions is not None
     values = ctx.family.limit_estimate
     dt = ctx.family.grid.dt
     last = values.size - 1
@@ -1064,7 +1061,7 @@ def _excursion_rows(ctx: _PathContext) -> list[tuple[object, ...]]:
             float(values[start - 1]) if start > 0 else math.nan,
             float(values[end + 1]) if end < last else math.nan,
             ctx.restart_sup.get(index, math.nan),
-            ctx.threshold,
+            ctx.excursions.threshold,
         )
         for index, (start, end) in enumerate(ctx.excursions.intervals)
     ]

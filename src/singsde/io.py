@@ -24,9 +24,9 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .fbm import FbmPath
+from .fbm import FbmPath, TimeGrid
 from .ladder import EpsilonFamily
-from .sde import RegularizedPath
+from .sde import RegularizedPath, SdeSpec
 
 __all__ = [
     "read_csv_with_meta",
@@ -114,13 +114,18 @@ def write_csv(
 
 
 def read_csv_with_meta(path: str | os.PathLike[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """Read back a library CSV: (meta dict, column names, float value matrix)."""
+    """Read back a library CSV: (meta dict, column names, float value matrix).
+
+    The reader returns numeric columns only: a cell that is not a float, such
+    as a check name in a campaign's ``checks.csv``, raises ``ValueError``
+    naming the file, the line number and the column.
+    """
 
     meta: dict[str, str] = {}
     names: list[str] = []
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -130,66 +135,61 @@ def read_csv_with_meta(path: str | os.PathLike[str]) -> tuple[dict[str, str], li
             elif not names:
                 names = line.split(",")
             else:
-                rows.append([float(cell) for cell in line.split(",")])
+                row = []
+                for column, cell in enumerate(line.split(",")):
+                    try:
+                        row.append(float(cell))
+                    except ValueError:
+                        name = repr(names[column]) if column < len(names) else f"#{column + 1}"
+                        raise ValueError(
+                            f"{os.fspath(path)}, line {number}, column {name}: {cell!r} is not "
+                            "a number (read_csv_with_meta reads numeric columns only)"
+                        ) from None
+                rows.append(row)
     matrix = np.array(rows) if rows else np.empty((0, len(names)))
     return meta, names, matrix
 
 
-def _seed_meta(path: FbmPath) -> dict[str, object]:
+def _spec_meta(spec: SdeSpec) -> dict[str, object]:
+    """Header head of a solution or family export: the format version and the spec."""
+
     return {
-        "format_version": FORMAT_VERSION,
-        "hurst": path.hurst.value,
-        "horizon": path.grid.horizon,
-        "step_count": path.grid.step_count,
-        "master_seed": path.seed_record.master_seed,
-        "path_index": path.seed_record.path_index,
-        "generator_tag": path.generator_tag,
-    }
-
-
-def write_fbm_csv(path: FbmPath, target, extra_meta: Mapping[str, object] | None = None) -> None:
-    """Path archive: provenance header plus (t, value) rows."""
-
-    meta = _seed_meta(path)
-    if extra_meta:
-        meta.update(extra_meta)
-    write_csv(target, [("t", path.grid.nodes()), ("value", path.values)], meta)
-
-
-def write_solution_csv(
-    solution: RegularizedPath,
-    noise: FbmPath,
-    target,
-    extra_meta: Mapping[str, object] | None = None,
-) -> None:
-    """Single-level solve: (t, X_eps, noise_value) with spec and seed metadata."""
-
-    spec = solution.spec
-    meta: dict[str, object] = {
         "format_version": FORMAT_VERSION,
         "x0": spec.x0,
         "a": spec.a,
         "b": spec.b,
         "sigma": spec.sigma,
         "hurst": spec.hurst.value,
-        "eps": solution.epsilon,
-        "horizon": solution.grid.horizon,
-        "step_count": solution.grid.step_count,
+    }
+
+
+def _grid_seed_meta(grid: TimeGrid, noise: FbmPath) -> dict[str, object]:
+    """Header fields of the grid and of the noise path's seed."""
+
+    return {
+        "horizon": grid.horizon,
+        "step_count": grid.step_count,
         "master_seed": noise.seed_record.master_seed,
         "path_index": noise.seed_record.path_index,
         "generator_tag": noise.generator_tag,
     }
-    if extra_meta:
-        meta.update(extra_meta)
-    write_csv(
-        target,
-        [
-            ("t", solution.grid.nodes()),
-            ("X_eps", solution.values),
-            ("noise_value", noise.values),
-        ],
-        meta,
-    )
+
+
+def write_fbm_csv(path: FbmPath, target) -> None:
+    """Path archive: provenance header plus (t, value) rows."""
+
+    meta = {"format_version": FORMAT_VERSION, "hurst": path.hurst.value}
+    meta |= _grid_seed_meta(path.grid, path)
+    write_csv(target, [("t", path.grid.nodes()), ("value", path.values)], meta)
+
+
+def write_solution_csv(solution: RegularizedPath, noise: FbmPath, target) -> None:
+    """Single-level solve: (t, X_eps, noise_value) with spec and seed metadata."""
+
+    meta = _spec_meta(solution.spec) | {"eps": solution.epsilon}
+    meta |= _grid_seed_meta(solution.grid, noise)
+    columns = [("t", solution.grid.nodes()), ("X_eps", solution.values), ("noise_value", noise.values)]
+    write_csv(target, columns, meta)
 
 
 def write_family_csv(
@@ -198,31 +198,20 @@ def write_family_csv(
     """Ladder export: (t, noise, X_eps_0 .. X_eps_J, limit_estimate).
 
     The family must keep its levels (``build_families(..., keep="levels")``).
+    ``extra_meta`` is appended to the header, after ``cauchy_gap``.
     """
 
     if family.values is None:
         keep = "none" if family.limit_estimate is None else "limit"
         raise ValueError(f"the family keeps no levels to export (keep={keep!r}); keep 'levels'")
-    spec = family.spec
-    meta: dict[str, object] = {
-        "format_version": FORMAT_VERSION,
-        "x0": spec.x0,
-        "a": spec.a,
-        "b": spec.b,
-        "sigma": spec.sigma,
-        "hurst": spec.hurst.value,
-        "eps0": family.ladder.eps0,
-        "ratio": family.ladder.ratio,
-        "depth": family.ladder.depth,
-        "horizon": family.grid.horizon,
-        "step_count": family.grid.step_count,
-        "master_seed": family.noise.seed_record.master_seed,
-        "path_index": family.noise.seed_record.path_index,
-        "generator_tag": family.noise.generator_tag,
-        "cauchy_gap": family.cauchy_gap,
+    ladder = family.ladder
+    meta = _spec_meta(family.spec) | {
+        "eps0": ladder.eps0,
+        "ratio": ladder.ratio,
+        "depth": ladder.depth,
     }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta |= _grid_seed_meta(family.grid, family.noise)
+    meta |= {"cauchy_gap": family.cauchy_gap, **(extra_meta or {})}
     columns: list[tuple[str, np.ndarray]] = [
         ("t", family.grid.nodes()),
         ("noise", family.noise.values),

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .fbm import FbmPath, HolderEstimate, TimeGrid, estimate_holder
-from .ladder import DEFAULT_FLOOR_SCALE, identity_residual
+from .ladder import identity_residual
 from .sde import SdeSpec
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
 
 _DELTA_CANDIDATE_FLOOR_POWER = 40
 _SAFETY_MARGIN = 0.05
+_CHECK_NODES = 256
 _EXTRA_ITERATIONS = 10
 
 
@@ -155,26 +156,21 @@ class DeltaCertificate:
 
 
 def select_delta(
-    problem: LocalProblem | Sequence[LocalProblem], check_nodes: int = 256
-) -> DeltaCertificate | list[DeltaCertificate | InfeasibleProblemError]:
-    """Largest dyadic horizon passing modulus and envelopes with a 5% margin.
+    problems: Sequence[LocalProblem],
+) -> list[DeltaCertificate | InfeasibleProblemError]:
+    """Largest dyadic horizon passing modulus and envelopes with a 5% margin, per problem.
 
     Every inequality is tightened by 5%: q <= 0.95, f(t) <= 0.95 x_0, and
-    h(t) >= -0.95 x_0/2, evaluated at ``check_nodes`` nodes of [0, delta].
-    A deterministic, reproducible choice — any smaller certified horizon
-    would do as well.
+    h(t) >= -0.95 x_0/2, evaluated at ``_CHECK_NODES`` nodes of [0, delta].  A
+    deterministic, reproducible choice — any smaller certified horizon would
+    do as well.
 
-    Given a sequence of problems that share the spec and the certificate
-    exponent, each candidate is evaluated for all rows not yet certified at
-    once, and the result holds per problem its certificate or its
-    :class:`InfeasibleProblemError`.  One problem is the one-row case; it
-    returns its certificate or raises.
+    The problems must share the spec and the certificate exponent; each
+    candidate is evaluated for all rows not yet certified at once.  Returns
+    per problem its certificate or its :class:`InfeasibleProblemError`.
     """
 
-    if check_nodes < 100:
-        raise ValueError(f"need at least 100 check nodes, got {check_nodes}")
-    single = isinstance(problem, LocalProblem)
-    problems = [problem] if single else list(problem)
+    problems = list(problems)
     if not problems:
         return []
     spec, exponent = problems[0].spec, problems[0].holder.exponent
@@ -191,7 +187,7 @@ def select_delta(
         q = contraction_modulus(delta, problems[0])
         if q > (1.0 - _SAFETY_MARGIN):
             continue
-        t = np.linspace(0.0, delta, check_nodes + 1)[1:]
+        t = np.linspace(0.0, delta, _CHECK_NODES + 1)[1:]
         f_vals, h_vals = _envelopes(spec, t, constants[open_rows, None], exponent)
         accepted = ~(
             (f_vals.max(axis=1) > (1.0 - _SAFETY_MARGIN) * x0)
@@ -210,11 +206,6 @@ def select_delta(
             f"no dyadic horizon down to 2^-{_DELTA_CANDIDATE_FLOOR_POWER} satisfies the "
             f"certificate (driver constant {problems[row].holder.constant:.3g} too large?)"
         )
-    if single:
-        (outcome,) = outcomes
-        if isinstance(outcome, InfeasibleProblemError):
-            raise outcome
-        return outcome
     return outcomes
 
 
@@ -295,10 +286,7 @@ def _window_residual(problem: LocalProblem, x: np.ndarray) -> np.ndarray:
     """The integral identity's residual R(x) on the whole window, anchored at x_0."""
 
     spec, grid = problem.spec, problem.grid
-    return identity_residual(
-        x, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0,
-        DEFAULT_FLOOR_SCALE * spec.x0,
-    )
+    return identity_residual(x, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0)
 
 
 def picard_solve(

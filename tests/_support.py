@@ -27,6 +27,7 @@ from singsde import (
     ExperimentConfig,
     FbmPath,
     HurstParam,
+    InfeasibleProblemError,
     LocalProblem,
     SdeSpec,
     SeedRecord,
@@ -395,7 +396,7 @@ def eps_continuity_oracle(
 def contraction_oracle(config: ExperimentConfig, index: int) -> tuple[bool, float | None, str | None]:
     """Per-path reference of the campaign's ``contraction`` check: (passed, violation, note).
 
-    One path at a time: the window certification loop with 1-D Hoelder
+    One path at a time: the window certification loop with one-row Hoelder
     scans and one-problem horizon selections, the Picard solve, and one
     ``build_family`` call for the window ladder.  Raises what the check
     would record as the path's exception note.
@@ -411,9 +412,11 @@ def contraction_oracle(config: ExperimentConfig, index: int) -> tuple[bool, floa
             window_noise = zero_path(window_grid, spec.hurst, seed)
         else:
             window_noise = generate_fbm(window_grid, spec.hurst, seed, substream=2)
-        holder = estimate_holder(spec.sigma * window_noise.values, window_grid, beta)
+        (holder,) = estimate_holder(spec.sigma * window_noise.values[None], [window_grid], beta)
         problem = LocalProblem(spec, window_noise, holder)
-        certificate = select_delta(problem)
+        (certificate,) = select_delta([problem])
+        if isinstance(certificate, InfeasibleProblemError):
+            raise certificate
         if certificate.delta >= window * (1.0 - 1e-12):
             break
         window = certificate.delta

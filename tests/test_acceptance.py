@@ -104,7 +104,7 @@ def test_acceptance_2_solver_convergence():
         problem = LocalProblem(
             spec, zero_path(grid, H_QUARTER), HolderEstimate(exponent=0.125, constant=0.0, grid=grid)
         )
-        result = picard_solve(problem, select_delta(problem), 1e-10)
+        result = picard_solve(problem, select_delta([problem])[0], 1e-10)
         picard_errors.append(float(np.abs(result.values - closed_form(grid.nodes(), 1.0, 1.0, 0.25)).max()))
     picard_monotone = all(b < a for a, b in zip(picard_errors[:-1], picard_errors[1:]))
 
@@ -132,7 +132,7 @@ def shared_campaign():
     ladder = EpsilonLadder(0.1, 0.5, 10)
     stats = []
     for family in seeded_families(spec, grid, 12345, 100, ladder):
-        bound = verify_upper_bound(family, tol_bound=1e-9)
+        bound = verify_upper_bound(family)
         decay = verify_measure_decay(family)
         nested, _ = verify_nested_zero_sets(family)
         nonneg = verify_limit_nonnegativity(family, family.cauchy_gap + 1e-9)
@@ -265,7 +265,7 @@ def test_acceptance_8_local_contraction():
         HolderEstimate(exponent=0.125, constant=0.0, grid=grid),
     )
     modulus_ok = abs(contraction_modulus(0.01, problem) - 0.8) <= 1e-12
-    certificate = select_delta(problem)
+    (certificate,) = select_delta([problem])
     result = picard_solve(problem, certificate, 1e-10)
     ratios = [row[2] for row in result.log if np.isfinite(row[2])]
     ratios_ok = bool(ratios) and max(ratios) <= certificate.modulus + 0.05

@@ -306,11 +306,11 @@ def test_path_stream_determinism():
 
 def test_estimate_holder_pinned_values():
     grid = TimeGrid(1.0, 8)
-    constant = estimate_holder(np.full(9, 3.7), grid, beta=0.2)
+    (constant,) = estimate_holder(np.full((1, 9), 3.7), [grid], beta=0.2)
     assert constant.constant == 0.0
 
     two_node = TimeGrid(1.0, 1)
-    linear = estimate_holder(np.array([0.0, 1.0]), two_node, beta=0.5)
+    (linear,) = estimate_holder(np.array([[0.0, 1.0]]), [two_node], beta=0.5)
     assert linear.constant == pytest.approx(1.0, abs=1e-12)
 
 
@@ -321,8 +321,8 @@ def test_estimate_holder_stability_under_refinement():
     for master in range(2024, 2030):
         coarse = generate_fbm(GRID_1024, H_QUARTER, SeedRecord(master, 0))
         fine = refine_fbm(coarse)
-        c_coarse = estimate_holder(coarse.values, coarse.grid, beta=0.125).constant
-        c_fine = estimate_holder(fine.values, fine.grid, beta=0.125).constant
+        c_coarse = estimate_holder(coarse.values[None], [coarse.grid], beta=0.125)[0].constant
+        c_fine = estimate_holder(fine.values[None], [fine.grid], beta=0.125)[0].constant
         worst_ratio = max(worst_ratio, c_fine / c_coarse)
     print(f"Hölder constant growth under 2x refinement: worst ratio {worst_ratio:.3f}")
     assert worst_ratio < 1.5
@@ -331,7 +331,7 @@ def test_estimate_holder_stability_under_refinement():
 def test_estimate_holder_monotone_in_beta():
     path = generate_fbm(TimeGrid(1.0, 256), H_QUARTER, SeedRecord(11, 0))
     constants = [
-        estimate_holder(path.values, path.grid, beta=beta).constant
+        estimate_holder(path.values[None], [path.grid], beta=beta)[0].constant
         for beta in (0.05, 0.1, 0.2)
     ]
     print(f"Hölder constants over beta=(0.05, 0.1, 0.2): {np.round(constants, 4)}")
@@ -353,7 +353,7 @@ def test_estimate_holder_matches_reference_scan():
     # The vectorized per-offset scan must equal the O(n^2) reference maximum.
     path = generate_fbm(TimeGrid(1.0, 128), H_QUARTER, SeedRecord(3, 0))
     beta = 0.125
-    fast = estimate_holder(path.values, path.grid, beta=beta).constant
+    fast = estimate_holder(path.values[None], [path.grid], beta=beta)[0].constant
     assert fast == pytest.approx(pair_scan(path.values, path.grid, beta), rel=1e-12)
 
 
@@ -372,7 +372,7 @@ def offset_scan(values: np.ndarray, grid: TimeGrid, beta: float) -> float:
 def test_estimate_holder_block_rows_equal_their_one_path_scans():
     # One block scan over rows on different grids (one step count, windows
     # from 1 down to 2^-47, rows sharing a grid) gives each row exactly its
-    # 1-D scan and the scalar per-offset scan, whose denominators are Python
+    # one-row scan and the scalar per-offset scan, whose denominators are Python
     # float powers, and stays within rounding of the pair scan.
     beta = 0.125
     grids = [TimeGrid(2.0**-(power % 48), 96) for power in range(64)]
@@ -381,13 +381,13 @@ def test_estimate_holder_block_rows_equal_their_one_path_scans():
     estimates = estimate_holder(block, grids, beta)
     assert len(estimates) == len(paths)
     for index, (path, estimate) in enumerate(zip(paths, estimates)):
-        assert estimate == estimate_holder(path.values, path.grid, beta)
+        assert [estimate] == estimate_holder(path.values[None], [path.grid], beta)
         assert estimate.grid == path.grid
         assert estimate.constant == offset_scan(path.values, path.grid, beta)
         if index % 16 == 0:
             assert estimate.constant == pytest.approx(pair_scan(path.values, path.grid, beta), rel=1e-12)
-    shared = estimate_holder(block, grids[0], beta)
-    assert shared == [estimate_holder(row, grids[0], beta) for row in block]
+    shared = estimate_holder(block, [grids[0]] * len(block), beta)
+    assert shared == [estimate_holder(row[None], [grids[0]], beta)[0] for row in block]
     assert estimate_holder(block[:0], [], beta) == []
 
 
@@ -399,9 +399,9 @@ def test_estimate_holder_block_validation():
     with pytest.raises(ValueError, match="same step count"):
         estimate_holder(block, [grid, TimeGrid(1.0, 16)], 0.1)
     with pytest.raises(ValueError, match="values must have 9 entries"):
-        estimate_holder(np.zeros((2, 8)), grid, 0.1)
-    with pytest.raises(ValueError, match="values must have 9 entries"):
-        estimate_holder(np.zeros(8), grid, 0.1)
+        estimate_holder(np.zeros((2, 8)), [grid, grid], 0.1)
+    with pytest.raises(ValueError, match=r"values must be a \(paths, nodes\) block, got shape \(9,\)"):
+        estimate_holder(np.zeros(9), [grid], 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,22 @@ def test_smoke_campaign_passes_and_writes_artifacts(tmp_path):
     assert [row.split(",")[0] for row in body[1:]] == list(CHECK_ORDER)
 
 
+def test_campaign_csvs_read_back_numeric_columns_only(tmp_path):
+    # checks.csv has a text column, so the reader refuses it at the first
+    # check name, naming the file, line and column; excursions.csv reads.
+    out = tmp_path / "excursions"
+    run_campaign(smoke_config(out, checks=["excursion-endpoints"]))
+    checks_csv = out / "checks.csv"
+    message = f"{checks_csv}, line 8, column 'check': 'excursion-endpoints' is not a number"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        read_csv_with_meta(checks_csv)
+    meta, names, matrix = read_csv_with_meta(out / "excursions.csv")
+    assert names == list(harness_module._EXCURSION_COLUMNS)
+    assert matrix.shape[1] == len(names) and len(matrix) >= 4
+    assert sorted(set(matrix[:, 0])) == [0.0, 1.0, 2.0, 3.0]
+    assert meta["path_count"] == "4"
+
+
 def test_campaign_reports_are_deterministic(tmp_path):
     first = run_campaign(
         smoke_config(
@@ -752,7 +768,7 @@ def test_contraction_failure_is_isolated_to_its_path(tmp_path, monkeypatch, stag
 def test_contraction_block_failure_is_recorded_per_path(tmp_path, monkeypatch):
     # A failure of the work a block shares is each of its paths' failure; the
     # campaign and the other checks go on.
-    def broken_scan(values, grid, beta):
+    def broken_scan(values, grids, beta):
         raise RuntimeError("planted scan failure")
 
     monkeypatch.setattr(picard_module, "estimate_holder", broken_scan)
@@ -807,10 +823,10 @@ def test_contraction_runs_one_window_solve_per_certified_window(tmp_path, monkey
 
     scan = picard_module.estimate_holder
 
-    def counting_scan(values, grid, beta):
+    def counting_scan(values, grids, beta):
         assert np.ndim(values) == 2
         scanned_rows.append(len(values))
-        return scan(values, grid, beta)
+        return scan(values, grids, beta)
 
     generate = harness_module.generate_fbm
 

@@ -19,8 +19,11 @@ from singsde import (
     build_family,
     generate_fbm,
     read_csv_with_meta,
+    solve_regularized,
     write_csv,
     write_family_csv,
+    write_fbm_csv,
+    write_solution_csv,
 )
 from singsde import io as io_module
 from singsde import sde as sde_module
@@ -129,6 +132,47 @@ def test_family_export_round_trips_exactly(tmp_path):
 
     # the file's own header values are text and re-render to themselves
     assert target.read_text(encoding="utf-8") == per_cell_csv(_family_columns(family), meta)
+
+
+def header_lines(write, *args, **kwargs) -> list[str]:
+    """The ``# key=value`` lines and the column-name row of an export written to a stream."""
+
+    handle = io.StringIO()
+    write(*args, handle, **kwargs)
+    lines = handle.getvalue().splitlines()
+    return lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]
+
+
+def test_export_headers_are_pinned():
+    hurst = HurstParam(0.25)
+    noise = generate_fbm(TimeGrid(0.5, 8), hurst, SeedRecord(5, 2))
+    spec = SdeSpec(x0=1.0, a=1.5, b=0.5, sigma=0.75, hurst=hurst)
+    spec_lines = ["# format_version=1", "# x0=1.0", "# a=1.5", "# b=0.5", "# sigma=0.75", "# hurst=0.25"]
+    grid_seed_lines = [
+        "# horizon=0.5",
+        "# step_count=8",
+        "# master_seed=5",
+        "# path_index=2",
+        "# generator_tag=circulant",
+    ]
+    assert header_lines(write_fbm_csv, noise) == [
+        "# format_version=1", "# hurst=0.25", *grid_seed_lines, "t,value"
+    ]
+    solution = solve_regularized(spec, 0.01, noise)
+    assert header_lines(write_solution_csv, solution, noise) == [
+        *spec_lines, "# eps=0.01", *grid_seed_lines, "t,X_eps,noise_value"
+    ]
+    family = build_family(spec, noise, EpsilonLadder(0.1, 0.5, 3))
+    assert header_lines(write_family_csv, family, extra_meta={"config_hash": "abc"}) == [
+        *spec_lines,
+        "# eps0=0.1",
+        "# ratio=0.5",
+        "# depth=3",
+        *grid_seed_lines,
+        f"# cauchy_gap={family.cauchy_gap!r}",
+        "# config_hash=abc",
+        "t,noise,X_eps_0,X_eps_1,X_eps_2,X_eps_3,limit_estimate",
+    ]
 
 
 def test_streamed_family_export_matches_the_cell_oracle(tmp_path, monkeypatch):

@@ -16,7 +16,9 @@ from singsde import (
     EpsilonFamily,
     EpsilonLadder,
     FbmPath,
+    HolderEstimate,
     HurstParam,
+    LocalProblem,
     SdeSpec,
     SeedRecord,
     SolverError,
@@ -25,12 +27,15 @@ from singsde import (
     build_family,
     compensator_budget,
     compute_compensator,
+    fixed_point_residual,
     generate_fbm,
     identity_residual,
     kernel_column,
     nonpositive_measure,
+    restart_residual,
     solve_regularized,
     verify_eps_continuity,
+    verify_initial_identity,
     verify_limit_nonnegativity,
     verify_measure_decay,
     verify_nested_zero_sets,
@@ -40,6 +45,7 @@ from singsde import (
 from singsde import harness as harness_module
 from singsde import ladder as ladder_module
 from singsde import sde as sde_module
+from singsde.excursions import DEFAULT_MARGIN_STEPS
 from singsde.sde import _first_non_finite
 
 from _support import (
@@ -756,7 +762,7 @@ def test_singular_integral_constant_path():
     grid = TimeGrid(1.0, 2048)
     values = np.full(2049, 2.0)
     spec = make_spec(x0=2.0)
-    residual = identity_residual(values, np.zeros(2049), spec, grid, 0, 2048, 2.0, 1e-6)
+    residual = identity_residual(values, np.zeros(2049), spec, grid, 0, 2048, 2.0)
     assert residual[0] == 0.0
     assert -residual[-1] == pytest.approx(1.0, abs=1e-12)  # 2 / c with c = 2
     assert compute_compensator(hand_built_family([values] * 3)).flagged_nodes.size == 0
@@ -775,14 +781,8 @@ def test_identity_residual_reuses_one_read_only_kernel_per_grid():
     spec = make_spec(b=0.5, sigma=0.7)
     values = np.linspace(1.0, 1.5, 257)
     noise = np.linspace(0.0, 0.3, 257)
-    residual = identity_residual(values, noise, spec, grid, 3, 200, 1.1, 1e-6)
-    x = values[3:201]
-    singular = np.concatenate(
-        [[0.0], np.cumsum(kernel_column(grid, 0.0, H_QUARTER)[3:200] / np.maximum(x[1:], 1e-6))]
-    )
-    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * grid.dt)])
-    expected = x - 1.1 - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise[3:201] - noise[3])
-    assert np.array_equal(residual, expected)
+    residual = identity_residual(values, noise, spec, grid, 3, 200, 1.1)
+    assert np.array_equal(residual, floored_residual(values, noise, spec, grid, 3, 200, 1.1, 1e-6))
 
 
 def test_singular_integral_closed_form_identity():
@@ -793,7 +793,7 @@ def test_singular_integral_closed_form_identity():
     for n in (1024, 2048, 4096):
         grid = TimeGrid(0.5, n)
         values = closed_form(grid.nodes(), 1.0, 1.0, 0.25)
-        residual = identity_residual(values, np.zeros(n + 1), make_spec(), grid, 0, n, 1.0, 1e-6)
+        residual = identity_residual(values, np.zeros(n + 1), make_spec(), grid, 0, n, 1.0)
         residuals.append(np.abs(residual).max())
         family = hand_built_family([values] * 3, horizon=0.5, spec=make_spec())
         assert compute_compensator(family).flagged_nodes.size == 0
@@ -802,18 +802,79 @@ def test_singular_integral_closed_form_identity():
     assert residuals[2] < residuals[1] < residuals[0]
 
 
-def test_singular_integral_floor_inactive_on_positive_path():
+def test_singular_integral_floor_inactive_on_positive_path(monkeypatch):
     # Through the compensator, which evaluates the residual on the whole
-    # grid and flags the nodes where the floor binds.
+    # grid and flags the nodes where the floor binds; the floor is
+    # DEFAULT_FLOOR_SCALE * x0, halved here through the patch.
     grid = TimeGrid(1.0, 512)
     values = closed_form(grid.nodes(), 1.0, 1.0, 0.25)
     family = hand_built_family([values] * 3, spec=make_spec())
-    full = compute_compensator(family, floor=1e-6)
-    half = compute_compensator(family, floor=5e-7)
+    full = compute_compensator(family)
+    monkeypatch.setattr(ladder_module, "DEFAULT_FLOOR_SCALE", 5e-7)
+    half = compute_compensator(family)
+    assert (full.floor, half.floor) == (1e-6, 5e-7)
     assert np.array_equal(full.values, half.values)
     assert full.flagged_nodes.size == half.flagged_nodes.size == 0
-    with pytest.raises(ValueError, match="floor must be positive"):
-        compute_compensator(family, floor=0.0)
+
+
+def floored_residual(values, noise, spec, grid, start, end, anchor, floor) -> np.ndarray:
+    """Reference of ``identity_residual`` on nodes start..end with the reciprocal floor given."""
+
+    x = values[start : end + 1]
+    kernel = kernel_column(grid, 0.0, spec.hurst)[start:end]
+    singular = np.concatenate([[0.0], np.cumsum(kernel / np.maximum(x[1:], floor))])
+    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * grid.dt)])
+    driver = spec.sigma * (noise[start : end + 1] - noise[start])
+    return x - anchor - spec.a * singular + spec.b * trapezoid - driver
+
+
+def test_identity_floor_has_one_owner(monkeypatch):
+    # A path that dips to 1e-3 and x0 = 2: the default floor (2e-6) never
+    # binds, the patched one (0.05 * x0 = 0.1) binds from node 199 on.  The
+    # compensator, the initial-identity budget, the restart residual and the
+    # Picard residual all follow ladder.DEFAULT_FLOOR_SCALE.
+    grid = TimeGrid(1.0, 256)
+    t = grid.nodes()
+    values = 2.0 * (1.0 - t) ** 2 + 1e-3 * t
+    spec = make_spec(x0=2.0, b=0.5)
+    family = hand_built_family([values] * 3, spec=spec)
+    noise = family.noise
+    problem = LocalProblem(spec, noise, HolderEstimate(0.125, 0.0, grid))
+    window_end = verify_initial_identity(family).window_end_index
+    assert window_end == 256 - DEFAULT_MARGIN_STEPS
+
+    def outcomes():
+        compensator = compute_compensator(family)
+        return (
+            compensator.floor,
+            compensator.flagged_nodes.tolist(),
+            compensator.values.tobytes(),
+            verify_initial_identity(family).budget,
+            restart_residual(values, noise, spec, 0, 256, margin_steps=1).profile.tobytes(),
+            fixed_point_residual(problem, values),
+        )
+
+    def expected(floor):
+        kernel = kernel_column(grid, 0.0, spec.hurst)[:window_end]
+        reciprocal = 1.0 / np.maximum(values[: window_end + 1], floor)
+        whole = floored_residual(values, noise.values, spec, grid, 0, 256, 2.0, floor)
+        return (
+            floor,
+            (np.flatnonzero(values[1:] < floor) + 1).tolist(),
+            whole.tobytes(),
+            spec.a * float(np.sum(np.abs(np.diff(reciprocal)) * kernel)) + 2.0 * family.cauchy_gap,
+            floored_residual(values, noise.values, spec, grid, 1, 255, values[1], floor).tobytes(),
+            float(np.abs(whole).max()),
+        )
+
+    default = outcomes()
+    assert default == expected(2e-6)
+    assert default[1] == []
+    monkeypatch.setattr(ladder_module, "DEFAULT_FLOOR_SCALE", 0.05)
+    patched = outcomes()
+    assert patched == expected(0.1)
+    assert patched[1] == list(range(199, 257))
+    assert all(a != b for a, b in zip(default, patched))
 
 
 def test_compensator_deterministic_and_origin():

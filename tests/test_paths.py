@@ -256,18 +256,6 @@ def test_initial_identity_deterministic():
     assert result.sup_residual <= result.budget
 
 
-def test_initial_identity_rejects_a_nonpositive_margin():
-    # A margin below 1 would end the window at or past the first crossing,
-    # and past the last node when the path never crosses.
-    grid = TimeGrid(0.5, 256)
-    spec = SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=H_QUARTER)
-    family = build_family(spec, zero_path(grid, H_QUARTER), EpsilonLadder(0.1, 0.3, 4))
-    for margin in (0, -3):
-        with pytest.raises(ValueError, match="margin_steps must be positive"):
-            verify_initial_identity(family, margin_steps=margin)
-    assert verify_initial_identity(family, margin_steps=1).window_end_index == 255
-
-
 def test_initial_identity_needs_the_limit_row():
     grid = TimeGrid(0.5, 256)
     spec = SdeSpec(x0=1.0, a=1.0, b=0.0, sigma=1.0, hurst=H_QUARTER)
