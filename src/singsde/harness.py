@@ -5,6 +5,10 @@ a config is a complete, machine-checkable record of an experiment).  For each
 path index the runner derives the path's noise from (master_seed, path_index),
 builds the regularization ladder, and runs every enabled check; failures are
 aggregated by count, never raised, so one bad path cannot hide the others.
+A record is final where it is computed: ``contraction`` reads only the seeds
+and runs before the family build, so a path whose family cannot be built fails
+the checks that read a family and keeps its contraction record.  A check's
+``runtime_s`` counts its own work; the family build is charged to no check.
 The outcome is a :class:`VerificationReport` written as JSON plus delimited
 artifacts, all stamped with the config's hash.  Report content is a pure
 function of the config content: rerunning the same config reproduces the
@@ -13,8 +17,9 @@ report byte for byte except for the timestamp and runtime fields.
 The one configurable tolerance is ``tol_mono``, the rounding slack of the
 shared-noise ordering; setting it to 0 is the documented negative control.
 Every other pass rule compares against a fixed constant kept beside the check
-that reads it (``ladder.DEFAULT_TOL_BOUND``, the ``excursions`` defaults, and
-the private constants below), and each record reports the tolerance it used.
+that reads it (``ladder.DEFAULT_TOL_BOUND`` and ``DEFAULT_TOL_NONNEG``, the
+``excursions`` defaults, and the private constants below), and each record
+reports the tolerance it used.
 
 The campaign fails (``overall_pass`` false, nonzero CLI status) iff some
 check's failure count exceeds its allowance — zero by default, a configured
@@ -59,6 +64,7 @@ from .io import FORMAT_VERSION, write_csv, write_family_csv
 from .ladder import (
     DEFAULT_TOL_BOUND,
     DEFAULT_TOL_MONO,
+    DEFAULT_TOL_NONNEG,
     EpsilonFamily,
     EpsilonLadder,
     _limit_row,
@@ -179,11 +185,10 @@ _CONTRACTION_BLOCK_PATHS = 64  # paths whose contraction checks run as one block
 _CONTRACTION_SLACK = 0.05  # allowed excess of a measured ratio over the modulus
 _PICARD_TOLERANCE = 1e-10
 _CONSISTENCY_EXTRA = 1e-3  # fixed point vs window ladder limit, beyond the Cauchy gap
-_TOL_NONNEG = 1e-9  # limit-nonneg: slack beyond the Cauchy gap
 # eps-continuity solves at eps* and eps* +/- eps* 2^-k for k = 1..3.
 _EPS_STAR = 0.05
 _EPS_CONTINUITY = (_EPS_STAR, tuple(_EPS_STAR * 0.5**k for k in range(1, 4)))
-_MIN_WINDOW_NODES = 20  # restart-refinement: shortest excursion it evaluates
+_MIN_WINDOW_NODES = 20  # restart-refinement: shortest excursion it evaluates, >= 2 * margin + 2
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +276,23 @@ class ExperimentConfig:
     save_families: bool = False
 
     def __post_init__(self) -> None:
+        for name, kind in (("spec", SdeSpec), ("grid", TimeGrid), ("ladder", EpsilonLadder)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         # domain check on the seed; a numpy integer becomes an int
         self.master_seed = SeedRecord(self.master_seed, 0).master_seed
-        if not (isinstance(self.path_count, int) and self.path_count >= 1):
-            raise ValueError(f"path_count must be a positive integer, got {self.path_count}")
-        if self.ladder.depth < 2:
-            raise ValueError(f"ladder depth must be at least 2, got {self.ladder.depth}")
+        count = self.path_count
+        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
+            raise ValueError(f"path_count must be a positive integer, got {count!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        for flag in ("zero_noise", "save_families"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be a boolean, got {getattr(self, flag)!r}")
+        if not isinstance(self.checks, (list, tuple)) or not all(
+            isinstance(item, str) for item in self.checks
+        ):
+            raise ValueError("checks must be a list of check ids")
         unknown = sorted(set(self.checks) - set(CHECK_ORDER))
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
@@ -332,38 +348,23 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
 
     seeds_data = _section("seeds", data["seeds"], ("master_seed", "path_count"))
 
-    checks_raw = data.get("checks")
-    if checks_raw is None:
-        checks = CHECK_ORDER
-    else:
-        if not isinstance(checks_raw, (list, tuple)) or not all(
-            isinstance(item, str) for item in checks_raw
-        ):
-            raise ValueError("checks must be a list of check ids")
-        checks = tuple(checks_raw)
-
+    checks = data.get("checks")
     output_dir = data.get("output_dir")
     if output_dir is None:
         output_dir = os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_DIR)
-    elif not isinstance(output_dir, str):
-        raise ValueError(f"output_dir must be a string, got {output_dir!r}")
-
-    for flag in ("zero_noise", "save_families"):
-        if flag in data and not isinstance(data[flag], bool):
-            raise ValueError(f"{flag} must be a boolean, got {data[flag]!r}")
 
     return ExperimentConfig(
         spec=spec,
         grid=grid,
         ladder=ladder,
         master_seed=_as_int("seeds", "master_seed", seeds_data["master_seed"]),
-        path_count=_as_int("seeds", "path_count", seeds_data["path_count"]),
+        path_count=seeds_data["path_count"],
         tolerances=data.get("tolerances"),
         allowances=data.get("allowances"),
         output_dir=output_dir,
-        checks=checks,
-        zero_noise=bool(data.get("zero_noise", False)),
-        save_families=bool(data.get("save_families", False)),
+        checks=CHECK_ORDER if checks is None else checks,
+        zero_noise=data.get("zero_noise", False),
+        save_families=data.get("save_families", False),
     )
 
 
@@ -503,7 +504,6 @@ class _PathContext:
 
     index: int
     family: EpsilonFamily
-    contraction: _CheckResult | Exception | None = None
     excursions: ExcursionSet | None = None
     restart_sup: dict[int, float] = field(default_factory=dict)
 
@@ -516,6 +516,12 @@ class _PathContext:
 
 
 _CheckResult = tuple[bool, "float | None", "str | None"]
+
+
+def _exception_note(exc: Exception) -> str:
+    """The note a path's failure records for an exception: ``<Type>: <message>``."""
+
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _check_ordering(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
@@ -549,7 +555,7 @@ def _check_measure_decay(config: ExperimentConfig, ctx: _PathContext) -> _CheckR
 
 def _check_limit_nonneg(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     family = ctx.family
-    result = verify_limit_nonnegativity(family, family.cauchy_gap + _TOL_NONNEG)
+    result = verify_limit_nonnegativity(family)
     violation = -result.worst_value - family.cauchy_gap
     note = None if result.passes else (
         f"limit estimate reaches {result.worst_value:.6g} at node {result.worst_index}"
@@ -612,14 +618,16 @@ def _window_driver(config: ExperimentConfig, index: int, window: float) -> FbmPa
     return generate_fbm(grid, config.spec.hurst, seed, substream=2)
 
 
-def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult | Exception]:
-    """The contraction outcome of each path in ``indices``: its record or its exception.
+def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult]:
+    """The contraction record of each path in ``indices``; an exception is its note.
 
-    Windows are certified for the whole block (:func:`certify_windows`) and
-    Picard iterates per path.  Paths with the same certified window share its
-    grid and window ladder, so their window families are one
-    :func:`build_families` call.  Every path keeps the outcome it would get
-    on its own.
+    The window driver is a fresh draw on substream 2, not the campaign path
+    restricted to the window, so the check certifies the equation locally,
+    not the path's own solution.  Windows are certified for the whole block
+    (:func:`certify_windows`) and Picard iterates per path.  Paths with the
+    same certified window share its grid and window ladder, so their window
+    families are one :func:`build_families` call.  Every path keeps the
+    record it would get on its own.
     """
 
     spec = config.spec
@@ -631,20 +639,20 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
         _CONTRACTION_INITIAL_WINDOW,
         _CONTRACTION_MAX_RECERTIFICATIONS,
     )
-    outcomes: dict[int, _CheckResult | Exception] = {}
+    records: dict[int, _CheckResult] = {}
     solved: dict[TimeGrid, dict[int, PicardResult]] = {}
     for index, certification in certified.items():
         if certification is None:
-            outcomes[index] = (False, None, "window certification did not stabilize")
+            records[index] = (False, None, "window certification did not stabilize")
             continue
         if isinstance(certification, Exception):
-            outcomes[index] = certification
+            records[index] = (False, None, _exception_note(certification))
             continue
         problem, certificate = certification
         try:
             result = picard_solve(problem, certificate, _PICARD_TOLERANCE)
         except Exception as exc:  # noqa: BLE001 - isolation policy
-            outcomes[index] = exc
+            records[index] = (False, None, _exception_note(exc))
             continue
         solved.setdefault(problem.grid, {})[index] = result
 
@@ -663,16 +671,16 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
             )
             for (index, result), family in zip(results.items(), families):
                 if isinstance(family, SolverError):
-                    outcomes[index] = family
+                    records[index] = (False, None, _exception_note(family))
                     continue
                 try:
-                    outcomes[index] = _contraction_verdict(*certified[index], result, family)
+                    records[index] = _contraction_verdict(*certified[index], result, family)
                 except Exception as exc:  # noqa: BLE001 - isolation policy
-                    outcomes[index] = exc
+                    records[index] = (False, None, _exception_note(exc))
         except Exception as exc:  # noqa: BLE001 - the group's shared window ladder failed
             for index in results:
-                outcomes.setdefault(index, exc)
-    return [outcomes[index] for index in indices]
+                records.setdefault(index, (False, None, _exception_note(exc)))
+    return [records[index] for index in indices]
 
 
 def _contraction_verdict(
@@ -714,40 +722,22 @@ def _contraction_verdict(
     return passed, violation, ("; ".join(notes) if notes else None)
 
 
-def _contraction_outcomes(config: ExperimentConfig) -> list[_CheckResult | Exception]:
-    """Every path's contraction outcome, run in blocks of consecutive paths.
+def _contraction_records(config: ExperimentConfig) -> list[_CheckResult]:
+    """Every path's contraction record, run in blocks of consecutive paths.
 
     ``_CONTRACTION_BLOCK_PATHS`` bounds the memory of a block's window
     solves.  A failure of a block's shared work is the failure of each of
-    its paths; stored exceptions drop their tracebacks, so that they do not
-    keep the failing frames alive.
+    its paths.
     """
 
-    outcomes: list[_CheckResult | Exception] = []
+    records: list[_CheckResult] = []
     for start in range(0, config.path_count, _CONTRACTION_BLOCK_PATHS):
         indices = range(start, min(start + _CONTRACTION_BLOCK_PATHS, config.path_count))
         try:
-            block = _contraction_block(config, indices)
+            records += _contraction_block(config, indices)
         except Exception as exc:  # noqa: BLE001 - isolation policy
-            block = [exc] * len(indices)
-        outcomes += [
-            outcome.with_traceback(None) if isinstance(outcome, Exception) else outcome
-            for outcome in block
-        ]
-    return outcomes
-
-
-def _check_contraction(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    """The path's local contraction outcome, computed with its block of paths.
-
-    The window driver is a fresh draw on substream 2, not the campaign path
-    restricted to the window, so the check certifies the equation locally,
-    not the path's own solution.
-    """
-
-    if isinstance(ctx.contraction, Exception):
-        raise ctx.contraction
-    return ctx.contraction
+            records += [(False, None, _exception_note(exc))] * len(indices)
+    return records
 
 
 def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
@@ -778,7 +768,6 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
         index
         for index, (start, end) in enumerate(excursions.intervals)
         if (end - start + 1) >= _MIN_WINDOW_NODES
-        and (end - 2 * margin) > start
         and not (index == 0 and excursions.first_interval_closed_left)
     ]
     if not qualifying:
@@ -811,30 +800,31 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
     return not notes, worst, ("; ".join(notes) if notes else None)
 
 
-# Per-path check -> (runner, the tolerance its record reports).  The report's
-# tolerance column is the constant the check compares against, None standing
-# for the campaign's tol_mono; checks without one, and the campaign-wide
-# measure-decay-mean, report 0.
-_PER_PATH_CHECKS: dict[
-    str, tuple[Callable[[ExperimentConfig, _PathContext], _CheckResult], float | None]
-] = {
-    "ordering": (_check_ordering, None),
-    "nested-zero-sets": (_check_nested_zero_sets, 0.0),
-    "upper-bound": (_check_upper_bound, DEFAULT_TOL_BOUND),
-    "measure-decay": (_check_measure_decay, 0.0),
-    "limit-nonneg": (_check_limit_nonneg, _TOL_NONNEG),
-    "compensator": (_check_compensator, 0.0),
-    "eps-continuity": (_check_eps_continuity, _EPS_STAR),
-    "contraction": (_check_contraction, _CONTRACTION_SLACK),
-    "excursion-endpoints": (_check_excursion_endpoints, 0.0),
-    "initial-identity": (_check_initial_identity, 0.0),
-    "restart-refinement": (_check_restart_refinement, 0.0),
+# Check that reads a path's family -> (runner, whether it reads the limit row
+# whole).  Campaigns keep the limit row only when an enabled check reads it.
+_FAMILY_CHECKS: dict[str, tuple[Callable[[ExperimentConfig, _PathContext], _CheckResult], bool]] = {
+    "ordering": (_check_ordering, False),
+    "nested-zero-sets": (_check_nested_zero_sets, False),
+    "upper-bound": (_check_upper_bound, False),
+    "measure-decay": (_check_measure_decay, False),
+    "limit-nonneg": (_check_limit_nonneg, False),
+    "compensator": (_check_compensator, True),
+    "eps-continuity": (_check_eps_continuity, False),
+    "excursion-endpoints": (_check_excursion_endpoints, True),
+    "initial-identity": (_check_initial_identity, True),
+    "restart-refinement": (_check_restart_refinement, True),
 }
 
-# The checks that read the limit row whole: campaigns keep it only for them.
-_LIMIT_ROW_CHECKS = frozenset(
-    {"compensator", "excursion-endpoints", "initial-identity", "restart-refinement"}
-)
+# The tolerance each check's record reports: the constant it compares
+# against, None standing for the campaign's tol_mono.  Unlisted checks,
+# which have none, report 0.
+_REPORTED_TOLERANCES: dict[str, float | None] = {
+    "ordering": None,
+    "upper-bound": DEFAULT_TOL_BOUND,
+    "limit-nonneg": DEFAULT_TOL_NONNEG,
+    "eps-continuity": _EPS_STAR,
+    "contraction": _CONTRACTION_SLACK,
+}
 
 # One path's outcome of one check: (path index or None for a campaign-wide
 # verdict, passed, violation, note).
@@ -846,7 +836,7 @@ def _check_record(
 ) -> CheckRecord:
     """Aggregate one check's outcomes: counts, the largest finite violation, failure notes."""
 
-    _, tolerance = _PER_PATH_CHECKS.get(check, (None, 0.0))
+    tolerance = _REPORTED_TOLERANCES.get(check, 0.0)
     violations = [v for _, _, v, _ in outcomes if v is not None and math.isfinite(v)]
     failures = tuple(
         ("" if path is None else f"path {path}: ") + ("check failed" if note is None else note)
@@ -875,8 +865,9 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     """Run every enabled check over every path and persist report + artifacts.
 
     Per-path work is sequential and isolated: a check that raises records a
-    failure for that path and the campaign continues.  Artifacts written to
-    ``config.output_dir``: ``report.json``, ``checks.csv``, a canonical
+    failure for that path and the campaign continues; a path whose family
+    cannot be built fails every enabled check that reads a family.  Artifacts
+    written to ``config.output_dir``: ``report.json``, ``checks.csv``, a canonical
     ``config_echo.json``, ``excursions.csv`` when excursion checks ran, and
     per-path family CSVs under ``families/`` when ``save_families`` is set.
     """
@@ -888,45 +879,43 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     if config.save_families:
         os.makedirs(families_dir, exist_ok=True)
 
-    per_path_checks = [check for check in config.checks if check in _PER_PATH_CHECKS]
+    family_checks = [check for check in config.checks if check in _FAMILY_CHECKS]
     outcomes: dict[str, list[_Outcome]] = {check: [] for check in config.checks}
     runtimes = dict.fromkeys(config.checks, 0.0)
     gather_measures = "measure-decay-mean" in config.checks
     first_level_measures: list[float] = []
     last_level_measures: list[float] = []
     excursion_rows: list[tuple[object, ...]] = []
-    contraction: list[_CheckResult | Exception] = []
     if "contraction" in config.checks:
         # The check reads only the seeds, so it runs before the family build,
         # and its window solves never hold memory next to a family chunk.
         started = time.perf_counter()
-        contraction = _contraction_outcomes(config)
-        runtimes["contraction"] += time.perf_counter() - started
+        outcomes["contraction"] = [
+            (index, *record) for index, record in enumerate(_contraction_records(config))
+        ]
+        runtimes["contraction"] = time.perf_counter() - started
 
-    for index, outcome, elapsed in _path_families(config):
+    for index, outcome in _path_families(config):
         if not isinstance(outcome, EpsilonFamily):
-            note = f"family construction failed: {type(outcome).__name__}: {outcome}"
-            for check in per_path_checks:
+            note = f"family construction failed: {_exception_note(outcome)}"
+            for check in family_checks:
                 outcomes[check].append((index, False, None, note))
-                runtimes[check] += elapsed / len(per_path_checks)
             continue
 
         family = outcome
-        ctx = _PathContext(
-            index=index, family=family, contraction=contraction[index] if contraction else None
-        )
+        ctx = _PathContext(index=index, family=family)
         if gather_measures:
             measures = nonpositive_measure(family)
             first_level_measures.append(float(measures[0]))
             last_level_measures.append(float(measures[-1]))
 
-        for check in per_path_checks:
-            runner, _ = _PER_PATH_CHECKS[check]
+        for check in family_checks:
+            runner, _ = _FAMILY_CHECKS[check]
             started = time.perf_counter()
             try:
                 passed, violation, note = runner(config, ctx)
             except Exception as exc:  # noqa: BLE001 - isolation policy
-                passed, violation, note = False, None, f"{type(exc).__name__}: {exc}"
+                passed, violation, note = False, None, _exception_note(exc)
             runtimes[check] += time.perf_counter() - started
             outcomes[check].append((index, passed, violation, note))
 
@@ -965,20 +954,20 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
     return report
 
 
-def _path_families(
-    config: ExperimentConfig,
-) -> Iterator[tuple[int, EpsilonFamily | Exception, float]]:
-    """Per path in index order: (index, family or failure, seconds).
+def _path_families(config: ExperimentConfig) -> Iterator[tuple[int, EpsilonFamily | Exception]]:
+    """Per path in index order: (index, family or failure).
 
     Noise is generated lazily as :func:`build_families` draws it chunk by
     chunk; a path whose generation fails is held back until the families of
     the paths before it have been handed out, so outcomes stay in index order.
-    The seconds are the time spent producing that outcome.  The families
-    keep every level with ``save_families``, else only the rows checks read.
+    The families keep every level with ``save_families``, else only the rows
+    checks read.
     """
 
     pending: deque[tuple[int, Exception | None]] = deque()
-    reads_limit = not _LIMIT_ROW_CHECKS.isdisjoint(config.checks)
+    reads_limit = any(
+        _FAMILY_CHECKS[check][1] for check in config.checks if check in _FAMILY_CHECKS
+    )
 
     def noises() -> Iterator[FbmPath]:
         for index in range(config.path_count):
@@ -1002,16 +991,12 @@ def _path_families(
         eps_continuity=_EPS_CONTINUITY if "eps-continuity" in config.checks else None,
         keep="levels" if config.save_families else ("limit" if reads_limit else "none"),
     )
-    started = time.perf_counter()
     for family in families:
         while pending[0][1] is not None:
-            index, failure = pending.popleft()
-            yield index, failure, 0.0
+            yield pending.popleft()
         index, _ = pending.popleft()
-        yield index, family, time.perf_counter() - started
-        started = time.perf_counter()
-    for index, failure in pending:
-        yield index, failure, 0.0
+        yield index, family
+    yield from pending
 
 
 def _mean_measure_verdict(

@@ -184,8 +184,16 @@ def write_fbm_csv(path: FbmPath, target) -> None:
 
 
 def write_solution_csv(solution: RegularizedPath, noise: FbmPath, target) -> None:
-    """Single-level solve: (t, X_eps, noise_value) with spec and seed metadata."""
+    """Single-level solve: (t, X_eps, noise_value) with spec and seed metadata.
 
+    ``noise`` must be the path that drove ``solution``; another path raises
+    a ``ValueError`` before ``target`` is opened.
+    """
+
+    if solution.noise_ref != noise.ref:
+        raise ValueError(
+            f"the solution was driven by {solution.noise_ref}, not by the given noise {noise.ref}"
+        )
     meta = _spec_meta(solution.spec) | {"eps": solution.epsilon}
     meta |= _grid_seed_meta(solution.grid, noise)
     columns = [("t", solution.grid.nodes()), ("X_eps", solution.values), ("noise_value", noise.values)]

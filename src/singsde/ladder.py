@@ -76,6 +76,7 @@ __all__ = [
 
 DEFAULT_TOL_MONO = 1e-12
 DEFAULT_TOL_BOUND = 1e-9
+DEFAULT_TOL_NONNEG = 1e-9  # limit-nonneg: slack below 0 beyond the Cauchy gap
 DEFAULT_FLOOR_SCALE = 1e-6
 COMPENSATOR_BUDGET_EXTRA = 1e-6
 
@@ -89,7 +90,7 @@ _CHUNK_VALUES = 2**21
 
 @dataclass(frozen=True)
 class EpsilonLadder:
-    """Geometric levels eps_j = eps0 * ratio^j for j = 0..depth."""
+    """Geometric levels eps_j = eps0 * ratio^j for j = 0..depth, with depth >= 2."""
 
     eps0: float
     ratio: float
@@ -102,6 +103,8 @@ class EpsilonLadder:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
         if isinstance(self.depth, bool) or not (isinstance(self.depth, int) and self.depth >= 1):
             raise ValueError(f"depth must be a positive integer, got {self.depth}")
+        if self.depth < 2:
+            raise ValueError(f"ladder depth must be at least 2, got {self.depth}")
         if not self.levels()[-1] > 0.0:
             raise ValueError(
                 f"the deepest level underflows to 0 (eps0={self.eps0}, ratio={self.ratio}, "
@@ -353,8 +356,6 @@ def build_families(
     arguments are checked before any noise is drawn.
     """
 
-    if ladder.depth < 2:
-        raise ValueError(f"ladder depth must be at least 2, got {ladder.depth}")
     kept = {"none": 0, "limit": 1, "levels": ladder.depth + 1}.get(keep)
     if kept is None:
         raise ValueError(f"keep must be 'none', 'limit' or 'levels', got {keep!r}")
@@ -524,15 +525,16 @@ class NonnegativityResult:
     passes: bool
 
 
-def verify_limit_nonnegativity(family: EpsilonFamily, tol: float) -> NonnegativityResult:
-    """Pass iff min_k limit_estimate[k] >= -tol, read from ``limit_min``.
+def verify_limit_nonnegativity(family: EpsilonFamily) -> NonnegativityResult:
+    """Pass iff min_k limit_estimate[k] >= -(cauchy_gap + ``DEFAULT_TOL_NONNEG``).
 
-    So a family that keeps no limit row is checked too; the worst node is
-    the first where the minimum falls.  The natural tolerance is
-    ``cauchy_gap + small``: the true limit dominates the deepest level from
-    above by at most the remaining monotone gap.
+    The minimum is read from ``limit_min``, so a family that keeps no limit
+    row is checked too; the worst node is the first where the minimum falls.
+    The budget assumes the true limit dominates the deepest level from above
+    by at most the last Cauchy gap.
     """
 
+    tol = family.cauchy_gap + DEFAULT_TOL_NONNEG
     return NonnegativityResult(
         worst_value=family.limit_min,
         worst_index=family.limit_argmin,

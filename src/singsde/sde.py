@@ -118,23 +118,6 @@ def _solver_error(step: int, epsilon: float, dt: float) -> SolverError:
     return SolverError(f"non-finite state at step {step} (eps={epsilon}, dt={dt})", step_index=step)
 
 
-def _first_non_finite(
-    values: np.ndarray, levels: np.ndarray | tuple[float, ...], dt: float
-) -> SolverError | None:
-    """The :class:`SolverError` of the first row (level) with a non-finite state, if any.
-
-    ``values`` is one path's (levels, nodes) block and ``levels`` its
-    regularization levels; the error names the first non-finite step of that
-    level.
-    """
-
-    finite = np.isfinite(values)
-    if finite.all():
-        return None
-    level = int(np.argmin(finite.all(axis=1)))
-    return _solver_error(int(np.argmin(finite[level])), float(levels[level]), dt)
-
-
 def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> RegularizedPath:
     """Integrate the regularized recursion along the given noise path.
 
@@ -170,9 +153,9 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
         append(shifted)
     values = np.fromiter(shifted_values, float, n + 1) - epsilon
     values[0] = spec.x0
-    failure = _first_non_finite(values[None], (epsilon,), dt)
-    if failure is not None:
-        raise failure
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _solver_error(int(np.argmin(finite)), float(epsilon), dt)
     return RegularizedPath(
         spec=spec,
         epsilon=epsilon,

@@ -7,8 +7,9 @@ report canonicalization for the determinism contract, the cell-by-cell CSV
 writer that the column-wise one must match byte for byte, the scalar
 eps-continuity loop and per-path contraction check that the batched checks
 must match exactly, the batched solve collected into one whole array, the
-whole-array family reductions that the block-streamed ones must equal, and
-the node-by-node excursion decomposition that the vectorized one must equal.
+whole-array family reductions and first-failing-level rule that the
+block-streamed ones must equal, and the node-by-node excursion decomposition
+that the vectorized one must equal.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from singsde import (
 from singsde import fbm as fbm_module
 from singsde import harness
 from singsde import ladder as ladder_module
-from singsde.sde import _drift_table, _first_non_finite, _integrate_batch
+from singsde.sde import _drift_table, _integrate_batch, _solver_error
 
 
 def closed_form(t: np.ndarray | float, x0: float, a: float, hurst_value: float):
@@ -262,6 +263,22 @@ def solve_batch(
     return out.transpose(1, 2, 0)
 
 
+def first_non_finite(
+    values: np.ndarray, levels: np.ndarray | tuple[float, ...], dt: float
+) -> SolverError | None:
+    """Reference of the first-failing-level rule on one path's whole (levels, nodes) block.
+
+    The :class:`SolverError` of the first row (level) with a non-finite state,
+    naming that level's first non-finite step; None when every value is finite.
+    """
+
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    level = int(np.argmin(finite.all(axis=1)))
+    return _solver_error(int(np.argmin(finite[level])), float(levels[level]), dt)
+
+
 def given_values_family(
     spec: SdeSpec,
     noise: FbmPath,
@@ -272,7 +289,7 @@ def given_values_family(
     """A family of given (levels, nodes) values, which it keeps: the ladder's reducer over one block.
 
     Node 0 is reduced as given too.  Returns the SolverError that
-    ``_first_non_finite`` gives when a value is not finite.
+    ``first_non_finite`` gives when a value is not finite.
     """
 
     values = np.asarray(values, dtype=float)
@@ -289,11 +306,11 @@ def family_reductions_oracle(
     """Reference of a family's reductions, computed on one path's full (levels, nodes) values.
 
     The arithmetic families used when they kept every level: whole-array
-    reductions, and ``_first_non_finite``'s error for a non-finite value.
+    reductions, and ``first_non_finite``'s error for a non-finite value.
     Arrays are rendered as bytes, so that ``==`` compares them bit for bit.
     """
 
-    failure = _first_non_finite(values, levels, dt)
+    failure = first_non_finite(values, levels, dt)
     if failure is not None:
         return failure
     deficit = values[:-1, 1:] - values[1:, 1:]

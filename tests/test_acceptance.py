@@ -135,7 +135,7 @@ def shared_campaign():
         bound = verify_upper_bound(family)
         decay = verify_measure_decay(family)
         nested, _ = verify_nested_zero_sets(family)
-        nonneg = verify_limit_nonnegativity(family, family.cauchy_gap + 1e-9)
+        nonneg = verify_limit_nonnegativity(family)
         stats.append(
             {
                 "mono_violations": family.mono_violation_count,

@@ -1,12 +1,19 @@
-"""Export-surface test: every name a module exports is defined."""
+"""Export-surface tests: every name a module exports is defined, the package
+imports only what it needs, and its sources parse as the oldest supported
+Python.
+"""
 
 from __future__ import annotations
 
+import ast
+import glob
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import singsde
 
@@ -50,3 +57,33 @@ def test_refinement_runs_without_scipy():
         "s.refine_fbm(path); print('scipy' in sys.modules)"
     )
     assert _fresh_interpreter(probe) == "False"
+
+
+# The oldest interpreter pyproject.toml admits (requires-python >= 3.10).
+OLDEST_PYTHON = (3, 10)
+
+
+def _sources() -> list[str]:
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    package_dir = os.path.dirname(os.path.abspath(singsde.__file__))
+    return sorted(
+        glob.glob(os.path.join(package_dir, "**", "*.py"), recursive=True)
+        + glob.glob(os.path.join(tests_dir, "**", "*.py"), recursive=True)
+    )
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # Grammar only: a standard-library name added after 3.10 is not caught.
+    sources = _sources()
+    assert any(path.endswith("harness.py") for path in sources)
+    for path in sources:
+        with open(path, encoding="utf-8") as handle:
+            ast.parse(handle.read(), filename=path, feature_version=OLDEST_PYTHON)
+
+
+def test_the_grammar_check_rejects_newer_syntax():
+    # except* (3.11) is the kind of syntax the check above must catch.
+    planted = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(planted)
+    with pytest.raises(SyntaxError):
+        ast.parse(planted, feature_version=OLDEST_PYTHON)

@@ -40,6 +40,7 @@ from singsde import harness as harness_module
 from singsde import ladder as ladder_module
 from singsde import picard as picard_module
 from singsde.cli import cli_dispatch
+from singsde.excursions import DEFAULT_MARGIN_STEPS
 
 from _support import canonical_report, contraction_oracle
 
@@ -202,13 +203,24 @@ def test_direct_construction_validates_like_config_from_dict():
         ({"tolerances": {"bogus": 1.0}}, "unknown tolerances keys: bogus"),
         ({"allowances": {"ordering": 1.5}}, "allowances.ordering must lie in [0, 1], got 1.5"),
         ({"checks": ("ordering", "ordering")}, "checks must not repeat"),
+        ({"checks": "ordering"}, "checks must be a list of check ids"),
+        ({"path_count": True}, "path_count must be a positive integer, got True"),
+        ({"zero_noise": "no"}, "zero_noise must be a boolean, got 'no'"),
+        ({"save_families": 0}, "save_families must be a boolean, got 0"),
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
     ]
     for override, message in cases:
         with pytest.raises(ValueError) as direct:
-            ExperimentConfig(**fields, **override)
+            ExperimentConfig(**{**fields, **override})
+        if "path_count" in override:
+            override = {"seeds": {"master_seed": base.master_seed, **override}}
         with pytest.raises(ValueError) as parsed:
             make_config(**override)
         assert str(direct.value) == str(parsed.value) == message
+    # the parsed path always builds these three; direct construction checks them
+    for name in ("spec", "grid", "ladder"):
+        with pytest.raises(ValueError, match=f"^{name} must be a .+, got None$"):
+            ExperimentConfig(**{**fields, name: None})
     direct_config = ExperimentConfig(**fields, tolerances={"tol_mono": 0})
     assert direct_config.tolerances == make_config(tolerances={"tol_mono": 0}).tolerances
     assert direct_config.tolerances["tol_mono"] == 0.0
@@ -503,6 +515,12 @@ def test_restart_check_needs_the_limit_row():
         harness_module._check_restart_refinement(config, context)
 
 
+def test_restart_excursions_always_keep_a_residual_window():
+    # Every excursion long enough for restart-refinement keeps nodes between
+    # its two margins, so the check tests the length only.
+    assert harness_module._MIN_WINDOW_NODES >= 2 * DEFAULT_MARGIN_STEPS + 2
+
+
 def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
     # Paths whose noise cannot be generated are recorded in index order among
     # the batched families, at the front, inside and after the last chunk.
@@ -603,8 +621,11 @@ def test_solver_abort_is_recorded_not_raised(tmp_path):
     assert not report.overall_pass
     for name, record in report.checks.items():
         assert record.fail_count == 1, name
-        if name != "measure-decay-mean":
+        if name in harness_module._FAMILY_CHECKS:
             assert "family construction failed: SolverError" in record.failures[0]
+    # contraction reads no family: it records its own window's outcome
+    (note,) = report.checks["contraction"].failures
+    assert note.startswith("path 0: InfeasibleProblemError: no dyadic horizon")
 
 
 def test_eps_continuity_solver_error_is_recorded_per_path(tmp_path, monkeypatch):
@@ -694,10 +715,7 @@ def oracle_records(config: ExperimentConfig) -> list[tuple]:
 
 
 def block_records(config: ExperimentConfig) -> list[tuple]:
-    return [
-        as_record(outcome)
-        for outcome in harness_module._contraction_block(config, range(config.path_count))
-    ]
+    return harness_module._contraction_block(config, range(config.path_count))
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
@@ -783,6 +801,37 @@ def test_contraction_block_failure_is_recorded_per_path(tmp_path, monkeypatch):
         f"path {index}: RuntimeError: planted scan failure" for index in range(3)
     )
     assert report.checks["upper-bound"].fail_count == 0
+
+
+def test_a_failed_family_build_leaves_the_contraction_record(tmp_path, monkeypatch):
+    # The contraction check reads only the seeds: a path whose campaign noise
+    # (substream 0) cannot be drawn fails upper-bound, which reads its
+    # family, and keeps the contraction record the oracle gives it.
+    config = contraction_config(
+        tmp_path,
+        seeds={"master_seed": 99, "path_count": 3},
+        checks=["upper-bound", "contraction"],
+    )
+    expected = oracle_records(config)
+    generate = harness_module.generate_fbm
+
+    def planted(grid, hurst, seed, substream=0):
+        if substream == 0 and seed.path_index == 1:
+            raise RuntimeError("planted noise failure")
+        return generate(grid, hurst, seed, substream=substream)
+
+    monkeypatch.setattr(harness_module, "generate_fbm", planted)
+    assert harness_module._contraction_records(config)[1] == contraction_oracle(config, 1)
+    report = run_campaign(config)
+    record = report.checks["contraction"]
+    assert record.pass_count == sum(passed for passed, _, _ in expected)
+    assert record.failures == tuple(
+        f"path {index}: {note}" for index, (passed, _, note) in enumerate(expected) if not passed
+    )
+    assert record.worst_violation == max(violation for _, violation, _ in expected)
+    assert report.checks["upper-bound"].failures == (
+        "path 1: family construction failed: RuntimeError: planted noise failure",
+    )
 
 
 def test_contraction_window_certification_that_does_not_stabilize(tmp_path, monkeypatch):

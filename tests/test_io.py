@@ -175,6 +175,22 @@ def test_export_headers_are_pinned():
     ]
 
 
+def test_solution_export_rejects_another_paths_noise(tmp_path):
+    # The header's seed and the noise column come from the noise argument, so
+    # a noise other than the solution's driver is refused before the file opens.
+    hurst = HurstParam(0.25)
+    grid = TimeGrid(0.5, 8)
+    spec = SdeSpec(x0=1.0, a=1.5, b=0.5, sigma=0.75, hurst=hurst)
+    solution = solve_regularized(spec, 0.01, generate_fbm(grid, hurst, SeedRecord(1, 0)))
+    other = generate_fbm(grid, hurst, SeedRecord(2, 5))
+    target = tmp_path / "solution.csv"
+    with pytest.raises(ValueError) as error:
+        write_solution_csv(solution, other, target)
+    assert solution.noise_ref in str(error.value) and other.ref in str(error.value)
+    assert solution.noise_ref != other.ref
+    assert not target.exists()
+
+
 def test_streamed_family_export_matches_the_cell_oracle(tmp_path, monkeypatch):
     # Three paths in one chunk, solved in time blocks of 5 steps: each kept
     # family's CSV equals the cell-by-cell rendering of its levels.

@@ -46,13 +46,13 @@ from singsde import harness as harness_module
 from singsde import ladder as ladder_module
 from singsde import sde as sde_module
 from singsde.excursions import DEFAULT_MARGIN_STEPS
-from singsde.sde import _first_non_finite
 
 from _support import (
     closed_form,
     eps_continuity_oracle,
     family_reductions,
     family_reductions_oracle,
+    first_non_finite,
     given_values_family,
     seeded_families,
     solve_batch,
@@ -144,9 +144,9 @@ def test_build_family_ordering_with_resolved_noise():
 
 
 def test_build_family_requires_depth():
-    shallow = EpsilonLadder(0.1, 0.5, 1)
-    with pytest.raises(ValueError, match="ladder depth must be at least 2"):
-        build_family(make_spec(), zero_path(TimeGrid(1.0, 64), H_QUARTER), shallow)
+    # The ladder owns the minimum, so a one-step ladder never reaches the build.
+    with pytest.raises(ValueError, match="^ladder depth must be at least 2, got 1$"):
+        EpsilonLadder(0.1, 0.5, 1)
 
 
 def test_build_families_matches_build_family_and_isolates_non_finite_path():
@@ -313,8 +313,7 @@ def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, mon
     for family, plain in zip(rowless, streamed):
         assert family.limit_estimate is None and family.values is None
         assert family_reductions(family) == {**family_reductions(plain), "limit_estimate": None}
-        tol = family.cauchy_gap + 1e-9
-        assert verify_limit_nonnegativity(family, tol) == verify_limit_nonnegativity(plain, tol)
+        assert verify_limit_nonnegativity(family) == verify_limit_nonnegativity(plain)
     kept = list(build_families(spec, noises[:3], ladder))
     for values, family in zip(full, kept):
         assert family.values.tobytes() == values.tobytes()
@@ -465,9 +464,9 @@ def test_streamed_reductions_with_planted_defects(block_steps, monkeypatch):
                 assert str(error) == str(expected) and error.step_index == expected.step_index
             continue
         assert family_reductions(outcome) == family_reductions(given) == expected
-    middle = _first_non_finite(values[3], levels, grid.dt)
+    middle = first_non_finite(values[3], levels, grid.dt)
     assert str(middle) == f"non-finite state at step 7 (eps={levels[5]}, dt={grid.dt})"
-    assert _first_non_finite(values[4], levels, grid.dt).step_index == 40
+    assert first_non_finite(values[4], levels, grid.dt).step_index == 40
     ordering, nested, node_one = (
         family_reductions_oracle(values[path], levels, grid.dt, tol) for path in range(3)
     )
@@ -509,7 +508,7 @@ def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypa
     assert probed[0].eps_continuity == eps_continuity_oracle(spec, noises[0], *probe)
     for path, level, step in ((1, 2, 40), (2, 0, 64)):
         error = probed[path].eps_continuity
-        expected = _first_non_finite(values[path, rungs:], probe_levels, grid.dt)
+        expected = first_non_finite(values[path, rungs:], probe_levels, grid.dt)
         assert isinstance(error, SolverError) and error.step_index == step
         assert str(error) == str(expected)
         assert str(error) == (
@@ -528,7 +527,7 @@ def test_given_values_reduce_node_zero_like_the_oracle():
     assert (family.cauchy_gap, family.value_max) == (2.0, 3.0)
     values[1, 0] = np.nan
     failure = given_values_family(family.spec, family.noise, family.ladder, values)
-    expected = _first_non_finite(values, family.ladder.levels(), 0.5)
+    expected = first_non_finite(values, family.ladder.levels(), 0.5)
     assert isinstance(failure, SolverError) and str(failure) == str(expected)
     assert failure.step_index == 0
 
@@ -721,7 +720,8 @@ def test_verifiers_flag_a_hand_built_family():
 
 def test_limit_nonnegativity_deterministic():
     family = deterministic_family()
-    result = verify_limit_nonnegativity(family, tol=family.cauchy_gap + 1e-9)
+    result = verify_limit_nonnegativity(family)
+    assert result.tolerance == family.cauchy_gap + 1e-9
     assert result.passes
     assert result.worst_value == pytest.approx(1.0, abs=1e-12)
     assert result.worst_index == 0
@@ -733,7 +733,7 @@ def test_limit_nonnegativity_monte_carlo():
     for index in range(4):
         noise = generate_fbm(grid, H_QUARTER, SeedRecord(77, index))
         family = build_family(spec, noise, EpsilonLadder(0.1, 0.3, 8))
-        result = verify_limit_nonnegativity(family, tol=family.cauchy_gap + 1e-9)
+        result = verify_limit_nonnegativity(family)
         assert result.passes, f"path {index}: worst {result.worst_value:.3e}"
 
 
@@ -743,7 +743,7 @@ def test_limit_nonnegativity_shallow_ladder_negative_control():
     spec = SdeSpec(x0=0.5, a=1.0, b=0.0, sigma=1.2, hurst=H_QUARTER)
     noise = generate_fbm(TimeGrid(1.0, 512), H_QUARTER, SeedRecord(333, 7))
     family = build_family(spec, noise, EpsilonLadder(0.5, 0.5, 2))
-    result = verify_limit_nonnegativity(family, tol=family.cauchy_gap + 1e-9)
+    result = verify_limit_nonnegativity(family)
     print(
         f"shallow-ladder control: worst value {result.worst_value:.3f}, "
         f"gap {family.cauchy_gap:.3f}"
