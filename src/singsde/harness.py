@@ -895,7 +895,9 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
         ]
         runtimes["contraction"] = time.perf_counter() - started
 
-    for index, outcome in _path_families(config):
+    # A campaign that reads no family, such as a contraction-only one, builds none.
+    needs_families = bool(family_checks) or gather_measures or config.save_families
+    for index, outcome in _path_families(config) if needs_families else ():
         if not isinstance(outcome, EpsilonFamily):
             note = f"family construction failed: {_exception_note(outcome)}"
             for check in family_checks:

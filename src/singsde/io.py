@@ -3,18 +3,64 @@
 Every CSV written by the library starts with ``# key=value`` comment lines
 carrying the provenance needed to regenerate the file (seeds, parameters,
 format version, config hash when applicable), followed by one header row of
-column names.  Floats are rendered with ``repr``-exact precision so a file is
-a faithful witness of the computation.
+column names.  Every float cell is the ``repr`` of its value as a double, so
+a file reads back bit-exact and is a faithful witness of the computation.
 
-Rows are formatted column by column and streamed in blocks of at most
-``_BLOCK_ROWS`` rows: each block of a numeric or string column becomes
-builtin values through one ``tolist()`` call and then text through ``str``
-(for a builtin float that is ``repr``), and the block's rows are joined and
-written with one ``write``.  A column object passed twice, such as the
-family's deepest level and its limit estimate, is formatted once per block.
-Object columns go through ``_format_value`` cell by cell.  Every path
-renders a cell exactly as ``_format_value`` does, so the bytes do not
-depend on the block size.
+Rows are formatted in blocks of at most ``_BLOCK_ROWS`` rows.  Each block
+becomes one uint8 array of shape (rows, columns, width): every cell's bytes,
+then its delimiter ("," or, after the last column, a line break).  Each cell
+brings the mask of the bytes to keep, its text and its delimiter: a float
+cell's mask is a row of ``_FLOAT_KEEP``, a table over the fixed float cell
+width, and a text cell's compares byte positions with the text's length.
+One boolean compress drops the other bytes, and the block is written with
+one ``write``.  A column object passed twice, such as the family's deepest
+level and its limit estimate, is formatted once per block.  Integer and
+boolean columns go through ``tolist()`` and ``str``.  Columns of any other
+kind, strings and objects among them, are rendered whole by
+``_format_value`` before the file opens, so that their cells can be checked
+for commas and line breaks.  Every cell's text is exactly what
+``_format_value`` renders, so the bytes do not depend on the block size.
+
+**Float cells.**  ``_float_cells`` renders all the float cells of a block at
+once, in numpy arithmetic, and reproduces ``repr`` byte for byte.  Its fast
+path covers finite cells with 1e-4 <= |x| < 1e16 whose mantissa field is not
+zero.  That range is where ``repr`` writes positional notation, and a
+non-zero mantissa field makes the rounding interval of x symmetric: every
+real within half an ulp of x rounds back to x.
+
+- Take q = 16 - floor(log10|x|), so that |x|·10^q lies in [1e16, 1e17).
+  10^q is an exact double, and Dekker's TwoProduct (Numer. Math. 18, 1971)
+  gives |x|·10^q = P + E exactly, with P = fl(|x|·10^q) an integer.  So
+  |x|·10^q = D17 + δ exactly, where D17 is its nearest integer and
+  |δ| <= 1/2.
+- D16 and D15, the nearest 16- and 15-digit integers to |x|·10^q / 10 and
+  / 100, come from D17 and the sign of δ.  The last one or two digits of
+  D17, call them r, decide the rounding, and r + δ lies strictly above or
+  below the halfway point 5 (or 50) unless r is 5 (or 50) exactly.  Then
+  the sign of δ decides.  So each candidate is rounded once, from the exact
+  value, and never from the already rounded D17.
+- A candidate 10^k·D round-trips when |10^k·D - D17 - δ| is below half an
+  ulp of x scaled by 10^q.  D17 always does: that half ulp exceeds
+  2^-54·1e16 > 0.55, and |δ| <= 1/2.
+- The digits are the first of D15, D16 and D17 that round-trips, with its
+  trailing zeros stripped.  This is ``repr``'s choice, the shortest digit
+  string that round-trips and, among those, the closest to x (Steele &
+  White; Gay; Adams, "Ryū", PLDI 2018):
+  - the rounding interval of x is at most 2.3e-16·|x| wide, and 15-digit
+    numbers near |x| lie more than 1e-15·|x| apart.  So at most one 15-digit
+    number round-trips, and if one does, it is the nearest one, D15.  A
+    shorter string that round-trips is that same number without its
+    trailing zeros.
+  - when no 15-digit number round-trips, the shortest length is 16 or 17.
+    The nearest candidate of that length round-trips whenever any of that
+    length does, and it is the closest one.
+
+Cells off the fast path fall back to ``_format_value``: zeros, infinities
+and NaN; values that ``repr`` writes in exponent form; powers of two, whose
+rounding interval is asymmetric; exact ties (|δ| = 1/2, or r = 5 or 50 with
+δ = 0); candidates within a relative 1e-9 of the round-trip boundary; and
+cells where log10 was off by one, so that D17 or the chosen digits left
+[1e16, 1e17).
 """
 
 from __future__ import annotations
@@ -38,11 +84,86 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-# Rows per formatted block; it bounds the cell strings held at once.  On a
-# campaign exporting 2^14-step families, blocks of 256 to 4096 rows ran
-# equally fast, but 1024-row blocks raised the peak resident size by about
-# 2 MB over cell-by-cell writing and 4096-row blocks by about 6 MB.
+# Rows per formatted block; it bounds the byte block and the fast path's
+# per-cell arrays held at once.  Formatting 2^14-step family exports (14
+# columns) into memory, blocks of 128, 256, 512 and 1024 rows took about
+# 215, 185, 165 and 160 ns per cell, and one 14-column float block peaked
+# at 0.33, 0.64, 1.3 and 2.5 MiB of traced memory (2 cores, Python 3.11.7,
+# numpy 2.4.6).  256 rows keep most of the speed at half the memory of 512.
 _BLOCK_ROWS = 256
+
+# The lookup tables are built from Python floats and numpy copies only:
+# importing the module runs no numpy arithmetic kernel, so it maps no more of
+# numpy's shared library into memory than importing numpy does.
+
+# 10**k for k = 0..22, each an exact double, and its Veltkamp split into two
+# halves of at most 26 significant bits, as TwoProduct needs.
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _veltkamp(value: float) -> tuple[float, float]:
+    scaled = value * _SPLITTER
+    high = scaled - (scaled - value)
+    return high, value - high
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = np.array([_veltkamp(power) for power in _POW10.tolist()]).T
+_MANTISSA_FIELD = (1 << 52) - 1
+_EXPONENT_FIELD = 0x7FF << 52
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each group 0..9999 as one uint32, and each
+    group's count of trailing zeros."""
+
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    # text[a, b, c, d] spells the group 1000a + 100b + 10c + d
+    text = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    text[..., 0] = digit[:, None, None, None]
+    text[..., 1] = digit[:, None, None]
+    text[..., 2] = digit[:, None]
+    text[..., 3] = digit
+    zeros = np.zeros(10_000, dtype=np.uint8)
+    for count, step in enumerate((10, 100, 1000, 10_000), start=1):
+        zeros[::step] = count
+    return text.view(np.uint32).ravel(), zeros
+
+
+_GROUP_TEXT, _GROUP_ZEROS = _digit_tables()
+
+# A float cell's bytes: "0000000", its 17 digits d_1..d_17 and "0000", with
+# the point put in and the sign written over the zero before the text.  A
+# text fits: "-0.000" and 17 digits, or 24 bytes from ``_format_value``.
+_FLOAT_WIDTH = 28
+_LEAD = 7
+
+
+def _point_masks() -> np.ndarray:
+    """Row k holds 0xFF in bytes 0..k-1: the bytes that stay before a point at k."""
+
+    masks = np.zeros((_FLOAT_WIDTH, _FLOAT_WIDTH), dtype=np.uint8)
+    for point in range(_FLOAT_WIDTH):
+        masks[point, :point] = 255
+    return masks
+
+
+_BEFORE = _point_masks()
+
+
+def _keep_masks() -> np.ndarray:
+    """Row first * _FLOAT_WIDTH + end keeps bytes first..end of a float cell:
+    its text and its delimiter."""
+
+    masks = np.zeros((_LEAD + 1, _FLOAT_WIDTH, _FLOAT_WIDTH), dtype=bool)
+    for end in range(_FLOAT_WIDTH):
+        masks[:, end, : end + 1] = True
+    for first in range(1, _LEAD + 1):
+        masks[first, :, :first] = False
+    return masks.reshape(-1, _FLOAT_WIDTH)
+
+
+_FLOAT_KEEP = _keep_masks()
 
 
 def _format_value(value: object) -> str:
@@ -57,16 +178,195 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def _format_block(block: np.ndarray) -> list[str]:
-    """Cells of a 1-D block, each rendered as ``_format_value`` renders it."""
+def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each text's UTF-8 bytes, NUL-padded to one byte past the longest (the
+    delimiter's); its length; and the mask of its bytes and its delimiter."""
 
-    kind = block.dtype.kind
-    if kind == "f":
-        # float() of a float16/32 or long double cell is this double
-        block = block.astype(np.float64, copy=False)
-    elif kind not in "biuU":
-        return list(map(_format_value, block))
-    return list(map(str, block.tolist()))
+    encoded = [text.encode() for text in texts]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    cells = np.array(encoded, dtype=f"S{lengths.max(initial=0) + 1}")
+    keep = np.arange(cells.itemsize) <= lengths[:, None]
+    return cells.view(np.uint8).reshape(len(encoded), cells.itemsize), lengths, keep
+
+
+def _nearest_integer(x: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d17 and delta with x * 10**scale == d17 + delta exactly and |delta| <= 1/2.
+
+    Dekker's TwoProduct gives x * 10**scale == product + error exactly, and
+    product is an integer wherever x * 10**scale >= 2**53.
+    """
+
+    product = x * _POW10[scale]
+    split = x * _SPLITTER
+    x_hi = split - (split - x)
+    x_lo = x - x_hi
+    p_hi = _POW10_HI[scale]
+    p_lo = _POW10_LO[scale]
+    error = ((x_hi * p_hi - product) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    rounded = np.rint(error)
+    return product.astype(np.int64) + rounded.astype(np.int64), error - rounded
+
+
+def _rounded(d17: np.ndarray, delta: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """d17 + delta rounded to the nearest multiple of ``unit`` (10 or 100), in
+    units of ``unit``, and whether it lay exactly halfway.
+
+    The remainder of d17 decides, and the sign of delta decides where the
+    remainder is exactly half a unit, so the exact value is rounded once.
+    """
+
+    quotient = d17 // unit
+    rest = d17 - unit * quotient
+    quotient += (rest > unit // 2) | ((rest == unit // 2) & (delta > 0))
+    return quotient, (rest == unit // 2) & (delta == 0)
+
+
+def _round_trips(
+    offset: np.ndarray, delta: np.ndarray, half_ulp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether d17 + offset round-trips, and whether it lies within a relative
+    1e-9 of the boundary, where rounding in this test could decide."""
+
+    miss = np.abs(offset - delta)
+    return miss < half_ulp, np.abs(miss - half_ulp) <= 1e-9 * half_ulp
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``repr``'s digits of each x in the fast range, by the module docstring's rule.
+
+    Returns the digits as one integer in [1e16, 1e17), padded with zeros to
+    17 digits, the decimal exponent floor(log10 x) and the cells whose
+    digits the rule cannot vouch for.
+    """
+
+    exponent = np.floor(np.log10(x)).astype(np.intp)
+    d17, delta = _nearest_integer(x, 16 - exponent)
+    d16, tie16 = _rounded(d17, delta, 10)
+    d15, tie15 = _rounded(d17, delta, 100)
+    # half an ulp of x is the power of two 2**-53 times x's binary exponent;
+    # this is it in units of d17's last digit
+    half_ulp = ((x.view(np.int64) & _EXPONENT_FIELD) - (53 << 52)).view(np.float64)
+    half_ulp *= _POW10[16 - exponent]
+    round_trips15, near15 = _round_trips(100 * d15 - d17, delta, half_ulp)
+    round_trips16, near16 = _round_trips(10 * d16 - d17, delta, half_ulp)
+    digits = np.where(round_trips15, 100 * d15, np.where(round_trips16, 10 * d16, d17))
+    off = tie16 | tie15 | near15 | near16 | (np.abs(delta) == 0.5)
+    off |= (d17 < 10**16) | (digits >= 10**17)
+    return digits, exponent, off
+
+
+def _padded_digits(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's "0000000", 17 digits and "0000", and its count of significant digits."""
+
+    top = digits // 10**8
+    low = digits - 10**8 * top
+    first = top // 10**8  # the digit 1..9
+    top -= 10**8 * first
+    second = top // 10**4
+    fourth = low // 10**4
+    groups = (first, second, top - 10**4 * second, fourth, low - 10**4 * fourth)
+    words = np.empty((digits.size, 7), dtype=np.uint32)
+    words[:, 0] = words[:, 6] = _GROUP_TEXT[0]
+    for column, group in enumerate(groups, start=1):
+        words[:, column] = _GROUP_TEXT[group]
+    trailing = _GROUP_ZEROS[groups[1]]
+    for group in groups[2:]:
+        zeros = _GROUP_ZEROS[group]
+        trailing = zeros + (zeros == 4) * trailing
+    return words.view(np.uint8), 17 - trailing
+
+
+def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each float64 cell's ``repr``: ``_FLOAT_WIDTH`` bytes, the end of its
+    text, and the mask of its text and its delimiter.
+
+    The fast path's arithmetic runs on every cell; a cell off the path runs
+    it as 1.5, so no operation meets a value it could warn on, and
+    ``_format_value``'s text replaces that cell's bytes.
+    """
+
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e16)
+    fast &= (values.view(np.int64) & _MANTISSA_FIELD) != 0
+    digits, exponent, fallback = _shortest_digits(np.where(fast, magnitude, 1.5))
+    fallback |= ~fast
+    padded, significant = _padded_digits(digits)
+    # |x| = 0.d_1...d_17 * 10**point, point in -3..16 on the fast path
+    point = exponent + 1
+    at = _LEAD + point
+    # The point goes in at byte `at`: the bytes before it stay and the rest
+    # move one to the right.
+    cells = np.empty_like(padded)
+    cells[:, 1:] = padded[:, :-1]
+    padded ^= cells
+    padded &= np.take(_BEFORE, at, axis=0)
+    cells ^= padded
+    flat = cells.reshape(-1)
+    rows = np.arange(0, flat.size, _FLOAT_WIDTH)
+    flat[rows + at] = ord(".")
+    # The text starts at the first digit, or at the "0" before the point
+    # when |x| < 1, and one byte earlier, at the sign, when x < 0.
+    negative = values.view(np.int64) < 0
+    first = np.minimum(_LEAD, at - 1) - negative
+    flat[(rows + first)[negative]] = ord("-")
+    # It ends after the last significant digit, or after the "0" that
+    # follows a point with no digit after it.
+    end = _LEAD + 1 + np.maximum(significant, point + 1)
+
+    rest = np.flatnonzero(fallback)
+    if rest.size:
+        texts, lengths, _ = _text_cells(list(map(_format_value, values[rest].tolist())))
+        cells[rest, : texts.shape[1]] = texts
+        first[rest] = 0
+        end[rest] = lengths
+    return cells, end, np.take(_FLOAT_KEEP, first * _FLOAT_WIDTH + end, axis=0)
+
+
+def _render_block(blocks: Mapping[int, np.ndarray], keys: Sequence[int]) -> str:
+    """The text of one block of rows: ``keys`` names each column's block."""
+
+    rows = len(blocks[keys[0]])
+    # each column's cell bytes, the end of each text, and the bytes to keep
+    cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    floats = [key for key, block in blocks.items() if block.dtype.kind == "f"]
+    if floats:
+        stacked = np.empty((rows, len(floats)))
+        # A float16/32 or long double cell becomes the double float() gives,
+        # without a warning for a signaling NaN or a long double beyond range.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for column, key in enumerate(floats):
+                stacked[:, column] = blocks[key]
+        cell_bytes, end, keep = _float_cells(stacked.ravel())
+        cell_bytes = cell_bytes.reshape(rows, len(floats), _FLOAT_WIDTH)
+        end = end.reshape(rows, len(floats))
+        keep = keep.reshape(rows, len(floats), _FLOAT_WIDTH)
+        for column, key in enumerate(floats):
+            cells[key] = cell_bytes[:, column], end[:, column], keep[:, column]
+    for key, block in blocks.items():
+        if key not in cells:
+            cells[key] = _text_cells(list(map(str, block.tolist())))
+
+    width = max(cell_bytes.shape[1] for cell_bytes, _, _ in cells.values())
+    text = np.empty((rows, len(keys), width), dtype=np.uint8)
+    keep = np.zeros(text.shape, dtype=bool)
+    end = np.empty((rows, len(keys)), dtype=np.intp)
+    for column, key in enumerate(keys):
+        cell_bytes, end[:, column], cell_keep = cells[key]
+        text[:, column, : cell_bytes.shape[1]] = cell_bytes
+        keep[:, column, : cell_bytes.shape[1]] = cell_keep
+    delimiters = np.full(len(keys), ord(","), dtype=np.uint8)
+    delimiters[-1] = ord("\n")
+    starts = np.arange(0, text.size, width).reshape(end.shape)
+    text.reshape(-1)[starts + end] = delimiters
+    return str(text[keep].data, "utf-8")
+
+
+def _refuse(what: str, text: str, forbidden: str) -> None:
+    for char in forbidden:
+        if char in text:
+            raise ValueError(
+                f"{what} {text!r} contains {char!r}; read_csv_with_meta could not read it back"
+            )
 
 
 def write_csv(
@@ -76,12 +376,23 @@ def write_csv(
 ) -> None:
     """Write ``# key=value`` header lines, a column-name row, then the rows.
 
-    Every column must be 1-D and all must have the same length; a column
-    that breaks either rule raises ``ValueError`` before ``target`` is
-    opened.
+    Every column must be 1-D and all must have the same length.  Column
+    names and non-numeric cells may not contain a comma or a line break,
+    meta keys may not contain "=" or a line break, and meta values may not
+    contain a line break.  Input that breaks a rule raises ``ValueError``
+    before ``target`` is opened.
     """
 
+    meta_lines = []
+    for key, value in meta.items():
+        text = _format_value(value)
+        _refuse("meta key", str(key), "=\n\r")
+        _refuse(f"the value of meta key {key!r},", text, "\n\r")
+        meta_lines.append(f"# {key}={text}\n")
     names = [name for name, _ in columns]
+    for name in names:
+        _refuse("column name", name, ",\n\r")
+
     # distinct column objects by identity, and each column's key into them
     arrays: dict[int, np.ndarray] = {}
     keys = [id(data) for _, data in columns]
@@ -90,6 +401,12 @@ def write_csv(
             array = np.asarray(data)
             if array.ndim != 1:
                 raise ValueError(f"column {name!r} must be 1-D, got shape {array.shape}")
+            if array.dtype.kind not in "fbiu":
+                # strings, objects and the rest: their cell texts, as objects
+                texts = list(map(_format_value, array))
+                for text in texts:
+                    _refuse(f"a cell of column {name!r},", text, ",\n\r")
+                array = np.array(texts, dtype=object)
             arrays[key] = array
     lengths = {len(array) for array in arrays.values()}
     if len(lengths) > 1:
@@ -97,14 +414,13 @@ def write_csv(
     row_count = lengths.pop() if lengths else 0
 
     def _emit(handle: TextIO) -> None:
-        for key, value in meta.items():
-            handle.write(f"# {key}={_format_value(value)}\n")
+        for line in meta_lines:
+            handle.write(line)
         handle.write(",".join(names) + "\n")
         for start in range(0, row_count, _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
-            cells = {key: _format_block(array[start:stop]) for key, array in arrays.items()}
-            rows = map(",".join, zip(*[cells[key] for key in keys]))
-            handle.write("\n".join(rows) + "\n")
+            blocks = {key: array[start:stop] for key, array in arrays.items()}
+            handle.write(_render_block(blocks, keys))
 
     if hasattr(target, "write"):
         _emit(target)  # type: ignore[arg-type]

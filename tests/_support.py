@@ -4,7 +4,8 @@ Closed-form oracles (among them the fBm covariance formulas, which only the
 tests evaluate), a dense Cholesky sampler as the oracle of the circulant
 noise generator, Monte Carlo z-score machinery for the noise generator,
 report canonicalization for the determinism contract, the cell-by-cell CSV
-writer that the column-wise one must match byte for byte, the scalar
+writer that the block writer must match byte for byte and a corpus of float
+cells that reaches every branch of the block writer's formatter, the scalar
 eps-continuity loop and per-path contraction check that the batched checks
 must match exactly, the batched solve collected into one whole array, the
 whole-array family reductions and first-failing-level rule that the
@@ -509,6 +510,50 @@ def per_cell_csv(columns: Sequence[tuple[str, Sequence | np.ndarray]], meta: Map
         for row in zip(*arrays):
             handle.write(",".join(format_cell(cell) for cell in row) + "\n")
     return handle.getvalue()
+
+
+def float_corpus(size: int, seed: int) -> np.ndarray:
+    """``size`` float64 cells for the CSV oracle: the special cases, shuffled, then random bit patterns.
+
+    The special cases are 10**k and its neighbours for k = -5..17, 1e-4 and
+    1e16 with theirs, every power of two (subnormals included), values whose
+    shortest ``repr`` has 15 or 16 digits, exact ties such as 1e15 + 0.5,
+    ±0, ±inf and NaN, each with both signs.  The random part mixes
+    patterns drawn over all 2**64 (NaN payloads and subnormals included)
+    with patterns whose exponent lies in the positional range of ``repr``;
+    about half of those need 17 digits and most others 16.
+    """
+
+    rng = np.random.default_rng(seed)
+    edges = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    neighbours = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    mantissas = [rng.integers(10 ** (count - 1), 10**count, 200) for count in (15, 16)]
+    short = [
+        float(f"{mantissa}e{exponent}")
+        for draw in mantissas
+        for mantissa, exponent in zip(draw.tolist(), rng.integers(-22, 3, draw.size).tolist())
+    ]
+    # halfway between two 16-digit numbers (x.5 at 1e15), two 15-digit
+    # numbers (x.5 at 1e14) or two 17-digit numbers (x.25 at 1e15)
+    ties = np.concatenate(
+        [
+            10.0**15 + np.arange(50) + 0.5,
+            10.0**14 + rng.integers(0, 10**14, 50) + 0.5,
+            10.0**15 + np.arange(50) + 0.25,
+        ]
+    )
+    limits = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    special = np.concatenate([neighbours, powers_of_two, short, ties, limits])
+    special = np.concatenate([special, -special])
+    rng.shuffle(special)
+    random_count = max(size - special.size, 0)
+    any_bits = rng.integers(0, 2**64, random_count, dtype=np.uint64, endpoint=False)
+    in_range = rng.integers(1009, 1077, random_count, dtype=np.uint64) << np.uint64(52)
+    in_range |= rng.integers(0, 2**52, random_count, dtype=np.uint64)
+    in_range |= rng.integers(0, 2, random_count, dtype=np.uint64) << np.uint64(63)
+    bits = np.where(rng.random(random_count) < 0.25, any_bits, in_range)
+    return np.concatenate([special, bits.view(np.float64)])[:size]
 
 
 def zero_noise_path(n: int, horizon: float, hurst_value: float) -> FbmPath:

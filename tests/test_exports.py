@@ -59,6 +59,23 @@ def test_refinement_runs_without_scipy():
     assert _fresh_interpreter(probe) == "False"
 
 
+def test_csv_export_loads_no_third_party_package_but_numpy():
+    # A faster float formatter may be installed (orjson is, on some hosts),
+    # but the package must not pick it up.  A module counts as third-party
+    # when it was loaded from a site-packages directory; numpy itself shows
+    # that the probe finds such modules.
+    probe = (
+        "import io, site, sys, sysconfig; before = set(sys.modules); "
+        "import singsde; singsde.write_csv(io.StringIO(), [('x', [0.5, 1e-5, 3.0])], {'k': 1}); "
+        "roots = tuple(site.getsitepackages() + [sysconfig.get_paths()[key] for key in "
+        "('purelib', 'platlib')]); "
+        "found = {name.partition('.')[0] for name in set(sys.modules) - before "
+        "if (getattr(sys.modules[name], '__file__', None) or '').startswith(roots)}; "
+        "print(sorted(found - {'singsde'}))"
+    )
+    assert _fresh_interpreter(probe) == "['numpy']"
+
+
 # The oldest interpreter pyproject.toml admits (requires-python >= 3.10).
 OLDEST_PYTHON = (3, 10)
 

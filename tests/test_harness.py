@@ -834,6 +834,36 @@ def test_a_failed_family_build_leaves_the_contraction_record(tmp_path, monkeypat
     )
 
 
+def test_a_campaign_that_reads_no_family_builds_none(tmp_path, monkeypatch):
+    # contraction reads only the seeds (its window solves are its own family
+    # builds), so a contraction-only campaign builds no path family, and its
+    # record equals that of a campaign that builds every family.
+    # measure-decay-mean reads the families' measures, so it builds them.
+    built = canonical_report(
+        run_campaign(contraction_config(tmp_path / "built", checks=["upper-bound", "contraction"]))
+    )
+    path_families = harness_module._path_families
+    started = []
+
+    def recording(config):
+        started.append(config.output_dir)
+        return path_families(config)
+
+    monkeypatch.setattr(harness_module, "_path_families", recording)
+    run_campaign(contraction_config(tmp_path / "mean", checks=["contraction", "measure-decay-mean"]))
+    assert started == [str(tmp_path / "mean")]
+
+    def refuse(config):
+        raise AssertionError("a path family build started")
+
+    monkeypatch.setattr(harness_module, "_path_families", refuse)
+    report = canonical_report(run_campaign(contraction_config(tmp_path / "none")))
+    assert list(report["checks"]) == ["contraction"]
+    assert report["checks"]["contraction"] == built["checks"]["contraction"]
+    for key in ("package_version", "master_seed", "path_count", "overall_pass"):
+        assert report[key] == built[key], key
+
+
 def test_contraction_window_certification_that_does_not_stabilize(tmp_path, monkeypatch):
     # With one certification round, a path whose first trial window is not
     # covered by its certificate records the isolation note; the block and

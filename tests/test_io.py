@@ -5,9 +5,13 @@ oracle, its boundary checks, and the exact round trip of a family export.
 from __future__ import annotations
 
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singsde import (
     EpsilonLadder,
@@ -28,7 +32,7 @@ from singsde import (
 from singsde import io as io_module
 from singsde import sde as sde_module
 
-from _support import per_cell_csv
+from _support import float_corpus, per_cell_csv
 
 BLOCK = io_module._BLOCK_ROWS
 META = {"format_version": 1, "hurst": np.float64(0.25), "flag": True, "tag": "circulant", "n": np.int64(3)}
@@ -44,8 +48,12 @@ def mixed_columns(row_count: int, seed: int) -> list[tuple[str, object]]:
     scalars = (lambda value: None, np.float64, np.float32, lambda value: np.int64(np.isfinite(value)))
     objects = np.empty(row_count, dtype=object)
     objects[:] = [scalars[index % 4](value) for index, value in enumerate(floats)]
+    corpus = float_corpus(row_count, seed)
     with np.errstate(over="ignore"):
         halves = floats.astype(np.float16)  # large values become inf
+    with np.errstate(over="ignore", invalid="ignore"):  # and signaling NaNs stay NaN
+        corpus_halves = corpus.astype(np.float16)
+        corpus_singles = corpus.astype(np.float32)
     return [
         ("float", floats),
         ("float32", floats.astype(np.float32)),
@@ -54,18 +62,65 @@ def mixed_columns(row_count: int, seed: int) -> list[tuple[str, object]]:
         ("int", rng.integers(-(2**62), 2**62, row_count)),
         ("int_list", [int(value) for value in rng.integers(-5, 5, row_count)]),
         ("bool", rng.random(row_count) < 0.5),
-        ("str", [f"s{index}" for index in range(row_count)]),
+        # every 100th text is wider than any float cell and not ASCII
+        ("str", [f"s{index}" if index % 100 else f"s{index}é" * 40 for index in range(row_count)]),
         ("object", objects),
         ("float_again", floats),
+        ("corpus", corpus),
+        ("corpus_float32", corpus_singles),
+        ("corpus_float16", corpus_halves),
     ]
 
 
-@pytest.mark.parametrize("row_count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+# The largest case holds about 850 000 cells, every special case of the
+# float corpus among them.
+@pytest.mark.parametrize("row_count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2**16 + 5])
 def test_write_csv_matches_per_cell_oracle(row_count):
     columns = mixed_columns(row_count, seed=row_count)
     handle = io.StringIO()
     write_csv(handle, columns, META)
     assert handle.getvalue() == per_cell_csv(columns, META)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(), max_size=3 * BLOCK), st.lists(st.floats(width=32), min_size=1))
+def test_write_csv_matches_per_cell_oracle_on_any_floats(values, singles):
+    # every double hypothesis draws, NaN, infinities and subnormals included,
+    # next to a float32 column: another draw's cells repeated to that length
+    single_column = np.resize(np.array(singles, dtype=np.float32), len(values))
+    columns = [("x", np.array(values, dtype=np.float64)), ("y", single_column)]
+    handle = io.StringIO()
+    write_csv(handle, columns, {})
+    assert handle.getvalue() == per_cell_csv(columns, {})
+
+
+def test_write_csv_is_warning_free_on_every_kind_of_float():
+    # The fast path's arithmetic must not warn on the cells it hands to the
+    # fallback, whatever the warning filter.
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 2.2e-308, 1e300])
+    # a signaling NaN and a float32 subnormal, which the writer casts to double
+    singles = np.array([0x7F800001, 0x00000001], dtype=np.uint32).view(np.float32)
+    columns = [("x", np.tile(values, 30)), ("y", np.resize(singles, 300))]
+    handle = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(handle, columns, {})
+    assert handle.getvalue() == per_cell_csv(columns, {})
+
+
+def test_write_csv_block_memory_is_bounded():
+    # A 14-column float block: the formatter's per-cell arrays and the byte
+    # block stay well under 1.5 MiB of transient memory.
+    rng = np.random.default_rng(3)
+    columns = [(f"c{index}", rng.standard_normal(BLOCK)) for index in range(14)]
+    tracemalloc.start()
+    try:
+        write_csv(io.StringIO(), columns, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_write_csv_streams_rows_in_bounded_blocks(tmp_path):
@@ -97,6 +152,30 @@ def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, bad, shape):
     target = tmp_path / "never.csv"
     with pytest.raises(ValueError, match=rf"column 'bad' must be 1-D, got shape {shape}"):
         write_csv(target, [("t", np.arange(3.0)), ("bad", bad)], {})
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "columns, meta, message",
+    [
+        ([("a,b", [1.0])], {}, "column name 'a,b' contains ','"),
+        ([("a\nb", [1.0])], {}, r"column name 'a\\nb' contains '\\n'"),
+        ([("a\rb", [1.0])], {}, r"column name 'a\\rb' contains '\\r'"),
+        ([("s", ["x", "y,z"])], {}, "a cell of column 's', 'y,z' contains ','"),
+        ([("s", ["x", "y\nz"])], {}, "a cell of column 's'"),
+        ([("s", np.array([None, (1, 2)], dtype=object))], {}, r"a cell of column 's', '\(1, 2\)'"),
+        ([("t", [1.0])], {"a=b": 1}, "meta key 'a=b' contains '='"),
+        ([("t", [1.0])], {"a\nb": 1}, "meta key 'a\\\\nb'"),
+        ([("t", [1.0])], {"note": "two\nlines"}, "the value of meta key 'note'"),
+        ([("t", [1.0])], {"note": "two\rlines"}, "the value of meta key 'note'"),
+    ],
+)
+def test_write_csv_rejects_what_it_could_not_read_back(tmp_path, columns, meta, message):
+    # Unchecked, a comma in a name or cell splits a column, a line break
+    # starts a new row or header line, and "=" in a key moves the split.
+    target = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(target, columns, meta)
     assert not target.exists()
 
 
