@@ -6,20 +6,21 @@ format version, config hash when applicable), followed by one header row of
 column names.  Every float cell is the ``repr`` of its value as a double, so
 a file reads back bit-exact and is a faithful witness of the computation.
 
-Rows are formatted in blocks of at most ``_BLOCK_ROWS`` rows.  Each block
-becomes one uint8 array of shape (rows, columns, width): every cell's bytes,
-then its delimiter ("," or, after the last column, a line break).  Each cell
-brings the mask of the bytes to keep, its text and its delimiter: a float
-cell's mask is a row of ``_FLOAT_KEEP``, a table over the fixed float cell
-width, and a text cell's compares byte positions with the text's length.
-One boolean compress drops the other bytes, and the block is written with
-one ``write``.  A column object passed twice, such as the family's deepest
-level and its limit estimate, is formatted once per block.  Integer and
-boolean columns go through ``tolist()`` and ``str``.  Columns of any other
-kind, strings and objects among them, are rendered whole by
-``_format_value`` before the file opens, so that their cells can be checked
-for commas and line breaks.  Every cell's text is exactly what
-``_format_value`` renders, so the bytes do not depend on the block size.
+Rows are formatted in blocks of at most ``_BLOCK_ROWS`` rows.  A block's
+distinct column objects are laid out side by side in one uint8 array of
+shape (rows, columns, width), the float columns from one formatter call:
+every cell's bytes, then its delimiter.  Each cell brings the mask of the
+bytes to keep, its text and its delimiter: a float cell's mask is a row of
+``_FLOAT_KEEP``, a table over the fixed float cell width, and a text cell's
+compares byte positions with the text's length.  One ``take`` per array puts
+the columns in file order, so a column object passed twice, such as the
+family's deepest level and its limit estimate, is formatted once.  One
+boolean compress drops the other bytes, and the block's UTF-8 bytes go to a
+file opened in binary with one ``write``.  Integer and boolean columns go
+through ``tolist()`` and ``str``.  Columns of any other kind, strings and
+objects among them, are rendered whole by ``_format_value`` before the file
+opens, so that their cells can be checked.  Every cell's text is exactly
+what ``_format_value`` renders, so the bytes do not depend on the block size.
 
 **Float cells.**  ``_float_cells`` renders all the float cells of a block at
 once, in numpy arithmetic, and reproduces ``repr`` byte for byte.  Its fast
@@ -66,7 +67,7 @@ cells where log10 was off by one, so that D17 or the chosen digits left
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -85,12 +86,12 @@ __all__ = [
 FORMAT_VERSION = 1
 
 # Rows per formatted block; it bounds the byte block and the fast path's
-# per-cell arrays held at once.  Formatting 2^14-step family exports (14
-# columns) into memory, blocks of 128, 256, 512 and 1024 rows took about
-# 215, 185, 165 and 160 ns per cell, and one 14-column float block peaked
-# at 0.33, 0.64, 1.3 and 2.5 MiB of traced memory (2 cores, Python 3.11.7,
-# numpy 2.4.6).  256 rows keep most of the speed at half the memory of 512.
-_BLOCK_ROWS = 256
+# per-cell arrays.  Writing ten 2^14-step family exports (14 columns) from a
+# fresh process, blocks of 128, 256, 512 and 1024 rows took about 345, 265,
+# 240 and 230 ns per cell, and a 14-column float block peaked at 0.29, 0.58,
+# 1.16 and 2.30 MiB traced (2 cores, Python 3.11.7, numpy 2.4.6).  The limit
+# is test_write_csv_block_memory_is_bounded's 1.5 MiB, so not 1024.
+_BLOCK_ROWS = 512
 
 # The lookup tables are built from Python floats and numpy copies only:
 # importing the module runs no numpy arithmetic kernel, so it maps no more of
@@ -137,18 +138,6 @@ _GROUP_TEXT, _GROUP_ZEROS = _digit_tables()
 # text fits: "-0.000" and 17 digits, or 24 bytes from ``_format_value``.
 _FLOAT_WIDTH = 28
 _LEAD = 7
-
-
-def _point_masks() -> np.ndarray:
-    """Row k holds 0xFF in bytes 0..k-1: the bytes that stay before a point at k."""
-
-    masks = np.zeros((_FLOAT_WIDTH, _FLOAT_WIDTH), dtype=np.uint8)
-    for point in range(_FLOAT_WIDTH):
-        masks[point, :point] = 255
-    return masks
-
-
-_BEFORE = _point_masks()
 
 
 def _keep_masks() -> np.ndarray:
@@ -294,14 +283,13 @@ def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # |x| = 0.d_1...d_17 * 10**point, point in -3..16 on the fast path
     point = exponent + 1
     at = _LEAD + point
-    # The point goes in at byte `at`: the bytes before it stay and the rest
-    # move one to the right.
+    # The point goes in at byte `at`: the rest move one to the right, and
+    # bytes 0..at-1, which _FLOAT_KEEP's row at-1 keeps, stay.  So byte 0
+    # stays, and the flat shift may carry the row before's last byte into it.
     cells = np.empty_like(padded)
-    cells[:, 1:] = padded[:, :-1]
-    padded ^= cells
-    padded &= np.take(_BEFORE, at, axis=0)
-    cells ^= padded
     flat = cells.reshape(-1)
+    flat[1:] = padded.reshape(-1)[:-1]
+    np.copyto(cells, padded, where=np.take(_FLOAT_KEEP, at - 1, axis=0))
     rows = np.arange(0, flat.size, _FLOAT_WIDTH)
     flat[rows + at] = ord(".")
     # The text starts at the first digit, or at the "0" before the point
@@ -322,51 +310,56 @@ def _float_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return cells, end, np.take(_FLOAT_KEEP, first * _FLOAT_WIDTH + end, axis=0)
 
 
-def _render_block(blocks: Mapping[int, np.ndarray], keys: Sequence[int]) -> str:
-    """The text of one block of rows: ``keys`` names each column's block."""
+def _render_block(blocks: Mapping[int, np.ndarray], keys: Sequence[int]) -> np.ndarray:
+    """The UTF-8 bytes of one block of rows: ``keys`` names each column's block."""
 
     rows = len(blocks[keys[0]])
-    # each column's cell bytes, the end of each text, and the bytes to keep
-    cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     floats = [key for key, block in blocks.items() if block.dtype.kind == "f"]
-    if floats:
-        stacked = np.empty((rows, len(floats)))
-        # A float16/32 or long double cell becomes the double float() gives,
-        # without a warning for a signaling NaN or a long double beyond range.
-        with np.errstate(invalid="ignore", over="ignore"):
-            for column, key in enumerate(floats):
-                stacked[:, column] = blocks[key]
-        cell_bytes, end, keep = _float_cells(stacked.ravel())
-        cell_bytes = cell_bytes.reshape(rows, len(floats), _FLOAT_WIDTH)
-        end = end.reshape(rows, len(floats))
-        keep = keep.reshape(rows, len(floats), _FLOAT_WIDTH)
+    texts = [key for key, block in blocks.items() if block.dtype.kind != "f"]
+    stacked = np.empty((rows, len(floats)))
+    # A float16/32 or long double cell becomes the double float() gives,
+    # without a warning for a signaling NaN or a long double beyond range.
+    with np.errstate(invalid="ignore", over="ignore"):
         for column, key in enumerate(floats):
-            cells[key] = cell_bytes[:, column], end[:, column], keep[:, column]
-    for key, block in blocks.items():
-        if key not in cells:
-            cells[key] = _text_cells(list(map(str, block.tolist())))
+            stacked[:, column] = blocks[key]
+    text, end, keep = _float_cells(stacked.ravel())
+    shape = (rows, len(floats), _FLOAT_WIDTH)
+    text, end, keep = text.reshape(shape), end.reshape(shape[:2]), keep.reshape(shape)
+    if texts:
+        # the distinct columns side by side: the floats, then each text column
+        cells = [_text_cells(list(map(str, blocks[key].tolist()))) for key in texts]
+        width = max(_FLOAT_WIDTH, *(cell_bytes.shape[1] for cell_bytes, _, _ in cells))
+        laid = np.empty((rows, len(blocks), width), dtype=np.uint8)
+        laid_keep = np.zeros(laid.shape, dtype=bool)
+        float_part = np.s_[:, : len(floats), :_FLOAT_WIDTH]
+        laid[float_part], laid_keep[float_part] = text, keep
+        for column, (cell_bytes, _, cell_keep) in enumerate(cells, start=len(floats)):
+            laid[:, column, : cell_bytes.shape[1]] = cell_bytes
+            laid_keep[:, column, : cell_bytes.shape[1]] = cell_keep
+        text, keep = laid, laid_keep
+        end = np.concatenate([end, *(lengths[:, None] for _, lengths, _ in cells)], axis=1)
+    # a comma after each cell, the columns in file order, then a line break
+    starts = np.arange(0, text.size, text.shape[2]).reshape(end.shape)
+    text.reshape(-1)[starts + end] = ord(",")
+    column_of = {key: column for column, key in enumerate(floats + texts)}
+    order = [column_of[key] for key in keys]
+    text, keep = np.take(text, order, axis=1), np.take(keep, order, axis=1)
+    text[np.arange(rows), -1, end[:, order[-1]]] = ord("\n")
+    return text[keep]
 
-    width = max(cell_bytes.shape[1] for cell_bytes, _, _ in cells.values())
-    text = np.empty((rows, len(keys), width), dtype=np.uint8)
-    keep = np.zeros(text.shape, dtype=bool)
-    end = np.empty((rows, len(keys)), dtype=np.intp)
-    for column, key in enumerate(keys):
-        cell_bytes, end[:, column], cell_keep = cells[key]
-        text[:, column, : cell_bytes.shape[1]] = cell_bytes
-        keep[:, column, : cell_bytes.shape[1]] = cell_keep
-    delimiters = np.full(len(keys), ord(","), dtype=np.uint8)
-    delimiters[-1] = ord("\n")
-    starts = np.arange(0, text.size, width).reshape(end.shape)
-    text.reshape(-1)[starts + end] = delimiters
-    return str(text[keep].data, "utf-8")
 
+def _refuse(what: str, text: str, forbidden: str, first: bool = False, alone: bool = False) -> None:
+    """Raise ``ValueError`` where ``read_csv_with_meta`` could not read ``text``
+    back: it contains a character of ``forbidden``, or it is ``first`` on its
+    line and starts with "#" (a meta line), or ``alone`` on it and empty."""
 
-def _refuse(what: str, text: str, forbidden: str) -> None:
-    for char in forbidden:
-        if char in text:
-            raise ValueError(
-                f"{what} {text!r} contains {char!r}; read_csv_with_meta could not read it back"
-            )
+    faults = [f"contains {char!r}" for char in forbidden if char in text]
+    if first and text.startswith("#"):
+        faults.append("starts with '#'")
+    if alone and not text:
+        faults.append("is empty and alone on its line")
+    if faults:
+        raise ValueError(f"{what} {text!r} {faults[0]}; read_csv_with_meta could not read it back")
 
 
 def write_csv(
@@ -377,10 +370,12 @@ def write_csv(
     """Write ``# key=value`` header lines, a column-name row, then the rows.
 
     Every column must be 1-D and all must have the same length.  Column
-    names and non-numeric cells may not contain a comma or a line break,
-    meta keys may not contain "=" or a line break, and meta values may not
-    contain a line break.  Input that breaks a rule raises ``ValueError``
-    before ``target`` is opened.
+    names and non-numeric cells may not contain a comma or a line break; in
+    the first column they may not start with "#", and in a one-column file
+    they may not be empty.  Meta keys may not contain "=" or a line break,
+    and meta values may not contain a line break.  Input that breaks a rule
+    raises ``ValueError`` before ``target`` is opened.  A path target gets
+    "\n" line endings on every platform.
     """
 
     meta_lines = []
@@ -390,13 +385,15 @@ def write_csv(
         _refuse(f"the value of meta key {key!r},", text, "\n\r")
         meta_lines.append(f"# {key}={text}\n")
     names = [name for name, _ in columns]
-    for name in names:
-        _refuse("column name", name, ",\n\r")
+    # the first column's texts start their lines, and fill them if it is alone
+    alone = len(columns) == 1
+    for column, name in enumerate(names):
+        _refuse("column name", name, ",\n\r", column == 0, alone)
 
     # distinct column objects by identity, and each column's key into them
     arrays: dict[int, np.ndarray] = {}
     keys = [id(data) for _, data in columns]
-    for (name, data), key in zip(columns, keys):
+    for column, ((name, data), key) in enumerate(zip(columns, keys)):
         if key not in arrays:
             array = np.asarray(data)
             if array.ndim != 1:
@@ -405,7 +402,7 @@ def write_csv(
                 # strings, objects and the rest: their cell texts, as objects
                 texts = list(map(_format_value, array))
                 for text in texts:
-                    _refuse(f"a cell of column {name!r},", text, ",\n\r")
+                    _refuse(f"a cell of column {name!r},", text, ",\n\r", column == 0, alone)
                 array = np.array(texts, dtype=object)
             arrays[key] = array
     lengths = {len(array) for array in arrays.values()}
@@ -413,20 +410,22 @@ def write_csv(
         raise ValueError("all columns must have identical length")
     row_count = lengths.pop() if lengths else 0
 
-    def _emit(handle: TextIO) -> None:
-        for line in meta_lines:
-            handle.write(line)
-        handle.write(",".join(names) + "\n")
+    def _chunks() -> Iterator[bytes | np.ndarray]:
+        """The file's UTF-8 bytes: each header line, then each block of rows."""
+
+        for line in [*meta_lines, ",".join(names) + "\n"]:
+            yield line.encode()
         for start in range(0, row_count, _BLOCK_ROWS):
             stop = start + _BLOCK_ROWS
-            blocks = {key: array[start:stop] for key, array in arrays.items()}
-            handle.write(_render_block(blocks, keys))
+            yield _render_block({key: array[start:stop] for key, array in arrays.items()}, keys)
 
     if hasattr(target, "write"):
-        _emit(target)  # type: ignore[arg-type]
+        for chunk in _chunks():
+            target.write(str(chunk, "utf-8"))  # type: ignore[union-attr]
     else:
-        with open(target, "w", encoding="utf-8") as handle:
-            _emit(handle)
+        with open(target, "wb") as handle:
+            for chunk in _chunks():
+                handle.write(chunk)
 
 
 def read_csv_with_meta(path: str | os.PathLike[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
@@ -446,8 +445,9 @@ def read_csv_with_meta(path: str | os.PathLike[str]) -> tuple[dict[str, str], li
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
+                # only the writer's "# " comes off: keys and values are verbatim
+                key, _, value = line[1:].removeprefix(" ").partition("=")
+                meta[key] = value
             elif not names:
                 names = line.split(",")
             else:

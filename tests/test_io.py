@@ -134,14 +134,20 @@ def test_write_csv_streams_rows_in_bounded_blocks(tmp_path):
             return super().write(text)
 
     row_count = 2 * BLOCK + 5
-    columns = [("t", np.arange(row_count) * 0.5), ("x", np.ones(row_count))]
+    ones = np.ones(row_count)
+    texts = [f"é{index}" for index in range(row_count)]
+    columns = [("t", np.arange(row_count) * 0.5), ("x", ones), ("s", texts), ("x_again", ones)]
     handle = Recorder()
-    write_csv(handle, columns, {"a": 1})
+    write_csv(handle, columns, {"a": "ü"})
     row_writes = handle.lines_per_write[2:]  # after one meta line and the header
     assert row_writes == [BLOCK, BLOCK, 5]
+    # A path target gets the same bytes, written in binary, so its lines end
+    # in "\n" on every platform.
     target = tmp_path / "rows.csv"
-    write_csv(target, columns, {"a": 1})
-    assert target.read_text(encoding="utf-8") == handle.getvalue() == per_cell_csv(columns, {"a": 1})
+    write_csv(target, columns, {"a": "ü"})
+    data = target.read_bytes()
+    assert b"\r" not in data
+    assert data.decode("utf-8") == handle.getvalue() == per_cell_csv(columns, {"a": "ü"})
 
 
 @pytest.mark.parametrize(
@@ -168,15 +174,54 @@ def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, bad, shape):
         ([("t", [1.0])], {"a\nb": 1}, "meta key 'a\\\\nb'"),
         ([("t", [1.0])], {"note": "two\nlines"}, "the value of meta key 'note'"),
         ([("t", [1.0])], {"note": "two\rlines"}, "the value of meta key 'note'"),
+        ([("#a", [1.0]), ("b", [2.0])], {}, "column name '#a' starts with '#'"),
+        ([("s", ["x", "#y"]), ("b", [1.0, 2.0])], {}, "a cell of column 's', '#y' starts with '#'"),
+        ([("", [1.0, 2.0])], {}, "column name '' is empty and alone on its line"),
+        ([("s", ["x", ""])], {}, "a cell of column 's', '' is empty and alone on its line"),
     ],
 )
 def test_write_csv_rejects_what_it_could_not_read_back(tmp_path, columns, meta, message):
     # Unchecked, a comma in a name or cell splits a column, a line break
-    # starts a new row or header line, and "=" in a key moves the split.
+    # starts a new row or header line, "=" in a key moves the split, a line
+    # starting with "#" reads as meta and a blank line is skipped.
     target = tmp_path / "never.csv"
     with pytest.raises(ValueError, match=message):
         write_csv(target, columns, meta)
     assert not target.exists()
+
+
+def test_write_csv_allows_hash_and_empty_names_off_the_line_start(tmp_path):
+    # "#" and empty names are refused only where they would start or fill a line.
+    target = tmp_path / "rows.csv"
+    write_csv(target, [("", [1.0]), ("#b", [2.0]), ("s", ["#x"])], {})
+    assert target.read_text(encoding="utf-8") == ",#b,s\n1.0,2.0,#x\n"
+    write_csv(target, [("", [1.0]), ("#b", [2.0])], {})
+    _, names, matrix = read_csv_with_meta(target)
+    assert names == ["", "#b"] and matrix.tolist() == [[1.0, 2.0]]
+
+
+def test_meta_round_trips_verbatim(tmp_path):
+    # The reader strips only the writer's "# ": spaces in keys and values stay.
+    target = tmp_path / "meta.csv"
+    write_csv(target, [("t", [0.5])], {"note": "x  ", " key": 2, "eq": "a=b"})
+    meta, names, matrix = read_csv_with_meta(target)
+    assert meta == {"note": "x  ", " key": "2", "eq": "a=b"}
+    assert names == ["t"] and matrix.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 512])
+def test_write_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # The special cases head the first four columns, so their first blocks
+    # of one and three rows fall back whole; the text-only columns lay out
+    # blocks with no float cell; and "float_again" is the "float" column
+    # object again, which each block takes twice.
+    monkeypatch.setattr(io_module, "_BLOCK_ROWS", block_rows)
+    columns = mixed_columns(600, seed=7)
+    text_only = [column for column in columns if np.asarray(column[1]).dtype.kind != "f"]
+    for chosen in (columns, columns[:4], text_only):
+        handle = io.StringIO()
+        write_csv(handle, chosen, META)
+        assert handle.getvalue() == per_cell_csv(chosen, META)
 
 
 def test_write_csv_rejects_unequal_lengths(tmp_path):
