@@ -73,8 +73,11 @@ def mixed_columns(row_count: int, seed: int) -> list[tuple[str, object]]:
 
 
 # The largest case holds about 850 000 cells, every special case of the
-# float corpus among them.
-@pytest.mark.parametrize("row_count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2**16 + 5])
+# float corpus among them.  255 to 257 end a block's first half and the
+# block size's own neighbours end a whole block.
+@pytest.mark.parametrize(
+    "row_count", [0, 1, 255, 256, 257, BLOCK - 1, BLOCK, BLOCK + 1, 2**16 + 5]
+)
 def test_write_csv_matches_per_cell_oracle(row_count):
     columns = mixed_columns(row_count, seed=row_count)
     handle = io.StringIO()
