@@ -624,10 +624,10 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
     The window driver is a fresh draw on substream 2, not the campaign path
     restricted to the window, so the check certifies the equation locally,
     not the path's own solution.  Windows are certified for the whole block
-    (:func:`certify_windows`) and Picard iterates per path.  Paths with the
-    same certified window share its grid and window ladder, so their window
-    families are one :func:`build_families` call.  Every path keeps the
-    record it would get on its own.
+    (:func:`certify_windows`) and Picard iterates per path.  Each path's
+    window ladder depends on its certified window's step, and the window
+    families of the whole block are one :func:`build_families` call, with one
+    ladder per path.  Every path keeps the record it would get on its own.
     """
 
     spec = config.spec
@@ -640,7 +640,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
         _CONTRACTION_MAX_RECERTIFICATIONS,
     )
     records: dict[int, _CheckResult] = {}
-    solved: dict[TimeGrid, dict[int, PicardResult]] = {}
+    solved: dict[int, tuple[EpsilonLadder, PicardResult]] = {}
     for index, certification in certified.items():
         if certification is None:
             records[index] = (False, None, "window certification did not stabilize")
@@ -651,35 +651,34 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
         problem, certificate = certification
         try:
             result = picard_solve(problem, certificate, _PICARD_TOLERANCE)
+            # The ladder limit is only trustworthy where the regularization
+            # level sits well below the step size (the per-step kernel
+            # converges in eps at scale dt); the certified window's fine
+            # spacing therefore needs a deeper ladder than the main grid's
+            # before the Cauchy-gap budget is meaningful.
+            solved[index] = _window_ladder(config.ladder, problem.grid.dt), result
         except Exception as exc:  # noqa: BLE001 - isolation policy
             records[index] = (False, None, _exception_note(exc))
-            continue
-        solved.setdefault(problem.grid, {})[index] = result
 
-    # The ladder limit is only trustworthy where the regularization level sits
-    # well below the step size (the per-step kernel converges in eps at scale
-    # dt); the certified window's fine spacing therefore needs a deeper ladder
-    # than the main grid's before the Cauchy-gap budget is meaningful.
-    for grid, results in solved.items():
-        try:
-            families = build_families(
-                spec,
-                [certified[index][0].noise for index in results],
-                _window_ladder(config.ladder, grid.dt),
-                tol_mono=config.tolerances["tol_mono"],
-                keep="limit",
-            )
-            for (index, result), family in zip(results.items(), families):
-                if isinstance(family, SolverError):
-                    records[index] = (False, None, _exception_note(family))
-                    continue
-                try:
-                    records[index] = _contraction_verdict(*certified[index], result, family)
-                except Exception as exc:  # noqa: BLE001 - isolation policy
-                    records[index] = (False, None, _exception_note(exc))
-        except Exception as exc:  # noqa: BLE001 - the group's shared window ladder failed
-            for index in results:
-                records.setdefault(index, (False, None, _exception_note(exc)))
+    try:
+        families = build_families(
+            spec,
+            [certified[index][0].noise for index in solved],
+            [ladder for ladder, _ in solved.values()],
+            tol_mono=config.tolerances["tol_mono"],
+            keep="limit",
+        )
+        for (index, (_, result)), family in zip(solved.items(), families):
+            if isinstance(family, SolverError):
+                records[index] = (False, None, _exception_note(family))
+                continue
+            try:
+                records[index] = _contraction_verdict(*certified[index], result, family)
+            except Exception as exc:  # noqa: BLE001 - isolation policy
+                records[index] = (False, None, _exception_note(exc))
+    except Exception as exc:  # noqa: BLE001 - the block's shared window solve failed
+        for index in solved:
+            records.setdefault(index, (False, None, _exception_note(exc)))
     return [records[index] for index in indices]
 
 
@@ -1077,7 +1076,6 @@ def _write_checks_csv(report: VerificationReport, path: str) -> None:
                 ],
             ),
             ("tolerance", [record.tolerance for record in records]),
-            ("runtime_s", [record.runtime_s for record in records]),
         ],
         {
             "format_version": FORMAT_VERSION,

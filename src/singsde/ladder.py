@@ -13,12 +13,13 @@ the limit estimate's error budget throughout.  The convergence is monotone
 with no proven rate, and the gap understates the tail: the measured tails
 are 1.3-2.6 gaps on three specs (ROADMAP item 1).
 Families of many paths are solved together: every path and level of a chunk
-advance through one batched recursion (:func:`build_families`), and each time
-block of it is folded into exact per-path reductions as it leaves the step
-loop.  A family keeps the reductions its checks read and, by the ``keep``
-choice it is built with, no row, the limit row or every level.  A chunk is
-sized by the rows each of its paths keeps alive, so a campaign chunk that
-keeps no row holds twice as many paths as one that keeps the limit row.
+advance through one batched recursion (:func:`build_families`), even on grids
+of one step count with a ladder per path, and each time block of it is
+folded into exact per-path reductions as it leaves the step loop.  A family
+keeps the reductions its checks read and, by the ``keep`` choice it is built
+with, no row, the limit row or every level.  A chunk is sized by the rows
+each of its paths keeps alive, so a campaign chunk that keeps no row holds
+twice as many paths as one that keeps the limit row.
 
 Verification operations check, per path: the ordering itself, a uniform upper
 bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma sup|B|``, decay of the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -279,7 +280,7 @@ class _Reductions:
             ahead = np.empty(block.shape, dtype=bool)
             np.greater(flat[:-1], flat[1:], out=ahead.reshape(-1)[:-1])
             ahead[..., -1] = False
-            if ahead.any() or not self.tol_mono >= 0.0:
+            if ahead.any():
                 deficit = np.empty(block.shape)
                 np.subtract(flat[:-1], flat[1:], out=deficit.reshape(-1)[:-1])
                 mask = deficit > self.tol_mono
@@ -302,7 +303,8 @@ class _Reductions:
     ) -> EpsilonFamily | SolverError:
         """The path's family, or the error of its first level with a non-finite state."""
 
-        failure = _level_error(self.first_non_finite[path], ladder.levels(), noise.grid.dt)
+        pad = self.nonpositive_counts.shape[1] - (ladder.depth + 1)
+        failure = _level_error(self.first_non_finite[path, pad:], ladder.levels(), noise.grid.dt)
         if failure is not None:
             return failure
         rows = self.rows[path] if self.rows else None
@@ -313,13 +315,13 @@ class _Reductions:
             limit_min=float(self.limit_min[path]),
             limit_argmin=int(self.limit_argmin[path]),
             value_max=float(self.value_max[path].max()),
-            nonpositive_counts=self.nonpositive_counts[path].copy(),
-            nested_breaks=self.nested_breaks[path].copy(),
+            nonpositive_counts=self.nonpositive_counts[path, pad:].copy(),
+            nested_breaks=self.nested_breaks[path, pad:].copy(),
             cauchy_gap=float(self.gap[path]),
             mono_violation_count=int(self.mono_count[path]),
             mono_worst_deficit=float(self.mono_worst[path]),
             limit_estimate=None if rows is None else rows[-1],
-            values=None if self.shallowest_kept else rows,
+            values=None if self.shallowest_kept else rows[pad:],
             eps_continuity=eps_continuity,
         )
 
@@ -327,7 +329,7 @@ class _Reductions:
 def build_families(
     spec: SdeSpec,
     noises: Iterable[FbmPath],
-    ladder: EpsilonLadder,
+    ladder: EpsilonLadder | Sequence[EpsilonLadder],
     tol_mono: float = DEFAULT_TOL_MONO,
     eps_continuity: tuple[float, Sequence[float]] | None = None,
     keep: str = "levels",
@@ -337,8 +339,18 @@ def build_families(
     Yields, in input order, one :class:`EpsilonFamily` per noise, or the
     :class:`SolverError` that :func:`solve_regularized` would raise for it (the
     first failing level, at its first non-finite step).  A failing path does
-    not disturb the others in its chunk.  Noises must all share one grid and
-    the spec's roughness.
+    not disturb the others in its chunk.  ``ladder`` is one ladder for every
+    noise, or a sequence of one ladder per noise.  Noises may lie on
+    different grids, but every grid must have one step count, and every noise
+    the spec's roughness.  ``tol_mono`` must be finite and nonnegative.
+
+    A chunk runs one step loop.  Its rows are ordered so that paths sharing
+    a grid and a ladder sit next to each other and fill their drifts from one
+    table, and each path's levels are padded on the shallow side to the
+    deepest ladder with copies of its own shallowest level.  A pad level is
+    that level bit for bit, so it adds no ordering deficit, nested break or
+    nonpositive node of its own, and a family drops its pad levels: it is the
+    family its path gets on its own.
 
     Each time block of a chunk's solve is folded into the families'
     reductions as it leaves the step loop, and into the rows ``keep`` names:
@@ -356,64 +368,82 @@ def build_families(
     arguments are checked before any noise is drawn.
     """
 
-    kept = {"none": 0, "limit": 1, "levels": ladder.depth + 1}.get(keep)
+    if not (math.isfinite(tol_mono) and tol_mono >= 0.0):
+        raise ValueError(f"tol_mono must be finite and nonnegative, got {tol_mono}")
+    if isinstance(ladder, EpsilonLadder):
+        ladders = [ladder]
+        pairs = zip(noises, repeat(ladder))
+    else:
+        ladders = list(ladder)
+        pairs = zip(noises, ladders, strict=True)
+    rungs = max((each.depth + 1 for each in ladders), default=0)
+    kept = {"none": 0, "limit": 1, "levels": rungs}.get(keep)
     if kept is None:
         raise ValueError(f"keep must be 'none', 'limit' or 'levels', got {keep!r}")
     probe = None if eps_continuity is None else _eps_continuity_levels(*eps_continuity)
-    levels = ladder.levels() if probe is None else np.concatenate([ladder.levels(), probe[2]])
-    noises = iter(noises)
-    first = next(noises, None)
+    first = next(pairs, None)
     if first is None:
         return
-    grid = first.grid
-    width = max(1, _CHUNK_VALUES // ((1 + kept) * (grid.step_count + 1)))
-    table = _drift_table(spec, levels, grid)
-    noises = chain([first], noises)
-    while chunk := list(islice(noises, width)):
-        yield from _chunk_families(
-            spec, ladder, grid, levels, table, chunk, tol_mono, probe, kept
-        )
+    steps = first[0].grid.step_count
+    width = max(1, _CHUNK_VALUES // ((1 + kept) * (steps + 1)))
+    tables: dict[tuple[TimeGrid, EpsilonLadder], tuple[np.ndarray, np.ndarray]] = {}
+    pairs = chain([first], pairs)
+    while chunk := list(islice(pairs, width)):
+        yield from _chunk_families(spec, steps, rungs, tables, chunk, tol_mono, probe, kept)
         del chunk  # the chunk's noises go before the next chunk's are drawn
 
 
 def _chunk_families(
     spec: SdeSpec,
-    ladder: EpsilonLadder,
-    grid: TimeGrid,
-    levels: np.ndarray,
-    table: np.ndarray,
-    chunk: list[FbmPath],
+    steps: int,
+    rungs: int,
+    tables: dict[tuple[TimeGrid, EpsilonLadder], tuple[np.ndarray, np.ndarray]],
+    chunk: list[tuple[FbmPath, EpsilonLadder]],
     tol_mono: float,
     probe: tuple[float, list[float], np.ndarray] | None,
     kept: int,
 ) -> Iterator[EpsilonFamily | SolverError]:
-    """Check and solve one chunk of noises, and yield its outcomes in order.
+    """Check and solve one chunk of (noise, ladder) pairs, and yield its outcomes in order.
 
-    ``levels`` (``table``'s) are the ladder's, then the probe's if any: each
-    block's ladder columns go to the ladder's reductions, the rest to the probe.
+    ``tables`` holds, per (grid, ladder), the padded levels (``rungs`` ladder
+    levels, then the probe's if any) and their drift table, and gains the
+    chunk's new pairs.  Each block's ladder columns go to the ladder's
+    reductions, the rest to the probe.
     """
 
-    for noise in chunk:
+    groups: dict[tuple[TimeGrid, EpsilonLadder], list[int]] = {}
+    for position, (noise, ladder) in enumerate(chunk):
         if noise.hurst != spec.hurst:
             raise ValueError(
                 f"noise roughness {noise.hurst.value} differs from spec roughness "
                 f"{spec.hurst.value}"
             )
-        if noise.grid != grid:
-            raise ValueError(f"every noise must share the grid {grid}, got {noise.grid}")
-    rungs = ladder.depth + 1
+        if noise.grid.step_count != steps:
+            raise ValueError(f"every noise must share the grid step count {steps}, got {noise.grid}")
+        groups.setdefault((noise.grid, ladder), []).append(position)
+    batch = []
+    for key, members in groups.items():
+        if key not in tables:
+            own = key[1].levels()
+            levels = np.concatenate([np.full(rungs - own.size, own[0]), own])
+            if probe is not None:
+                levels = np.concatenate([levels, probe[2]])
+            tables[key] = levels, _drift_table(spec, levels, key[0])
+        batch.append((key[0], *tables[key], len(members)))
+    order = [position for members in groups.values() for position in members]
     head = np.broadcast_to(spec.x0, (len(chunk), rungs))
-    reductions = _Reductions(head, grid.step_count + 1, tol_mono, kept)
+    reductions = _Reductions(head, steps + 1, tol_mono, kept)
     gaps = None if probe is None else _ProbeGaps(*probe, len(chunk))
-    noise_rows = [noise.values for noise in chunk]
-    for first, values in _integrate_batch(spec, levels, grid, table, noise_rows):
+    noise_rows = [chunk[position][0].values for position in order]
+    for first, values in _integrate_batch(spec, batch, noise_rows):
         reductions.fold(first, values[..., :rungs])
         if gaps is not None:
             gaps.fold(first, values[..., rungs:])
     del values  # the solve's last scratch block goes before the families are handed out
-    for path, noise in enumerate(chunk):
-        outcome = None if gaps is None else gaps.outcome(path, grid.dt)
-        yield reductions.family(path, spec, noise, ladder, outcome)
+    rows = sorted(range(len(order)), key=order.__getitem__)  # the row of each position
+    for row, (noise, ladder) in zip(rows, chunk):
+        outcome = None if gaps is None else gaps.outcome(row, noise.grid.dt)
+        yield reductions.family(row, spec, noise, ladder, outcome)
 
 
 def build_family(
@@ -751,6 +781,7 @@ def verify_eps_continuity(
         )
     gaps = _ProbeGaps(*probe, len(noise_values))
     table = _drift_table(spec, gaps.levels, grid)
-    for first, values in _integrate_batch(spec, gaps.levels, grid, table, noise_values):
+    group = (grid, gaps.levels, table, len(noise_values))
+    for first, values in _integrate_batch(spec, [group], noise_values):
         gaps.fold(first, values)
     return [gaps.outcome(path, grid.dt) for path in range(len(noise_values))]

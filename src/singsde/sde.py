@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -172,38 +173,52 @@ _BLOCK_VALUES = 2**16
 
 
 def _drift_table(spec: SdeSpec, eps_levels: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Time-major table of a * K(t_k, t_{k+1}, eps_j), shape (steps, levels)."""
+    """Time-major table of a * K(t_k, t_{k+1}, eps_j), shape (steps, levels).
 
-    table = np.empty((grid.step_count, len(eps_levels)))
-    for level, epsilon in enumerate(eps_levels):
-        table[:, level] = spec.a * kernel_column(grid, float(epsilon), spec.hurst)
+    Every level is :func:`kernel_column` times ``a``, by the same operations
+    on the same operands: one power of the time-major (nodes, levels) shifted
+    nodes, differenced in place, so the table needs no second array.  The
+    table is a view of that array without its last row.
+    """
+
+    two_h = 2.0 * spec.hurst.value
+    powered = grid.nodes()[:, None] + eps_levels
+    powered **= two_h
+    table = powered[:-1]
+    # row k is read before it is overwritten, so numpy subtracts in place
+    np.subtract(powered[1:], table, out=table)
+    table /= two_h
+    table *= spec.a
     return table
 
 
 def _integrate_batch(
     spec: SdeSpec,
-    eps_levels: np.ndarray,
-    grid: TimeGrid,
-    table: np.ndarray,
+    groups: Sequence[tuple[TimeGrid, np.ndarray, np.ndarray, int]],
     noise_rows: Sequence[np.ndarray],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Step every path and level, yielding ``(first node, values)`` per time block.
 
     ``noise_rows`` holds one driver path per row (a 2-D array or a list of
-    rows) and ``table`` is :func:`_drift_table` for the same spec, levels and
-    grid.  Each yielded block is time-major, shape (steps, paths, levels), and
-    holds the solution at nodes ``first .. first + steps - 1``; together the
-    blocks cover nodes 1..n in order.  Node 0 is ``x0`` on every path and
-    level and is never yielded.  A block is a scratch buffer that the next
-    block overwrites, so a consumer copies what it keeps.
+    rows), in runs of consecutive rows that share a grid and levels: each
+    group ``(grid, eps_levels, table, rows)`` names the next ``rows`` rows'
+    grid, their levels and :func:`_drift_table` for the spec, those levels and
+    that grid.  Every grid has the same step count and every group the same
+    number of levels.  A row brings its own ``b dt`` and its own levels, and
+    each group fills its rows of the drift blocks from its one table.  Each
+    yielded block is time-major, shape (steps, paths, levels), and holds the
+    solution at nodes ``first .. first + steps - 1``; together the blocks
+    cover nodes 1..n in order.  Node 0 is ``x0`` on every path and level and
+    is never yielded.  A block is a scratch buffer that the next block
+    overwrites, so a consumer copies what it keeps.
 
     The state is carried across blocks as ``v = X + eps``, as the scalar
     solver carries it, and each entry goes through the scalar recursion's
     operations in the same order, ``h = v (1 - b dt)/2 + (sigma dB/2 + eps b dt/2)``
     and ``v' = h + min(sqrt(h h + c), h + c/eps)``; a block's ``eps`` is
     subtracted once as it leaves the step loop.  So every value is
-    bit-identical to :func:`solve_regularized`.  Non-finite states are left in
-    place; the consumer inspects each path.
+    bit-identical to :func:`solve_regularized` on the row's grid at its level.
+    Non-finite states are left in place; the consumer inspects each path.
 
     A ufunc call costs far more than its few hundred elements, so every
     operand is a same-shape contiguous array: the per-level ``c`` and
@@ -213,28 +228,36 @@ def _integrate_batch(
     whole noise is made.
     """
 
-    shape = (len(noise_rows), eps_levels.size)
-    block = min(grid.step_count, max(1, _BLOCK_VALUES // max(1, shape[0] * shape[1])))
-    bdt = spec.b * grid.dt
-    levels = np.broadcast_to(eps_levels, shape).copy()
-    half_eps_bdt = levels * bdt * 0.5
-    damping = np.full(shape, (1.0 - bdt) * 0.5)
+    step_count = groups[0][0].step_count
+    ends = accumulate(rows for *_, rows in groups)
+    slices = [slice(end - rows, end) for end, (*_, rows) in zip(ends, groups)]
+    shape = (len(noise_rows), groups[0][1].size)
+    block = min(step_count, max(1, _BLOCK_VALUES // max(1, shape[0] * shape[1])))
+    eps_rows = np.empty(shape)
+    half_eps_bdt = np.empty(shape)
+    damping = np.empty(shape)
+    for rows, (grid, levels, _, _) in zip(slices, groups):
+        bdt = spec.b * grid.dt
+        eps_rows[rows] = levels
+        half_eps_bdt[rows] = levels * bdt * 0.5
+        damping[rows] = (1.0 - bdt) * 0.5
     h = np.empty(shape)
     root = np.empty(shape)
     floor = np.empty(shape)
     state = np.empty(shape)
-    state[...] = spec.x0 + eps_levels
+    state[...] = spec.x0 + eps_rows
     drift_block = np.empty((block,) + shape)
     ratio_block = np.empty((block,) + shape)
     push_block = np.empty((block,) + shape)
     value_block = np.empty((block,) + shape)
     with np.errstate(all="ignore"):
-        for start in range(0, grid.step_count, block):
-            stop = min(start + block, grid.step_count)
+        for start in range(0, step_count, block):
+            stop = min(start + block, step_count)
             drifts = drift_block[: stop - start]
-            drifts[...] = table[start:stop, None, :]
             ratios = ratio_block[: stop - start]
-            ratios[...] = (table[start:stop] / eps_levels)[:, None, :]
+            for rows, (_, levels, table, _) in zip(slices, groups):
+                drifts[:, rows] = table[start:stop, None, :]
+                ratios[:, rows] = (table[start:stop] / levels)[:, None, :]
             window = np.array([row[start : stop + 1] for row in noise_rows])
             steps = push_block[: stop - start]
             steps[...] = (spec.sigma * np.diff(window, axis=1) * 0.5).T[:, :, None]
@@ -252,6 +275,5 @@ def _integrate_batch(
                 np.add(h, root, out=following)
                 v = following
             state[...] = v
-            np.subtract(values, levels, out=values)
+            np.subtract(values, eps_rows, out=values)
             yield start + 1, values
-

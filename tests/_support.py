@@ -3,7 +3,8 @@
 Closed-form oracles (among them the fBm covariance formulas, which only the
 tests evaluate), a dense Cholesky sampler as the oracle of the circulant
 noise generator, Monte Carlo z-score machinery for the noise generator,
-report canonicalization for the determinism contract, the cell-by-cell CSV
+report canonicalization and the sha256 of every campaign CSV for the
+determinism contract, the cell-by-cell CSV
 writer that the block writer must match byte for byte and a corpus of float
 cells that reaches every branch of the block writer's formatter, the scalar
 eps-continuity loop and per-path contraction check that the batched checks
@@ -15,8 +16,11 @@ that the vectorized one must equal.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+import os
+import pathlib
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -258,8 +262,8 @@ def solve_batch(
         )
     out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
     out[0] = spec.x0
-    table = _drift_table(spec, levels, grid)
-    for first, values in _integrate_batch(spec, levels, grid, table, noise_values):
+    group = (grid, levels, _drift_table(spec, levels, grid), len(noise_values))
+    for first, values in _integrate_batch(spec, [group], noise_values):
         out[first : first + len(values)] = values
     return out.transpose(1, 2, 0)
 
@@ -472,6 +476,16 @@ def contraction_oracle(config: ExperimentConfig, index: int) -> tuple[bool, floa
         notes.append("fixed-point residual exceeds twice the iteration tolerance")
     violation = max(candidates)
     return violation <= 0.0, violation, ("; ".join(notes) if notes else None)
+
+
+def csv_digests(out_dir: str | os.PathLike) -> dict[str, str]:
+    """The sha256 of every CSV a campaign wrote under ``out_dir``, keyed by relative path."""
+
+    root = pathlib.Path(out_dir)
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*.csv"))
+    }
 
 
 def canonical_report(report: VerificationReport | Mapping) -> dict:

@@ -200,6 +200,118 @@ def test_build_families_rejects_mixed_noises():
     assert list(build_families(spec, [], ladder)) == []
 
 
+def test_build_families_rejects_a_bad_tol_mono():
+    # A negative tolerance would count every pair of equal levels as an
+    # ordering violation and NaN would count none, so both are refused, with
+    # the infinities, before any noise is drawn; 0 is a valid tolerance.
+    spec = make_spec()
+    ladder = EpsilonLadder(0.1, 0.5, 4)
+
+    def undrawable():
+        raise AssertionError("a noise was drawn")
+        yield
+
+    for tol in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol_mono must be finite and nonnegative"):
+            list(build_families(spec, undrawable(), ladder, tol_mono=tol))
+    noise = zero_path(TimeGrid(1.0, 256), H_QUARTER)
+    assert build_family(spec, noise, ladder, tol_mono=0.0).mono_violation_count == 0
+
+
+_MIXED_GRIDS = (TimeGrid(1.0, 128), TimeGrid(0.25, 128), TimeGrid(2.0**-20, 128))
+_MIXED_LADDERS = (EpsilonLadder(0.1, 0.5, 3), EpsilonLadder(0.1, 0.4, 6), EpsilonLadder(0.2, 0.5, 4))
+
+
+def _mixed_block() -> tuple[list[FbmPath], list[EpsilonLadder]]:
+    """Seven noises cycling through three grids of one step count, the ladder of each
+    noise's grid, and a non-finite value at node 50 of noise 4."""
+
+    noises = [
+        generate_fbm(_MIXED_GRIDS[index % 3], H_QUARTER, SeedRecord(31, index))
+        for index in range(7)
+    ]
+    broken = noises[4].values.copy()
+    broken[50] = np.nan
+    noises[4] = FbmPath(noises[4].grid, broken, H_QUARTER, SeedRecord(31, 4), "circulant")
+    return noises, [_MIXED_LADDERS[index % 3] for index in range(7)]
+
+
+def _outcome_fields(outcome) -> dict | tuple:
+    """Every field of a family, arrays as (shape, bytes), or an error's message and step."""
+
+    if isinstance(outcome, SolverError):
+        return str(outcome), outcome.step_index
+    fields = {}
+    for field in dataclasses.fields(outcome):
+        value = getattr(outcome, field.name)
+        if isinstance(value, np.ndarray):
+            value = (value.shape, value.dtype.str, value.tobytes())
+        elif isinstance(value, FbmPath):
+            value = id(value)
+        fields[field.name] = value
+    return fields
+
+
+@pytest.mark.parametrize("keep", ["none", "limit", "levels"])
+def test_paths_on_many_grids_share_one_step_loop(keep, monkeypatch):
+    # Seven paths on three grids of one step count, each grid with its own
+    # ladder (4, 7 and 5 levels), interleaved, with the eps-continuity probe
+    # and path 4 breaking: one step loop solves them all, and every path's
+    # outcome equals, field by field, its own one-grid build's.  The padded
+    # paths on the first grid have nonpositive nodes on every level.
+    spec = make_spec(x0=0.3, a=0.1, b=0.5, sigma=2.0)
+    noises, ladders = _mixed_block()
+    alone = [
+        next(build_families(spec, [noise], ladder, eps_continuity=_EPS_CONTINUITY, keep=keep))
+        for noise, ladder in zip(noises, ladders)
+    ]
+    solve = ladder_module._integrate_batch
+    loops = []
+
+    def counted(spec_, groups, noise_rows):
+        loops.append([(grid, levels.size, rows) for grid, levels, _, rows in groups])
+        return solve(spec_, groups, noise_rows)
+
+    monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
+    mixed = list(build_families(spec, noises, ladders, eps_continuity=_EPS_CONTINUITY, keep=keep))
+    columns = 7 + 1 + 2 * len(_EPS_CONTINUITY[1])
+    assert loops == [[(grid, columns, rows) for grid, rows in zip(_MIXED_GRIDS, (3, 2, 2))]]
+    for outcome, own, noise, ladder in zip(mixed, alone, noises, ladders, strict=True):
+        assert _outcome_fields(outcome) == _outcome_fields(own)
+        if isinstance(outcome, SolverError):
+            continue
+        assert outcome.noise is noise and outcome.ladder == ladder
+        assert outcome.nonpositive_counts.shape == (ladder.depth + 1,)
+        assert outcome.nested_breaks.shape == (ladder.depth,)
+        if keep == "levels":
+            assert outcome.values.shape == (ladder.depth + 1, 129)
+    assert isinstance(mixed[4], SolverError) and mixed[4].step_index == 50
+    assert all(family.nonpositive_counts.all() for family in (mixed[0], mixed[3], mixed[6]))
+
+
+def test_a_padded_path_names_its_own_failing_level(monkeypatch):
+    # A 4-level ladder runs padded to 7 levels beside a 7-level one.  A value
+    # planted on its own level 2 at node 40 is reported as that level's
+    # error, and the other path keeps its own family.
+    spec = make_spec(b=0.5, sigma=1.0)
+    noises, ladders = (items[:2] for items in _mixed_block())
+    solve = ladder_module._integrate_batch
+
+    def planted(spec_, groups, noise_rows):
+        for first, values in solve(spec_, groups, noise_rows):
+            if first <= 40 < first + len(values):
+                values[40 - first, 0, 3 + 2] = np.nan
+            yield first, values
+
+    alone = next(build_families(spec, noises[1:], ladders[1]))
+    monkeypatch.setattr(ladder_module, "_integrate_batch", planted)
+    short, deep = build_families(spec, noises, ladders)
+    dt = noises[0].grid.dt
+    assert isinstance(short, SolverError) and short.step_index == 40
+    assert str(short) == f"non-finite state at step 40 (eps={ladders[0].levels()[2]}, dt={dt})"
+    assert _outcome_fields(deep) == _outcome_fields(alone)
+
+
 def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
     # Two paths per chunk: each family carries the probe outcome of its
     # chunk's step loop, its ladder values are those of a build without the
@@ -274,8 +386,8 @@ def _replay(values, block_steps):
     the step loop yields them.
     """
 
-    def replay(spec, levels, grid, table, noise_rows):
-        assert (len(noise_rows), levels.size) == values.shape[:2]
+    def replay(spec, groups, noise_rows):
+        assert (len(noise_rows), groups[0][1].size) == values.shape[:2]
         for first in range(1, values.shape[2], block_steps):
             block = values[:, :, first : first + block_steps].transpose(2, 0, 1)
             yield first, np.ascontiguousarray(block)
@@ -349,9 +461,10 @@ def test_eps_continuity_rides_the_ladder_step_loop(monkeypatch):
     solve = ladder_module._integrate_batch
     calls = []
 
-    def counted(spec_, levels, grid_, table, noise_rows):
+    def counted(spec_, groups, noise_rows):
+        ((_, levels, _, rows),) = groups
         calls.append((levels.tolist(), len(noise_rows)))
-        return solve(spec_, levels, grid_, table, noise_rows)
+        return solve(spec_, groups, noise_rows)
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
     families = list(build_families(spec, noises, ladder, eps_continuity=probe, keep="limit"))

@@ -19,10 +19,13 @@ from singsde import (
     SolverError,
     TimeGrid,
     generate_fbm,
+    EpsilonLadder,
     kernel_column,
     solve_regularized,
     zero_path,
 )
+
+from singsde.sde import _drift_table, _integrate_batch
 
 from _support import closed_form, solve_batch
 
@@ -227,6 +230,53 @@ def test_solve_batch_is_bit_identical_to_scalar_solver():
                 expected = solve_regularized(spec, epsilon, noise).values
                 assert np.array_equal(batch[path, level], expected), (path, level)
     assert batch[0].min() < 0.0, "fixture should cross zero"
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.25, 0.45])
+def test_drift_table_is_the_kernel_column_of_each_level(hurst):
+    # One power of the (levels, nodes) shifted nodes gives, level by level,
+    # exactly a * kernel_column: on the ladder-14 grid with the campaign's
+    # ladder and eps-continuity levels, and on 256-step windows of 2^-33 ..
+    # 2^-1 with a 34-level window ladder.
+    spec = SdeSpec(x0=1.0, a=1.5, b=0.5, sigma=1.0, hurst=HurstParam(hurst))
+    probe = [0.05, 0.075, 0.025, 0.0625, 0.0375, 0.05625, 0.04375]
+    cases = [(TimeGrid(1.0, 2**14), np.concatenate([EpsilonLadder(0.1, 0.5, 10).levels(), probe]))]
+    cases += [(TimeGrid(2.0**-k, 256), EpsilonLadder(0.1, 0.4, 33).levels()) for k in range(1, 34)]
+    for grid, levels in cases:
+        table = _drift_table(spec, levels, grid)
+        assert table.shape == (grid.step_count, levels.size)
+        for level, epsilon in enumerate(levels):
+            expected = spec.a * kernel_column(grid, float(epsilon), spec.hurst)
+            assert np.array_equal(table[:, level], expected), (grid, level)
+
+
+def test_batched_rows_on_different_grids_match_the_scalar_solver():
+    # One step loop over three grids with one step count, each with its own
+    # levels and so its own b dt and drift table: every row and level equals
+    # solve_regularized on the row's own grid, bit for bit.
+    spec = make_spec(b=0.5, sigma=1.0)
+    grids = [TimeGrid(1.0, 64), TimeGrid(2.0**-10, 64), TimeGrid(3.0, 64)]
+    level_sets = [np.array([0.1, 0.1, 0.05, 0.025]), np.array([1e-3, 1e-4, 1e-5, 1e-6]),
+                  np.array([0.2, 0.02, 0.002, 0.0002])]
+    rows = [2, 1, 3]
+    noises = [
+        generate_fbm(grid, H_QUARTER, SeedRecord(17, 10 * group + index))
+        for group, (grid, count) in enumerate(zip(grids, rows))
+        for index in range(count)
+    ]
+    groups = [
+        (grid, levels, _drift_table(spec, levels, grid), count)
+        for grid, levels, count in zip(grids, level_sets, rows)
+    ]
+    solved = np.empty((65, len(noises), 4))
+    solved[0] = spec.x0
+    for first, values in _integrate_batch(spec, groups, [noise.values for noise in noises]):
+        solved[first : first + len(values)] = values
+    owners = [group for group, count in enumerate(rows) for _ in range(count)]
+    for row, (noise, group) in enumerate(zip(noises, owners)):
+        for level, epsilon in enumerate(level_sets[group]):
+            expected = solve_regularized(spec, float(epsilon), noise).values
+            assert np.array_equal(solved[:, row, level], expected), (row, level)
 
 
 def test_solve_batch_validates_its_inputs():
