@@ -109,7 +109,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     noise = _make_noise(args)
     spec = SdeSpec(x0=args.x0, a=args.a, b=args.b, sigma=args.sigma, hurst=noise.hurst)
     solution = solve_regularized(spec, args.eps, noise)
-    write_solution_csv(solution, noise, args.out)
+    write_solution_csv(solution, args.out)
     print(
         f"wrote {args.out} (eps={args.eps:g}, final value {solution.values[-1]:.6f}, {noise.ref})"
     )
@@ -131,7 +131,7 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     report = run_campaign(config)
-    print(render_report_table(report))
+    print(render_report_table(report.to_json_dict()))
     print(f"\nartifacts written to {config.output_dir}")
     return 0 if report.overall_pass else 1
 

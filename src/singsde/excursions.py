@@ -10,9 +10,11 @@ flat on positive excursions.  The residual of that identity, and its decay
 under nested 2x grid refinement, are the checkable surrogates.
 
 Thresholds: 0 for the set decomposition itself (the positive set has an exact
-discrete analogue) and the family's nonnegativity budget (cauchy_gap + 1e-6)
-for residual-window selection, because the residual needs the path bounded
-away from 0 to control the reciprocal.
+discrete analogue) and, for residual-window selection, the family's Cauchy
+gap plus ``NONNEG_BUDGET_EXTRA`` (``residual_window_threshold``), because the
+residual needs the path bounded away from 0 to control the reciprocal.  That
+threshold is its own: ``limit-nonneg``'s budget is the Cauchy gap plus
+``ladder.DEFAULT_TOL_NONNEG``.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def decompose_excursions(values: np.ndarray, grid: TimeGrid, threshold: float) -
 
 
 def residual_window_threshold(family: EpsilonFamily) -> float:
-    """Detection threshold for residual windows: the nonnegativity budget."""
+    """Detection threshold for residual windows: the Cauchy gap plus ``NONNEG_BUDGET_EXTRA``."""
 
     return family.cauchy_gap + NONNEG_BUDGET_EXTRA
 

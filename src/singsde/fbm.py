@@ -402,13 +402,13 @@ def _solve_coarse_covariance(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return weights
 
 
-def refine_fbm(path: FbmPath, rng: Generator | None = None) -> FbmPath:
+def refine_fbm(path: FbmPath) -> FbmPath:
     """Resample the path on the doubled grid, conditioning on the coarse path.
 
     Even fine nodes equal the coarse nodes bitwise; odd nodes are drawn from
     the exact conditional law of the fine process given every coarse
-    increment.  The default randomness is substream 1 of the path's own
-    counter block, so refinement is itself reproducible.
+    increment.  The randomness is substream 1 of the path's own counter
+    block, so refinement is itself reproducible.
 
     Conditional simulation by kriging (Dietrich & Newsam 1996): draw
     unconditional fine increments f* on the 2n grid with the circulant
@@ -435,8 +435,7 @@ def refine_fbm(path: FbmPath, rng: Generator | None = None) -> FbmPath:
 
     n = path.grid.step_count
     hurst_value = path.hurst.value
-    if rng is None:
-        rng = path_stream(path.seed_record, substream=1)
+    rng = path_stream(path.seed_record, substream=1)
     fine_grid = TimeGrid(path.grid.horizon, 2 * n)
     fine_draw = _fgn_unit_circulant(2 * n, hurst_value, rng) * fine_grid.dt**hurst_value
     first_draw = fine_draw[0::2]

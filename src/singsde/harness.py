@@ -22,14 +22,13 @@ that reads it (``ladder.DEFAULT_TOL_BOUND`` and ``DEFAULT_TOL_NONNEG``, the
 reports the tolerance it used.
 
 The campaign fails (``overall_pass`` false, nonzero CLI status) iff some
-check's failure count exceeds its allowance — zero by default, a configured
-fraction of the path count for statistical checks (the correction-process
-check defaults to 5%).
+check's failure count exceeds its allowance: a fixed fraction of the path
+count (``_ALLOWANCES``), 5% for the correction-process check and none for
+every other check.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -90,7 +89,6 @@ from .sde import SdeSpec, SolverError, solve_regularized
 __all__ = [
     "CHECK_ORDER",
     "CHECK_STATEMENTS",
-    "DEFAULT_ALLOWANCES",
     "DEFAULT_TOLERANCES",
     "OUTPUT_DIR_ENV",
     "CheckRecord",
@@ -173,7 +171,8 @@ CHECK_ORDER = tuple(CHECK_STATEMENTS)
 DEFAULT_TOLERANCES: dict[str, float] = {"tol_mono": DEFAULT_TOL_MONO}
 
 # Fraction of paths allowed to fail per check; unlisted checks allow none.
-DEFAULT_ALLOWANCES: dict[str, float] = {"compensator": 0.05}
+# The map enters the config hash, so a change to it changes every digest.
+_ALLOWANCES: dict[str, float] = {"compensator": 0.05}
 
 _CONTRACTION_MAX_RECERTIFICATIONS = 24
 _CONTRACTION_INITIAL_WINDOW = 0.5
@@ -238,29 +237,16 @@ def _validated_tolerances(raw: Mapping[str, Any] | None) -> dict[str, float]:
     return merged
 
 
-def _validated_allowances(raw: Mapping[str, Any] | None) -> dict[str, float]:
-    merged = dict(DEFAULT_ALLOWANCES)
-    if raw is None:
-        return merged
-    for key, value in _section("allowances", raw, CHECK_ORDER, ()).items():
-        fraction = _as_float("allowances", key, value)
-        if not (0.0 <= fraction <= 1.0):
-            raise ValueError(f"allowances.{key} must lie in [0, 1], got {fraction}")
-        merged[key] = fraction
-    return merged
-
-
 @dataclass
 class ExperimentConfig:
     """Complete, validated description of one verification campaign.
 
     ``tolerances`` is the fully materialized map ``{"tol_mono": ...}``;
-    ``allowances`` maps check ids to the fraction of paths allowed to fail;
     ``checks`` is the enabled subset in canonical order.  ``zero_noise``
     switches every driver to the deterministic zero path, turning the
     campaign into a composition of closed-form oracles.  Construction is the
-    one validation pass; partial (or None) tolerance and allowance maps are
-    merged over the defaults.
+    one validation pass; a partial (or None) tolerance map is merged over the
+    defaults.
     """
 
     spec: SdeSpec
@@ -269,7 +255,6 @@ class ExperimentConfig:
     master_seed: int
     path_count: int
     tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    allowances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ALLOWANCES))
     output_dir: str = _DEFAULT_OUTPUT_DIR
     checks: tuple[str, ...] = CHECK_ORDER
     zero_noise: bool = False
@@ -302,16 +287,14 @@ class ExperimentConfig:
             raise ValueError("at least one check must be enabled")
         self.checks = tuple(check for check in CHECK_ORDER if check in self.checks)
         self.tolerances = _validated_tolerances(self.tolerances)
-        self.allowances = _validated_allowances(self.allowances)
 
     def allowed_failures(self, check: str) -> int:
-        return math.floor(self.allowances.get(check, 0.0) * self.path_count)
+        return math.floor(_ALLOWANCES.get(check, 0.0) * self.path_count)
 
 
 _TOP_LEVEL_REQUIRED = ("spec", "grid", "ladder", "seeds")
 _TOP_LEVEL_OPTIONAL = (
     "tolerances",
-    "allowances",
     "output_dir",
     "checks",
     "zero_noise",
@@ -360,7 +343,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         master_seed=_as_int("seeds", "master_seed", seeds_data["master_seed"]),
         path_count=seeds_data["path_count"],
         tolerances=data.get("tolerances"),
-        allowances=data.get("allowances"),
         output_dir=output_dir,
         checks=CHECK_ORDER if checks is None else checks,
         zero_noise=data.get("zero_noise", False),
@@ -400,7 +382,7 @@ def _semantic_config_dict(config: ExperimentConfig) -> dict[str, Any]:
         },
         "seeds": {"master_seed": config.master_seed, "path_count": config.path_count},
         "tolerances": dict(sorted(config.tolerances.items())),
-        "allowances": dict(sorted(config.allowances.items())),
+        "allowances": dict(sorted(_ALLOWANCES.items())),
         "checks": list(config.checks),
         "zero_noise": config.zero_noise,
     }
@@ -608,14 +590,13 @@ def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
     return EpsilonLadder(ladder.eps0, ladder.ratio, min(depth, _WINDOW_LADDER_MAX_DEPTH))
 
 
-def _window_driver(config: ExperimentConfig, index: int, window: float) -> FbmPath:
-    """The contraction window's driver of one path: a fresh draw on substream 2."""
+def _driver(config: ExperimentConfig, grid: TimeGrid, index: int, substream: int) -> FbmPath:
+    """Path ``index``'s driver on ``grid``: the zero path, or a draw on ``substream``."""
 
-    grid = TimeGrid(window, _CONTRACTION_WINDOW_STEPS)
     seed = SeedRecord(config.master_seed, index)
     if config.zero_noise:
         return zero_path(grid, config.spec.hurst, seed)
-    return generate_fbm(grid, config.spec.hurst, seed, substream=2)
+    return generate_fbm(grid, config.spec.hurst, seed, substream=substream)
 
 
 def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult]:
@@ -633,7 +614,9 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
     spec = config.spec
     certified = certify_windows(
         spec,
-        functools.partial(_window_driver, config),
+        lambda index, window: _driver(
+            config, TimeGrid(window, _CONTRACTION_WINDOW_STEPS), index, 2
+        ),
         indices,
         _HOLDER_EXPONENT_FRACTION * spec.hurst.value,
         _CONTRACTION_INITIAL_WINDOW,
@@ -972,12 +955,8 @@ def _path_families(config: ExperimentConfig) -> Iterator[tuple[int, EpsilonFamil
 
     def noises() -> Iterator[FbmPath]:
         for index in range(config.path_count):
-            seed = SeedRecord(config.master_seed, index)
             try:
-                if config.zero_noise:
-                    noise = zero_path(config.grid, config.spec.hurst, seed)
-                else:
-                    noise = generate_fbm(config.grid, config.spec.hurst, seed)
+                noise = _driver(config, config.grid, index, 0)
             except Exception as exc:  # noqa: BLE001 - aborts become recorded failures
                 pending.append((index, exc))
                 continue
@@ -1117,13 +1096,9 @@ def _write_excursion_table(
 # ---------------------------------------------------------------------------
 
 
-def render_report_table(report: VerificationReport | Mapping[str, Any]) -> str:
-    """Human-readable table for a report (object or parsed report.json)."""
+def render_report_table(data: Mapping[str, Any]) -> str:
+    """Human-readable table for a parsed report.json (or ``VerificationReport.to_json_dict()``)."""
 
-    if isinstance(report, VerificationReport):
-        data = report.to_json_dict()
-    else:
-        data = dict(report)
     checks: Mapping[str, Mapping[str, Any]] = data.get("checks", {})
     lines = [
         f"verification report (package {data.get('package_version', '?')}, "

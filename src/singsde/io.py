@@ -67,7 +67,7 @@ cells where log10 was off by one, so that D17 or the chosen digits left
 from __future__ import annotations
 
 import os
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -363,7 +363,7 @@ def _refuse(what: str, text: str, forbidden: str, first: bool = False, alone: bo
 
 
 def write_csv(
-    target: str | os.PathLike[str] | TextIO,
+    target: str | os.PathLike[str],
     columns: Sequence[tuple[str, Sequence | np.ndarray]],
     meta: Mapping[str, object],
 ) -> None:
@@ -374,8 +374,8 @@ def write_csv(
     the first column they may not start with "#", and in a one-column file
     they may not be empty.  Meta keys may not contain "=" or a line break,
     and meta values may not contain a line break.  Input that breaks a rule
-    raises ``ValueError`` before ``target`` is opened.  A path target gets
-    "\n" line endings on every platform.
+    raises ``ValueError`` before the file at ``target`` is opened.  The file
+    is written in binary, so its lines end in "\n" on every platform.
     """
 
     meta_lines = []
@@ -410,22 +410,12 @@ def write_csv(
         raise ValueError("all columns must have identical length")
     row_count = lengths.pop() if lengths else 0
 
-    def _chunks() -> Iterator[bytes | np.ndarray]:
-        """The file's UTF-8 bytes: each header line, then each block of rows."""
-
+    with open(target, "wb") as handle:
         for line in [*meta_lines, ",".join(names) + "\n"]:
-            yield line.encode()
+            handle.write(line.encode())
         for start in range(0, row_count, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            yield _render_block({key: array[start:stop] for key, array in arrays.items()}, keys)
-
-    if hasattr(target, "write"):
-        for chunk in _chunks():
-            target.write(str(chunk, "utf-8"))  # type: ignore[union-attr]
-    else:
-        with open(target, "wb") as handle:
-            for chunk in _chunks():
-                handle.write(chunk)
+            block = {key: array[start : start + _BLOCK_ROWS] for key, array in arrays.items()}
+            handle.write(_render_block(block, keys))
 
 
 def read_csv_with_meta(path: str | os.PathLike[str]) -> tuple[dict[str, str], list[str], np.ndarray]:
@@ -499,20 +489,13 @@ def write_fbm_csv(path: FbmPath, target) -> None:
     write_csv(target, [("t", path.grid.nodes()), ("value", path.values)], meta)
 
 
-def write_solution_csv(solution: RegularizedPath, noise: FbmPath, target) -> None:
-    """Single-level solve: (t, X_eps, noise_value) with spec and seed metadata.
+def write_solution_csv(solution: RegularizedPath, target) -> None:
+    """Single-level solve: (t, X_eps, noise_value) with spec and seed metadata."""
 
-    ``noise`` must be the path that drove ``solution``; another path raises
-    a ``ValueError`` before ``target`` is opened.
-    """
-
-    if solution.noise_ref != noise.ref:
-        raise ValueError(
-            f"the solution was driven by {solution.noise_ref}, not by the given noise {noise.ref}"
-        )
+    noise = solution.noise
     meta = _spec_meta(solution.spec) | {"eps": solution.epsilon}
-    meta |= _grid_seed_meta(solution.grid, noise)
-    columns = [("t", solution.grid.nodes()), ("X_eps", solution.values), ("noise_value", noise.values)]
+    meta |= _grid_seed_meta(noise.grid, noise)
+    columns = [("t", noise.grid.nodes()), ("X_eps", solution.values), ("noise_value", noise.values)]
     write_csv(target, columns, meta)
 
 

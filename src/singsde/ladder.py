@@ -177,10 +177,6 @@ class EpsilonFamily:
             raise ValueError("the last row of values must be the limit row")
 
     @property
-    def noise_ref(self) -> str:
-        return self.noise.ref
-
-    @property
     def grid(self) -> TimeGrid:
         return self.noise.grid
 

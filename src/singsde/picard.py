@@ -274,7 +274,6 @@ class PicardResult:
     of the first row is NaN (no previous distance to compare).
     """
 
-    grid: TimeGrid
     values: np.ndarray
     log: list[tuple[int, float, float]]
     iterations: int
@@ -352,7 +351,6 @@ def picard_solve(
             )
         previous_distance = distance
     return PicardResult(
-        grid=grid,
         values=x,
         log=log,
         iterations=iteration,

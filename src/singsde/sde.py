@@ -82,20 +82,18 @@ class SdeSpec:
 
 @dataclass
 class RegularizedPath:
-    """One regularized solution; immutable after construction by convention."""
+    """One regularized solution with the noise path that drove it; immutable by convention."""
 
     spec: SdeSpec
     epsilon: float
-    grid: TimeGrid
+    noise: FbmPath
     values: np.ndarray
-    noise_ref: str
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.step_count + 1,):
-            raise ValueError(
-                f"values must have {self.grid.step_count + 1} entries, got shape {self.values.shape}"
-            )
+        nodes = self.noise.grid.step_count + 1
+        if self.values.shape != (nodes,):
+            raise ValueError(f"values must have {nodes} entries, got shape {self.values.shape}")
         if self.values[0] != self.spec.x0:
             raise ValueError("a solution must start at the spec's initial value")
         if not np.isfinite(self.values).all():
@@ -157,13 +155,7 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
     finite = np.isfinite(values)
     if not finite.all():
         raise _solver_error(int(np.argmin(finite)), float(epsilon), dt)
-    return RegularizedPath(
-        spec=spec,
-        epsilon=epsilon,
-        grid=grid,
-        values=values,
-        noise_ref=noise.ref,
-    )
+    return RegularizedPath(spec=spec, epsilon=epsilon, noise=noise, values=values)
 
 
 # Entries per scratch array of the batched step loop (512 KiB of float64),

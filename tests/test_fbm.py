@@ -447,17 +447,18 @@ def _first_of_pair(fine, coarse):
 @pytest.mark.parametrize("n", [16, 256, 1024])
 @pytest.mark.parametrize("hurst_value", [0.05, 0.25, 0.45])
 def test_refine_fbm_mean_map_matches_dense_oracle(n, hurst_value):
-    # For a fixed rng, refinement is affine in the coarse increments c:
-    # v = M c + r(rng).  So the difference of two refinements with the same
-    # rng isolates M, which must be the dense conditional-mean map.
+    # For a fixed draw, refinement is affine in the coarse increments c:
+    # v = M c + r(draw).  Refinement draws from substream 1 of the path's own
+    # seed, so three coarse paths under one seed record share the draw, and
+    # the difference of two refinements isolates M, which must be the dense
+    # conditional-mean map.
     grid = TimeGrid(horizon=1.0, step_count=n)
     hurst = HurstParam(hurst_value)
     mean_map, _ = dense_refinement_law(n, grid.horizon, hurst_value)
-    coarse = [generate_fbm(grid, hurst, SeedRecord(606, index)) for index in range(3)]
-    first = [
-        _first_of_pair(refine_fbm(path, rng=path_stream(SeedRecord(607, 0))), path)
-        for path in coarse
-    ]
+    shared = SeedRecord(607, 0)
+    draws = [generate_fbm(grid, hurst, SeedRecord(606, index)) for index in range(3)]
+    coarse = [FbmPath(grid, draw.values, hurst, shared, "circulant") for draw in draws]
+    first = [_first_of_pair(refine_fbm(path), path) for path in coarse]
     worst = 0.0
     for other in (1, 2):
         direction = np.diff(coarse[other].values) - np.diff(coarse[0].values)

@@ -38,6 +38,13 @@ BLOCK = io_module._BLOCK_ROWS
 META = {"format_version": 1, "hurst": np.float64(0.25), "flag": True, "tag": "circulant", "n": np.int64(3)}
 
 
+def written(target, columns, meta) -> str:
+    """The text ``write_csv`` puts in the file at ``target``, decoded from its bytes."""
+
+    write_csv(target, columns, meta)
+    return target.read_bytes().decode("utf-8")
+
+
 def mixed_columns(row_count: int, seed: int) -> list[tuple[str, object]]:
     rng = np.random.default_rng(seed)
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1, -1.5])
@@ -78,26 +85,24 @@ def mixed_columns(row_count: int, seed: int) -> list[tuple[str, object]]:
 @pytest.mark.parametrize(
     "row_count", [0, 1, 255, 256, 257, BLOCK - 1, BLOCK, BLOCK + 1, 2**16 + 5]
 )
-def test_write_csv_matches_per_cell_oracle(row_count):
+def test_write_csv_matches_per_cell_oracle(tmp_path, row_count):
     columns = mixed_columns(row_count, seed=row_count)
-    handle = io.StringIO()
-    write_csv(handle, columns, META)
-    assert handle.getvalue() == per_cell_csv(columns, META)
+    assert written(tmp_path / "rows.csv", columns, META) == per_cell_csv(columns, META)
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.floats(), max_size=3 * BLOCK), st.lists(st.floats(width=32), min_size=1))
-def test_write_csv_matches_per_cell_oracle_on_any_floats(values, singles):
+def test_write_csv_matches_per_cell_oracle_on_any_floats(tmp_path_factory, values, singles):
     # every double hypothesis draws, NaN, infinities and subnormals included,
-    # next to a float32 column: another draw's cells repeated to that length
+    # next to a float32 column: another draw's cells repeated to that length.
+    # Every example rewrites one file under the session's base directory.
     single_column = np.resize(np.array(singles, dtype=np.float32), len(values))
     columns = [("x", np.array(values, dtype=np.float64)), ("y", single_column)]
-    handle = io.StringIO()
-    write_csv(handle, columns, {})
-    assert handle.getvalue() == per_cell_csv(columns, {})
+    target = tmp_path_factory.getbasetemp() / "any_floats.csv"
+    assert written(target, columns, {}) == per_cell_csv(columns, {})
 
 
-def test_write_csv_is_warning_free_on_every_kind_of_float():
+def test_write_csv_is_warning_free_on_every_kind_of_float(tmp_path):
     # The fast path's arithmetic must not warn on the cells it hands to the
     # fallback, whatever the warning filter.
     tiny = np.nextafter(0.0, 1.0)
@@ -105,52 +110,49 @@ def test_write_csv_is_warning_free_on_every_kind_of_float():
     # a signaling NaN and a float32 subnormal, which the writer casts to double
     singles = np.array([0x7F800001, 0x00000001], dtype=np.uint32).view(np.float32)
     columns = [("x", np.tile(values, 30)), ("y", np.resize(singles, 300))]
-    handle = io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_csv(handle, columns, {})
-    assert handle.getvalue() == per_cell_csv(columns, {})
+        text = written(tmp_path / "rows.csv", columns, {})
+    assert text == per_cell_csv(columns, {})
 
 
-def test_write_csv_block_memory_is_bounded():
+def test_write_csv_block_memory_is_bounded(tmp_path):
     # A 14-column float block: the formatter's per-cell arrays and the byte
     # block stay well under 1.5 MiB of transient memory.
     rng = np.random.default_rng(3)
     columns = [(f"c{index}", rng.standard_normal(BLOCK)) for index in range(14)]
     tracemalloc.start()
     try:
-        write_csv(io.StringIO(), columns, {})
+        write_csv(tmp_path / "rows.csv", columns, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
 
 
-def test_write_csv_streams_rows_in_bounded_blocks(tmp_path):
-    class Recorder(io.StringIO):
-        def __init__(self) -> None:
-            super().__init__()
-            self.lines_per_write: list[int] = []
+def test_write_csv_streams_rows_in_bounded_blocks(tmp_path, monkeypatch):
+    lines_per_write: list[int] = []
 
-        def write(self, text: str) -> int:
-            self.lines_per_write.append(text.count("\n"))
-            return super().write(text)
+    class Recorder(io.FileIO):
+        """The file ``write_csv`` opens, counting the lines of each write."""
+
+        def write(self, data) -> int:
+            lines_per_write.append(bytes(data).count(b"\n"))
+            return super().write(data)
 
     row_count = 2 * BLOCK + 5
     ones = np.ones(row_count)
     texts = [f"é{index}" for index in range(row_count)]
     columns = [("t", np.arange(row_count) * 0.5), ("x", ones), ("s", texts), ("x_again", ones)]
-    handle = Recorder()
-    write_csv(handle, columns, {"a": "ü"})
-    row_writes = handle.lines_per_write[2:]  # after one meta line and the header
-    assert row_writes == [BLOCK, BLOCK, 5]
-    # A path target gets the same bytes, written in binary, so its lines end
-    # in "\n" on every platform.
+    monkeypatch.setattr(io_module, "open", Recorder, raising=False)
     target = tmp_path / "rows.csv"
     write_csv(target, columns, {"a": "ü"})
+    row_writes = lines_per_write[2:]  # after one meta line and the header
+    assert row_writes == [BLOCK, BLOCK, 5]
+    # The file is written in binary, so its lines end in "\n" on every platform.
     data = target.read_bytes()
     assert b"\r" not in data
-    assert data.decode("utf-8") == handle.getvalue() == per_cell_csv(columns, {"a": "ü"})
+    assert data.decode("utf-8") == per_cell_csv(columns, {"a": "ü"})
 
 
 @pytest.mark.parametrize(
@@ -213,7 +215,7 @@ def test_meta_round_trips_verbatim(tmp_path):
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 512])
-def test_write_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows):
+def test_write_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_rows):
     # The special cases head the first four columns, so their first blocks
     # of one and three rows fall back whole; the text-only columns lay out
     # blocks with no float cell; and "float_again" is the "float" column
@@ -222,9 +224,7 @@ def test_write_csv_bytes_do_not_depend_on_the_block_size(monkeypatch, block_rows
     columns = mixed_columns(600, seed=7)
     text_only = [column for column in columns if np.asarray(column[1]).dtype.kind != "f"]
     for chosen in (columns, columns[:4], text_only):
-        handle = io.StringIO()
-        write_csv(handle, chosen, META)
-        assert handle.getvalue() == per_cell_csv(chosen, META)
+        assert written(tmp_path / "rows.csv", chosen, META) == per_cell_csv(chosen, META)
 
 
 def test_write_csv_rejects_unequal_lengths(tmp_path):
@@ -261,16 +261,15 @@ def test_family_export_round_trips_exactly(tmp_path):
     assert target.read_text(encoding="utf-8") == per_cell_csv(_family_columns(family), meta)
 
 
-def header_lines(write, *args, **kwargs) -> list[str]:
-    """The ``# key=value`` lines and the column-name row of an export written to a stream."""
+def header_lines(target, write, *args, **kwargs) -> list[str]:
+    """The ``# key=value`` lines and the column-name row of an export written to ``target``."""
 
-    handle = io.StringIO()
-    write(*args, handle, **kwargs)
-    lines = handle.getvalue().splitlines()
+    write(*args, target, **kwargs)
+    lines = target.read_text(encoding="utf-8").splitlines()
     return lines[: next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1]
 
 
-def test_export_headers_are_pinned():
+def test_export_headers_are_pinned(tmp_path):
     hurst = HurstParam(0.25)
     noise = generate_fbm(TimeGrid(0.5, 8), hurst, SeedRecord(5, 2))
     spec = SdeSpec(x0=1.0, a=1.5, b=0.5, sigma=0.75, hurst=hurst)
@@ -282,15 +281,16 @@ def test_export_headers_are_pinned():
         "# path_index=2",
         "# generator_tag=circulant",
     ]
-    assert header_lines(write_fbm_csv, noise) == [
+    target = tmp_path / "export.csv"
+    assert header_lines(target, write_fbm_csv, noise) == [
         "# format_version=1", "# hurst=0.25", *grid_seed_lines, "t,value"
     ]
     solution = solve_regularized(spec, 0.01, noise)
-    assert header_lines(write_solution_csv, solution, noise) == [
+    assert header_lines(target, write_solution_csv, solution) == [
         *spec_lines, "# eps=0.01", *grid_seed_lines, "t,X_eps,noise_value"
     ]
     family = build_family(spec, noise, EpsilonLadder(0.1, 0.5, 3))
-    assert header_lines(write_family_csv, family, extra_meta={"config_hash": "abc"}) == [
+    assert header_lines(target, write_family_csv, family, extra_meta={"config_hash": "abc"}) == [
         *spec_lines,
         "# eps0=0.1",
         "# ratio=0.5",
@@ -300,22 +300,6 @@ def test_export_headers_are_pinned():
         "# config_hash=abc",
         "t,noise,X_eps_0,X_eps_1,X_eps_2,X_eps_3,limit_estimate",
     ]
-
-
-def test_solution_export_rejects_another_paths_noise(tmp_path):
-    # The header's seed and the noise column come from the noise argument, so
-    # a noise other than the solution's driver is refused before the file opens.
-    hurst = HurstParam(0.25)
-    grid = TimeGrid(0.5, 8)
-    spec = SdeSpec(x0=1.0, a=1.5, b=0.5, sigma=0.75, hurst=hurst)
-    solution = solve_regularized(spec, 0.01, generate_fbm(grid, hurst, SeedRecord(1, 0)))
-    other = generate_fbm(grid, hurst, SeedRecord(2, 5))
-    target = tmp_path / "solution.csv"
-    with pytest.raises(ValueError) as error:
-        write_solution_csv(solution, other, target)
-    assert solution.noise_ref in str(error.value) and other.ref in str(error.value)
-    assert solution.noise_ref != other.ref
-    assert not target.exists()
 
 
 def test_streamed_family_export_matches_the_cell_oracle(tmp_path, monkeypatch):

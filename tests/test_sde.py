@@ -68,8 +68,9 @@ def test_solution_invariants():
     assert solution.values[0] == spec.x0
     assert np.all(np.isfinite(solution.values))
     assert solution.epsilon == 0.05
+    assert solution.noise is noise
     with pytest.raises(ValueError, match="must start at the spec's initial value"):
-        RegularizedPath(spec, 0.05, noise.grid, solution.values + 1.0, noise.ref)
+        RegularizedPath(spec, 0.05, noise, solution.values + 1.0)
 
 
 # ---------------------------------------------------------------------------
