@@ -11,12 +11,16 @@ One exact generator and a zero driver are provided:
 
 ``circulant``
     Embeds the stationary fGn covariance into a circulant matrix diagonalized
-    by the FFT; O(n log n).  The weights sqrt(lambda_k / 2n) of the embedding
-    eigenvalues lambda_k are computed once per (n, H) and kept in a small LRU
-    cache; each path is one complex buffer, filled by its weighted normals
-    and transformed in place.  For H < 1/2 the embedding is
-    nonnegative definite (Dietrich & Newsam 1997; Craigmile 2003), so a
-    genuinely negative eigenvalue (below -1e-10) indicates a bug and aborts.
+    by the FFT; O(n log n) (Wood & Chan 1994).  The weights sqrt(lambda_k / 2n)
+    of the embedding eigenvalues lambda_k are computed once per (n, H) and
+    kept in a small LRU cache.  Paths are drawn in blocks of rows of one
+    step count: each row of one complex buffer is filled by its own path's
+    weighted normals, and one FFT call transforms the whole buffer in place.
+    A block holds at most 2^15 complex entries, the buffer of one 2^14-step
+    path, and ``generate_fbm`` is the one-row block.  For H < 1/2 the
+    embedding is nonnegative definite (Dietrich & Newsam 1997; Craigmile
+    2003), so a genuinely negative eigenvalue (below -1e-10) indicates a bug
+    and aborts.
 ``zero``
     A deterministic path of zeros (``zero_path``), used as the driver of
     zero-noise experiments; consumes no randomness.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +68,10 @@ __all__ = [
 GENERATOR_TAGS = ("circulant", "zero")
 
 _EMBEDDING_EIG_FLOOR = -1e-10
+# Complex entries of one draw block: the buffer of one 2^14-step path.  So a
+# 2^14-step campaign draws one path per FFT call, 2^11 steps draw 8 and the
+# 256-step contraction windows 64.
+_BLOCK_ENTRIES = 2**15
 _REFINE_RELATIVE_RESIDUAL = 1e-14
 # The refinement PCG takes 5-21 iterations for H in [0.05, 0.5) up to 2^16
 # coarse steps; its count grows as H approaches 0 (244 at H = 1e-4, 2^18).
@@ -247,20 +255,59 @@ def _circulant_weights(n: int, hurst_value: float) -> np.ndarray:
     return weights
 
 
-def _fgn_unit_circulant(n: int, hurst_value: float, rng: Generator) -> np.ndarray:
-    """n unit-variance fGn increments: the real part of the FFT of weighted complex normals.
+def _fgn_block(n: int, hurst_value: float, streams: Sequence[Generator]) -> np.ndarray:
+    """n unit-variance fGn increments per stream: the real part of an FFT of weighted normals.
 
-    The real normals are drawn first, then the imaginary ones, each 2n long,
-    and weighted straight into one complex buffer that the FFT overwrites.
-    The result is a view of that buffer.
+    Each stream fills its own row of one complex block, real normals first,
+    then imaginary ones, each 2n long, weighted straight into the row; one
+    FFT call then transforms every row in place.  A row of a multi-row FFT
+    equals the FFT of that row alone bit for bit, so a row's increments do
+    not depend on the rows drawn beside it.  The result, shape
+    (rows, n), is a view of that block.
     """
 
     weights = _circulant_weights(n, hurst_value)
-    w = np.empty(2 * n, dtype=complex)
-    np.multiply(rng.standard_normal(2 * n), weights, out=w.real)
-    np.multiply(rng.standard_normal(2 * n), weights, out=w.imag)
-    np.fft.fft(w, out=w)
-    return w.real[:n]
+    block = np.empty((len(streams), 2 * n), dtype=complex)
+    for row, rng in zip(block, streams):
+        np.multiply(rng.standard_normal(2 * n), weights, out=row.real)
+        np.multiply(rng.standard_normal(2 * n), weights, out=row.imag)
+    np.fft.fft(block, axis=-1, out=block)
+    return block.real[:, :n]
+
+
+def _block_rows(step_count: int) -> int:
+    """Rows of one draw block of ``step_count``-step paths: ``_BLOCK_ENTRIES`` entries, or 1 row."""
+
+    return max(1, _BLOCK_ENTRIES // (2 * step_count))
+
+
+def _generate_block(
+    grids: Sequence[TimeGrid], hurst: HurstParam, seeds: Sequence[SeedRecord], substream: int
+) -> list[FbmPath]:
+    """One circulant path per (grid, seed) row, all drawn by one FFT call.
+
+    The grids must share one step count; callers keep a block to at most
+    ``_block_rows(step_count)`` rows.  Each row draws from its own
+    ``path_stream(seed, substream)`` and is scaled by its own dt^H, so every
+    path equals the one :func:`generate_fbm` draws alone, bit for bit.
+    """
+
+    steps = grids[0].step_count
+    if any(grid.step_count != steps for grid in grids):
+        raise ValueError("every row's grid must have the same step count")
+    streams = [path_stream(seed, substream=substream) for seed in seeds]
+    increments = _fgn_block(steps, hurst.value, streams)
+    paths = []
+    for grid, seed, row in zip(grids, seeds, increments):
+        values = np.empty(steps + 1)
+        values[0] = 0.0
+        np.cumsum(row * grid.dt**hurst.value, out=values[1:])
+        paths.append(
+            FbmPath(
+                grid=grid, values=values, hurst=hurst, seed_record=seed, generator_tag="circulant"
+            )
+        )
+    return paths
 
 
 def generate_fbm(
@@ -275,17 +322,12 @@ def generate_fbm(
     failure raises ``FbmGenerationError``.  ``substream`` selects a disjoint
     portion of the path's counter block for auxiliary draws (0 is the base
     path; 1 is reserved for nested refinement) and is part of the
-    reproducibility key.  The zero driver is ``zero_path``.
+    reproducibility key.  The zero driver is ``zero_path``.  This is the
+    one-row block of the sampler that campaigns draw their paths with.
     """
 
-    rng = path_stream(seed_record, substream=substream)
-    increments = _fgn_unit_circulant(grid.step_count, hurst.value, rng)
-    values = np.empty(grid.step_count + 1)
-    values[0] = 0.0
-    np.cumsum(increments * grid.dt**hurst.value, out=values[1:])
-    return FbmPath(
-        grid=grid, values=values, hurst=hurst, seed_record=seed_record, generator_tag="circulant"
-    )
+    (path,) = _generate_block([grid], hurst, [seed_record], substream)
+    return path
 
 
 def zero_path(grid: TimeGrid, hurst: HurstParam, seed_record: SeedRecord | None = None) -> FbmPath:
@@ -437,7 +479,7 @@ def refine_fbm(path: FbmPath) -> FbmPath:
     hurst_value = path.hurst.value
     rng = path_stream(path.seed_record, substream=1)
     fine_grid = TimeGrid(path.grid.horizon, 2 * n)
-    fine_draw = _fgn_unit_circulant(2 * n, hurst_value, rng) * fine_grid.dt**hurst_value
+    fine_draw = _fgn_block(2 * n, hurst_value, [rng])[0] * fine_grid.dt**hurst_value
     first_draw = fine_draw[0::2]
     coarse_draw = first_draw + fine_draw[1::2]
 

@@ -55,7 +55,8 @@ from .fbm import (
     HurstParam,
     SeedRecord,
     TimeGrid,
-    generate_fbm,
+    _block_rows,
+    _generate_block,
     refine_fbm,
     zero_path,
 )
@@ -66,6 +67,7 @@ from .ladder import (
     DEFAULT_TOL_NONNEG,
     EpsilonFamily,
     EpsilonLadder,
+    _limit_residual,
     _limit_row,
     build_families,
     compensator_budget,
@@ -80,9 +82,8 @@ from .picard import (
     DeltaCertificate,
     LocalProblem,
     PicardResult,
+    _solve_block,
     certify_windows,
-    fixed_point_residual,
-    picard_solve,
 )
 from .sde import SdeSpec, SolverError, solve_regularized
 
@@ -482,12 +483,20 @@ def _package_version() -> str:
 
 @dataclass
 class _PathContext:
-    """Everything one path's checks share, with lazy excursion decomposition."""
+    """Everything one path's checks share; the excursions and the identity residual are lazy."""
 
     index: int
     family: EpsilonFamily
     excursions: ExcursionSet | None = None
+    residual: np.ndarray | None = None
     restart_sup: dict[int, float] = field(default_factory=dict)
+
+    def ensure_residual(self) -> np.ndarray:
+        """The limit row's whole-grid identity residual, read by compensator and initial-identity."""
+
+        if self.residual is None:
+            self.residual = _limit_residual(self.family)
+        return self.residual
 
     def ensure_excursions(self) -> ExcursionSet:
         if self.excursions is None:
@@ -547,7 +556,7 @@ def _check_limit_nonneg(config: ExperimentConfig, ctx: _PathContext) -> _CheckRe
 
 def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     family = ctx.family
-    estimate = compute_compensator(family)
+    estimate = compute_compensator(family, ctx.ensure_residual())
     budget = compensator_budget(family, estimate)
     if config.zero_noise:
         measured = float(np.abs(estimate.values).max())
@@ -590,13 +599,31 @@ def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
     return EpsilonLadder(ladder.eps0, ladder.ratio, min(depth, _WINDOW_LADDER_MAX_DEPTH))
 
 
-def _driver(config: ExperimentConfig, grid: TimeGrid, index: int, substream: int) -> FbmPath:
-    """Path ``index``'s driver on ``grid``: the zero path, or a draw on ``substream``."""
+def _drivers(
+    config: ExperimentConfig, grids: list[TimeGrid], indices: list[int], substream: int
+) -> Iterator[FbmPath | Exception]:
+    """Each path's driver on its grid, in order: the zero path, or a draw on ``substream``.
 
-    seed = SeedRecord(config.master_seed, index)
+    The grids share one step count.  Draws go in blocks of ``_block_rows``
+    paths, each drawn when the one before it has been handed out; a block
+    whose draw raises yields that exception for each of its paths.
+    """
+
+    seeds = [SeedRecord(config.master_seed, index) for index in indices]
+    hurst = config.spec.hurst
     if config.zero_noise:
-        return zero_path(grid, config.spec.hurst, seed)
-    return generate_fbm(grid, config.spec.hurst, seed, substream=substream)
+        yield from (zero_path(grid, hurst, seed) for grid, seed in zip(grids, seeds))
+        return
+    size = _block_rows(grids[0].step_count) if grids else 1
+    for start in range(0, len(seeds), size):
+        block = slice(start, start + size)
+        try:
+            drawn: list[FbmPath] | list[Exception] = _generate_block(
+                grids[block], hurst, seeds[block], substream
+            )
+        except Exception as exc:  # noqa: BLE001 - each path of the block records it
+            drawn = [exc] * len(seeds[block])
+        yield from drawn
 
 
 def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult]:
@@ -604,18 +631,25 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
 
     The window driver is a fresh draw on substream 2, not the campaign path
     restricted to the window, so the check certifies the equation locally,
-    not the path's own solution.  Windows are certified for the whole block
-    (:func:`certify_windows`) and Picard iterates per path.  Each path's
-    window ladder depends on its certified window's step, and the window
-    families of the whole block are one :func:`build_families` call, with one
-    ladder per path.  Every path keeps the record it would get on its own.
+    not the path's own solution.  Each round of :func:`certify_windows`
+    draws the block's window drivers as one block; Picard then iterates
+    every certified window together (``picard._solve_block``), each path
+    keeping the log it would get alone.  Each path's window ladder depends
+    on its certified window's step, and the window families of the whole
+    block are one :func:`build_families` call, with one ladder per path.
+    Every path keeps the record it would get on its own.
     """
 
     spec = config.spec
     certified = certify_windows(
         spec,
-        lambda index, window: _driver(
-            config, TimeGrid(window, _CONTRACTION_WINDOW_STEPS), index, 2
+        lambda paths, windows: list(
+            _drivers(
+                config,
+                [TimeGrid(window, _CONTRACTION_WINDOW_STEPS) for window in windows],
+                paths,
+                2,
+            )
         ),
         indices,
         _HOLDER_EXPONENT_FRACTION * spec.hurst.value,
@@ -623,17 +657,25 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
         _CONTRACTION_MAX_RECERTIFICATIONS,
     )
     records: dict[int, _CheckResult] = {}
-    solved: dict[int, tuple[EpsilonLadder, PicardResult]] = {}
+    problems: dict[int, tuple[LocalProblem, DeltaCertificate]] = {}
     for index, certification in certified.items():
         if certification is None:
             records[index] = (False, None, "window certification did not stabilize")
-            continue
-        if isinstance(certification, Exception):
+        elif isinstance(certification, Exception):
             records[index] = (False, None, _exception_note(certification))
+        else:
+            problems[index] = certification
+    results = _solve_block(
+        [problem for problem, _ in problems.values()],
+        [certificate for _, certificate in problems.values()],
+        _PICARD_TOLERANCE,
+    )
+    solved: dict[int, tuple[EpsilonLadder, PicardResult]] = {}
+    for (index, (problem, _)), result in zip(problems.items(), results):
+        if isinstance(result, Exception):
+            records[index] = (False, None, _exception_note(result))
             continue
-        problem, certificate = certification
         try:
-            result = picard_solve(problem, certificate, _PICARD_TOLERANCE)
             # The ladder limit is only trustworthy where the regularization
             # level sits well below the step size (the per-step kernel
             # converges in eps at scale dt); the certified window's fine
@@ -646,7 +688,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
     try:
         families = build_families(
             spec,
-            [certified[index][0].noise for index in solved],
+            [problems[index][0].noise for index in solved],
             [ladder for ladder, _ in solved.values()],
             tol_mono=config.tolerances["tol_mono"],
             keep="limit",
@@ -656,7 +698,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
                 records[index] = (False, None, _exception_note(family))
                 continue
             try:
-                records[index] = _contraction_verdict(*certified[index], result, family)
+                records[index] = _contraction_verdict(*problems[index], result, family)
             except Exception as exc:  # noqa: BLE001 - isolation policy
                 records[index] = (False, None, _exception_note(exc))
     except Exception as exc:  # noqa: BLE001 - the block's shared window solve failed
@@ -694,7 +736,7 @@ def _contraction_verdict(
             f"(allowed {window_family.cauchy_gap + _CONSISTENCY_EXTRA:.3e})"
         )
 
-    residual_excess = fixed_point_residual(problem, result.values) - 2.0 * _PICARD_TOLERANCE
+    residual_excess = result.residual - 2.0 * _PICARD_TOLERANCE
     candidates.append(residual_excess)
     if residual_excess > 0.0:
         notes.append("fixed-point residual exceeds twice the iteration tolerance")
@@ -731,7 +773,7 @@ def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _
 
 
 def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    result = verify_initial_identity(ctx.family)
+    result = verify_initial_identity(ctx.family, ctx.ensure_residual())
     violation = result.sup_residual - result.budget
     note = None if result.passes else (
         f"residual {result.sup_residual:.3e} exceeds budget {result.budget:.3e} "
@@ -941,9 +983,10 @@ def run_campaign(config: ExperimentConfig) -> VerificationReport:
 def _path_families(config: ExperimentConfig) -> Iterator[tuple[int, EpsilonFamily | Exception]]:
     """Per path in index order: (index, family or failure).
 
-    Noise is generated lazily as :func:`build_families` draws it chunk by
-    chunk; a path whose generation fails is held back until the families of
-    the paths before it have been handed out, so outcomes stay in index order.
+    Noise is drawn in blocks (:func:`_drivers`), at most one block ahead of
+    :func:`build_families`, which takes it chunk by chunk; a path whose draw
+    fails is held back until the families of the paths before it have been
+    handed out, so outcomes stay in index order.
     The families keep every level with ``save_families``, else only the rows
     checks read.
     """
@@ -954,11 +997,11 @@ def _path_families(config: ExperimentConfig) -> Iterator[tuple[int, EpsilonFamil
     )
 
     def noises() -> Iterator[FbmPath]:
-        for index in range(config.path_count):
-            try:
-                noise = _driver(config, config.grid, index, 0)
-            except Exception as exc:  # noqa: BLE001 - aborts become recorded failures
-                pending.append((index, exc))
+        indices = list(range(config.path_count))
+        drivers = _drivers(config, [config.grid] * config.path_count, indices, 0)
+        for index, noise in zip(indices, drivers):
+            if isinstance(noise, Exception):
+                pending.append((index, noise))
                 continue
             pending.append((index, None))
             yield noise

@@ -91,6 +91,18 @@ FORMAT_VERSION = 1
 # 240 and 230 ns per cell, and a 14-column float block peaked at 0.29, 0.58,
 # 1.16 and 2.30 MiB traced (2 cores, Python 3.11.7, numpy 2.4.6).  The limit
 # is test_write_csv_block_memory_is_bounded's 1.5 MiB, so not 1024.
+# Whether 512 beats 256 depends on what the process freed before.  At 512
+# rows each of a block's byte arrays is about 186 KB (13 distinct columns of
+# 28 bytes), above glibc's initial 128 KiB mmap threshold; at 256 rows about
+# 93 KB.  glibc raises its mmap threshold, and its trim threshold to twice
+# that, when it frees a mapped block above the threshold.  Until a block of
+# about 1 MiB has been freed, a 512-row block's memory goes back to the
+# kernel after each block, and the next block faults it in again.  A warm
+# loop writing ten family-shaped files took 91,540 minor faults a round at
+# 512 rows against 13 at 256, and 256 rows were faster; after freeing a
+# 1 MiB array first, 512 rows took 61.  A campaign frees its noise buffers
+# and families before it writes, so export-14's ten files take 133 to 182
+# faults and 512 rows win there.
 _BLOCK_ROWS = 512
 
 # The lookup tables are built from Python floats and numpy copies only:

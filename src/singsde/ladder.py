@@ -591,7 +591,7 @@ def identity_residual(
     values: np.ndarray,
     noise_values: np.ndarray,
     spec: SdeSpec,
-    grid: TimeGrid,
+    grid: TimeGrid | Sequence[TimeGrid],
     start: int,
     end: int,
     anchor: float,
@@ -606,15 +606,52 @@ def identity_residual(
     keeps it finite.  ``anchor`` is X_0 for the identity from the time origin
     and X(t_start) for an identity restarted at t_start.  The kernel is
     computed once per grid and reused by later calls.
+
+    ``values`` and ``noise_values`` are one path on ``grid``, or a
+    (rows, nodes) block with one grid per row in ``grid``; a block's rows are
+    the residuals of the rows alone, bit for bit, since every running sum is
+    sequential along its row.
     """
 
-    x = values[start : end + 1]
-    noise = noise_values[start : end + 1]
-    kernel = _identity_kernel(grid, spec.hurst)[start:end]
+    if np.ndim(values) == 1:
+        rows, noise_rows = np.asarray(values)[None], np.asarray(noise_values)[None]
+        return identity_residual(rows, noise_rows, spec, [grid], start, end, anchor)[0]
+    kernels = np.array([_identity_kernel(row_grid, spec.hurst)[start:end] for row_grid in grid])
+    steps = np.array([[row_grid.dt] for row_grid in grid])
+    return _identity_rows(
+        values[:, start : end + 1], noise_values[:, start : end + 1], kernels, steps, spec, anchor
+    )
+
+
+def _identity_rows(
+    x: np.ndarray,
+    noise: np.ndarray,
+    kernels: np.ndarray,
+    steps: np.ndarray,
+    spec: SdeSpec,
+    anchor: float,
+) -> np.ndarray:
+    """:func:`identity_residual` of a (rows, nodes) block from its first node.
+
+    ``kernels`` holds each row's per-step kernels, shape (rows, nodes - 1),
+    and ``steps`` each row's dt, shape (rows, 1).
+    """
+
     floor = _identity_floor(spec)
-    singular = np.concatenate([[0.0], np.cumsum(kernel / np.maximum(x[1:], floor))])
-    trapezoid = np.concatenate([[0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * grid.dt)])
-    return x - anchor - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise - noise[0])
+    singular = np.zeros(x.shape)
+    np.cumsum(kernels / np.maximum(x[:, 1:], floor), axis=1, out=singular[:, 1:])
+    trapezoid = np.zeros(x.shape)
+    np.cumsum(0.5 * (x[:, 1:] + x[:, :-1]) * steps, axis=1, out=trapezoid[:, 1:])
+    return x - anchor - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise - noise[:, :1])
+
+
+def _limit_residual(family: EpsilonFamily) -> np.ndarray:
+    """The identity residual of the family's limit row over its whole grid, anchored at x_0."""
+
+    spec, grid = family.spec, family.grid
+    return identity_residual(
+        _limit_row(family), family.noise.values, spec, grid, 0, grid.step_count, spec.x0
+    )
 
 
 @dataclass
@@ -634,19 +671,20 @@ class CompensatorEstimate:
     flagged_nodes: np.ndarray
 
 
-def compute_compensator(family: EpsilonFamily) -> CompensatorEstimate:
+def compute_compensator(
+    family: EpsilonFamily, residual: np.ndarray | None = None
+) -> CompensatorEstimate:
     """Evaluate the correction-process estimate on the family's limit estimate.
 
     The flagged nodes are the right endpoints (1..n) where the limit
     estimate sits below the floor, so the reciprocal there is floored.
+    ``residual`` is the limit row's whole-grid identity residual when the
+    caller already holds it; otherwise it is computed here.
     """
 
-    spec = family.spec
-    grid = family.grid
-    floor = _identity_floor(spec)
-    x = _limit_row(family)
-    values = identity_residual(x, family.noise.values, spec, grid, 0, grid.step_count, spec.x0)
-    flagged = np.flatnonzero(x[1:] < floor) + 1
+    floor = _identity_floor(family.spec)
+    values = _limit_residual(family) if residual is None else residual
+    flagged = np.flatnonzero(_limit_row(family)[1:] < floor) + 1
     return CompensatorEstimate(values=values, floor=floor, flagged_nodes=flagged)
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .fbm import FbmPath, HolderEstimate, TimeGrid, estimate_holder
-from .ladder import identity_residual
+from .ladder import _identity_kernel, _identity_rows, identity_residual
 from .sde import SdeSpec
 
 __all__ = [
@@ -211,7 +211,7 @@ def select_delta(
 
 def certify_windows(
     spec: SdeSpec,
-    draw: Callable[[int, float], FbmPath],
+    draw: Callable[[list[int], list[float]], Sequence[FbmPath | Exception]],
     paths: Iterable[int],
     exponent: float,
     initial_window: float,
@@ -219,26 +219,27 @@ def certify_windows(
 ) -> dict[int, tuple[LocalProblem, DeltaCertificate] | Exception | None]:
     """Certify for each path a window that its own driver permits.
 
-    ``draw(path, window)`` samples the path's noise on [0, window]; the
-    driver is ``spec.sigma`` times it, certified at Hoelder ``exponent``.
-    Each round draws every path still certifying on its trial window, scans
-    their Hoelder constants as one block and selects their horizons
-    together; a path whose certified horizon does not cover its window
-    retries on that horizon.  Maps each path to its (problem, certificate),
-    to the exception it raised, or to None when its window still shrinks
-    after ``max_rounds`` rounds.  One path's failure does not touch the
-    others.
+    ``draw(paths, windows)`` samples each path's noise on [0, window], as
+    one block, and returns one outcome per path: its noise, or the exception
+    its draw raised.  The driver is ``spec.sigma`` times the noise, certified
+    at Hoelder ``exponent``.  Each round draws every path still certifying on
+    its trial window, scans their Hoelder constants as one block and selects
+    their horizons together; a path whose certified horizon does not cover
+    its window retries on that horizon.  Maps each path to its (problem,
+    certificate), to the exception it raised, or to None when its window
+    still shrinks after ``max_rounds`` rounds.  One path's failure does not
+    touch the others.
     """
 
     outcomes: dict[int, tuple[LocalProblem, DeltaCertificate] | Exception | None] = {}
     windows = dict.fromkeys(paths, initial_window)
     for _ in range(max_rounds):
         drivers: dict[int, FbmPath] = {}
-        for path, window in windows.items():
-            try:
-                drivers[path] = draw(path, window)
-            except Exception as exc:  # noqa: BLE001 - the failure is this path's own
-                outcomes[path] = exc
+        for path, driver in zip(windows, draw(list(windows), list(windows.values())), strict=True):
+            if isinstance(driver, Exception):
+                outcomes[path] = driver
+            else:
+                drivers[path] = driver
         if not drivers:
             return outcomes
         holders = estimate_holder(
@@ -271,7 +272,8 @@ class PicardResult:
     """Converged fixed point with its iteration log.
 
     ``log`` rows are (iteration, sup_distance, contraction_ratio); the ratio
-    of the first row is NaN (no previous distance to compare).
+    of the first row is NaN (no previous distance to compare).  ``residual``
+    is sup|R(values)|, the fixed-point residual of the returned values.
     """
 
     values: np.ndarray
@@ -279,13 +281,123 @@ class PicardResult:
     iterations: int
     final_distance: float
     iteration_cap: int
+    residual: float
 
 
-def _window_residual(problem: LocalProblem, x: np.ndarray) -> np.ndarray:
-    """The integral identity's residual R(x) on the whole window, anchored at x_0."""
+def _solve_block(
+    problems: Sequence[LocalProblem],
+    certificates: Sequence[DeltaCertificate],
+    tolerance: float,
+    starts: Sequence[np.ndarray | None] | None = None,
+) -> list[PicardResult | Exception]:
+    """:func:`picard_solve` for a block of problems, iterated together; one outcome per problem.
 
-    spec, grid = problem.spec, problem.grid
-    return identity_residual(x, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0)
+    The problems must share the spec and the step count.  Each iteration
+    evaluates the residual of every open row as one block; a row leaves the
+    block when it converges or fails, and its outcome, its result or the
+    exception :func:`picard_solve` raises for it alone, is the one it gets
+    alone, log and all.  The fixed-point residuals of the converged rows are
+    one more block evaluation.
+    """
+
+    if not (tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    problems = list(problems)
+    if not problems:
+        return []
+    spec, steps = problems[0].spec, problems[0].grid.step_count
+    if any(p.spec != spec or p.grid.step_count != steps for p in problems):
+        raise ValueError("a block of problems must share the spec and the step count")
+    x0 = spec.x0
+    band_lo, band_hi = 0.5 * x0, 2.0 * x0
+    outcomes: list[PicardResult | Exception | None] = [None] * len(problems)
+    firsts: dict[int, np.ndarray] = {}
+    for row, (problem, certificate) in enumerate(zip(problems, certificates)):
+        start = None if starts is None else starts[row]
+        x = np.full(steps + 1, x0) if start is None else np.asarray(start, dtype=float)
+        if problem.grid.horizon > certificate.delta * (1.0 + 1e-12):
+            outcomes[row] = ValueError(
+                f"driver horizon {problem.grid.horizon} exceeds certified delta {certificate.delta}"
+            )
+        elif x.shape != (steps + 1,):
+            outcomes[row] = ValueError("start iterate must live on the driver grid")
+        elif x.min() < band_lo or x.max() > band_hi:
+            outcomes[row] = PicardBandError("start iterate lies outside [x_0/2, 2 x_0]")
+        else:
+            firsts[row] = x
+    rows = list(firsts)
+    if not rows:
+        return outcomes
+    grids = [problems[row].grid for row in rows]
+    all_noise = np.array([problems[row].noise.values for row in rows])
+    all_kernels = np.array([_identity_kernel(grid, spec.hurst) for grid in grids])
+    all_steps = np.array([[grid.dt] for grid in grids])
+    x = np.array([firsts[row] for row in rows])
+    open_at = np.arange(len(rows))  # each open row's position in the stacks above
+    noise, kernels, dts = all_noise, all_kernels, all_steps
+    logs: list[list[tuple[int, float, float]]] = [[] for _ in rows]
+    caps = [_EXTRA_ITERATIONS] * len(rows)
+    previous = [math.nan] * len(rows)
+    converged: dict[int, tuple[np.ndarray, int]] = {}
+    iteration = 0
+    while open_at.size:
+        iteration += 1
+        residual = _identity_rows(x, noise, kernels, dts, spec, x0)
+        new_x = x - residual
+        distances = np.abs(residual).max(axis=1)
+        lows, highs = new_x.min(axis=1), new_x.max(axis=1)
+        keep = []
+        for i, at in enumerate(open_at.tolist()):
+            distance = float(distances[i])
+            last = previous[at]
+            ratio = distance / last if last and not math.isnan(last) else math.nan
+            logs[at].append((iteration, distance, ratio))
+            try:
+                if lows[i] < band_lo - 1e-12 or highs[i] > band_hi + 1e-12:
+                    raise PicardBandError(
+                        f"iterate {iteration} escaped [{band_lo}, {band_hi}] "
+                        f"(min {lows[i]:.6g}, max {highs[i]:.6g})"
+                    )
+                if distance <= tolerance:
+                    converged[at] = new_x[i].copy(), iteration
+                    continue
+                if iteration == 1:
+                    modulus = certificates[rows[at]].modulus
+                    caps[at] = (
+                        math.ceil(math.log(tolerance / distance) / math.log(modulus))
+                        + _EXTRA_ITERATIONS
+                    )
+                elif iteration > caps[at]:
+                    raise PicardConvergenceError(
+                        f"no convergence to {tolerance:g} within {caps[at]} iterations "
+                        f"(last displacement {distance:.3e})"
+                    )
+            except Exception as exc:  # noqa: BLE001 - the failure is this row's own
+                outcomes[rows[at]] = exc
+                continue
+            previous[at] = distance
+            keep.append(i)
+        x = new_x
+        if len(keep) < open_at.size:
+            open_at, x = open_at[keep], x[keep]
+            noise, kernels, dts = all_noise[open_at], all_kernels[open_at], all_steps[open_at]
+    if converged:
+        done = list(converged)
+        values = np.array([converged[at][0] for at in done])
+        sups = np.abs(
+            _identity_rows(values, all_noise[done], all_kernels[done], all_steps[done], spec, x0)
+        ).max(axis=1)
+        for at, sup in zip(done, sups):
+            fixed_point, iterations = converged[at]
+            outcomes[rows[at]] = PicardResult(
+                values=fixed_point,
+                log=logs[at],
+                iterations=iterations,
+                final_distance=float(logs[at][-1][1]),
+                iteration_cap=caps[at],
+                residual=float(sup),
+            )
+    return outcomes
 
 
 def picard_solve(
@@ -301,65 +413,22 @@ def picard_solve(
     horizon must not exceed the certified delta.  Every iterate must remain
     in [x_0/2, 2 x_0], where the residual's reciprocal floor never binds, and
     the iteration must converge within ceil(log(tol / d_1) / log q) + 10
-    steps, d_1 being the first displacement.
+    steps, d_1 being the first displacement.  This is the one-problem block
+    of the iteration that campaigns run for many problems at once.
     """
 
-    if not (tolerance > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    grid = problem.grid
-    if grid.horizon > certificate.delta * (1.0 + 1e-12):
-        raise ValueError(
-            f"driver horizon {grid.horizon} exceeds certified delta {certificate.delta}"
-        )
-    x0 = problem.spec.x0
-    band_lo, band_hi = 0.5 * x0, 2.0 * x0
-    x = np.full(grid.step_count + 1, x0) if start is None else np.asarray(start, dtype=float).copy()
-    if x.shape != (grid.step_count + 1,):
-        raise ValueError("start iterate must live on the driver grid")
-    if x.min() < band_lo or x.max() > band_hi:
-        raise PicardBandError("start iterate lies outside [x_0/2, 2 x_0]")
-    log: list[tuple[int, float, float]] = []
-    cap = _EXTRA_ITERATIONS
-    previous_distance = math.nan
-    iteration = 0
-    while True:
-        iteration += 1
-        residual = _window_residual(problem, x)
-        new_x = x - residual
-        distance = float(np.abs(residual).max())
-        ratio = distance / previous_distance if previous_distance and not math.isnan(previous_distance) else math.nan
-        log.append((iteration, distance, ratio))
-        if new_x.min() < band_lo - 1e-12 or new_x.max() > band_hi + 1e-12:
-            raise PicardBandError(
-                f"iterate {iteration} escaped [{band_lo}, {band_hi}] "
-                f"(min {new_x.min():.6g}, max {new_x.max():.6g})"
-            )
-        x = new_x
-        if iteration == 1:
-            if distance <= tolerance:
-                break
-            cap = (
-                math.ceil(math.log(tolerance / distance) / math.log(certificate.modulus))
-                + _EXTRA_ITERATIONS
-            )
-        elif distance <= tolerance:
-            break
-        elif iteration > cap:
-            raise PicardConvergenceError(
-                f"no convergence to {tolerance:g} within {cap} iterations "
-                f"(last displacement {distance:.3e})"
-            )
-        previous_distance = distance
-    return PicardResult(
-        values=x,
-        log=log,
-        iterations=iteration,
-        final_distance=float(log[-1][1]),
-        iteration_cap=cap,
-    )
+    (outcome,) = _solve_block([problem], [certificate], tolerance, [start])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fixed_point_residual(problem: LocalProblem, values: np.ndarray) -> float:
     """Sup-distance between the path and its image under the map: sup|R(values)|."""
 
-    return float(np.abs(_window_residual(problem, np.asarray(values, dtype=float))).max())
+    spec, grid = problem.spec, problem.grid
+    values = np.asarray(values, dtype=float)
+    residual = identity_residual(
+        values, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0
+    )
+    return float(np.abs(residual).max())

@@ -7,8 +7,8 @@ report canonicalization and the sha256 of every campaign CSV for the
 determinism contract, the cell-by-cell CSV
 writer that the block writer must match byte for byte and a corpus of float
 cells that reaches every branch of the block writer's formatter, the scalar
-eps-continuity loop and per-path contraction check that the batched checks
-must match exactly, the batched solve collected into one whole array, the
+eps-continuity loop, the one-row Picard loop and per-path contraction check
+that the batched checks must match exactly, the batched solve collected into one whole array, the
 whole-array family reductions and first-failing-level rule that the
 block-streamed ones must equal, and the node-by-node excursion decomposition
 that the vectorized one must equal.
@@ -35,6 +35,7 @@ from singsde import (
     HurstParam,
     InfeasibleProblemError,
     LocalProblem,
+    PicardBandError,
     SdeSpec,
     SeedRecord,
     SolverError,
@@ -45,6 +46,7 @@ from singsde import (
     estimate_holder,
     fixed_point_residual,
     generate_fbm,
+    identity_residual,
     nonpositive_measure,
     path_stream,
     picard_solve,
@@ -56,6 +58,7 @@ from singsde import (
 from singsde import fbm as fbm_module
 from singsde import harness
 from singsde import ladder as ladder_module
+from singsde.picard import PicardConvergenceError
 from singsde.sde import _drift_table, _integrate_batch, _solver_error
 
 
@@ -413,6 +416,52 @@ def eps_continuity_oracle(
         last_gap=last_gap,
         passes=both_nonincreasing and last_gap <= first_gap / 4.0,
     )
+
+
+def picard_oracle(
+    problem: LocalProblem, certificate, tolerance: float, start: np.ndarray | None = None
+) -> tuple[np.ndarray, list, int, int]:
+    """One problem's Picard iteration, a loop over one row: (values, log, iterations, cap).
+
+    The iteration ``picard.picard_solve`` ran before problems were iterated
+    as a block; once iterating, it raises the same exceptions with the same
+    messages.  The start iterate is taken as given.
+    """
+
+    spec, grid = problem.spec, problem.grid
+    if grid.horizon > certificate.delta * (1.0 + 1e-12):
+        raise ValueError(
+            f"driver horizon {grid.horizon} exceeds certified delta {certificate.delta}"
+        )
+    band_lo, band_hi = 0.5 * spec.x0, 2.0 * spec.x0
+    x = np.full(grid.step_count + 1, spec.x0) if start is None else np.array(start, dtype=float)
+    log: list[tuple[int, float, float]] = []
+    cap, previous, iteration = 10, math.nan, 0
+    while True:
+        iteration += 1
+        residual = identity_residual(
+            x, problem.noise.values, spec, grid, 0, grid.step_count, spec.x0
+        )
+        new_x = x - residual
+        distance = float(np.abs(residual).max())
+        ratio = distance / previous if previous and not math.isnan(previous) else math.nan
+        log.append((iteration, distance, ratio))
+        if new_x.min() < band_lo - 1e-12 or new_x.max() > band_hi + 1e-12:
+            raise PicardBandError(
+                f"iterate {iteration} escaped [{band_lo}, {band_hi}] "
+                f"(min {new_x.min():.6g}, max {new_x.max():.6g})"
+            )
+        x = new_x
+        if distance <= tolerance:
+            return x, log, iteration, cap
+        if iteration == 1:
+            cap = math.ceil(math.log(tolerance / distance) / math.log(certificate.modulus)) + 10
+        elif iteration > cap:
+            raise PicardConvergenceError(
+                f"no convergence to {tolerance:g} within {cap} iterations "
+                f"(last displacement {distance:.3e})"
+            )
+        previous = distance
 
 
 def contraction_oracle(config: ExperimentConfig, index: int) -> tuple[bool, float | None, str | None]:

@@ -77,6 +77,53 @@ def test_csv_export_loads_no_third_party_package_but_numpy(tmp_path):
     assert _fresh_interpreter(probe) == "['numpy']"
 
 
+def _unread_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a name listed in ``__all__`` counts as read."""
+
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_the_package_imports_no_name_it_never_reads():
+    package_dir = os.path.dirname(os.path.abspath(singsde.__file__))
+    paths = sorted(glob.glob(os.path.join(package_dir, "**", "*.py"), recursive=True))
+    assert any(path.endswith("fbm.py") for path in paths)
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            unread = _unread_imports(handle.read())
+        assert not unread, f"{os.path.basename(path)} imports names it never reads: {unread}"
+
+
+def test_the_import_check_finds_an_unread_name():
+    planted = (
+        "from __future__ import annotations\n"
+        "from dataclasses import dataclass, field\n"
+        "import os.path\n"
+        "__all__ = ['Point']\n"
+        "@dataclass\nclass Point:\n    x: float\n"
+    )
+    assert _unread_imports(planted) == ["field (line 2)", "os (line 3)"]
+    assert _unread_imports(planted.replace("x: float", "x: float = field(default=os.sep)")) == []
+
+
 # The oldest interpreter pyproject.toml admits (requires-python >= 3.10).
 OLDEST_PYTHON = (3, 10)
 

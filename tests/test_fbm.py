@@ -149,17 +149,74 @@ def test_circulant_draws_equal_the_complex_temporaries_oracle(n, hurst_value, mo
     assert not fbm_module._circulant_weights(n, hurst_value).flags.writeable
 
     coarse = generate_fbm(grid, hurst, rec)
-    sampler = fbm_module._fgn_unit_circulant
+    sampler = fbm_module._fgn_block
     draws = []
 
-    def recorded(size, value, rng):
-        draws.append(sampler(size, value, rng))
+    def recorded(size, value, streams):
+        draws.append(sampler(size, value, streams))
         return draws[-1]
 
-    monkeypatch.setattr(fbm_module, "_fgn_unit_circulant", recorded)
+    monkeypatch.setattr(fbm_module, "_fgn_block", recorded)
     refine_fbm(coarse)
-    assert len(draws) == 1
-    assert np.array_equal(draws[0], circulant_fgn_oracle(2 * n, hurst_value, path_stream(rec, 1)))
+    assert len(draws) == 1 and draws[0].shape == (1, 2 * n)
+    expected = circulant_fgn_oracle(2 * n, hurst_value, path_stream(rec, 1))
+    assert np.array_equal(draws[0][0], expected)
+
+
+@pytest.mark.parametrize("n", [256, 2**11, 2**14])
+@pytest.mark.parametrize("hurst_value", [0.05, 0.25, 0.45])
+@pytest.mark.parametrize("substream", [0, 2])
+@pytest.mark.parametrize("block", ["one-row", "full"])
+def test_every_row_of_a_draw_block_is_the_path_drawn_alone(n, hurst_value, substream, block):
+    # Rows on grids of one step count and several horizons, each with its own
+    # seed: each row equals generate_fbm's path and the complex-temporaries
+    # oracle bit for bit, whatever rows are drawn beside it.
+    rows = 1 if block == "one-row" else fbm_module._block_rows(n)
+    assert rows * 2 * n <= fbm_module._BLOCK_ENTRIES or rows == 1
+    hurst = HurstParam(hurst_value)
+    grids = [TimeGrid((1.0, 0.5, 2.0**-7)[row % 3], n) for row in range(rows)]
+    seeds = [SeedRecord(31, 5 * row + 1) for row in range(rows)]
+    drawn = fbm_module._generate_block(grids, hurst, seeds, substream)
+    assert len(drawn) == rows
+    for grid, seed, path in zip(grids, seeds, drawn):
+        unit = circulant_fgn_oracle(n, hurst_value, path_stream(seed, substream))
+        expected = np.concatenate([[0.0], np.cumsum(unit * grid.dt**hurst_value)])
+        alone = generate_fbm(grid, hurst, seed, substream=substream)
+        assert np.array_equal(path.values, expected), seed
+        assert np.array_equal(path.values, alone.values), seed
+        assert (path.grid, path.seed_record, path.hurst, path.generator_tag) == (
+            grid, seed, hurst, "circulant"
+        )
+        assert path.values.flags.owndata and path.values.base is None
+
+
+def test_draw_blocks_hold_at_most_one_2_14_step_path_of_entries():
+    # The block is sized by the buffer of one 2^14-step path, so a 2^14-step
+    # campaign draws one path per FFT call, 2^11 steps draw 8 and the
+    # 256-step contraction windows 64; a longer path is still one row.
+    assert fbm_module._BLOCK_ENTRIES == 2**15
+    rows = {n: fbm_module._block_rows(n) for n in (1, 256, 2**11, 2**14, 2**15, 2**17)}
+    assert rows == {1: 2**14, 256: 64, 2**11: 8, 2**14: 1, 2**15: 1, 2**17: 1}
+    with pytest.raises(ValueError, match="same step count"):
+        fbm_module._generate_block(
+            [TimeGrid(1.0, 8), TimeGrid(1.0, 16)], H_QUARTER, [SeedRecord(1, 0)] * 2, 0
+        )
+
+
+@pytest.mark.parametrize("length", [512, 4096, 32768])
+def test_a_multi_row_fft_equals_its_single_row_ffts(length):
+    # The block sampler transforms every row with one FFT call; each row must
+    # equal the FFT of that row alone bit for bit, in place or not.  A numpy
+    # whose batched FFT breaks this equality fails here first.
+    rng = np.random.default_rng(length)
+    for rows in (1, 2, 3, 8, 64):
+        if rows * length > 2**18:
+            continue
+        block = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+        alone = [np.fft.fft(row) for row in block]
+        assert all(np.array_equal(a, b) for a, b in zip(np.fft.fft(block, axis=-1), alone))
+        np.fft.fft(block, axis=-1, out=block)
+        assert all(np.array_equal(a, b) for a, b in zip(block, alone)), rows
 
 
 def test_paths_start_at_zero():

@@ -37,6 +37,7 @@ from singsde import (
     zero_path,
 )
 
+from singsde import fbm as fbm_module
 from singsde import harness as harness_module
 from singsde import ladder as ladder_module
 from singsde import picard as picard_module
@@ -525,17 +526,23 @@ def test_restart_excursions_always_keep_a_residual_window():
     assert harness_module._MIN_WINDOW_NODES >= 2 * DEFAULT_MARGIN_STEPS + 2
 
 
+def planted_drivers(monkeypatch, broken_substream: int, failures: dict[int, Exception]) -> None:
+    """On one substream, make each path's draw outcome in ``failures`` that exception."""
+
+    drivers = harness_module._drivers
+
+    def planted(config, grids, indices, substream):
+        for index, outcome in zip(indices, drivers(config, grids, indices, substream)):
+            yield failures.get(index, outcome) if substream == broken_substream else outcome
+
+    monkeypatch.setattr(harness_module, "_drivers", planted)
+
+
 def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
     # Paths whose noise cannot be generated are recorded in index order among
     # the batched families, at the front, inside and after the last chunk.
-    generate = harness_module.generate_fbm
-
-    def flaky(grid, hurst, seed, **kwargs):
-        if seed.path_index in (0, 2, 3, 5):
-            raise RuntimeError(f"no sample for path {seed.path_index}")
-        return generate(grid, hurst, seed, **kwargs)
-
-    monkeypatch.setattr(harness_module, "generate_fbm", flaky)
+    failures = {index: RuntimeError(f"no sample for path {index}") for index in (0, 2, 3, 5)}
+    planted_drivers(monkeypatch, 0, failures)
     # two paths per chunk: upper-bound reads no row, so each keeps only its noise row
     monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 257)
     report = run_campaign(
@@ -551,6 +558,76 @@ def test_noise_generation_failures_keep_path_order(tmp_path, monkeypatch):
         f"path {index}: family construction failed: RuntimeError: no sample for path {index}"
         for index in (0, 2, 3, 5)
     )
+
+
+def test_a_failed_draw_block_fails_each_of_its_paths(tmp_path, monkeypatch):
+    # Noise is drawn in blocks of paths; a block whose draw raises records
+    # that exception for each of its paths, in index order, and the paths
+    # of the other blocks keep the families they get when nothing fails.
+    monkeypatch.setattr(fbm_module, "_BLOCK_ENTRIES", 2 * 2 * 256)  # two 256-step paths a block
+    generate_block = harness_module._generate_block
+    blocks = []
+
+    def planted(grids, hurst, seeds, substream):
+        blocks.append([seed.path_index for seed in seeds])
+        if 2 in blocks[-1]:
+            raise RuntimeError("planted block failure")
+        return generate_block(grids, hurst, seeds, substream)
+
+    def campaign(name: str) -> dict:
+        config = make_config(
+            seeds={"master_seed": 7, "path_count": 5},
+            checks=["upper-bound", "limit-nonneg"],
+            output_dir=str(tmp_path / name),
+        )
+        return canonical_report(run_campaign(config))
+
+    expected = campaign("clean")
+    monkeypatch.setattr(harness_module, "_generate_block", planted)
+    report = campaign("planted")
+    assert blocks == [[0, 1], [2, 3], [4]]
+    for check in ("upper-bound", "limit-nonneg"):
+        record = report["checks"][check]
+        assert record["failures"] == [
+            f"path {index}: family construction failed: RuntimeError: planted block failure"
+            for index in (2, 3)
+        ]
+        assert record["pass_count"] == expected["checks"][check]["pass_count"] - 2
+
+
+def test_compensator_and_initial_identity_share_one_residual_per_path(tmp_path, monkeypatch):
+    # Both checks read the limit row's whole-grid identity residual, which
+    # is computed once per path.  When it raises, both checks record that
+    # exception for that path alone, and every other record is unchanged.
+    limit_residual = harness_module._limit_residual
+    calls = []
+
+    def planted(family):
+        calls.append(family.noise.seed_record.path_index)
+        if calls[-1] == 1:
+            raise RuntimeError("planted residual failure")
+        return limit_residual(family)
+
+    def campaign(name: str) -> dict:
+        config = make_config(
+            seeds={"master_seed": 7, "path_count": 3},
+            checks=["upper-bound", "compensator", "initial-identity"],
+            output_dir=str(tmp_path / name),
+        )
+        return canonical_report(run_campaign(config))
+
+    expected = campaign("clean")
+    monkeypatch.setattr(harness_module, "_limit_residual", planted)
+    report = campaign("planted")
+    assert calls == [0, 1, 1, 2]
+    assert report["checks"]["upper-bound"] == expected["checks"]["upper-bound"]
+    for check in ("compensator", "initial-identity"):
+        record, clean = report["checks"][check], expected["checks"][check]
+        others = [note for note in clean["failures"] if not note.startswith("path 1:")]
+        assert record["failures"] == sorted(
+            others + ["path 1: RuntimeError: planted residual failure"]
+        )
+        assert record["pass_count"] + record["fail_count"] == 3
 
 
 def test_failures_are_isolated_per_check(tmp_path):
@@ -777,24 +854,21 @@ def test_contraction_failure_is_isolated_to_its_path(tmp_path, monkeypatch, stag
     expected = oracle_records(config)
     broken = 5
     if stage == "driver":
-        generate = harness_module.generate_fbm
-
-        def planted(grid, hurst, seed, substream=0):
-            if substream == 2 and seed.path_index == broken:
-                raise FbmGenerationError("planted driver failure")
-            return generate(grid, hurst, seed, substream=substream)
-
-        monkeypatch.setattr(harness_module, "generate_fbm", planted)
+        planted_drivers(monkeypatch, 2, {broken: FbmGenerationError("planted driver failure")})
         note = "FbmGenerationError: planted driver failure"
     elif stage == "picard":
-        solve = harness_module.picard_solve
+        solve_block = harness_module._solve_block
 
-        def planted(problem, certificate, tolerance):
-            if problem.noise.seed_record.path_index == broken:
-                raise PicardBandError("planted band escape")
-            return solve(problem, certificate, tolerance)
+        def planted(problems, certificates, tolerance):
+            outcomes = solve_block(problems, certificates, tolerance)
+            return [
+                PicardBandError("planted band escape")
+                if problem.noise.seed_record.path_index == broken
+                else outcome
+                for problem, outcome in zip(problems, outcomes)
+            ]
 
-        monkeypatch.setattr(harness_module, "picard_solve", planted)
+        monkeypatch.setattr(harness_module, "_solve_block", planted)
         note = "PicardBandError: planted band escape"
     else:
         build = harness_module.build_families
@@ -847,14 +921,7 @@ def test_a_failed_family_build_leaves_the_contraction_record(tmp_path, monkeypat
         checks=["upper-bound", "contraction"],
     )
     expected = oracle_records(config)
-    generate = harness_module.generate_fbm
-
-    def planted(grid, hurst, seed, substream=0):
-        if substream == 0 and seed.path_index == 1:
-            raise RuntimeError("planted noise failure")
-        return generate(grid, hurst, seed, substream=substream)
-
-    monkeypatch.setattr(harness_module, "generate_fbm", planted)
+    planted_drivers(monkeypatch, 0, {1: RuntimeError("planted noise failure")})
     assert harness_module._contraction_records(config)[1] == contraction_oracle(config, 1)
     report = run_campaign(config)
     record = report.checks["contraction"]
@@ -917,8 +984,9 @@ def test_contraction_runs_one_window_solve_per_block(tmp_path, monkeypatch):
     # Guard against a return to per-path or per-window work, by call counts:
     # the window families of a block, on every certified window, are one
     # build_families call and one step loop, no build_family call is made,
-    # and the Hoelder scan runs once per round on a block of every path still
-    # certifying.
+    # the Hoelder scan and the window draw run once per round on a block of
+    # every path still certifying, and Picard iterates every certified
+    # window in one block.
     config = contraction_config(tmp_path)
     window_grids: list = []
     loop_grids: list = []
@@ -949,19 +1017,30 @@ def test_contraction_runs_one_window_solve_per_block(tmp_path, monkeypatch):
         scanned_rows.append(len(values))
         return scan(values, grids, beta)
 
-    generate = harness_module.generate_fbm
+    generate_block = harness_module._generate_block
+    draw_blocks: list[int] = []
 
-    def counting_generate(grid, hurst, seed, substream=0):
+    def counting_generate(grids, hurst, seeds, substream):
         if substream == 2:
-            attempts[seed.path_index] = attempts.get(seed.path_index, 0) + 1
-        return generate(grid, hurst, seed, substream=substream)
+            draw_blocks.append(len(seeds))
+            for seed in seeds:
+                attempts[seed.path_index] = attempts.get(seed.path_index, 0) + 1
+        return generate_block(grids, hurst, seeds, substream)
+
+    solve_block = harness_module._solve_block
+    picard_blocks: list[int] = []
+
+    def counting_solve(problems, certificates, tolerance):
+        picard_blocks.append(len(problems))
+        return solve_block(problems, certificates, tolerance)
 
     monkeypatch.setattr(harness_module, "build_families", counting_build)
     monkeypatch.setattr(ladder_module, "build_families", counting_build)
     monkeypatch.setattr(harness_module, "build_family", no_build_family, raising=False)
     monkeypatch.setattr(ladder_module, "build_family", no_build_family)
     monkeypatch.setattr(picard_module, "estimate_holder", counting_scan)
-    monkeypatch.setattr(harness_module, "generate_fbm", counting_generate)
+    monkeypatch.setattr(harness_module, "_generate_block", counting_generate)
+    monkeypatch.setattr(harness_module, "_solve_block", counting_solve)
     monkeypatch.setattr(ladder_module, "_integrate_batch", counting_loop)
     record = run_campaign(config).checks["contraction"]
 
@@ -973,6 +1052,9 @@ def test_contraction_runs_one_window_solve_per_block(tmp_path, monkeypatch):
     assert len(scanned_rows) == max(attempts.values()) >= 2
     assert scanned_rows[0] == 16
     assert sum(scanned_rows) == sum(attempts.values())
+    # every round draws its windows as one block, and Picard runs once
+    assert draw_blocks == scanned_rows
+    assert picard_blocks == [16]
     print(f"{len(distinct)} window grids in one solve, Hoelder blocks of {scanned_rows} rows")
 
 

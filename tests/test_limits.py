@@ -898,6 +898,53 @@ def test_identity_residual_reuses_one_read_only_kernel_per_grid():
     assert np.array_equal(residual, floored_residual(values, noise, spec, grid, 3, 200, 1.1, 1e-6))
 
 
+def test_block_identity_residual_rows_equal_one_row_calls():
+    # A (rows, nodes) block with one grid per row: each row equals the
+    # one-row call and the reference bit for bit, on a window from the
+    # origin and on a restarted one, with the floor binding on some nodes.
+    spec = make_spec(b=0.5, sigma=0.7)
+    grids = [TimeGrid(horizon, 256) for horizon in (1.0, 2.0**-7, 0.5, 2.0**-7, 2.0**-20)]
+    paths = [generate_fbm(TimeGrid(1.0, 256), H_QUARTER, SeedRecord(41, row)) for row in range(5)]
+    values = np.array([path.values**2 + 1e-9 * row for row, path in enumerate(paths)])
+    noise = np.array(
+        [generate_fbm(grid, H_QUARTER, SeedRecord(42, r)).values for r, grid in enumerate(grids)]
+    )
+    for start, end, anchor in ((0, 256, 1.0), (3, 200, 0.4), (255, 256, 0.0)):
+        block = identity_residual(values, noise, spec, grids, start, end, anchor)
+        assert block.shape == (len(grids), end - start + 1)
+        for row, grid in enumerate(grids):
+            alone = identity_residual(values[row], noise[row], spec, grid, start, end, anchor)
+            reference = floored_residual(
+                values[row], noise[row], spec, grid, start, end, anchor, 1e-6
+            )
+            assert np.array_equal(block[row], alone), (start, row)
+            assert np.array_equal(alone, reference), (start, row)
+
+
+def test_initial_identity_reads_a_prefix_of_the_whole_grid_residual():
+    # The initial-identity window's residual is the prefix of the limit row's
+    # whole-grid residual (a running sum's prefix is the running sum of the
+    # prefix), so the result is the same whether the check computes the
+    # residual or is handed it, and equals the residual on the window alone.
+    # At sigma = 2 the windows end at nodes 264, 118, 1019 and 1482 of 2048.
+    spec = make_spec(x0=0.5, a=0.5, b=0.5, sigma=2.0)
+    grid = TimeGrid(1.0, 2048)
+    for index in range(4):
+        noise = generate_fbm(grid, H_QUARTER, SeedRecord(77, index))
+        family = build_family(spec, noise, EpsilonLadder(0.1, 0.3, 8))
+        whole = identity_residual(family.limit_estimate, noise.values, spec, grid, 0, 2048, spec.x0)
+        alone = verify_initial_identity(family)
+        assert alone.window_end_index < 1500
+        assert verify_initial_identity(family, whole) == alone
+        window = identity_residual(
+            family.limit_estimate, noise.values, spec, grid, 0, alone.window_end_index, spec.x0
+        )
+        assert np.array_equal(whole[: alone.window_end_index + 1], window)
+        assert alone.sup_residual == float(np.abs(window).max())
+        assert np.array_equal(compute_compensator(family, whole).values, whole)
+        assert np.array_equal(compute_compensator(family).values, whole)
+
+
 def test_singular_integral_closed_form_identity():
     # On the exact solution with b=0 the defining identity gives
     # a * I_t = X_t - x0; the discrete residual is pure quadrature error

@@ -6,6 +6,7 @@ preservation, uniqueness, and the certified contraction rate.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from singsde import (
     select_delta,
     zero_path,
 )
-from singsde.picard import DeltaCertificate, PicardConvergenceError, _envelopes
+from singsde.picard import DeltaCertificate, PicardConvergenceError, _envelopes, _solve_block
 
-from _support import closed_form
+from _support import closed_form, picard_oracle
 
 H_QUARTER = HurstParam(0.25)
 DELTA = 2.0**-7
@@ -305,3 +306,88 @@ def test_picard_with_rough_driver_stays_consistent_with_ladder():
     gap = np.abs(result.values - family.limit_estimate).max()
     print(f"picard vs ladder limit on the window: {gap:.3e} vs {family.cauchy_gap + 1e-3:.3e}")
     assert gap <= family.cauchy_gap + 1e-3
+
+
+def block_of_windows() -> tuple[list[LocalProblem], list[DeltaCertificate]]:
+    """Six 256-step windows of one spec with seeded rough drivers, on horizons 2^-7 .. 0.375.
+
+    The certificates are stated, not selected: the horizons 2^-7 .. 2^-3
+    converge in 8-11 iterations; the 0.3 window's stated modulus of 1e-20
+    caps it at 11 iterations, so it fails to converge, and the 0.375 window
+    escapes the band on its first iterate.
+    """
+
+    spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=0.05, hurst=H_QUARTER)
+    horizons = (2.0**-7, 2.0**-5, 0.3, 2.0**-3, 0.375, 2.0**-6)
+    problems, certificates = [], []
+    for index, horizon in enumerate(horizons):
+        grid = TimeGrid(horizon, 256)
+        noise = generate_fbm(grid, H_QUARTER, SeedRecord(99, index), substream=2)
+        (holder,) = estimate_holder(spec.sigma * noise.values[None], [grid], beta=0.125)
+        problems.append(LocalProblem(spec, noise, holder))
+        modulus = 1e-20 if horizon == 0.3 else 0.5
+        certificates.append(DeltaCertificate(1.0, modulus, 0.0, 0.0))
+    return problems, certificates
+
+
+def test_block_picard_gives_each_problem_its_own_outcome():
+    # Rows leave the block at different iterations, by convergence, by a
+    # band escape and by a convergence failure; every row's outcome equals
+    # the problem's alone: values, log, iterations, cap and residual, or the
+    # exception with its message.
+    problems, certificates = block_of_windows()
+    outcomes = _solve_block(problems, certificates, 1e-10)
+    kinds = []
+    for problem, certificate, outcome in zip(problems, certificates, outcomes):
+        try:
+            values, log, iterations, cap = picard_oracle(problem, certificate, 1e-10)
+        except (PicardBandError, PicardConvergenceError) as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                picard_solve(problem, certificate, 1e-10)
+            kinds.append(type(exc).__name__)
+            continue
+        assert np.array_equal(outcome.values, values)
+        assert (outcome.log, outcome.iterations, outcome.iteration_cap) == (log, iterations, cap)
+        assert outcome.final_distance == log[-1][1]
+        assert outcome.residual == fixed_point_residual(problem, values)
+        assert same_result(picard_solve(problem, certificate, 1e-10), outcome)
+        kinds.append(iterations)
+    print(f"block outcomes: {kinds}")
+    assert kinds[2:5:2] == ["PicardConvergenceError", "PicardBandError"]
+    assert len(set(kinds[:2] + kinds[3:4] + kinds[5:])) >= 3  # rows leave at different iterations
+
+
+def same_result(result, other) -> bool:
+    return (
+        np.array_equal(result.values, other.values)
+        and (result.log, result.iterations, result.final_distance)
+        == (other.log, other.iterations, other.final_distance)
+        and (result.iteration_cap, result.residual) == (other.iteration_cap, other.residual)
+    )
+
+
+def test_block_picard_rows_do_not_depend_on_their_neighbours():
+    # Dropping, reordering or repeating rows changes no row's outcome, and a
+    # row whose horizon or start is invalid fails alone, before iterating.
+    problems, certificates = block_of_windows()
+    full = _solve_block(problems, certificates, 1e-10)
+    order = [5, 3, 1, 0, 3]
+    part = _solve_block([problems[i] for i in order], [certificates[i] for i in order], 1e-10)
+    assert all(same_result(outcome, full[i]) for i, outcome in zip(order, part))
+    narrow = DeltaCertificate(2.0**-8, 1e-20, 0.0, 0.0)
+    mixed = _solve_block(
+        [problems[2], problems[0], problems[1]],
+        [narrow, certificates[0], certificates[1]],
+        1e-10,
+        [None, None, np.full(257, 3.0)],
+    )
+    assert isinstance(mixed[0], ValueError) and "exceeds certified delta" in str(mixed[0])
+    assert same_result(mixed[1], full[0])
+    assert isinstance(mixed[2], PicardBandError) and "start iterate" in str(mixed[2])
+    with pytest.raises(ValueError, match="share the spec and the step count"):
+        other_spec = driver_free_problem(TimeGrid(DELTA, 256))
+        _solve_block([problems[0], other_spec], certificates[:2], 1e-10)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        _solve_block(problems, certificates, 0.0)
+    assert _solve_block([], [], 1e-10) == []
