@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import FbmPath, TimeGrid
-from .ladder import (
-    EpsilonFamily,
-    _identity_floor,
-    _identity_kernel,
-    _limit_residual,
-    _limit_row,
-    identity_residual,
-)
+from .ladder import EpsilonFamily, _identity_floor, _identity_kernel, identity_residual
 from .sde import SdeSpec
 
 __all__ = [
@@ -219,28 +212,24 @@ class InitialIdentityResult:
     passes: bool
 
 
-def verify_initial_identity(
-    family: EpsilonFamily, residual: np.ndarray | None = None
-) -> InitialIdentityResult:
+def verify_initial_identity(family: EpsilonFamily) -> InitialIdentityResult:
     """Check the identity with the initial-value term on [0, first crossing).
 
     The window runs from the origin to ``DEFAULT_MARGIN_STEPS`` nodes before
     the first node at or below the residual threshold (the whole grid when
-    no such node exists).  The window's residual is the prefix of the limit
-    row's whole-grid identity residual: ``residual`` when the caller already
-    holds it, else computed here.
+    no such node exists).  The window's residual is the prefix of the
+    family's ``limit_residual``, the limit row's whole-grid identity residual,
+    computed on first read.
     """
 
     spec = family.spec
     floor = _identity_floor(spec)
-    x = _limit_row(family)
+    x = family.limit_row
     threshold = residual_window_threshold(family)
     below = np.flatnonzero(x[1:] <= threshold)
     first_crossing = int(below[0] + 1) if below.size else family.grid.step_count
     window_end = max(first_crossing - DEFAULT_MARGIN_STEPS, 1)
-    if residual is None:
-        residual = _limit_residual(family)
-    profile = residual[: window_end + 1]
+    profile = family.limit_residual[: window_end + 1]
     sup_residual = float(np.abs(profile).max())
     kernel = _identity_kernel(family.grid, spec.hurst)[:window_end]
     reciprocal = 1.0 / np.maximum(x[: window_end + 1], floor)

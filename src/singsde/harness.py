@@ -67,8 +67,6 @@ from .ladder import (
     DEFAULT_TOL_NONNEG,
     EpsilonFamily,
     EpsilonLadder,
-    _limit_residual,
-    _limit_row,
     build_families,
     compensator_budget,
     compute_compensator,
@@ -483,25 +481,17 @@ def _package_version() -> str:
 
 @dataclass
 class _PathContext:
-    """Everything one path's checks share; the excursions and the identity residual are lazy."""
+    """Everything one path's checks share; the excursions are lazy."""
 
     index: int
     family: EpsilonFamily
     excursions: ExcursionSet | None = None
-    residual: np.ndarray | None = None
     restart_sup: dict[int, float] = field(default_factory=dict)
-
-    def ensure_residual(self) -> np.ndarray:
-        """The limit row's whole-grid identity residual, read by compensator and initial-identity."""
-
-        if self.residual is None:
-            self.residual = _limit_residual(self.family)
-        return self.residual
 
     def ensure_excursions(self) -> ExcursionSet:
         if self.excursions is None:
             self.excursions = decompose_excursions(
-                _limit_row(self.family), self.family.grid, residual_window_threshold(self.family)
+                self.family.limit_row, self.family.grid, residual_window_threshold(self.family)
             )
         return self.excursions
 
@@ -556,7 +546,7 @@ def _check_limit_nonneg(config: ExperimentConfig, ctx: _PathContext) -> _CheckRe
 
 def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
     family = ctx.family
-    estimate = compute_compensator(family, ctx.ensure_residual())
+    estimate = compute_compensator(family)
     budget = compensator_budget(family, estimate)
     if config.zero_noise:
         measured = float(np.abs(estimate.values).max())
@@ -592,10 +582,19 @@ def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _Check
 
 
 def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
-    """Deepen the ladder until its deepest level is far below the window step."""
+    """Deepen the ladder until its deepest level is far below the window step.
+
+    Needing more levels than the cap, which bounds memory, raises ``ValueError``.
+    """
 
     crossing = math.log(window_dt / ladder.eps0) / math.log(ladder.ratio)
-    depth = max(ladder.depth, math.ceil(crossing) + _WINDOW_LADDER_EXTRA_LEVELS)
+    needed = math.ceil(crossing) + _WINDOW_LADDER_EXTRA_LEVELS
+    if needed > _WINDOW_LADDER_MAX_DEPTH:
+        raise ValueError(
+            f"the window ladder needs depth {needed} to reach below the window step "
+            f"{window_dt:.3g}, above the cap {_WINDOW_LADDER_MAX_DEPTH}"
+        )
+    depth = max(ladder.depth, needed)
     return EpsilonLadder(ladder.eps0, ladder.ratio, min(depth, _WINDOW_LADDER_MAX_DEPTH))
 
 
@@ -680,7 +679,8 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
             # level sits well below the step size (the per-step kernel
             # converges in eps at scale dt); the certified window's fine
             # spacing therefore needs a deeper ladder than the main grid's
-            # before the Cauchy-gap budget is meaningful.
+            # before the Cauchy-gap budget is meaningful, and a window that
+            # needs more levels than the cap fails without a window family.
             solved[index] = _window_ladder(config.ladder, problem.grid.dt), result
         except Exception as exc:  # noqa: BLE001 - isolation policy
             records[index] = (False, None, _exception_note(exc))
@@ -773,7 +773,7 @@ def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _
 
 
 def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    result = verify_initial_identity(ctx.family, ctx.ensure_residual())
+    result = verify_initial_identity(ctx.family)
     violation = result.sup_residual - result.budget
     note = None if result.passes else (
         f"residual {result.sup_residual:.3e} exceeds budget {result.budget:.3e} "

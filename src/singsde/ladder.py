@@ -180,13 +180,28 @@ class EpsilonFamily:
     def grid(self) -> TimeGrid:
         return self.noise.grid
 
+    @property
+    def limit_row(self) -> np.ndarray:
+        """The limit row, for a check that reads it whole."""
 
-def _limit_row(family: EpsilonFamily) -> np.ndarray:
-    """The family's limit row, for a check that reads it whole."""
+        if self.limit_estimate is None:
+            raise ValueError("the family keeps no limit row (keep='none'); keep 'limit' or 'levels'")
+        return self.limit_estimate
 
-    if family.limit_estimate is None:
-        raise ValueError("the family keeps no limit row (keep='none'); keep 'limit' or 'levels'")
-    return family.limit_estimate
+    @functools.cached_property
+    def limit_residual(self) -> np.ndarray:
+        """The limit row's identity residual over the whole grid, anchored at x_0.
+
+        Computed on first read and kept, so the checks that read it share one;
+        read-only for that reason.
+        """
+
+        spec, grid = self.spec, self.grid
+        residual = identity_residual(
+            self.limit_row, self.noise.values, spec, grid, 0, grid.step_count, spec.x0
+        )
+        residual.flags.writeable = False
+        return residual
 
 
 def _note_non_finite(first_non_finite: np.ndarray, first: int, block: np.ndarray) -> None:
@@ -591,7 +606,7 @@ def identity_residual(
     values: np.ndarray,
     noise_values: np.ndarray,
     spec: SdeSpec,
-    grid: TimeGrid | Sequence[TimeGrid],
+    grid: TimeGrid,
     start: int,
     end: int,
     anchor: float,
@@ -605,22 +620,15 @@ def identity_residual(
     drift-implicit solver step does; the floor ``DEFAULT_FLOOR_SCALE * x0``
     keeps it finite.  ``anchor`` is X_0 for the identity from the time origin
     and X(t_start) for an identity restarted at t_start.  The kernel is
-    computed once per grid and reused by later calls.
-
-    ``values`` and ``noise_values`` are one path on ``grid``, or a
-    (rows, nodes) block with one grid per row in ``grid``; a block's rows are
-    the residuals of the rows alone, bit for bit, since every running sum is
-    sequential along its row.
+    computed once per grid and reused by later calls.  ``values`` and
+    ``noise_values`` are one path on ``grid``; :func:`_identity_rows` is the
+    same quadrature for a block of paths.
     """
 
-    if np.ndim(values) == 1:
-        rows, noise_rows = np.asarray(values)[None], np.asarray(noise_values)[None]
-        return identity_residual(rows, noise_rows, spec, [grid], start, end, anchor)[0]
-    kernels = np.array([_identity_kernel(row_grid, spec.hurst)[start:end] for row_grid in grid])
-    steps = np.array([[row_grid.dt] for row_grid in grid])
-    return _identity_rows(
-        values[:, start : end + 1], noise_values[:, start : end + 1], kernels, steps, spec, anchor
-    )
+    rows = np.asarray(values)[None, start : end + 1]
+    noise_rows = np.asarray(noise_values)[None, start : end + 1]
+    kernel = _identity_kernel(grid, spec.hurst)[None, start:end]
+    return _identity_rows(rows, noise_rows, kernel, np.array([[grid.dt]]), spec, anchor)[0]
 
 
 def _identity_rows(
@@ -634,7 +642,9 @@ def _identity_rows(
     """:func:`identity_residual` of a (rows, nodes) block from its first node.
 
     ``kernels`` holds each row's per-step kernels, shape (rows, nodes - 1),
-    and ``steps`` each row's dt, shape (rows, 1).
+    and ``steps`` each row's dt, shape (rows, 1).  Each row is the residual of
+    that row alone, bit for bit, since every running sum is sequential along
+    its row.
     """
 
     floor = _identity_floor(spec)
@@ -643,15 +653,6 @@ def _identity_rows(
     trapezoid = np.zeros(x.shape)
     np.cumsum(0.5 * (x[:, 1:] + x[:, :-1]) * steps, axis=1, out=trapezoid[:, 1:])
     return x - anchor - spec.a * singular + spec.b * trapezoid - spec.sigma * (noise - noise[:, :1])
-
-
-def _limit_residual(family: EpsilonFamily) -> np.ndarray:
-    """The identity residual of the family's limit row over its whole grid, anchored at x_0."""
-
-    spec, grid = family.spec, family.grid
-    return identity_residual(
-        _limit_row(family), family.noise.values, spec, grid, 0, grid.step_count, spec.x0
-    )
 
 
 @dataclass
@@ -671,21 +672,17 @@ class CompensatorEstimate:
     flagged_nodes: np.ndarray
 
 
-def compute_compensator(
-    family: EpsilonFamily, residual: np.ndarray | None = None
-) -> CompensatorEstimate:
+def compute_compensator(family: EpsilonFamily) -> CompensatorEstimate:
     """Evaluate the correction-process estimate on the family's limit estimate.
 
+    The values are the family's ``limit_residual``, computed on first read.
     The flagged nodes are the right endpoints (1..n) where the limit
     estimate sits below the floor, so the reciprocal there is floored.
-    ``residual`` is the limit row's whole-grid identity residual when the
-    caller already holds it; otherwise it is computed here.
     """
 
     floor = _identity_floor(family.spec)
-    values = _limit_residual(family) if residual is None else residual
-    flagged = np.flatnonzero(_limit_row(family)[1:] < floor) + 1
-    return CompensatorEstimate(values=values, floor=floor, flagged_nodes=flagged)
+    flagged = np.flatnonzero(family.limit_row[1:] < floor) + 1
+    return CompensatorEstimate(values=family.limit_residual, floor=floor, flagged_nodes=flagged)
 
 
 def compensator_budget(family: EpsilonFamily, estimate: CompensatorEstimate) -> float:

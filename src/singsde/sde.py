@@ -100,15 +100,30 @@ class RegularizedPath:
             raise ValueError("solution values must all be finite")
 
 
+def _kernel_table(grid: TimeGrid, eps_levels: np.ndarray, hurst: HurstParam) -> np.ndarray:
+    """Time-major table of the exact kernel integrals K(t_k, t_{k+1}, eps_j), shape (steps, levels).
+
+    One power of the time-major (nodes, levels) shifted nodes, differenced in
+    place, so the table needs no second array.  The table is a view of that
+    array without its last row.
+    """
+
+    two_h = 2.0 * hurst.value
+    powered = grid.nodes()[:, None] + eps_levels
+    powered **= two_h
+    table = powered[:-1]
+    # row k is read before it is overwritten, so numpy subtracts in place
+    np.subtract(powered[1:], table, out=table)
+    table /= two_h
+    return table
+
+
 def kernel_column(grid: TimeGrid, epsilon: float, hurst: HurstParam) -> np.ndarray:
     """Per-step exact kernel integrals K(t_k, t_{k+1}, eps) for k = 0..n-1."""
 
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    two_h = 2.0 * hurst.value
-    shifted = grid.nodes() + epsilon
-    powered = shifted**two_h
-    return np.diff(powered) / two_h
+    return _kernel_table(grid, np.array([epsilon], dtype=float), hurst)[:, 0]
 
 
 def _solver_error(step: int, epsilon: float, dt: float) -> SolverError:
@@ -167,19 +182,11 @@ _BLOCK_VALUES = 2**16
 def _drift_table(spec: SdeSpec, eps_levels: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Time-major table of a * K(t_k, t_{k+1}, eps_j), shape (steps, levels).
 
-    Every level is :func:`kernel_column` times ``a``, by the same operations
-    on the same operands: one power of the time-major (nodes, levels) shifted
-    nodes, differenced in place, so the table needs no second array.  The
-    table is a view of that array without its last row.
+    :func:`_kernel_table` scaled in place, so every level is
+    :func:`kernel_column` times ``a``.
     """
 
-    two_h = 2.0 * spec.hurst.value
-    powered = grid.nodes()[:, None] + eps_levels
-    powered **= two_h
-    table = powered[:-1]
-    # row k is read before it is overwritten, so numpy subtracts in place
-    np.subtract(powered[1:], table, out=table)
-    table /= two_h
+    table = _kernel_table(grid, eps_levels, spec.hurst)
     table *= spec.a
     return table
 

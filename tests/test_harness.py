@@ -597,9 +597,11 @@ def test_a_failed_draw_block_fails_each_of_its_paths(tmp_path, monkeypatch):
 
 def test_compensator_and_initial_identity_share_one_residual_per_path(tmp_path, monkeypatch):
     # Both checks read the limit row's whole-grid identity residual, which
-    # is computed once per path.  When it raises, both checks record that
-    # exception for that path alone, and every other record is unchanged.
-    limit_residual = harness_module._limit_residual
+    # the family computes on first read and keeps, so once per path.  The
+    # defect is planted beneath that cache: when the computation raises, both
+    # checks record that exception for that path alone, and every other
+    # record is unchanged.
+    limit_residual = ladder_module.EpsilonFamily.limit_residual.func
     calls = []
 
     def planted(family):
@@ -617,7 +619,7 @@ def test_compensator_and_initial_identity_share_one_residual_per_path(tmp_path, 
         return canonical_report(run_campaign(config))
 
     expected = campaign("clean")
-    monkeypatch.setattr(harness_module, "_limit_residual", planted)
+    monkeypatch.setattr(ladder_module.EpsilonFamily.limit_residual, "func", planted)
     report = campaign("planted")
     assert calls == [0, 1, 1, 2]
     assert report["checks"]["upper-bound"] == expected["checks"]["upper-bound"]
@@ -844,6 +846,44 @@ def test_contraction_block_outcomes_cover_pass_fail_and_error():
         for passed, _, note in oracle_records(contraction_config("unused", **CONTRACTION_CASES[case])):
             notes.add("pass" if passed else note.split(":")[0].split(" ")[0])
     assert {"pass", "fixed", "InfeasibleProblemError"} <= notes
+
+
+def test_a_window_ladder_deeper_than_the_cap_fails_its_path(monkeypatch):
+    # The certified windows of seed 99 have steps of about 4e-12 to 6e-11.
+    # At ratio 0.9 a ladder from eps0 = 0.1 needs more than 200 levels to get
+    # below such a step, far above the cap of 64: every path that reaches its
+    # window ladder fails with the depth it needs, and builds no window family.
+    # At ratio 0.4 it needs about 30, so the records are those of no cap.
+    built = []
+    build = harness_module.build_families
+
+    def recording(spec, noises, ladder, **kwargs):
+        noises = list(noises)
+        built.extend(noise.seed_record.path_index for noise in noises)
+        return build(spec, noises, ladder, **kwargs)
+
+    monkeypatch.setattr(harness_module, "build_families", recording)
+    shallow = block_records(contraction_config("unused"))
+    reached = [note is None or note.startswith(("measured", "fixed")) for _, _, note in shallow]
+    assert sum(reached) >= 8
+    built.clear()
+    fine_ratio = {"eps0": 0.1, "ratio": 0.9, "depth": 8}
+    deep = block_records(contraction_config("unused", ladder=fine_ratio))
+    assert built == []
+    depth_note = re.compile(
+        r"ValueError: the window ladder needs depth (\d+) to reach below the window step "
+        r"(\S+), above the cap 64"
+    )
+    for index, (record, reference) in enumerate(zip(deep, shallow)):
+        if not reached[index]:
+            assert record == reference, index
+            continue
+        passed, violation, note = record
+        match = depth_note.fullmatch(note)
+        assert (passed, violation) == (False, None) and match, (index, note)
+        assert int(match.group(1)) > 200 and float(match.group(2)) < 1e-10
+    monkeypatch.setattr(harness_module, "_WINDOW_LADDER_MAX_DEPTH", 10**6)
+    assert block_records(contraction_config("unused")) == shallow
 
 
 @pytest.mark.parametrize("stage", ["driver", "picard", "window-family"])

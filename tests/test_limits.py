@@ -899,9 +899,9 @@ def test_identity_residual_reuses_one_read_only_kernel_per_grid():
 
 
 def test_block_identity_residual_rows_equal_one_row_calls():
-    # A (rows, nodes) block with one grid per row: each row equals the
-    # one-row call and the reference bit for bit, on a window from the
-    # origin and on a restarted one, with the floor binding on some nodes.
+    # A (rows, nodes) block of _identity_rows with one grid per row: each row
+    # equals the one-path call and the reference bit for bit, on a window from
+    # the origin and on a restarted one, with the floor binding on some nodes.
     spec = make_spec(b=0.5, sigma=0.7)
     grids = [TimeGrid(horizon, 256) for horizon in (1.0, 2.0**-7, 0.5, 2.0**-7, 2.0**-20)]
     paths = [generate_fbm(TimeGrid(1.0, 256), H_QUARTER, SeedRecord(41, row)) for row in range(5)]
@@ -910,7 +910,13 @@ def test_block_identity_residual_rows_equal_one_row_calls():
         [generate_fbm(grid, H_QUARTER, SeedRecord(42, r)).values for r, grid in enumerate(grids)]
     )
     for start, end, anchor in ((0, 256, 1.0), (3, 200, 0.4), (255, 256, 0.0)):
-        block = identity_residual(values, noise, spec, grids, start, end, anchor)
+        kernels = np.array(
+            [ladder_module._identity_kernel(grid, H_QUARTER)[start:end] for grid in grids]
+        )
+        steps = np.array([[grid.dt] for grid in grids])
+        block = ladder_module._identity_rows(
+            values[:, start : end + 1], noise[:, start : end + 1], kernels, steps, spec, anchor
+        )
         assert block.shape == (len(grids), end - start + 1)
         for row, grid in enumerate(grids):
             alone = identity_residual(values[row], noise[row], spec, grid, start, end, anchor)
@@ -925,7 +931,8 @@ def test_initial_identity_reads_a_prefix_of_the_whole_grid_residual():
     # The initial-identity window's residual is the prefix of the limit row's
     # whole-grid residual (a running sum's prefix is the running sum of the
     # prefix), so the result is the same whether the check computes the
-    # residual or is handed it, and equals the residual on the window alone.
+    # family's residual or finds it already read, and equals the residual on
+    # the window alone.
     # At sigma = 2 the windows end at nodes 264, 118, 1019 and 1482 of 2048.
     spec = make_spec(x0=0.5, a=0.5, b=0.5, sigma=2.0)
     grid = TimeGrid(1.0, 2048)
@@ -933,15 +940,16 @@ def test_initial_identity_reads_a_prefix_of_the_whole_grid_residual():
         noise = generate_fbm(grid, H_QUARTER, SeedRecord(77, index))
         family = build_family(spec, noise, EpsilonLadder(0.1, 0.3, 8))
         whole = identity_residual(family.limit_estimate, noise.values, spec, grid, 0, 2048, spec.x0)
-        alone = verify_initial_identity(family)
+        alone = verify_initial_identity(build_family(spec, noise, EpsilonLadder(0.1, 0.3, 8)))
         assert alone.window_end_index < 1500
-        assert verify_initial_identity(family, whole) == alone
+        assert np.array_equal(family.limit_residual, whole)
+        assert verify_initial_identity(family) == alone
         window = identity_residual(
             family.limit_estimate, noise.values, spec, grid, 0, alone.window_end_index, spec.x0
         )
         assert np.array_equal(whole[: alone.window_end_index + 1], window)
         assert alone.sup_residual == float(np.abs(window).max())
-        assert np.array_equal(compute_compensator(family, whole).values, whole)
+        assert compute_compensator(family).values is family.limit_residual
         assert np.array_equal(compute_compensator(family).values, whole)
 
 
@@ -992,7 +1000,8 @@ def test_identity_floor_has_one_owner(monkeypatch):
     # A path that dips to 1e-3 and x0 = 2: the default floor (2e-6) never
     # binds, the patched one (0.05 * x0 = 0.1) binds from node 199 on.  The
     # compensator, the initial-identity budget, the restart residual and the
-    # Picard residual all follow ladder.DEFAULT_FLOOR_SCALE.
+    # Picard residual all follow ladder.DEFAULT_FLOOR_SCALE.  A family keeps
+    # its residual once read, so each evaluation builds its own.
     grid = TimeGrid(1.0, 256)
     t = grid.nodes()
     values = 2.0 * (1.0 - t) ** 2 + 1e-3 * t
@@ -1004,6 +1013,7 @@ def test_identity_floor_has_one_owner(monkeypatch):
     assert window_end == 256 - DEFAULT_MARGIN_STEPS
 
     def outcomes():
+        family = hand_built_family([values] * 3, spec=spec)
         compensator = compute_compensator(family)
         return (
             compensator.floor,
