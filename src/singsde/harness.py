@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .fbm import (
     SeedRecord,
     TimeGrid,
     _block_rows,
+    _circulant_weights,
     _generate_block,
     refine_fbm,
     zero_path,
@@ -584,18 +586,27 @@ def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _Check
 def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
     """Deepen the ladder until its deepest level is far below the window step.
 
-    Needing more levels than the cap, which bounds memory, raises ``ValueError``.
+    The window ladder is never shallower than the campaign's.  Needing more
+    levels than the cap, which bounds memory, raises ``ValueError``, also
+    when the campaign's ladder alone is deeper than the cap.
     """
 
     crossing = math.log(window_dt / ladder.eps0) / math.log(ladder.ratio)
-    needed = math.ceil(crossing) + _WINDOW_LADDER_EXTRA_LEVELS
-    if needed > _WINDOW_LADDER_MAX_DEPTH:
+    depth = max(ladder.depth, math.ceil(crossing) + _WINDOW_LADDER_EXTRA_LEVELS)
+    if depth > _WINDOW_LADDER_MAX_DEPTH:
         raise ValueError(
-            f"the window ladder needs depth {needed} to reach below the window step "
+            f"the window ladder needs depth {depth} to reach below the window step "
             f"{window_dt:.3g}, above the cap {_WINDOW_LADDER_MAX_DEPTH}"
         )
-    depth = max(ladder.depth, needed)
-    return EpsilonLadder(ladder.eps0, ladder.ratio, min(depth, _WINDOW_LADDER_MAX_DEPTH))
+    return EpsilonLadder(ladder.eps0, ladder.ratio, depth)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _drivers(
@@ -604,8 +615,15 @@ def _drivers(
     """Each path's driver on its grid, in order: the zero path, or a draw on ``substream``.
 
     The grids share one step count.  Draws go in blocks of ``_block_rows``
-    paths, each drawn when the one before it has been handed out; a block
-    whose draw raises yields that exception for each of its paths.
+    paths; a block whose draw raises yields that exception for each of its
+    paths.  With at least two CPUs and two blocks, one helper thread draws
+    the odd blocks while the calling thread draws the even ones, so block
+    2k + 1 is drawn beside block 2k.  The helper starts a block only once the
+    block two before it has been handed out, so no draw runs more than one
+    block ahead of the consumer.  Every path has its own counter-based
+    stream and a row of a block does not depend on its neighbours, so the
+    paths are bit-identical to a draw on one thread, and they are handed out
+    in index order.  Closing the generator stops the helper and joins it.
     """
 
     seeds = [SeedRecord(config.master_seed, index) for index in indices]
@@ -614,15 +632,50 @@ def _drivers(
         yield from (zero_path(grid, hurst, seed) for grid, seed in zip(grids, seeds))
         return
     size = _block_rows(grids[0].step_count) if grids else 1
-    for start in range(0, len(seeds), size):
-        block = slice(start, start + size)
+    blocks = [slice(start, start + size) for start in range(0, len(seeds), size)]
+
+    def draw(block: slice) -> list[FbmPath] | list[Exception]:
         try:
-            drawn: list[FbmPath] | list[Exception] = _generate_block(
-                grids[block], hurst, seeds[block], substream
-            )
+            return _generate_block(grids[block], hurst, seeds[block], substream)
         except Exception as exc:  # noqa: BLE001 - each path of the block records it
-            drawn = [exc] * len(seeds[block])
-        yield from drawn
+            return [exc] * len(seeds[block])
+
+    if len(blocks) < 2 or _available_cpus() < 2:
+        for block in blocks:
+            yield from draw(block)
+        return
+    try:  # cached here, so the two threads never compute the weights twice
+        _circulant_weights(grids[0].step_count, hurst.value)
+    except Exception:  # noqa: BLE001 - each block's draw raises it again and records it
+        pass
+    turn = threading.Semaphore(1)  # the helper may start its next block
+    ready = threading.Semaphore(0)  # a helper block waits in ``drawn``
+    stop = threading.Event()
+    drawn: deque[list[FbmPath] | list[Exception]] = deque()
+
+    def helper() -> None:
+        for block in blocks[1::2]:
+            turn.acquire()
+            if stop.is_set():
+                return
+            drawn.append(draw(block))
+            ready.release()
+
+    # a daemon, so a generator that is never closed cannot hold up interpreter exit
+    thread = threading.Thread(target=helper, name="singsde-draw", daemon=True)
+    thread.start()
+    try:
+        for position, block in enumerate(blocks):
+            if position % 2 == 0:
+                yield from draw(block)
+            else:
+                ready.acquire()
+                yield from drawn.popleft()
+                turn.release()
+    finally:
+        stop.set()
+        turn.release()
+        thread.join()
 
 
 def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult]:

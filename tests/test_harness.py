@@ -12,6 +12,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,12 +26,14 @@ from singsde import (
     ExperimentConfig,
     FbmGenerationError,
     HurstParam,
+    SeedRecord,
     PicardBandError,
     SolverError,
     build_families,
     build_family,
     config_digest,
     config_from_dict,
+    generate_fbm,
     load_config,
     read_csv_with_meta,
     render_report_table,
@@ -564,13 +568,16 @@ def test_a_failed_draw_block_fails_each_of_its_paths(tmp_path, monkeypatch):
     # Noise is drawn in blocks of paths; a block whose draw raises records
     # that exception for each of its paths, in index order, and the paths
     # of the other blocks keep the families they get when nothing fails.
+    # With the helper thread (two CPUs) the blocks' call order is not
+    # defined, only their partition and the order paths are handed out in.
     monkeypatch.setattr(fbm_module, "_BLOCK_ENTRIES", 2 * 2 * 256)  # two 256-step paths a block
     generate_block = harness_module._generate_block
     blocks = []
 
     def planted(grids, hurst, seeds, substream):
-        blocks.append([seed.path_index for seed in seeds])
-        if 2 in blocks[-1]:
+        indices = [seed.path_index for seed in seeds]
+        blocks.append(indices)
+        if 2 in indices:
             raise RuntimeError("planted block failure")
         return generate_block(grids, hurst, seeds, substream)
 
@@ -584,15 +591,170 @@ def test_a_failed_draw_block_fails_each_of_its_paths(tmp_path, monkeypatch):
 
     expected = campaign("clean")
     monkeypatch.setattr(harness_module, "_generate_block", planted)
-    report = campaign("planted")
-    assert blocks == [[0, 1], [2, 3], [4]]
-    for check in ("upper-bound", "limit-nonneg"):
-        record = report["checks"][check]
-        assert record["failures"] == [
-            f"path {index}: family construction failed: RuntimeError: planted block failure"
-            for index in (2, 3)
-        ]
-        assert record["pass_count"] == expected["checks"][check]["pass_count"] - 2
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness_module, "_available_cpus", lambda: cpus)
+        blocks.clear()
+        report = campaign(f"planted-{cpus}")
+        assert sorted(blocks) == [[0, 1], [2, 3], [4]]
+        for check in ("upper-bound", "limit-nonneg"):
+            record = report["checks"][check]
+            assert record["failures"] == [
+                f"path {index}: family construction failed: RuntimeError: planted block failure"
+                for index in (2, 3)
+            ]
+            assert record["pass_count"] == expected["checks"][check]["pass_count"] - 2
+
+
+def draw_config(steps: int, path_count: int) -> ExperimentConfig:
+    return make_config(
+        grid={"horizon": 1.0, "steps": steps}, seeds={"master_seed": 7, "path_count": path_count}
+    )
+
+
+def drivers_of(config: ExperimentConfig, substream: int = 0):
+    """The generator of every path's driver on the config's grid."""
+
+    indices = list(range(config.path_count))
+    return harness_module._drivers(config, [config.grid] * config.path_count, indices, substream)
+
+
+def helper_threads() -> list:
+    return [thread for thread in threading.enumerate() if thread.name == "singsde-draw"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-thread", "helper"])
+@pytest.mark.parametrize(
+    ("steps", "rows", "path_count"), [(2**14, 1, 5), (2**11, 8, 21)], ids=["2^14", "2^11"]
+)
+def test_drivers_hand_out_bit_identical_paths_in_index_order(
+    monkeypatch, cpus, steps, rows, path_count
+):
+    # Whichever thread draws a block, each path equals the one drawn alone.
+    monkeypatch.setattr(harness_module, "_available_cpus", lambda: cpus)
+    assert fbm_module._block_rows(steps) == rows
+    config = draw_config(steps, path_count)
+    threads = []
+    generate_block = harness_module._generate_block
+
+    def recording(grids, hurst, seeds, substream):
+        threads.append((seeds[0].path_index // rows, threading.current_thread().name))
+        return generate_block(grids, hurst, seeds, substream)
+
+    monkeypatch.setattr(harness_module, "_generate_block", recording)
+    paths = list(drivers_of(config, substream=2))
+    assert [path.seed_record.path_index for path in paths] == list(range(path_count))
+    for index, path in enumerate(paths):
+        alone = generate_fbm(config.grid, config.spec.hurst, SeedRecord(7, index), substream=2)
+        assert np.array_equal(path.values, alone.values), index
+    main = threading.current_thread().name
+    blocks = range(-(-path_count // rows))
+    expected = {(block, "singsde-draw" if cpus == 2 and block % 2 else main) for block in blocks}
+    assert set(threads) == expected and len(threads) == len(blocks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-thread", "helper"])
+@pytest.mark.parametrize("broken", [2, 3], ids=["even-block", "odd-block"])
+def test_a_failed_draw_block_yields_its_exception_for_exactly_its_paths(
+    monkeypatch, cpus, broken
+):
+    monkeypatch.setattr(harness_module, "_available_cpus", lambda: cpus)
+    config = draw_config(2**11, 36)  # 8 paths a block: 5 blocks, the last of 4
+    failure = RuntimeError("planted block failure")
+    generate_block = harness_module._generate_block
+
+    def planted(grids, hurst, seeds, substream):
+        if seeds[0].path_index // 8 == broken:
+            raise failure
+        return generate_block(grids, hurst, seeds, substream)
+
+    monkeypatch.setattr(harness_module, "_generate_block", planted)
+    for index, outcome in enumerate(drivers_of(config)):
+        if index // 8 == broken:
+            assert outcome is failure, index
+        else:
+            alone = generate_fbm(config.grid, config.spec.hurst, SeedRecord(7, index))
+            assert np.array_equal(outcome.values, alone.values), index
+
+
+def test_the_helper_draws_at_most_one_block_ahead_of_the_consumer(monkeypatch):
+    # One 256-step path a block.  The consumer dawdles over every path, so a
+    # helper free to run ahead would; a block is started only once the block
+    # two before it has been handed out.
+    monkeypatch.setattr(harness_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(fbm_module, "_BLOCK_ENTRIES", 2 * 256)
+    started = []
+    generate_block = harness_module._generate_block
+
+    def recording(grids, hurst, seeds, substream):
+        started.append(seeds[0].path_index)
+        return generate_block(grids, hurst, seeds, substream)
+
+    monkeypatch.setattr(harness_module, "_generate_block", recording)
+    for index, path in enumerate(drivers_of(draw_config(256, 12))):
+        assert path.seed_record.path_index == index
+        time.sleep(0.005)
+        assert max(started) <= index + 1, (index, started)
+    assert sorted(started) == list(range(12))
+
+
+def test_interleaved_draws_under_rapid_thread_switching_keep_every_path(monkeypatch):
+    # Three draws consumed in turn run three helpers beside the calling
+    # thread, more threads than a two-CPU host has, with the interpreter
+    # switching threads every microsecond: a lost or swapped block would
+    # hand out a path out of order or unequal to the one drawn alone.
+    monkeypatch.setattr(harness_module, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(fbm_module, "_BLOCK_ENTRIES", 2 * 256)
+    configs = [
+        make_config(
+            seeds={"master_seed": seed, "path_count": 24}, grid={"horizon": 1.0, "steps": 256}
+        )
+        for seed in (3, 5, 8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        handed = [list(outcomes) for outcomes in zip(*(drivers_of(config) for config in configs))]
+    finally:
+        sys.setswitchinterval(interval)
+    for index, paths in enumerate(handed):
+        for config, path in zip(configs, paths):
+            seed = SeedRecord(config.master_seed, index)
+            alone = generate_fbm(config.grid, config.spec.hurst, seed)
+            assert path.seed_record == alone.seed_record
+            assert np.array_equal(path.values, alone.values), (config.master_seed, index)
+    assert len(handed) == 24
+
+
+def test_a_one_block_draw_starts_no_thread(monkeypatch):
+    # A contraction round draws its 64 window drivers of 256 steps as one block.
+    monkeypatch.setattr(harness_module, "_available_cpus", lambda: 2)
+    before = threading.active_count()
+    counts = []
+    generate_block = harness_module._generate_block
+
+    def recording(grids, hurst, seeds, substream):
+        counts.append(threading.active_count())
+        return generate_block(grids, hurst, seeds, substream)
+
+    monkeypatch.setattr(harness_module, "_generate_block", recording)
+    assert fbm_module._block_rows(256) == harness_module._CONTRACTION_BLOCK_PATHS
+    assert len(list(drivers_of(draw_config(256, 64), substream=2))) == 64
+    assert counts == [before]
+
+
+@pytest.mark.parametrize("ending", ["close", "error"])
+def test_a_generator_left_halfway_leaves_no_helper_alive(monkeypatch, ending):
+    monkeypatch.setattr(harness_module, "_available_cpus", lambda: 2)
+    drivers = drivers_of(draw_config(2**14, 6))
+    for _ in range(3):
+        next(drivers)
+    assert len(helper_threads()) == 1
+    if ending == "close":
+        drivers.close()
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            drivers.throw(KeyboardInterrupt())
+    assert helper_threads() == []
 
 
 def test_compensator_and_initial_identity_share_one_residual_per_path(tmp_path, monkeypatch):
@@ -884,6 +1046,28 @@ def test_a_window_ladder_deeper_than_the_cap_fails_its_path(monkeypatch):
         assert int(match.group(1)) > 200 and float(match.group(2)) < 1e-10
     monkeypatch.setattr(harness_module, "_WINDOW_LADDER_MAX_DEPTH", 10**6)
     assert block_records(contraction_config("unused")) == shallow
+
+
+def test_a_configured_ladder_deeper_than_the_cap_fails_each_window_path():
+    # A window ladder is never shallower than the campaign's, so a campaign
+    # ladder of depth 80 needs more levels than the cap of 64 on every path
+    # that reaches its window ladder; the other paths keep their depth-8 records.
+    shallow = block_records(contraction_config("unused"))
+    deep_ladder = {"eps0": 0.1, "ratio": 0.4, "depth": 80}
+    deep = block_records(contraction_config("unused", ladder=deep_ladder))
+    depth_note = re.compile(
+        r"ValueError: the window ladder needs depth 80 to reach below the window step "
+        r"\S+, above the cap 64"
+    )
+    reached = 0
+    for index, (record, reference) in enumerate(zip(deep, shallow)):
+        if reference[2] is None or reference[2].startswith(("measured", "fixed")):
+            reached += 1
+            passed, violation, note = record
+            assert (passed, violation) == (False, None) and depth_note.fullmatch(note), index
+        else:
+            assert record == reference, index
+    assert reached >= 8
 
 
 @pytest.mark.parametrize("stage", ["driver", "picard", "window-family"])
