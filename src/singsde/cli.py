@@ -14,9 +14,9 @@ Subcommands:
 ``report``
     Re-render a stored report.json as a human-readable table.
 
-Exit status: 0 on success, 1 for a failing campaign, 2 for usage errors
-(unknown or malformed flags, out-of-domain parameter values, missing or
-invalid files).
+Exit status: 0 on success, 1 for a failing campaign or a failed computation
+(a solver or noise-generator error), 2 for usage errors (unknown or malformed
+flags, out-of-domain parameter values, missing or invalid files).
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ import argparse
 import json
 import sys
 
-from .fbm import GENERATOR_TAGS, HurstParam, SeedRecord, TimeGrid, generate_fbm, zero_path
+from .fbm import GENERATOR_TAGS, FbmGenerationError, HurstParam, SeedRecord, TimeGrid
+from .fbm import generate_fbm, zero_path
 from .harness import load_config, render_report_table, run_campaign
 from .io import write_family_csv, write_fbm_csv, write_solution_csv
 from .ladder import EpsilonLadder, build_family
-from .sde import SdeSpec, solve_regularized
+from .sde import SdeSpec, SolverError, solve_regularized
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
 
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(ladder_parser)
     ladder_parser.add_argument("--eps0", type=float, default=0.1, help="top level (default 0.1)")
     ladder_parser.add_argument("--ratio", type=float, default=0.5, help="level ratio (default 0.5)")
-    ladder_parser.add_argument("--depth", type=int, default=10, help="number of halvings (default 10)")
+    ladder_parser.add_argument("--depth", type=int, default=10, help="levels below eps0 (default 10)")
 
     verify_parser = sub.add_parser("verify", help="run a verification campaign from a config file")
     verify_parser.add_argument("--config", required=True, help="JSON config path")
@@ -176,6 +177,9 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except (SolverError, FbmGenerationError) as exc:  # the run failed, not its usage
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -205,7 +205,7 @@ class EpsilonFamily:
 
 
 def _note_non_finite(first_non_finite: np.ndarray, first: int, block: np.ndarray) -> None:
-    """Record, per (path, level) not yet recorded, the first non-finite node of a block."""
+    """Record, per (level, path) not yet recorded, the first non-finite node of a block."""
 
     finite = np.isfinite(block)
     fresh = ~finite.all(axis=0) & (first_non_finite < 0)
@@ -225,83 +225,73 @@ def _level_error(first_non_finite: np.ndarray, levels: np.ndarray, dt: float) ->
 class _Reductions:
     """The per-path reductions of one solve, folded one time block at a time.
 
-    Built from node 0's values, shape (paths, levels); :meth:`fold` takes the
-    later nodes in order, in time-major blocks of shape (steps, paths, levels),
-    copied when not contiguous (the ladder columns of a solve with a probe).
-    Every reduction is a max, a count, an or, a first index or a copy, so
-    folding block by block gives exactly the reduction over all nodes at once.
-    Each block is reduced over its time axis first, which is the fast axis of
-    a time-major block.  The deepest ``kept`` levels (none, the limit row or
+    Built from node 0's values, shape (levels, paths); :meth:`fold` takes the
+    later nodes in order, in the step loop's time-major blocks of shape
+    (steps, levels, paths).  Every reduction is a max, a count, an or, a first
+    index or a copy, so folding block by block gives exactly the reduction
+    over all nodes at once.  Each block is reduced over its time axis first,
+    and adjacent levels are compared as whole (steps, paths) slabs,
+    ``block[:, :-1]`` against ``block[:, 1:]``; per-level reductions are kept
+    per (level, path).  The deepest ``kept`` levels (none, the limit row or
     every level) are copied into one (kept, nodes) array per path.
     """
 
     def __init__(self, head: np.ndarray, nodes: int, tol_mono: float, kept: int):
-        paths, levels = head.shape
+        levels, paths = head.shape
         self.tol_mono = tol_mono
-        self.limit_min = head[:, -1].copy()
+        self.limit_min = head[-1].copy()
         self.limit_argmin = np.zeros(paths, dtype=np.int64)
         self.value_max = head.copy()
-        self.nonpositive_counts = np.zeros((paths, levels), dtype=np.int64)
-        self.nested_breaks = np.zeros((paths, levels - 1), dtype=bool)
+        self.nonpositive_counts = np.zeros((levels, paths), dtype=np.int64)
+        self.nested_breaks = np.zeros((levels - 1, paths), dtype=bool)
         self.mono_count = np.zeros(paths, dtype=np.int64)
         self.mono_worst = np.zeros(paths)
-        self.gap = np.abs(head[:, -1] - head[:, -2])
-        # per (path, level): the first node with a non-finite state, or -1
+        self.gap = np.abs(head[-1] - head[-2])
+        # per (level, path): the first node with a non-finite state, or -1
         self.first_non_finite = np.where(np.isfinite(head), -1, 0)
         self.shallowest_kept = levels - kept
         self.rows = [np.empty((kept, nodes)) for _ in range(paths)] if kept else []
-        for rows, first in zip(self.rows, head):
+        for rows, first in zip(self.rows, head.T):
             rows[:, 0] = first[self.shallowest_kept :]
 
     def fold(self, first: int, block: np.ndarray) -> None:
-        """Fold in nodes ``first .. first + steps - 1``, given as a (steps, paths, levels) block."""
+        """Fold in nodes ``first .. first + steps - 1``, given as a (steps, levels, paths) block."""
 
         stop = first + len(block)
-        # In the flattened block entry i + 1 is the next level of entry i's
-        # path, unless entry i is a path's deepest level.  So adjacent levels
-        # are compared on the flat block, and the last level column, which
-        # holds the pairs that straddle two paths, is dropped.
-        block = np.ascontiguousarray(block)
-        flat = block.reshape(-1)
+        shallow, deep = block[:, :-1], block[:, 1:]
         with np.errstate(invalid="ignore"):  # a non-finite path is reported, not reduced
             top = block.max(axis=0)
             low = block.min(axis=0)
             if not (np.isfinite(top).all() and np.isfinite(low).all()):
                 _note_non_finite(self.first_non_finite, first, block)
             np.maximum(self.value_max, top, out=self.value_max)
-            # only a strictly lower minimum moves the limit row's first argmin
-            at = block[..., -1].argmin(axis=0)
-            value = block[at, np.arange(len(at)), -1]
-            lower = value < self.limit_min
-            self.limit_min[lower], self.limit_argmin[lower] = value[lower], first + at[lower]
+            # only a strictly lower minimum (never a NaN) moves the limit row's first argmin
+            lower = low[-1] < self.limit_min
+            if lower.any():
+                self.limit_min[lower] = low[-1, lower]
+                self.limit_argmin[lower] = first + block[:, -1, lower].argmin(axis=0)
 
-            # A block whose every value is positive adds no nonpositive node
-            # and no break; a NaN fails ``> 0`` and takes the full count.
+            # A block whose every value is positive adds no nonpositive node;
+            # a NaN fails ``> 0`` and takes the full count.
             if not (low > 0.0).all():
-                nonpositive = flat <= 0.0
-                counts = nonpositive.reshape(block.shape).sum(axis=0, dtype=np.int32)
-                self.nonpositive_counts += counts
-                entering = np.empty(block.shape, dtype=bool)
-                np.greater(nonpositive[1:], nonpositive[:-1], out=entering.reshape(-1)[:-1])
-                self.nested_breaks |= np.logical_or.reduce(entering, axis=0)[:, :-1]
+                self.nonpositive_counts += (block <= 0.0).sum(axis=0, dtype=np.int32)
 
             # A deficit beyond a nonnegative tolerance needs a shallow value
-            # above the deep one, and that is rare, so the deficits are only
-            # computed for a block that has one.
-            ahead = np.empty(block.shape, dtype=bool)
-            np.greater(flat[:-1], flat[1:], out=ahead.reshape(-1)[:-1])
-            ahead[..., -1] = False
-            if ahead.any():
-                deficit = np.empty(block.shape)
-                np.subtract(flat[:-1], flat[1:], out=deficit.reshape(-1)[:-1])
+            # above the deep one, and so does a nested break (a nonpositive
+            # deep value under a positive shallow one) unless the shallow
+            # value is NaN, whose path gets its error and no family.  That is
+            # rare, so the deficits and breaks are only computed for a block
+            # that has one.
+            if (shallow > deep).any():
+                deficit = shallow - deep
                 mask = deficit > self.tol_mono
-                mask[..., -1] = False
-                self.mono_count += mask.sum(axis=0).sum(axis=1)
-                worst = np.where(mask, deficit, 0.0).max(axis=0).max(axis=1)
+                self.mono_count += mask.sum(axis=0).sum(axis=0)
+                worst = np.where(mask, deficit, 0.0).max(axis=0).max(axis=0)
                 np.maximum(self.mono_worst, worst, out=self.mono_worst)
-            gap = np.abs(block[..., -1] - block[..., -2]).max(axis=0)
+                self.nested_breaks |= ((deep <= 0.0) & ~(shallow <= 0.0)).any(axis=0)
+            gap = np.abs(block[:, -1] - block[:, -2]).max(axis=0)
             np.maximum(self.gap, gap, out=self.gap)
-        for rows, kept in zip(self.rows, block[..., self.shallowest_kept :].transpose(1, 2, 0)):
+        for rows, kept in zip(self.rows, block[:, self.shallowest_kept :].transpose(2, 1, 0)):
             rows[:, first:stop] = kept
 
     def family(
@@ -314,8 +304,8 @@ class _Reductions:
     ) -> EpsilonFamily | SolverError:
         """The path's family, or the error of its first level with a non-finite state."""
 
-        pad = self.nonpositive_counts.shape[1] - (ladder.depth + 1)
-        failure = _level_error(self.first_non_finite[path, pad:], ladder.levels(), noise.grid.dt)
+        pad = len(self.nonpositive_counts) - (ladder.depth + 1)
+        failure = _level_error(self.first_non_finite[pad:, path], ladder.levels(), noise.grid.dt)
         if failure is not None:
             return failure
         rows = self.rows[path] if self.rows else None
@@ -325,9 +315,9 @@ class _Reductions:
             ladder=ladder,
             limit_min=float(self.limit_min[path]),
             limit_argmin=int(self.limit_argmin[path]),
-            value_max=float(self.value_max[path].max()),
-            nonpositive_counts=self.nonpositive_counts[path, pad:].copy(),
-            nested_breaks=self.nested_breaks[path, pad:].copy(),
+            value_max=float(self.value_max[:, path].max()),
+            nonpositive_counts=self.nonpositive_counts[pad:, path].copy(),
+            nested_breaks=self.nested_breaks[pad:, path].copy(),
             cauchy_gap=float(self.gap[path]),
             mono_violation_count=int(self.mono_count[path]),
             mono_worst_deficit=float(self.mono_worst[path]),
@@ -442,14 +432,14 @@ def _chunk_families(
             tables[key] = levels, _drift_table(spec, levels, key[0])
         batch.append((key[0], *tables[key], len(members)))
     order = [position for members in groups.values() for position in members]
-    head = np.broadcast_to(spec.x0, (len(chunk), rungs))
+    head = np.broadcast_to(spec.x0, (rungs, len(chunk)))
     reductions = _Reductions(head, steps + 1, tol_mono, kept)
     gaps = None if probe is None else _ProbeGaps(*probe, len(chunk))
     noise_rows = [chunk[position][0].values for position in order]
     for first, values in _integrate_batch(spec, batch, noise_rows):
-        reductions.fold(first, values[..., :rungs])
+        reductions.fold(first, values[:, :rungs])
         if gaps is not None:
-            gaps.fold(first, values[..., rungs:])
+            gaps.fold(first, values[:, rungs:])
     del values  # the solve's last scratch block goes before the families are handed out
     rows = sorted(range(len(order)), key=order.__getitem__)  # the row of each position
     for row, (noise, ladder) in zip(rows, chunk):
@@ -745,22 +735,23 @@ class _ProbeGaps:
     """Per-path sup-gaps of the eps-continuity levels against eps*, folded one time block at a time.
 
     Node 0 is x0 on every level, so each gap starts at 0; a max over blocks is
-    the max over all nodes.
+    the max over all nodes.  Blocks are (steps, levels, paths), as the step
+    loop yields them, and every per-level result is kept per (level, path).
     """
 
     def __init__(self, eps_star: float, hs: list[float], levels: np.ndarray, paths: int):
         self.eps_star = eps_star
         self.hs = hs
         self.levels = levels
-        self.gaps = np.zeros((paths, levels.size - 1))
-        # per (path, level): the first node with a non-finite state, or -1
-        self.first_non_finite = np.full((paths, levels.size), -1)
+        self.gaps = np.zeros((levels.size - 1, paths))
+        # per (level, path): the first node with a non-finite state, or -1
+        self.first_non_finite = np.full((levels.size, paths), -1)
 
     def fold(self, first: int, block: np.ndarray) -> None:
-        """Fold in nodes ``first .. first + steps - 1``, given as a (steps, paths, levels) block."""
+        """Fold in nodes ``first .. first + steps - 1``, given as a (steps, levels, paths) block."""
 
         with np.errstate(invalid="ignore"):  # a non-finite path is reported, not reduced
-            gaps = np.abs(block[..., 1:] - block[..., :1]).max(axis=0)
+            gaps = np.abs(block[:, 1:] - block[:, :1]).max(axis=0)
             # a non-finite state on any level, eps* included, leaves a gap non-finite
             if not np.isfinite(gaps).all():
                 _note_non_finite(self.first_non_finite, first, block)
@@ -769,10 +760,10 @@ class _ProbeGaps:
     def outcome(self, path: int, dt: float) -> EpsContinuityResult | SolverError:
         """The path's gap table and verdict, or the error of its first non-finite level."""
 
-        failure = _level_error(self.first_non_finite[path], self.levels, dt)
+        failure = _level_error(self.first_non_finite[:, path], self.levels, dt)
         if failure is not None:
             return failure
-        table = self.gaps[path].reshape(-1, 2)  # per offset: (gap_plus, gap_minus)
+        table = self.gaps[:, path].reshape(-1, 2)  # per offset: (gap_plus, gap_minus)
         both_nonincreasing = bool((np.diff(table, axis=0) <= 0.0).all())
         first_gap, last_gap = float(table[0].max()), float(table[-1].max())
         return EpsContinuityResult(
@@ -811,8 +802,7 @@ def verify_eps_continuity(
             f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
         )
     gaps = _ProbeGaps(*probe, len(noise_values))
-    table = _drift_table(spec, gaps.levels, grid)
-    group = (grid, gaps.levels, table, len(noise_values))
+    group = (grid, gaps.levels, _drift_table(spec, gaps.levels, grid), len(noise_values))
     for first, values in _integrate_batch(spec, [group], noise_values):
         gaps.fold(first, values)
     return [gaps.outcome(path, grid.dt) for path in range(len(noise_values))]

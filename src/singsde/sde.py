@@ -203,9 +203,8 @@ def _integrate_batch(
     group ``(grid, eps_levels, table, rows)`` names the next ``rows`` rows'
     grid, their levels and :func:`_drift_table` for the spec, those levels and
     that grid.  Every grid has the same step count and every group the same
-    number of levels.  A row brings its own ``b dt`` and its own levels, and
-    each group fills its rows of the drift blocks from its one table.  Each
-    yielded block is time-major, shape (steps, paths, levels), and holds the
+    number of levels.  A row brings its own ``b dt`` and its own levels.  Each
+    yielded block is time-major, shape (steps, levels, paths), and holds the
     solution at nodes ``first .. first + steps - 1``; together the blocks
     cover nodes 1..n in order.  Node 0 is ``x0`` on every path and level and
     is never yielded.  A block is a scratch buffer that the next block
@@ -222,24 +221,26 @@ def _integrate_batch(
     A ufunc call costs far more than its few hundred elements, so every
     operand is a same-shape contiguous array: the per-level ``c`` and
     ``c/eps`` and the per-path half pushes are broadcast into scratch blocks
-    of about ``_BLOCK_VALUES`` entries once per block, not once per step.  The
-    half pushes are read from the noise rows block by block, so no copy of the
-    whole noise is made.
+    of about ``_BLOCK_VALUES`` entries once per block, not once per step, each
+    a broadcast along the contiguous paths axis or a row broadcast along the
+    levels.  The half pushes are read from the noise rows two blocks at a
+    time (a gather costs mostly per row slice, not per value copied), so no
+    copy of the whole noise is made.
     """
 
     step_count = groups[0][0].step_count
     ends = accumulate(rows for *_, rows in groups)
     slices = [slice(end - rows, end) for end, (*_, rows) in zip(ends, groups)]
-    shape = (len(noise_rows), groups[0][1].size)
+    shape = (groups[0][1].size, len(noise_rows))
     block = min(step_count, max(1, _BLOCK_VALUES // max(1, shape[0] * shape[1])))
     eps_rows = np.empty(shape)
     half_eps_bdt = np.empty(shape)
     damping = np.empty(shape)
     for rows, (grid, levels, _, _) in zip(slices, groups):
         bdt = spec.b * grid.dt
-        eps_rows[rows] = levels
-        half_eps_bdt[rows] = levels * bdt * 0.5
-        damping[rows] = (1.0 - bdt) * 0.5
+        eps_rows[:, rows] = levels[:, None]
+        half_eps_bdt[:, rows] = (levels * bdt * 0.5)[:, None]
+        damping[:, rows] = (1.0 - bdt) * 0.5
     h = np.empty(shape)
     root = np.empty(shape)
     floor = np.empty(shape)
@@ -249,17 +250,21 @@ def _integrate_batch(
     ratio_block = np.empty((block,) + shape)
     push_block = np.empty((block,) + shape)
     value_block = np.empty((block,) + shape)
+    span = 2 * block  # the noise rows are gathered two blocks at a time
     with np.errstate(all="ignore"):
         for start in range(0, step_count, block):
             stop = min(start + block, step_count)
             drifts = drift_block[: stop - start]
             ratios = ratio_block[: stop - start]
             for rows, (_, levels, table, _) in zip(slices, groups):
-                drifts[:, rows] = table[start:stop, None, :]
-                ratios[:, rows] = (table[start:stop] / levels)[:, None, :]
-            window = np.array([row[start : stop + 1] for row in noise_rows])
+                drifts[:, :, rows] = table[start:stop, :, None]
+                ratios[:, :, rows] = (table[start:stop] / levels)[:, :, None]
+            offset = start % span
+            if offset == 0:
+                window = np.array([row[start : start + span + 1] for row in noise_rows])
+                half_pushes = spec.sigma * np.diff(window, axis=1) * 0.5
             steps = push_block[: stop - start]
-            steps[...] = (spec.sigma * np.diff(window, axis=1) * 0.5).T[:, :, None]
+            steps[...] = half_pushes[:, offset : offset + stop - start].T[:, None, :]
             np.add(steps, half_eps_bdt, out=steps)
             values = value_block[: stop - start]
             v = state

@@ -263,12 +263,12 @@ def solve_batch(
         raise ValueError(
             f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
         )
-    out = np.empty((grid.step_count + 1, noise_values.shape[0], levels.size))
+    out = np.empty((grid.step_count + 1, levels.size, noise_values.shape[0]))
     out[0] = spec.x0
     group = (grid, levels, _drift_table(spec, levels, grid), len(noise_values))
     for first, values in _integrate_batch(spec, [group], noise_values):
         out[first : first + len(values)] = values
-    return out.transpose(1, 2, 0)
+    return out.transpose(2, 1, 0)
 
 
 def first_non_finite(
@@ -302,9 +302,9 @@ def given_values_family(
 
     values = np.asarray(values, dtype=float)
     reductions = ladder_module._Reductions(
-        values[None, :, 0], values.shape[1], tol_mono, kept=values.shape[0]
+        values[:, :1], values.shape[1], tol_mono, kept=values.shape[0]
     )
-    reductions.fold(1, values[:, 1:].T[:, None, :])
+    reductions.fold(1, values[:, 1:].T[:, :, None])
     return reductions.family(0, spec, noise, ladder)
 
 
@@ -389,18 +389,32 @@ def eps_continuity_oracle(
     first failing level's SolverError.  No input validation.
     """
 
-    center = solve_regularized(spec, eps_star, noise).values
-    rows: list[tuple[float, float, float]] = []
-    for h in (float(h) for h in h_sequence):
-        above = solve_regularized(spec, eps_star + h, noise).values
-        below = solve_regularized(spec, eps_star - h, noise).values
-        rows.append(
-            (
-                h,
-                float(np.abs(above - center).max()),
-                float(np.abs(below - center).max()),
-            )
-        )
+    hs = [float(h) for h in h_sequence]
+    levels = [eps_star] + [e for h in hs for e in (eps_star + h, eps_star - h)]
+    values = np.array([solve_regularized(spec, e, noise).values for e in levels])
+    return eps_continuity_values_oracle(values, eps_star, hs, noise.grid.dt)
+
+
+def eps_continuity_values_oracle(
+    values: np.ndarray, eps_star: float, h_sequence: Sequence[float], dt: float
+) -> EpsContinuityResult | SolverError:
+    """Reference of one path's eps-continuity outcome from its whole (levels, nodes) values.
+
+    The rows are the levels eps*, eps* + h_1, eps* - h_1, ...; a non-finite
+    value gives ``first_non_finite``'s error, as solving the levels one by
+    one in that order would raise it.
+    """
+
+    hs = [float(h) for h in h_sequence]
+    levels = [eps_star] + [e for h in hs for e in (eps_star + h, eps_star - h)]
+    failure = first_non_finite(values, levels, dt)
+    if failure is not None:
+        return failure
+    center = values[0]
+    rows = [
+        (h, float(np.abs(above - center).max()), float(np.abs(below - center).max()))
+        for h, above, below in zip(hs, values[1::2], values[2::2])
+    ]
     plus = [row[1] for row in rows]
     minus = [row[2] for row in rows]
     both_nonincreasing = all(b <= a for a, b in zip(plus[:-1], plus[1:])) and all(

@@ -41,6 +41,7 @@ from singsde import (
     zero_path,
 )
 
+from singsde import cli as cli_module
 from singsde import fbm as fbm_module
 from singsde import harness as harness_module
 from singsde import ladder as ladder_module
@@ -886,7 +887,7 @@ def test_eps_continuity_solver_error_is_recorded_per_path(tmp_path, monkeypatch)
         assert eps_levels[eps_star_column] == 0.05
         for first, values in solve(spec, groups, noise_rows):
             if first <= 3 < first + len(values):
-                values[3 - first, 0, eps_star_column] = np.nan
+                values[3 - first, eps_star_column, 0] = np.nan
             yield first, values
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", eps_star_breaks)
@@ -1435,6 +1436,28 @@ def test_cli_file_errors_exit_2(tmp_path, capsys):
     assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{out}'")
     assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_computation_errors_exit_1(tmp_path, capsys, monkeypatch):
+    # A solve or a ladder whose state overflows, and a noise draw that
+    # fails, are failed runs, not usage errors: status 1, one "error:" line
+    # with the package's message, and no file written.
+    out = tmp_path / "x.csv"
+    extreme = ["--hurst", "0.25", "--steps", "64", "--a", "1e300", "--sigma", "1e300"]
+    assert cli_dispatch(["solve", *extreme, "--eps", "1e-300", "--out", str(out)]) == 1
+    expected = "error: non-finite state at step 1 (eps=1e-300, dt=0.015625)\n"
+    assert capsys.readouterr().err == expected
+    ladder = ["ladder", *extreme, "--eps0", "1e-300", "--depth", "2", "--out", str(out)]
+    assert cli_dispatch(ladder) == 1
+    assert capsys.readouterr().err == expected
+
+    def failing_draw(grid, hurst, seed):
+        raise FbmGenerationError("negative circulant eigenvalue")
+
+    monkeypatch.setattr(cli_module, "generate_fbm", failing_draw)
+    assert cli_dispatch(["fbm", "--hurst", "0.25", "--steps", "8", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: negative circulant eigenvalue\n"
+    assert not out.exists()
 
 
 def test_cli_report_rejects_a_report_of_the_wrong_shape(tmp_path, capsys):

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singsde import (
     EpsilonFamily,
@@ -50,6 +52,7 @@ from singsde.excursions import DEFAULT_MARGIN_STEPS
 from _support import (
     closed_form,
     eps_continuity_oracle,
+    eps_continuity_values_oracle,
     family_reductions,
     family_reductions_oracle,
     first_non_finite,
@@ -300,7 +303,7 @@ def test_a_padded_path_names_its_own_failing_level(monkeypatch):
     def planted(spec_, groups, noise_rows):
         for first, values in solve(spec_, groups, noise_rows):
             if first <= 40 < first + len(values):
-                values[40 - first, 0, 3 + 2] = np.nan
+                values[40 - first, 3 + 2, 0] = np.nan
             yield first, values
 
     alone = next(build_families(spec, noises[1:], ladders[1]))
@@ -382,14 +385,14 @@ def _stream_probe_oracle(case):
 def _replay(values, block_steps):
     """A stand-in for the step loop that hands out given (paths, levels, nodes) values.
 
-    The blocks are time-major, ``block_steps`` nodes each from node 1 on, as
-    the step loop yields them.
+    The blocks are time-major, shape (steps, levels, paths), ``block_steps``
+    nodes each from node 1 on, as the step loop yields them.
     """
 
     def replay(spec, groups, noise_rows):
         assert (len(noise_rows), groups[0][1].size) == values.shape[:2]
         for first in range(1, values.shape[2], block_steps):
-            block = values[:, :, first : first + block_steps].transpose(2, 0, 1)
+            block = values[:, :, first : first + block_steps].transpose(2, 1, 0)
             yield first, np.ascontiguousarray(block)
 
     return replay
@@ -627,6 +630,95 @@ def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypa
         assert str(error) == (
             f"non-finite state at step {step} (eps={probe_levels[level]}, dt={grid.dt})"
         )
+
+
+# values planted by the property test below: nonpositive, NaN and infinite
+_PLANTED = (-0.5, 0.0, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def _random_chunks(draw):
+    """A chunk for the step-loop stand-in: paths, ladders, probe, block size and values.
+
+    Each path's own ladder levels (and probe levels, when on) are an
+    ordered random walk from x0 = 1 that crosses zero, with values from
+    ``_PLANTED`` and raised shallow values planted on random nodes; a path on
+    the shallower of two ladders is padded with copies of its shallowest
+    level, as the step loop pads it.
+    """
+
+    paths = draw(st.integers(1, 9))
+    depths = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
+    owners = draw(st.lists(st.integers(0, len(depths) - 1), min_size=paths, max_size=paths))
+    ladders = [EpsilonLadder(0.1, 0.5, depths[owner]) for owner in owners]
+    probe = _EPS_CONTINUITY if draw(st.booleans()) else None
+    block_steps = draw(st.integers(1, 9))
+    steps = draw(st.integers(1, 12))
+    keep = draw(st.sampled_from(["none", "limit", "levels"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rungs = max(ladder.depth for ladder in ladders) + 1
+    extra = 0 if probe is None else 1 + 2 * len(probe[1])
+    values = np.empty((paths, rungs + extra, steps + 1))
+    own = []
+    for path, ladder in enumerate(ladders):
+        columns = ladder.depth + 1 + extra
+        walk = np.cumsum(rng.normal(0.0, 0.6, (1, steps + 1)), axis=1)
+        block = 1.0 + walk + np.cumsum(rng.uniform(0.0, 0.05, (columns, 1)), axis=0)
+        for _ in range(draw(st.integers(0, 4))):
+            level, node = rng.integers(columns), rng.integers(1, steps + 1)
+            if draw(st.booleans()):
+                block[level, node] = draw(st.sampled_from(_PLANTED))
+            else:
+                block[level, node] += rng.uniform(0.0, 0.2)
+        block[:, 0] = 1.0
+        pad = rungs - (ladder.depth + 1)
+        values[path, :pad] = block[0]
+        values[path, pad:] = block
+        own.append(block)
+    return ladders, probe, block_steps, keep, values, own
+
+
+@settings(max_examples=120, deadline=None)
+@given(chunk=_random_chunks())
+def test_streamed_folds_equal_their_oracles_on_random_chunks(chunk):
+    # Random chunks through the step-loop stand-in: 1-9 paths on one or two
+    # ladders (so some paths are padded), the probe on or off, blocks of
+    # 1-9 steps and planted nonpositive, non-finite and out-of-order values.
+    # Every family and every probe outcome equals its whole-array oracle.
+    ladders, probe, block_steps, keep, values, own = chunk
+    spec = make_spec(x0=1.0, b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, values.shape[2] - 1)
+    noises = [zero_path(grid, H_QUARTER, SeedRecord(0, path)) for path in range(len(own))]
+    # the chunk's rows, as build_families orders them: paths grouped by ladder
+    order = sorted(range(len(ladders)), key=lambda path: ladders.index(ladders[path]))
+    tol = ladder_module.DEFAULT_TOL_MONO
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder_module, "_integrate_batch", _replay(values[order], block_steps))
+        outcomes = list(
+            build_families(spec, noises, ladders, eps_continuity=probe, keep=keep)
+        )
+    for outcome, ladder, block in zip(outcomes, ladders, own, strict=True):
+        rungs = ladder.depth + 1
+        expected = family_reductions_oracle(block[:rungs], ladder.levels(), grid.dt, tol)
+        if isinstance(expected, SolverError):
+            assert isinstance(outcome, SolverError)
+            assert (str(outcome), outcome.step_index) == (str(expected), expected.step_index)
+            continue
+        if keep == "none":
+            expected["limit_estimate"] = None
+        kept = None if outcome.values is None else outcome.values.tobytes()
+        assert kept == (block[:rungs].tobytes() if keep == "levels" else None)
+        assert family_reductions(outcome) == expected
+        if probe is None:
+            assert outcome.eps_continuity is None
+            continue
+        result = eps_continuity_values_oracle(block[rungs:], *probe, grid.dt)
+        if isinstance(result, SolverError):
+            error = outcome.eps_continuity
+            assert isinstance(error, SolverError)
+            assert (str(error), error.step_index) == (str(result), result.step_index)
+        else:
+            assert outcome.eps_continuity == result
 
 
 def test_given_values_reduce_node_zero_like_the_oracle():

@@ -269,7 +269,7 @@ def test_batched_rows_on_different_grids_match_the_scalar_solver():
         (grid, levels, _drift_table(spec, levels, grid), count)
         for grid, levels, count in zip(grids, level_sets, rows)
     ]
-    solved = np.empty((65, len(noises), 4))
+    solved = np.empty((65, 4, len(noises)))
     solved[0] = spec.x0
     for first, values in _integrate_batch(spec, groups, [noise.values for noise in noises]):
         solved[first : first + len(values)] = values
@@ -277,7 +277,7 @@ def test_batched_rows_on_different_grids_match_the_scalar_solver():
     for row, (noise, group) in enumerate(zip(noises, owners)):
         for level, epsilon in enumerate(level_sets[group]):
             expected = solve_regularized(spec, float(epsilon), noise).values
-            assert np.array_equal(solved[:, row, level], expected), (row, level)
+            assert np.array_equal(solved[:, level, row], expected), (row, level)
 
 
 def test_solve_batch_validates_its_inputs():
