@@ -59,6 +59,7 @@ from .fbm import (
     _block_rows,
     _circulant_weights,
     _generate_block,
+    estimate_holder,
     refine_fbm,
     zero_path,
 )
@@ -80,10 +81,11 @@ from .ladder import (
 )
 from .picard import (
     DeltaCertificate,
+    InfeasibleProblemError,
     LocalProblem,
     PicardResult,
     _solve_block,
-    certify_windows,
+    select_delta,
 )
 from .sde import SdeSpec, SolverError, solve_regularized
 
@@ -678,12 +680,65 @@ def _drivers(
         thread.join()
 
 
+def _certified_windows(
+    config: ExperimentConfig, indices: range, records: dict[int, _CheckResult]
+) -> dict[int, tuple[LocalProblem, DeltaCertificate]]:
+    """Each path's certified (problem, certificate); a path's failure goes into ``records``.
+
+    Each round draws, scans (driver ``spec.sigma * noise``) and selects the
+    horizons of every path still certifying as one block; a path whose
+    horizon does not cover its trial window retries on that horizon.  A
+    window still shrinking after ``_CONTRACTION_MAX_RECERTIFICATIONS``
+    rounds is its path's failure.  A failure of a round's shared scan or
+    selection propagates.
+    """
+
+    spec = config.spec
+    beta = _HOLDER_EXPONENT_FRACTION * spec.hurst.value
+    certified: dict[int, tuple[LocalProblem, DeltaCertificate]] = {}
+    windows = dict.fromkeys(indices, _CONTRACTION_INITIAL_WINDOW)
+    for _ in range(_CONTRACTION_MAX_RECERTIFICATIONS):
+        grids = [TimeGrid(window, _CONTRACTION_WINDOW_STEPS) for window in windows.values()]
+        drivers: dict[int, FbmPath] = {}
+        for index, driver in zip(windows, _drivers(config, grids, list(windows), 2), strict=True):
+            if isinstance(driver, Exception):
+                records[index] = (False, None, _exception_note(driver))
+            else:
+                drivers[index] = driver
+        if not drivers:  # every draw failed; a scan of no rows would raise
+            return certified
+        holders = estimate_holder(
+            np.array([spec.sigma * driver.values for driver in drivers.values()]),
+            [driver.grid for driver in drivers.values()],
+            beta,
+        )
+        problems: dict[int, LocalProblem] = {}
+        for (index, driver), holder in zip(drivers.items(), holders):
+            try:
+                problems[index] = LocalProblem(spec, driver, holder)
+            except Exception as exc:  # noqa: BLE001 - the failure is this path's own
+                records[index] = (False, None, _exception_note(exc))
+        shrunk: dict[int, float] = {}
+        certificates = select_delta(list(problems.values()))
+        for (index, problem), certificate in zip(problems.items(), certificates):
+            if isinstance(certificate, InfeasibleProblemError):
+                records[index] = (False, None, _exception_note(certificate))
+            elif certificate.delta >= windows[index] * (1.0 - 1e-12):
+                certified[index] = problem, certificate
+            else:
+                shrunk[index] = certificate.delta
+        windows = shrunk
+    for index in windows:
+        records[index] = (False, None, "window certification did not stabilize")
+    return certified
+
+
 def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult]:
     """The contraction record of each path in ``indices``; an exception is its note.
 
     The window driver is a fresh draw on substream 2, not the campaign path
     restricted to the window, so the check certifies the equation locally,
-    not the path's own solution.  Each round of :func:`certify_windows`
+    not the path's own solution.  Each round of :func:`_certified_windows`
     draws the block's window drivers as one block; Picard then iterates
     every certified window together (``picard._solve_block``), each path
     keeping the log it would get alone.  Each path's window ladder depends
@@ -693,30 +748,8 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
     """
 
     spec = config.spec
-    certified = certify_windows(
-        spec,
-        lambda paths, windows: list(
-            _drivers(
-                config,
-                [TimeGrid(window, _CONTRACTION_WINDOW_STEPS) for window in windows],
-                paths,
-                2,
-            )
-        ),
-        indices,
-        _HOLDER_EXPONENT_FRACTION * spec.hurst.value,
-        _CONTRACTION_INITIAL_WINDOW,
-        _CONTRACTION_MAX_RECERTIFICATIONS,
-    )
     records: dict[int, _CheckResult] = {}
-    problems: dict[int, tuple[LocalProblem, DeltaCertificate]] = {}
-    for index, certification in certified.items():
-        if certification is None:
-            records[index] = (False, None, "window certification did not stabilize")
-        elif isinstance(certification, Exception):
-            records[index] = (False, None, _exception_note(certification))
-        else:
-            problems[index] = certification
+    problems = _certified_windows(config, indices, records)
     results = _solve_block(
         [problem for problem, _ in problems.values()],
         [certificate for _, certificate in problems.values()],
@@ -1213,6 +1246,7 @@ def render_report_table(data: Mapping[str, Any]) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     names = [name for name in CHECK_ORDER if name in checks]
+    names += [name for name in checks if name not in CHECK_ORDER]
     for name in names:
         record = checks[name]
         worst = record.get("worst_violation")

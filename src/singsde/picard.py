@@ -16,9 +16,8 @@ check grid: with ``C`` the driver's grid Hoelder constant at exponent beta,
 which pin every iterate inside the band.  The selector walks the dyadic
 candidates 2^-1, 2^-2, ... and returns the largest horizon satisfying q < 1
 and both envelopes with a 5% safety margin; it certifies a block of drivers
-in one pass, and :func:`certify_windows` shrinks each driver's window to its
-certified horizon until the certificate covers the window.  The iteration then applies the
-discrete map x -> x - R(x), where R is the integral identity's residual
+in one pass.  The iteration then applies the discrete map x -> x - R(x),
+where R is the integral identity's residual
 (:func:`singsde.ladder.identity_residual`, the quadrature every identity check
 uses: exact per-step kernels with 1/x frozen at the right endpoint, and the
 trapezoid for the linear term), so its fixed point solves the same discrete
@@ -31,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fbm import FbmPath, HolderEstimate, TimeGrid, estimate_holder
+from .fbm import FbmPath, HolderEstimate, TimeGrid
 from .ladder import _identity_kernel, _identity_rows, identity_residual
 from .sde import SdeSpec
 
@@ -46,7 +45,6 @@ __all__ = [
     "PicardBandError",
     "PicardConvergenceError",
     "PicardResult",
-    "certify_windows",
     "contraction_modulus",
     "fixed_point_residual",
     "picard_solve",
@@ -206,64 +204,6 @@ def select_delta(
             f"no dyadic horizon down to 2^-{_DELTA_CANDIDATE_FLOOR_POWER} satisfies the "
             f"certificate (driver constant {problems[row].holder.constant:.3g} too large?)"
         )
-    return outcomes
-
-
-def certify_windows(
-    spec: SdeSpec,
-    draw: Callable[[list[int], list[float]], Sequence[FbmPath | Exception]],
-    paths: Iterable[int],
-    exponent: float,
-    initial_window: float,
-    max_rounds: int,
-) -> dict[int, tuple[LocalProblem, DeltaCertificate] | Exception | None]:
-    """Certify for each path a window that its own driver permits.
-
-    ``draw(paths, windows)`` samples each path's noise on [0, window], as
-    one block, and returns one outcome per path: its noise, or the exception
-    its draw raised.  The driver is ``spec.sigma`` times the noise, certified
-    at Hoelder ``exponent``.  Each round draws every path still certifying on
-    its trial window, scans their Hoelder constants as one block and selects
-    their horizons together; a path whose certified horizon does not cover
-    its window retries on that horizon.  Maps each path to its (problem,
-    certificate), to the exception it raised, or to None when its window
-    still shrinks after ``max_rounds`` rounds.  One path's failure does not
-    touch the others.
-    """
-
-    outcomes: dict[int, tuple[LocalProblem, DeltaCertificate] | Exception | None] = {}
-    windows = dict.fromkeys(paths, initial_window)
-    for _ in range(max_rounds):
-        drivers: dict[int, FbmPath] = {}
-        for path, driver in zip(windows, draw(list(windows), list(windows.values())), strict=True):
-            if isinstance(driver, Exception):
-                outcomes[path] = driver
-            else:
-                drivers[path] = driver
-        if not drivers:
-            return outcomes
-        holders = estimate_holder(
-            np.array([spec.sigma * driver.values for driver in drivers.values()]),
-            [driver.grid for driver in drivers.values()],
-            exponent,
-        )
-        problems: dict[int, LocalProblem] = {}
-        for (path, driver), holder in zip(drivers.items(), holders):
-            try:
-                problems[path] = LocalProblem(spec, driver, holder)
-            except Exception as exc:  # noqa: BLE001 - the failure is this path's own
-                outcomes[path] = exc
-        certificates = select_delta(list(problems.values()))
-        shrunk: dict[int, float] = {}
-        for (path, problem), certificate in zip(problems.items(), certificates):
-            if isinstance(certificate, InfeasibleProblemError):
-                outcomes[path] = certificate
-            elif certificate.delta >= windows[path] * (1.0 - 1e-12):
-                outcomes[path] = (problem, certificate)
-            else:
-                shrunk[path] = certificate.delta
-        windows = shrunk
-    outcomes.update(dict.fromkeys(windows))
     return outcomes
 
 

@@ -72,6 +72,31 @@ def closed_form(t: np.ndarray | float, x0: float, a: float, hurst_value: float):
     return np.sqrt(x0 * x0 + a * np.power(t, 2.0 * hurst_value) / hurst_value)
 
 
+def zero_noise_solution(
+    t: np.ndarray | float, x0: float, a: float, b: float, hurst_value: float
+) -> np.ndarray:
+    """Exact noise-free solution of x' = a t^{2H-1} / x - b x, x(0) = x0, for b >= 0.
+
+    Y = x^2 solves the linear equation Y' = 2a t^{2H-1} - 2b Y, so
+
+        Y(t) = e^{-2bt} (x0^2 + 2a sum_k (2b)^k t^{k+2H} / (k! (k+2H))),
+
+    the series of the integral of e^{2bs} s^{2H-1} over [0, t], summed to 60
+    terms.  At b = 0 only the k = 0 term is left, and the values are
+    :func:`closed_form`'s bit for bit.
+    """
+
+    if not b >= 0.0:
+        raise ValueError(f"damping must be nonnegative, got {b}")
+    t = np.asarray(t, dtype=float)
+    two_h = 2.0 * hurst_value
+    series = np.zeros_like(t)
+    for k in range(60):
+        term = (2.0 * b) ** k * np.power(t, k + two_h) / (math.factorial(k) * (k + two_h))
+        series = series + term
+    return np.sqrt(np.exp(-2.0 * b * t) * (x0 * x0 + 2.0 * a * series))
+
+
 def covariance_formula(s: float, t: float, hurst_value: float) -> float:
     """Raw two-point covariance (t^{2H} + s^{2H} - |t-s|^{2H})/2.
 

@@ -124,6 +124,76 @@ def test_the_import_check_finds_an_unread_name():
     assert _unread_imports(planted.replace("x: float", "x: float = field(default=os.sep)")) == []
 
 
+def _unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module reads.
+
+    ``sources`` maps a module name to its source.  A name counts as read
+    where any module loads it, bare or as an attribute.  Dunder names such
+    as ``__all__`` are not private definitions.
+    """
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+                ]
+            else:
+                continue
+            unread += [
+                f"{module}.{name} (line {node.lineno})"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return unread
+
+
+def test_the_package_defines_no_private_name_it_never_reads():
+    package_dir = os.path.dirname(os.path.abspath(singsde.__file__))
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(package_dir, "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as handle:
+            sources[os.path.relpath(path, package_dir)[: -len(".py")]] = handle.read()
+    assert "harness" in sources
+    unread = _unread_private_definitions(sources)
+    assert not unread, f"private definitions that no module reads: {unread}"
+
+
+def test_the_definition_check_finds_an_unread_private_name():
+    planted = {
+        "a": (
+            "__all__ = ['run']\n"
+            "_LIMIT = 3\n"
+            "_SPARE, _PAIR = 1, 2\n"
+            "_NOTE: str = 'x'\n"
+            "def _helper():\n    return _LIMIT\n"
+            "class _Box:\n    pass\n"
+            "def run():\n    return _helper()\n"
+        ),
+        "b": "from . import a\n",
+    }
+    assert _unread_private_definitions(planted) == [
+        "a._SPARE (line 3)",
+        "a._PAIR (line 3)",
+        "a._NOTE (line 4)",
+        "a._Box (line 7)",
+    ]
+    planted["b"] += "print(a._Box, a._SPARE, a._PAIR, a._NOTE)\n"
+    assert _unread_private_definitions(planted) == []
+
+
 # The oldest interpreter pyproject.toml admits (requires-python >= 3.10).
 OLDEST_PYTHON = (3, 10)
 

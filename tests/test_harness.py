@@ -45,7 +45,6 @@ from singsde import cli as cli_module
 from singsde import fbm as fbm_module
 from singsde import harness as harness_module
 from singsde import ladder as ladder_module
-from singsde import picard as picard_module
 from singsde.cli import cli_dispatch
 from singsde.excursions import DEFAULT_MARGIN_STEPS
 
@@ -1071,49 +1070,63 @@ def test_a_configured_ladder_deeper_than_the_cap_fails_each_window_path():
     assert reached >= 8
 
 
-@pytest.mark.parametrize("stage", ["driver", "picard", "window-family"])
+@pytest.mark.parametrize(
+    "stage", ["driver", "every-driver", "picard", "picard-and-ladder", "window-family"]
+)
 def test_contraction_failure_is_isolated_to_its_path(tmp_path, monkeypatch, stage):
-    # One path breaks at one stage of the batched check; it records its own
+    # Paths break at one stage of the batched check; each records its own
     # exception note, and every other path's record equals the oracle's.
-    config = contraction_config(tmp_path)
+    # every-driver: no window draw succeeds, so no Hoelder scan runs and no
+    # note is a block failure.  picard-and-ladder: a ratio-0.9 ladder puts
+    # every window ladder above the depth cap, and the path whose Picard
+    # solve fails keeps the Picard note, since its ladder is never built.
+    fine_ratio = {"eps0": 0.1, "ratio": 0.9, "depth": 8}
+    config = contraction_config(
+        tmp_path, **({"ladder": fine_ratio} if stage == "picard-and-ladder" else {})
+    )
     expected = oracle_records(config)
-    broken = 5
-    if stage == "driver":
-        planted_drivers(monkeypatch, 2, {broken: FbmGenerationError("planted driver failure")})
+    broken = range(config.path_count) if stage == "every-driver" else [5]
+    if stage in ("driver", "every-driver"):
+        failure = FbmGenerationError("planted driver failure")
+        planted_drivers(monkeypatch, 2, dict.fromkeys(broken, failure))
         note = "FbmGenerationError: planted driver failure"
-    elif stage == "picard":
+    elif stage in ("picard", "picard-and-ladder"):
         solve_block = harness_module._solve_block
 
         def planted(problems, certificates, tolerance):
             outcomes = solve_block(problems, certificates, tolerance)
             return [
                 PicardBandError("planted band escape")
-                if problem.noise.seed_record.path_index == broken
+                if problem.noise.seed_record.path_index in broken
                 else outcome
                 for problem, outcome in zip(problems, outcomes)
             ]
 
         monkeypatch.setattr(harness_module, "_solve_block", planted)
         note = "PicardBandError: planted band escape"
+        if stage == "picard-and-ladder":
+            assert expected[5][2].startswith("ValueError: the window ladder needs depth")
     else:
         build = harness_module.build_families
 
         def planted(spec, noises, ladder, **kwargs):
             noises = list(noises)
             for noise, outcome in zip(noises, build(spec, noises, ladder, **kwargs)):
-                if ladder != config.ladder and noise.seed_record.path_index == broken:
+                if ladder != config.ladder and noise.seed_record.path_index in broken:
                     outcome = SolverError("planted non-finite state", 7)
                 yield outcome
 
         monkeypatch.setattr(harness_module, "build_families", planted)
         note = "SolverError: planted non-finite state"
 
-    records = block_records(config)
-    assert records[broken] == (False, None, note)
-    assert records[:broken] + records[broken + 1 :] == expected[:broken] + expected[broken + 1 :]
+    for index in broken:
+        expected[index] = (False, None, note)
+    assert block_records(config) == expected
     record = run_campaign(config).checks["contraction"]
-    assert record.failures == (f"path {broken}: {note}",)
-    assert record.pass_count == sum(passed for passed, _, _ in expected) - 1
+    assert record.failures == tuple(
+        f"path {index}: {text}" for index, (passed, _, text) in enumerate(expected) if not passed
+    )
+    assert record.pass_count == sum(passed for passed, _, _ in expected)
 
 
 def test_contraction_block_failure_is_recorded_per_path(tmp_path, monkeypatch):
@@ -1122,7 +1135,7 @@ def test_contraction_block_failure_is_recorded_per_path(tmp_path, monkeypatch):
     def broken_scan(values, grids, beta):
         raise RuntimeError("planted scan failure")
 
-    monkeypatch.setattr(picard_module, "estimate_holder", broken_scan)
+    monkeypatch.setattr(harness_module, "estimate_holder", broken_scan)
     report = run_campaign(
         contraction_config(
             tmp_path,
@@ -1235,7 +1248,7 @@ def test_contraction_runs_one_window_solve_per_block(tmp_path, monkeypatch):
     def no_build_family(*args, **kwargs):
         raise AssertionError("build_family called")
 
-    scan = picard_module.estimate_holder
+    scan = harness_module.estimate_holder
 
     def counting_scan(values, grids, beta):
         assert np.ndim(values) == 2
@@ -1263,7 +1276,7 @@ def test_contraction_runs_one_window_solve_per_block(tmp_path, monkeypatch):
     monkeypatch.setattr(ladder_module, "build_families", counting_build)
     monkeypatch.setattr(harness_module, "build_family", no_build_family, raising=False)
     monkeypatch.setattr(ladder_module, "build_family", no_build_family)
-    monkeypatch.setattr(picard_module, "estimate_holder", counting_scan)
+    monkeypatch.setattr(harness_module, "estimate_holder", counting_scan)
     monkeypatch.setattr(harness_module, "_generate_block", counting_generate)
     monkeypatch.setattr(harness_module, "_solve_block", counting_solve)
     monkeypatch.setattr(ladder_module, "_integrate_batch", counting_loop)
@@ -1413,6 +1426,26 @@ def test_cli_report_rerenders(tmp_path, capsys):
     malformed.write_text('{"checks": ', encoding="utf-8")
     assert cli_dispatch(["report", str(malformed)]) == 2
     assert capsys.readouterr().err.startswith(f"error: invalid report {malformed}: Expecting")
+
+
+def test_cli_report_shows_checks_it_does_not_know(tmp_path, capsys):
+    # A stored report may hold a check this version does not define; its
+    # row, statement and failure notes follow the known checks.
+    ordering = {"pass_count": 1, "statement": "levels stay ordered", "failures": []}
+    later = {
+        "fail_count": 1,
+        "statement": "a check a later version adds",
+        "failures": ["path 0: planted failure"],
+    }
+    stored = tmp_path / "report.json"
+    data = {"overall_pass": False, "checks": {"later-check": later, "ordering": ordering}}
+    stored.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_dispatch(["report", str(stored)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split()[0] for line in lines if line.startswith(("ordering ", "later-check "))]
+    assert rows == ["ordering", "later-check"]
+    assert "  later-check: a check a later version adds" in lines
+    assert lines[-2:] == ["reported failures:", "  later-check: path 0: planted failure"]
 
 
 def test_cli_usage_errors(tmp_path, capsys):

@@ -27,7 +27,7 @@ from singsde import (
 
 from singsde.sde import _drift_table, _integrate_batch
 
-from _support import closed_form, solve_batch
+from _support import closed_form, solve_batch, zero_noise_solution
 
 H_QUARTER = HurstParam(0.25)
 
@@ -159,15 +159,28 @@ def test_vanishing_singular_term_gives_exponential_decay():
     assert worst <= 1e-3
 
 
-def test_deterministic_convergence_is_monotone():
-    # Error against the closed form at T=0.5 decreases at every doubling of n
-    # (eps=1e-8 keeps the regularization bias below discretization error).
+def test_zero_noise_solution_oracle():
+    # At b = 0 the series oracle is the closed form bit for bit; at a = 0 it
+    # is the pure decay x0 e^{-bt}.
+    t = TimeGrid(1.0, 2**11).nodes()
+    exact = zero_noise_solution(t, 1.0, 1.0, 0.0, 0.25)
+    assert np.array_equal(exact, closed_form(t, 1.0, 1.0, 0.25))
+    decay = zero_noise_solution(t, 2.0, 0.0, 0.5, 0.25)
+    np.testing.assert_allclose(decay, 2.0 * np.exp(-0.5 * t), rtol=1e-15)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_deterministic_convergence_is_monotone(b):
+    # Error against the exact zero-noise solution at T=0.5 decreases at every
+    # doubling of n (eps=1e-8 keeps the regularization bias below
+    # discretization error).
+    target = zero_noise_solution(0.5, 1.0, 1.0, b, 0.25)
     errors = []
     for power in range(10, 15):
         noise = zero_path(TimeGrid(0.5, 2**power), H_QUARTER)
-        solution = solve_regularized(make_spec(), 1e-8, noise)
-        errors.append(abs(solution.values[-1] - closed_form(0.5, 1.0, 1.0, 0.25)))
-    print("solver errors over n=2^10..2^14:", [f"{e:.2e}" for e in errors])
+        solution = solve_regularized(make_spec(b=b), 1e-8, noise)
+        errors.append(abs(solution.values[-1] - target))
+    print(f"solver errors at b={b} over n=2^10..2^14:", [f"{e:.2e}" for e in errors])
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
 
 
