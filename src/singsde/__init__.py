@@ -68,6 +68,7 @@ from .ladder import (
     verify_limit_nonnegativity,
     verify_measure_decay,
     verify_nested_zero_sets,
+    verify_ordering,
     verify_upper_bound,
 )
 from .picard import (
@@ -162,6 +163,7 @@ __all__ = [
     "verify_limit_nonnegativity",
     "verify_measure_decay",
     "verify_nested_zero_sets",
+    "verify_ordering",
     "verify_upper_bound",
     "write_csv",
     "write_family_csv",

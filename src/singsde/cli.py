@@ -148,6 +148,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             not isinstance(entry, dict) for entry in checks.values()
         ):
             raise TypeError("checks must map check ids to JSON objects")
+        notes = [entry.get("failures", []) for entry in checks.values()]
+        if any(not isinstance(n, list) or not all(isinstance(x, str) for x in n) for n in notes):
+            raise TypeError("failures must be a list of strings")
         table = render_report_table(data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid report {args.report_json}: {exc}") from exc

@@ -70,6 +70,7 @@ from .ladder import (
     DEFAULT_TOL_NONNEG,
     EpsilonFamily,
     EpsilonLadder,
+    Verdict,
     build_families,
     compensator_budget,
     compute_compensator,
@@ -77,6 +78,7 @@ from .ladder import (
     verify_limit_nonnegativity,
     verify_measure_decay,
     verify_nested_zero_sets,
+    verify_ordering,
     verify_upper_bound,
 )
 from .picard import (
@@ -500,55 +502,13 @@ class _PathContext:
         return self.excursions
 
 
-_CheckResult = tuple[bool, "float | None", "str | None"]
-
-
 def _exception_note(exc: Exception) -> str:
     """The note a path's failure records for an exception: ``<Type>: <message>``."""
 
     return f"{type(exc).__name__}: {exc}"
 
 
-def _check_ordering(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    family = ctx.family
-    passed = family.mono_violation_count == 0
-    note = None if passed else f"{family.mono_violation_count} nodes beyond tol_mono"
-    return passed, family.mono_worst_deficit, note
-
-
-def _check_nested_zero_sets(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    nested, break_level = verify_nested_zero_sets(ctx.family)
-    note = None if nested else f"containment breaks entering level {break_level}"
-    return nested, 0.0 if nested else 1.0, note
-
-
-def _check_upper_bound(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    cert = verify_upper_bound(ctx.family)
-    note = None if cert.passes else f"exceeds bound {cert.bound:.6g} by {cert.max_violation:.3e}"
-    return cert.passes, cert.max_violation, note
-
-
-def _check_measure_decay(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    result = verify_measure_decay(ctx.family)
-    increases = [b - a for a, b in zip(result.per_level[:-1], result.per_level[1:])]
-    violation = max(increases) if increases else 0.0
-    note = None if result.passes else (
-        f"measure increases by {violation:.3e} between adjacent levels"
-    )
-    return result.passes, violation, note
-
-
-def _check_limit_nonneg(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
-    family = ctx.family
-    result = verify_limit_nonnegativity(family)
-    violation = -result.worst_value - family.cauchy_gap
-    note = None if result.passes else (
-        f"limit estimate reaches {result.worst_value:.6g} at node {result.worst_index}"
-    )
-    return result.passes, violation, note
-
-
-def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> Verdict:
     family = ctx.family
     estimate = compute_compensator(family)
     budget = compensator_budget(family, estimate)
@@ -561,10 +521,10 @@ def _check_compensator(config: ExperimentConfig, ctx: _PathContext) -> _CheckRes
     violation = measured - budget
     passed = violation <= 0.0
     note = None if passed else f"{label} {measured:.3e} exceeds budget {budget:.3e}"
-    return passed, violation, note
+    return Verdict(passed, violation, note)
 
 
-def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> Verdict:
     # The levels were solved in the step loop of the family's chunk (see _path_families).
     result = ctx.family.eps_continuity
     if isinstance(result, SolverError):
@@ -582,7 +542,7 @@ def _check_eps_continuity(config: ExperimentConfig, ctx: _PathContext) -> _Check
             f"final gap {result.last_gap:.3e} exceeds a quarter of the "
             f"first gap {result.first_gap:.3e}"
         )
-    return result.passes, violation, note
+    return Verdict(result.passes, violation, note)
 
 
 def _window_ladder(ladder: EpsilonLadder, window_dt: float) -> EpsilonLadder:
@@ -681,7 +641,7 @@ def _drivers(
 
 
 def _certified_windows(
-    config: ExperimentConfig, indices: range, records: dict[int, _CheckResult]
+    config: ExperimentConfig, indices: range, records: dict[int, Verdict]
 ) -> dict[int, tuple[LocalProblem, DeltaCertificate]]:
     """Each path's certified (problem, certificate); a path's failure goes into ``records``.
 
@@ -702,7 +662,7 @@ def _certified_windows(
         drivers: dict[int, FbmPath] = {}
         for index, driver in zip(windows, _drivers(config, grids, list(windows), 2), strict=True):
             if isinstance(driver, Exception):
-                records[index] = (False, None, _exception_note(driver))
+                records[index] = Verdict(False, None, _exception_note(driver))
             else:
                 drivers[index] = driver
         if not drivers:  # every draw failed; a scan of no rows would raise
@@ -717,12 +677,12 @@ def _certified_windows(
             try:
                 problems[index] = LocalProblem(spec, driver, holder)
             except Exception as exc:  # noqa: BLE001 - the failure is this path's own
-                records[index] = (False, None, _exception_note(exc))
+                records[index] = Verdict(False, None, _exception_note(exc))
         shrunk: dict[int, float] = {}
         certificates = select_delta(list(problems.values()))
         for (index, problem), certificate in zip(problems.items(), certificates):
             if isinstance(certificate, InfeasibleProblemError):
-                records[index] = (False, None, _exception_note(certificate))
+                records[index] = Verdict(False, None, _exception_note(certificate))
             elif certificate.delta >= windows[index] * (1.0 - 1e-12):
                 certified[index] = problem, certificate
             else:
@@ -733,7 +693,7 @@ def _certified_windows(
     return certified
 
 
-def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckResult]:
+def _contraction_block(config: ExperimentConfig, indices: range) -> list[Verdict]:
     """The contraction record of each path in ``indices``; an exception is its note.
 
     The window driver is a fresh draw on substream 2, not the campaign path
@@ -748,7 +708,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
     """
 
     spec = config.spec
-    records: dict[int, _CheckResult] = {}
+    records: dict[int, Verdict] = {}
     problems = _certified_windows(config, indices, records)
     results = _solve_block(
         [problem for problem, _ in problems.values()],
@@ -758,7 +718,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
     solved: dict[int, tuple[EpsilonLadder, PicardResult]] = {}
     for (index, (problem, _)), result in zip(problems.items(), results):
         if isinstance(result, Exception):
-            records[index] = (False, None, _exception_note(result))
+            records[index] = Verdict(False, None, _exception_note(result))
             continue
         try:
             # The ladder limit is only trustworthy where the regularization
@@ -769,7 +729,7 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
             # needs more levels than the cap fails without a window family.
             solved[index] = _window_ladder(config.ladder, problem.grid.dt), result
         except Exception as exc:  # noqa: BLE001 - isolation policy
-            records[index] = (False, None, _exception_note(exc))
+            records[index] = Verdict(False, None, _exception_note(exc))
 
     try:
         families = build_families(
@@ -781,15 +741,15 @@ def _contraction_block(config: ExperimentConfig, indices: range) -> list[_CheckR
         )
         for (index, (_, result)), family in zip(solved.items(), families):
             if isinstance(family, SolverError):
-                records[index] = (False, None, _exception_note(family))
+                records[index] = Verdict(False, None, _exception_note(family))
                 continue
             try:
                 records[index] = _contraction_verdict(*problems[index], result, family)
             except Exception as exc:  # noqa: BLE001 - isolation policy
-                records[index] = (False, None, _exception_note(exc))
+                records[index] = Verdict(False, None, _exception_note(exc))
     except Exception as exc:  # noqa: BLE001 - the block's shared window solve failed
         for index in solved:
-            records.setdefault(index, (False, None, _exception_note(exc)))
+            records.setdefault(index, Verdict(False, None, _exception_note(exc)))
     return [records[index] for index in indices]
 
 
@@ -798,7 +758,7 @@ def _contraction_verdict(
     certificate: DeltaCertificate,
     result: PicardResult,
     window_family: EpsilonFamily,
-) -> _CheckResult:
+) -> Verdict:
     """Measured ratios against the modulus, the fixed point against the window ladder limit."""
 
     candidates: list[float] = []
@@ -829,10 +789,10 @@ def _contraction_verdict(
 
     violation = max(candidates)
     passed = violation <= 0.0
-    return passed, violation, ("; ".join(notes) if notes else None)
+    return Verdict(passed, violation, ("; ".join(notes) if notes else None))
 
 
-def _contraction_records(config: ExperimentConfig) -> list[_CheckResult]:
+def _contraction_records(config: ExperimentConfig) -> list[Verdict]:
     """Every path's contraction record, run in blocks of consecutive paths.
 
     ``_CONTRACTION_BLOCK_PATHS`` bounds the memory of a block's window
@@ -840,35 +800,35 @@ def _contraction_records(config: ExperimentConfig) -> list[_CheckResult]:
     its paths.
     """
 
-    records: list[_CheckResult] = []
+    records: list[Verdict] = []
     for start in range(0, config.path_count, _CONTRACTION_BLOCK_PATHS):
         indices = range(start, min(start + _CONTRACTION_BLOCK_PATHS, config.path_count))
         try:
             records += _contraction_block(config, indices)
         except Exception as exc:  # noqa: BLE001 - isolation policy
-            records += [(False, None, _exception_note(exc))] * len(indices)
+            records += [Verdict(False, None, _exception_note(exc))] * len(indices)
     return records
 
 
-def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _check_excursion_endpoints(config: ExperimentConfig, ctx: _PathContext) -> Verdict:
     excursions = ctx.ensure_excursions()
     checks = verify_endpoint_limits(ctx.family.limit_estimate, excursions, tol=excursions.threshold)
     failing = [check.interval_index for check in checks if not check.passes]
     note = None if not failing else f"boundary check fails on intervals {failing}"
-    return not failing, float(len(failing)), note
+    return Verdict(not failing, float(len(failing)), note)
 
 
-def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _check_initial_identity(config: ExperimentConfig, ctx: _PathContext) -> Verdict:
     result = verify_initial_identity(ctx.family)
     violation = result.sup_residual - result.budget
     note = None if result.passes else (
         f"residual {result.sup_residual:.3e} exceeds budget {result.budget:.3e} "
         f"on nodes 0..{result.window_end_index}"
     )
-    return result.passes, violation, note
+    return Verdict(result.passes, violation, note)
 
 
-def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _CheckResult:
+def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> Verdict:
     excursions = ctx.ensure_excursions()
     margin = DEFAULT_MARGIN_STEPS
     # The restart identity anchors at a left endpoint where the limit process
@@ -881,7 +841,7 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
         and not (index == 0 and excursions.first_interval_closed_left)
     ]
     if not qualifying:
-        return True, None, None
+        return Verdict(True, None, None)
 
     family = ctx.family
     fine_noise = refine_fbm(family.noise)
@@ -907,17 +867,19 @@ def _check_restart_refinement(config: ExperimentConfig, ctx: _PathContext) -> _C
                 f"interval {index}: residual grows {coarse.sup_residual:.3e} -> "
                 f"{fine.sup_residual:.3e} under refinement"
             )
-    return not notes, worst, ("; ".join(notes) if notes else None)
+    return Verdict(not notes, worst, ("; ".join(notes) if notes else None))
 
 
 # Check that reads a path's family -> (runner, whether it reads the limit row
 # whole).  Campaigns keep the limit row only when an enabled check reads it.
-_FAMILY_CHECKS: dict[str, tuple[Callable[[ExperimentConfig, _PathContext], _CheckResult], bool]] = {
-    "ordering": (_check_ordering, False),
-    "nested-zero-sets": (_check_nested_zero_sets, False),
-    "upper-bound": (_check_upper_bound, False),
-    "measure-decay": (_check_measure_decay, False),
-    "limit-nonneg": (_check_limit_nonneg, False),
+# The reduction checks are the ladder's verifiers, looked up by name at each
+# call, so a wrapper bound to that name (perfbench/spans.py) sees every call.
+_FAMILY_CHECKS: dict[str, tuple[Callable[[ExperimentConfig, _PathContext], Verdict], bool]] = {
+    "ordering": (lambda config, ctx: verify_ordering(ctx.family), False),
+    "nested-zero-sets": (lambda config, ctx: verify_nested_zero_sets(ctx.family), False),
+    "upper-bound": (lambda config, ctx: verify_upper_bound(ctx.family), False),
+    "measure-decay": (lambda config, ctx: verify_measure_decay(ctx.family), False),
+    "limit-nonneg": (lambda config, ctx: verify_limit_nonnegativity(ctx.family), False),
     "compensator": (_check_compensator, True),
     "eps-continuity": (_check_eps_continuity, False),
     "excursion-endpoints": (_check_excursion_endpoints, True),
@@ -1108,21 +1070,19 @@ def _path_families(config: ExperimentConfig) -> Iterator[tuple[int, EpsilonFamil
     yield from pending
 
 
-def _mean_measure_verdict(
-    first_levels: list[float], last_levels: list[float]
-) -> tuple[bool, float | None, str | None]:
+def _mean_measure_verdict(first_levels: list[float], last_levels: list[float]) -> Verdict:
     if not first_levels:
-        return False, None, "no paths produced measures"
+        return Verdict(False, None, "no paths produced measures")
     mean_first = float(np.mean(first_levels))
     mean_last = float(np.mean(last_levels))
     if mean_first <= 0.0:
-        return True, 0.0, "level-0 mean measure is zero; comparison vacuous"
+        return Verdict(True, 0.0, "level-0 mean measure is zero; comparison vacuous")
     violation = mean_last - mean_first
     passed = violation < 0.0
     note = None if passed else (
         f"deepest-level mean {mean_last:.6g} does not fall below level-0 mean {mean_first:.6g}"
     )
-    return passed, violation, note
+    return Verdict(passed, violation, note)
 
 
 # Column order of excursions.csv; an endpoint beyond the grid or an interval

@@ -21,12 +21,15 @@ with, no row, the limit row or every level.  A chunk is sized by the rows
 each of its paths keeps alive, so a campaign chunk that keeps no row holds
 twice as many paths as one that keeps the limit row.
 
-Verification operations check, per path: the ordering itself, a uniform upper
-bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma sup|B|``, decay of the
-nonpositive-time measure along the ladder, nonnegativity of the limit
-estimate, nonnegativity (up to budget) of the correction process closing the
-integral identity, and continuity of the solution in the regularization
-parameter.  The continuity check solves its own levels eps* and eps* +/- h,
+Verification operations check, per path: the ordering itself, nested
+nonpositive sets, a uniform upper bound ``X_0 + a T^{2H}/(H X_0) + 2 sigma
+sup|B|``, decay of the nonpositive-time measure along the ladder,
+nonnegativity of the limit estimate, nonnegativity (up to budget) of the
+correction process closing the integral identity, and continuity of the
+solution in the regularization parameter.  The first five read only a
+family's reductions, and each returns the record a campaign keeps for the
+path, a :class:`Verdict` of ``(passed, violation, note)``.
+The continuity check solves its own levels eps* and eps* +/- h,
 not the ladder's.  When asked, :func:`build_families` solves them as extra
 columns of the ladder's own step loop and folds them block by block into
 exact sup-gaps against eps*, so each family carries its gap table;
@@ -40,7 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,23 +58,23 @@ from .sde import (
 )
 
 __all__ = [
-    "BoundCertificate",
     "CompensatorEstimate",
     "EpsContinuityResult",
     "EpsilonFamily",
     "EpsilonLadder",
-    "MeasureDecayResult",
-    "NonnegativityResult",
+    "Verdict",
     "build_families",
     "build_family",
     "compensator_budget",
     "compute_compensator",
     "identity_residual",
     "nonpositive_measure",
+    "upper_bound",
     "verify_eps_continuity",
     "verify_limit_nonnegativity",
     "verify_measure_decay",
     "verify_nested_zero_sets",
+    "verify_ordering",
     "verify_upper_bound",
 ]
 
@@ -465,38 +468,63 @@ def build_family(
     return outcome
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    """Uniform bound C + 2 sigma sup|B| scanned over every level and node."""
+class Verdict(NamedTuple):
+    """One path's outcome of one reduction check, as a campaign records it.
 
-    constant: float
-    noise_sup: float
-    bound: float
-    max_violation: float
-    tolerance: float
+    ``passed`` is the verdict, ``violation`` how far the checked quantity
+    lies beyond its bound (positive past it), and ``note`` why the path
+    fails, None when it passes.  The upper-bound and limit-nonneg violations
+    leave out their 1e-9 tolerance (``DEFAULT_TOL_BOUND``,
+    ``DEFAULT_TOL_NONNEG``), so a violation up to 1e-9 still passes: there
+    the violation's sign does not decide the verdict.
+    """
 
-    @property
-    def passes(self) -> bool:
-        return self.max_violation <= self.tolerance
+    passed: bool
+    violation: float | None
+    note: str | None
 
 
-def verify_upper_bound(family: EpsilonFamily) -> BoundCertificate:
-    """Certify X^eps_t <= X_0 + a T^{2H}/(H X_0) + 2 sigma max|B| up to ``DEFAULT_TOL_BOUND``."""
+def verify_ordering(family: EpsilonFamily) -> Verdict:
+    """Levels ordered to ``tol_mono`` on every node k >= 1; the violation is the worst deficit."""
 
-    spec = family.spec
-    grid = family.grid
+    count = family.mono_violation_count
+    note = None if count == 0 else f"{count} nodes beyond tol_mono"
+    return Verdict(count == 0, family.mono_worst_deficit, note)
+
+
+def verify_nested_zero_sets(family: EpsilonFamily) -> Verdict:
+    """Exact set containment of nonpositive nodes, deep level inside shallow.
+
+    Implied by the ordering with zero tolerance; tested independently so a
+    rounding-scale ordering slip that flips a set membership is caught.  The
+    violation is 1 where it breaks, else 0; the note names the first level.
+    """
+
+    breaks = np.flatnonzero(family.nested_breaks)
+    if breaks.size:
+        return Verdict(False, 1.0, f"containment breaks entering level {int(breaks[0]) + 1}")
+    return Verdict(True, 0.0, None)
+
+
+def upper_bound(spec: SdeSpec, noise: FbmPath) -> float:
+    """The uniform bound X_0 + a T^{2H}/(H X_0) + 2 sigma max|B| of the levels ``noise`` drives."""
+
     two_h = 2.0 * spec.hurst.value
-    constant = spec.x0 + spec.a * grid.horizon**two_h / (spec.hurst.value * spec.x0)
-    noise_sup = float(np.abs(family.noise.values).max())
-    bound = constant + 2.0 * spec.sigma * noise_sup
-    max_violation = family.value_max - bound
-    return BoundCertificate(
-        constant=constant,
-        noise_sup=noise_sup,
-        bound=bound,
-        max_violation=max_violation,
-        tolerance=DEFAULT_TOL_BOUND,
-    )
+    constant = spec.x0 + spec.a * noise.grid.horizon**two_h / (spec.hurst.value * spec.x0)
+    return constant + 2.0 * spec.sigma * float(np.abs(noise.values).max())
+
+
+def verify_upper_bound(family: EpsilonFamily) -> Verdict:
+    """Every level and node stays within ``DEFAULT_TOL_BOUND`` of :func:`upper_bound`.
+
+    The violation is the family's value max less the bound.
+    """
+
+    bound = upper_bound(family.spec, family.noise)
+    violation = family.value_max - bound
+    passed = violation <= DEFAULT_TOL_BOUND
+    note = None if passed else f"exceeds bound {bound:.6g} by {violation:.3e}"
+    return Verdict(passed, violation, note)
 
 
 def nonpositive_measure(family: EpsilonFamily) -> np.ndarray:
@@ -508,70 +536,35 @@ def nonpositive_measure(family: EpsilonFamily) -> np.ndarray:
     return family.grid.dt * family.nonpositive_counts
 
 
-@dataclass(frozen=True)
-class MeasureDecayResult:
-    """Per-level nonpositive-time measures and their monotonicity verdict."""
-
-    per_level: list[float]
-    nonincreasing: bool
-
-    @property
-    def passes(self) -> bool:
-        return self.nonincreasing
-
-
-def verify_measure_decay(family: EpsilonFamily) -> MeasureDecayResult:
-    """Check the nonpositive-time measure is nonincreasing along the ladder.
+def verify_measure_decay(family: EpsilonFamily) -> Verdict:
+    """The nonpositive-time measure is nonincreasing along the ladder.
 
     The ordering nests the nonpositive sets level by level, which forces the
-    measures to be nonincreasing.
+    measures to be nonincreasing.  The violation is the largest increase
+    between adjacent levels.
     """
 
-    per_level = nonpositive_measure(family).tolist()
-    nonincreasing = all(b <= a for a, b in zip(per_level[:-1], per_level[1:]))
-    return MeasureDecayResult(per_level=per_level, nonincreasing=nonincreasing)
+    measures = nonpositive_measure(family).tolist()
+    violation = max((b - a for a, b in zip(measures[:-1], measures[1:])), default=0.0)
+    passed = violation <= 0.0
+    note = None if passed else f"measure increases by {violation:.3e} between adjacent levels"
+    return Verdict(passed, violation, note)
 
 
-def verify_nested_zero_sets(family: EpsilonFamily) -> tuple[bool, int]:
-    """Exact set containment of nonpositive nodes, deep level inside shallow.
-
-    Returns (all_nested, first_level_index_that_breaks or -1).  Implied by the
-    ordering with zero tolerance; tested independently so a rounding-scale
-    ordering slip that flips a set membership is caught and localized.
-    """
-
-    breaks = np.flatnonzero(family.nested_breaks)
-    if breaks.size:
-        return False, int(breaks[0]) + 1
-    return True, -1
-
-
-@dataclass(frozen=True)
-class NonnegativityResult:
-    """Minimum of the limit estimate against its negativity tolerance."""
-
-    worst_value: float
-    worst_index: int
-    tolerance: float
-    passes: bool
-
-
-def verify_limit_nonnegativity(family: EpsilonFamily) -> NonnegativityResult:
+def verify_limit_nonnegativity(family: EpsilonFamily) -> Verdict:
     """Pass iff min_k limit_estimate[k] >= -(cauchy_gap + ``DEFAULT_TOL_NONNEG``).
 
     The minimum is read from ``limit_min``, so a family that keeps no limit
-    row is checked too; the worst node is the first where the minimum falls.
-    The budget assumes the true limit dominates the deepest level from above
-    by at most the last Cauchy gap.
+    row is checked too; the note names the first node where the minimum
+    falls, and the violation is the minimum's depth below -cauchy_gap.  The
+    budget assumes the true limit dominates the deepest level from above by
+    at most the last Cauchy gap.
     """
 
-    tol = family.cauchy_gap + DEFAULT_TOL_NONNEG
-    return NonnegativityResult(
-        worst_value=family.limit_min,
-        worst_index=family.limit_argmin,
-        tolerance=tol,
-        passes=family.limit_min >= -tol,
-    )
+    low, gap = family.limit_min, family.cauchy_gap
+    passed = low >= -(gap + DEFAULT_TOL_NONNEG)
+    note = None if passed else f"limit estimate reaches {low:.6g} at node {family.limit_argmin}"
+    return Verdict(passed, -low - gap, note)
 
 
 @functools.lru_cache(maxsize=16)

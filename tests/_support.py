@@ -52,7 +52,6 @@ from singsde import (
     picard_solve,
     select_delta,
     solve_regularized,
-    verify_nested_zero_sets,
     zero_path,
 )
 from singsde import fbm as fbm_module
@@ -349,13 +348,12 @@ def family_reductions_oracle(
     deficit = values[:-1, 1:] - values[1:, 1:]
     mask = deficit > tol_mono
     nonpositive = values[:, 1:] <= 0.0
-    breaks = np.flatnonzero((nonpositive[1:] & ~nonpositive[:-1]).any(axis=1))
     return {
         "limit_estimate": values[-1].tobytes(),
         "limit_min": (float(np.min(values[-1])), int(np.argmin(values[-1]))),
         "value_max": float(values.max()),
         "nonpositive_measure": (dt * np.count_nonzero(nonpositive, axis=1)).tobytes(),
-        "nested": (False, int(breaks[0]) + 1) if breaks.size else (True, -1),
+        "nested_breaks": (nonpositive[1:] & ~nonpositive[:-1]).any(axis=1).tobytes(),
         "cauchy_gap": float(np.abs(values[-1] - values[-2]).max()),
         "mono_violation_count": int(mask.sum()),
         "mono_worst_deficit": float(deficit[mask].max(initial=0.0)),
@@ -374,7 +372,7 @@ def family_reductions(family: EpsilonFamily) -> dict:
         "limit_min": (family.limit_min, family.limit_argmin),
         "value_max": family.value_max,
         "nonpositive_measure": nonpositive_measure(family).tobytes(),
-        "nested": verify_nested_zero_sets(family),
+        "nested_breaks": family.nested_breaks.tobytes(),
         "cauchy_gap": family.cauchy_gap,
         "mono_violation_count": family.mono_violation_count,
         "mono_worst_deficit": family.mono_worst_deficit,

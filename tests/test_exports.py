@@ -8,7 +8,9 @@ from __future__ import annotations
 import ast
 import glob
 import importlib
+import importlib.util
 import os
+import re
 import pkgutil
 import subprocess
 import sys
@@ -28,6 +30,38 @@ def test_every_exported_name_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__} exports undefined names {missing}"
         assert len(set(module.__all__)) == len(module.__all__), f"{module.__name__} repeats a name"
+
+
+def _repository_file(*parts: str) -> str:
+    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), *parts)
+
+
+def test_every_traced_target_resolves():
+    # perfbench/spans.py wraps these functions by name and skips a name that
+    # is gone, so a rename would drop its span from the traced run unseen.
+    loader = importlib.util.spec_from_file_location("spans", _repository_file("perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = [
+        f"{module}.{name}"
+        for module, name in spans.TARGETS
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert not missing, f"traced targets that the package no longer defines: {missing}"
+
+
+def test_the_readme_python_blocks_run(capsys):
+    # The blocks run in order in one namespace, as a reader would paste them.
+    with open(_repository_file("README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "(11, 4097)" and lines[2] == "True"
+    assert len(lines) == 3 + 100  # no path of the second block fails its solve
 
 
 def _fresh_interpreter(probe: str) -> str:

@@ -5,6 +5,7 @@ command-line front end.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import math
@@ -851,6 +852,60 @@ def test_zero_tol_mono_is_a_working_negative_control(tmp_path):
     assert run_campaign(relaxed).checks["ordering"].fail_count == 0
 
 
+@pytest.mark.parametrize(
+    "depth, digest, first_failures",
+    [
+        (
+            4,
+            "40e8fc8e76648c0afdb32eac9ec9be1cc6ab7f9fa4f1f4bc0d8e0662051e697b",
+            {
+                "ordering": (8, "path 0: 509 nodes beyond tol_mono"),
+                "nested-zero-sets": (1, "path 6: containment breaks entering level 3"),
+                "upper-bound": (8, "path 0: exceeds bound 3.42654 by 1.092e+32"),
+                "measure-decay": (1, "path 6: measure increases by 3.906e-03 between adjacent levels"),
+                "measure-decay-mean": (0, None),
+                "limit-nonneg": (7, "path 0: limit estimate reaches -1.46687e+32 at node 256"),
+            },
+        ),
+        (
+            2,
+            "93cc4a13da36a91fc63ff93949d203771fdf0af3e7d00b800083ef319528e258",
+            {
+                "ordering": (8, "path 0: 254 nodes beyond tol_mono"),
+                "nested-zero-sets": (0, None),
+                "upper-bound": (8, "path 0: exceeds bound 3.42654 by 1.092e+32"),
+                "measure-decay": (0, None),
+                "measure-decay-mean": (
+                    1, "deepest-level mean 0.501465 does not fall below level-0 mean 0.501465"
+                ),
+                "limit-nonneg": (8, "path 0: limit estimate reaches -1.46554e+32 at node 256"),
+            },
+        ),
+    ],
+)
+def test_failing_reduction_checks_keep_their_records(tmp_path, depth, digest, first_failures):
+    # At b dt = 600/256 > 1 the step no longer keeps the levels ordered, and
+    # the paths grow to about 1e32, so each reduction check fails somewhere.
+    # No other pinned campaign fails one, so this pins their failure counts,
+    # notes and violations: the digest covers every record of the report.
+    config = make_config(
+        spec={"x0": 0.2, "a": 0.02, "b": 600.0, "sigma": 1.0, "hurst": 0.25},
+        ladder={"eps0": 0.5, "ratio": 0.5, "depth": depth},
+        seeds={"master_seed": 3, "path_count": 8},
+        checks=list(first_failures),
+        output_dir=str(tmp_path / "out"),
+    )
+    report = run_campaign(config)
+    assert {
+        name: (record.fail_count, record.failures[0] if record.failures else None)
+        for name, record in report.checks.items()
+    } == first_failures
+    rendered = json.dumps(
+        canonical_report(report), sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == digest
+
+
 def test_solver_abort_is_recorded_not_raised(tmp_path):
     config = config_from_dict(
         config_dict(
@@ -1500,6 +1555,8 @@ def test_cli_report_rejects_a_report_of_the_wrong_shape(tmp_path, capsys):
         ('{"checks": {"ordering": 5}}', "checks must map check ids to JSON objects"),
         ('{"checks": ["ordering"]}', "checks must map check ids to JSON objects"),
         ('{"checks": {"ordering": {"pass_count": [1]}}}', "unsupported format string"),
+        ('{"checks": {"ordering": {"failures": "path 0: bad"}}}', "failures must be a list of strings"),
+        ('{"checks": {"ordering": {"failures": ["path 0: bad", 3]}}}', "failures must be a list of strings"),
     ]
     for index, (text, reason) in enumerate(cases):
         path = tmp_path / f"report_{index}.json"

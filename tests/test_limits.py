@@ -48,6 +48,7 @@ from singsde import harness as harness_module
 from singsde import ladder as ladder_module
 from singsde import sde as sde_module
 from singsde.excursions import DEFAULT_MARGIN_STEPS
+from singsde.ladder import upper_bound
 
 from _support import (
     closed_form,
@@ -142,8 +143,7 @@ def test_build_family_ordering_with_resolved_noise():
         noise = generate_fbm(grid, H_QUARTER, SeedRecord(77, index))
         family = build_family(spec, noise, EpsilonLadder(0.1, 0.3, 8))
         assert family.mono_violation_count == 0, f"path {index}"
-        nested, break_level = verify_nested_zero_sets(family)
-        assert nested, f"path {index}: containment breaks entering level {break_level}"
+        assert verify_nested_zero_sets(family) == (True, 0.0, None), f"path {index}"
 
 
 def test_build_family_requires_depth():
@@ -552,7 +552,9 @@ def test_positive_blocks_skip_only_what_they_cannot_change(block_steps, monkeypa
             continue
         assert family_reductions(outcome) == expected
     assert np.flatnonzero(outcomes[2].nonpositive_counts).tolist() == [6]
-    assert verify_nested_zero_sets(outcomes[2]) == (False, 6)
+    assert verify_nested_zero_sets(outcomes[2]) == (
+        False, 1.0, "containment breaks entering level 6"
+    )
     assert not outcomes[0].nonpositive_counts.any() and not outcomes[3].nonpositive_counts.any()
 
 
@@ -587,7 +589,7 @@ def test_streamed_reductions_with_planted_defects(block_steps, monkeypatch):
         family_reductions_oracle(values[path], levels, grid.dt, tol) for path in range(3)
     )
     assert ordering["mono_violation_count"] == 1 and ordering["mono_worst_deficit"] > 0.0
-    assert nested["nested"] == (False, 5)
+    assert np.flatnonzero(np.frombuffer(nested["nested_breaks"], dtype=bool)).tolist() == [4]
     assert node_one["nonpositive_measure"] != family_reductions_oracle(
         values[5], levels, grid.dt, tol
     )["nonpositive_measure"]
@@ -822,12 +824,12 @@ def test_cauchy_gap_nonincreasing_in_depth():
 
 
 def test_upper_bound_constant_and_deterministic_case():
+    # Under zero noise the bound is its deterministic part x0 + a T^{2H}/(H x0).
     family = deterministic_family(n=2048, horizon=1.0)
-    certificate = verify_upper_bound(family)
-    assert certificate.constant == pytest.approx(5.0, abs=1e-12)
-    assert certificate.noise_sup == 0.0
-    assert certificate.max_violation <= 0.0
-    assert certificate.passes
+    assert upper_bound(family.spec, family.noise) == pytest.approx(5.0, abs=1e-12)
+    verdict = verify_upper_bound(family)
+    assert verdict == (True, family.value_max - upper_bound(family.spec, family.noise), None)
+    assert verdict.violation <= 0.0
 
 
 def test_upper_bound_monte_carlo_property():
@@ -837,9 +839,9 @@ def test_upper_bound_monte_carlo_property():
     ladder = EpsilonLadder(0.1, 0.5, 6)
     worst = -np.inf
     for index, family in enumerate(seeded_families(spec, grid, 4242, 100, ladder)):
-        certificate = verify_upper_bound(family)
-        worst = max(worst, certificate.max_violation)
-        assert certificate.passes, f"path {index} violates by {certificate.max_violation:.3e}"
+        verdict = verify_upper_bound(family)
+        worst = max(worst, verdict.violation)
+        assert verdict.passed and verdict.note is None, f"path {index}: {verdict.note}"
     print(f"worst signed bound violation over 100 paths: {worst:.3e}")
 
 
@@ -861,9 +863,9 @@ def test_nonpositive_measure_counting():
 
 
 def test_measure_decay_deterministic_all_zero():
-    result = verify_measure_decay(deterministic_family())
-    assert result.per_level == [0.0] * 9
-    assert result.nonincreasing and result.passes
+    family = deterministic_family()
+    assert nonpositive_measure(family).tolist() == [0.0] * 9
+    assert verify_measure_decay(family) == (True, 0.0, None)
 
 
 def test_measure_decay_monte_carlo_example():
@@ -878,13 +880,14 @@ def test_measure_decay_monte_carlo_example():
     ladder = EpsilonLadder(0.1, 0.5, 10)
     first, last, monotone, flipped = [], [], 0, 0
     for index, family in enumerate(seeded_families(spec, grid, 31415, 200, ladder)):
-        result = verify_measure_decay(family)
-        first.append(result.per_level[0])
-        last.append(result.per_level[-1])
-        monotone += int(result.nonincreasing)
+        verdict = verify_measure_decay(family)
+        measures = nonpositive_measure(family)
+        first.append(measures[0])
+        last.append(measures[-1])
+        monotone += int(verdict.passed)
         flipped += int(family.mono_violation_count > 0)
         if family.mono_violation_count == 0:
-            assert result.nonincreasing, f"ordered family {index} must have monotone measures"
+            assert verdict.passed, f"ordered family {index}: {verdict.note}"
     mean_first, mean_last = float(np.mean(first)), float(np.mean(last))
     print(
         f"measure decay over 200 seeds: level-0 mean {mean_first:.5f}, deepest mean "
@@ -908,14 +911,15 @@ def test_verifiers_flag_a_hand_built_family():
             [1.0, 0.5, -0.2, -0.1, 1.0],
         ]
     )
-    assert verify_nested_zero_sets(family) == (False, 2)
-    decay = verify_measure_decay(family)
-    assert decay.per_level == [0.25, 0.25, 0.5]
-    assert decay.nonincreasing is False and not decay.passes
-    certificate = verify_upper_bound(family)
-    assert certificate.bound == pytest.approx(5.0, abs=1e-12)
-    assert certificate.max_violation == pytest.approx(4.0, abs=1e-12)
-    assert certificate.max_violation > 0.0 and not certificate.passes
+    assert verify_nested_zero_sets(family) == (False, 1.0, "containment breaks entering level 2")
+    assert nonpositive_measure(family).tolist() == [0.25, 0.25, 0.5]
+    assert verify_measure_decay(family) == (
+        False, 0.25, "measure increases by 2.500e-01 between adjacent levels"
+    )
+    assert upper_bound(family.spec, family.noise) == pytest.approx(5.0, abs=1e-12)
+    verdict = verify_upper_bound(family)
+    assert verdict.violation == pytest.approx(4.0, abs=1e-12)
+    assert verdict == (False, verdict.violation, "exceeds bound 5 by 4.000e+00")
 
 
 # ---------------------------------------------------------------------------
@@ -925,11 +929,19 @@ def test_verifiers_flag_a_hand_built_family():
 
 def test_limit_nonnegativity_deterministic():
     family = deterministic_family()
-    result = verify_limit_nonnegativity(family)
-    assert result.tolerance == family.cauchy_gap + 1e-9
-    assert result.passes
-    assert result.worst_value == pytest.approx(1.0, abs=1e-12)
-    assert result.worst_index == 0
+    assert family.limit_min == pytest.approx(1.0, abs=1e-12) and family.limit_argmin == 0
+    assert verify_limit_nonnegativity(family) == (True, -family.limit_min - family.cauchy_gap, None)
+    # The pass boundary is exactly -(cauchy_gap + 1e-9): that minimum passes,
+    # and the next double below it fails.
+    boundary = -(family.cauchy_gap + 1e-9)
+    at = dataclasses.replace(family, limit_estimate=None, values=None, limit_min=boundary)
+    assert verify_limit_nonnegativity(at) == (True, -boundary - family.cauchy_gap, None)
+    below = dataclasses.replace(at, limit_min=float(np.nextafter(boundary, -np.inf)))
+    assert verify_limit_nonnegativity(below) == (
+        False,
+        -below.limit_min - family.cauchy_gap,
+        f"limit estimate reaches {below.limit_min:.6g} at node 0",
+    )
 
 
 def test_limit_nonnegativity_monte_carlo():
@@ -938,8 +950,8 @@ def test_limit_nonnegativity_monte_carlo():
     for index in range(4):
         noise = generate_fbm(grid, H_QUARTER, SeedRecord(77, index))
         family = build_family(spec, noise, EpsilonLadder(0.1, 0.3, 8))
-        result = verify_limit_nonnegativity(family)
-        assert result.passes, f"path {index}: worst {result.worst_value:.3e}"
+        verdict = verify_limit_nonnegativity(family)
+        assert verdict.passed and verdict.note is None, f"path {index}: {verdict.note}"
 
 
 def test_limit_nonnegativity_shallow_ladder_negative_control():
@@ -948,12 +960,16 @@ def test_limit_nonnegativity_shallow_ladder_negative_control():
     spec = SdeSpec(x0=0.5, a=1.0, b=0.0, sigma=1.2, hurst=H_QUARTER)
     noise = generate_fbm(TimeGrid(1.0, 512), H_QUARTER, SeedRecord(333, 7))
     family = build_family(spec, noise, EpsilonLadder(0.5, 0.5, 2))
-    result = verify_limit_nonnegativity(family)
+    verdict = verify_limit_nonnegativity(family)
     print(
-        f"shallow-ladder control: worst value {result.worst_value:.3f}, "
+        f"shallow-ladder control: worst value {family.limit_min:.3f}, "
         f"gap {family.cauchy_gap:.3f}"
     )
-    assert not result.passes, "shallow ladder should be flagged as unconverged"
+    assert verdict == (
+        False,
+        -family.limit_min - family.cauchy_gap,
+        f"limit estimate reaches {family.limit_min:.6g} at node {family.limit_argmin}",
+    ), "shallow ladder should be flagged as unconverged"
 
 
 # ---------------------------------------------------------------------------
