@@ -68,6 +68,7 @@ from .ladder import (
     DEFAULT_TOL_BOUND,
     DEFAULT_TOL_MONO,
     DEFAULT_TOL_NONNEG,
+    EPS_STAR,
     EpsilonFamily,
     EpsilonLadder,
     Verdict,
@@ -189,9 +190,6 @@ _CONTRACTION_BLOCK_PATHS = 64  # paths whose contraction checks run as one block
 _CONTRACTION_SLACK = 0.05  # allowed excess of a measured ratio over the modulus
 _PICARD_TOLERANCE = 1e-10
 _CONSISTENCY_EXTRA = 1e-3  # fixed point vs window ladder limit, beyond the Cauchy gap
-# eps-continuity solves at eps* and eps* +/- eps* 2^-k for k = 1..3.
-_EPS_STAR = 0.05
-_EPS_CONTINUITY = (_EPS_STAR, tuple(_EPS_STAR * 0.5**k for k in range(1, 4)))
 _MIN_WINDOW_NODES = 20  # restart-refinement: shortest excursion it evaluates, >= 2 * margin + 2
 
 
@@ -689,7 +687,7 @@ def _certified_windows(
                 shrunk[index] = certificate.delta
         windows = shrunk
     for index in windows:
-        records[index] = (False, None, "window certification did not stabilize")
+        records[index] = Verdict(False, None, "window certification did not stabilize")
     return certified
 
 
@@ -894,7 +892,7 @@ _REPORTED_TOLERANCES: dict[str, float | None] = {
     "ordering": None,
     "upper-bound": DEFAULT_TOL_BOUND,
     "limit-nonneg": DEFAULT_TOL_NONNEG,
-    "eps-continuity": _EPS_STAR,
+    "eps-continuity": EPS_STAR,
     "contraction": _CONTRACTION_SLACK,
 }
 
@@ -1059,7 +1057,7 @@ def _path_families(config: ExperimentConfig) -> Iterator[tuple[int, EpsilonFamil
         noises(),
         config.ladder,
         tol_mono=config.tolerances["tol_mono"],
-        eps_continuity=_EPS_CONTINUITY if "eps-continuity" in config.checks else None,
+        eps_continuity="eps-continuity" in config.checks,
         keep="levels" if config.save_families else ("limit" if reads_limit else "none"),
     )
     for family in families:

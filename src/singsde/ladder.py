@@ -29,10 +29,10 @@ correction process closing the integral identity, and continuity of the
 solution in the regularization parameter.  The first five read only a
 family's reductions, and each returns the record a campaign keeps for the
 path, a :class:`Verdict` of ``(passed, violation, note)``.
-The continuity check solves its own levels eps* and eps* +/- h,
-not the ladder's.  When asked, :func:`build_families` solves them as extra
-columns of the ladder's own step loop and folds them block by block into
-exact sup-gaps against eps*, so each family carries its gap table;
+The continuity check solves its own fixed levels eps* and eps* +/- h, not
+the ladder's (see ``EPS_STAR``).  When asked, :func:`build_families` solves
+them as extra columns of the ladder's own step loop and folds them block by
+block into exact sup-gaps against eps*, so each family carries its gap table;
 :func:`verify_eps_continuity` runs the same fold over a block of noise paths
 on its own.
 """
@@ -90,6 +90,18 @@ COMPENSATOR_BUDGET_EXTRA = 1e-6
 # Larger chunks spread the per-step ufunc overhead over more paths but cost
 # resident memory.
 _CHUNK_VALUES = 2**21
+
+# The eps-continuity probe: eps* and the offsets h_k = eps* 2^-k, k = 1..3,
+# solved at [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...].  h_3 = h_1 / 4,
+# so a gap linear in h falls by exactly 4: the quarter of the pass rule, last
+# gap <= first gap / 4.  A gap like h^p passes for p > 1 and fails for p < 1;
+# a solution Lipschitz in eps (p = 1) sits on the boundary.
+EPS_STAR = 0.05
+_PROBE_OFFSETS = tuple(EPS_STAR * 0.5**k for k in range(1, 4))
+_PROBE_LEVELS = np.array(
+    [EPS_STAR] + [e for h in _PROBE_OFFSETS for e in (EPS_STAR + h, EPS_STAR - h)]
+)
+_PROBE_LEVELS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -335,7 +347,7 @@ def build_families(
     noises: Iterable[FbmPath],
     ladder: EpsilonLadder | Sequence[EpsilonLadder],
     tol_mono: float = DEFAULT_TOL_MONO,
-    eps_continuity: tuple[float, Sequence[float]] | None = None,
+    eps_continuity: bool = False,
     keep: str = "levels",
 ) -> Iterator[EpsilonFamily | SolverError]:
     """Solve every ladder level on each noise path, one batched chunk at a time.
@@ -364,12 +376,11 @@ def build_families(
     and its kept rows, at about ``_CHUNK_VALUES`` values in all.  Noises are
     drawn from the iterable lazily, one chunk ahead.
 
-    With ``eps_continuity = (eps_star, offsets)``, the levels of
-    :func:`verify_eps_continuity` are solved as extra columns of the same
-    step loop and folded block by block into exact sup-gaps against eps*,
-    apart from the ladder's reductions; every family carries its path's
-    outcome.  The probe keeps no row, so it does not narrow a chunk, and its
-    arguments are checked before any noise is drawn.
+    With ``eps_continuity``, the fixed levels of :func:`verify_eps_continuity`
+    are solved as extra columns of the same step loop and folded block by
+    block into exact sup-gaps against eps*, apart from the ladder's
+    reductions; every family carries its path's outcome.  The probe keeps no
+    row, so it does not narrow a chunk.
     """
 
     if not (math.isfinite(tol_mono) and tol_mono >= 0.0):
@@ -384,7 +395,6 @@ def build_families(
     kept = {"none": 0, "limit": 1, "levels": rungs}.get(keep)
     if kept is None:
         raise ValueError(f"keep must be 'none', 'limit' or 'levels', got {keep!r}")
-    probe = None if eps_continuity is None else _eps_continuity_levels(*eps_continuity)
     first = next(pairs, None)
     if first is None:
         return
@@ -393,7 +403,7 @@ def build_families(
     tables: dict[tuple[TimeGrid, EpsilonLadder], tuple[np.ndarray, np.ndarray]] = {}
     pairs = chain([first], pairs)
     while chunk := list(islice(pairs, width)):
-        yield from _chunk_families(spec, steps, rungs, tables, chunk, tol_mono, probe, kept)
+        yield from _chunk_families(spec, steps, rungs, tables, chunk, tol_mono, eps_continuity, kept)
         del chunk  # the chunk's noises go before the next chunk's are drawn
 
 
@@ -404,7 +414,7 @@ def _chunk_families(
     tables: dict[tuple[TimeGrid, EpsilonLadder], tuple[np.ndarray, np.ndarray]],
     chunk: list[tuple[FbmPath, EpsilonLadder]],
     tol_mono: float,
-    probe: tuple[float, list[float], np.ndarray] | None,
+    eps_continuity: bool,
     kept: int,
 ) -> Iterator[EpsilonFamily | SolverError]:
     """Check and solve one chunk of (noise, ladder) pairs, and yield its outcomes in order.
@@ -430,14 +440,14 @@ def _chunk_families(
         if key not in tables:
             own = key[1].levels()
             levels = np.concatenate([np.full(rungs - own.size, own[0]), own])
-            if probe is not None:
-                levels = np.concatenate([levels, probe[2]])
+            if eps_continuity:
+                levels = np.concatenate([levels, _PROBE_LEVELS])
             tables[key] = levels, _drift_table(spec, levels, key[0])
         batch.append((key[0], *tables[key], len(members)))
     order = [position for members in groups.values() for position in members]
     head = np.broadcast_to(spec.x0, (rungs, len(chunk)))
     reductions = _Reductions(head, steps + 1, tol_mono, kept)
-    gaps = None if probe is None else _ProbeGaps(*probe, len(chunk))
+    gaps = _ProbeGaps(len(chunk)) if eps_continuity else None
     noise_rows = [chunk[position][0].values for position in order]
     for first, values in _integrate_batch(spec, batch, noise_rows):
         reductions.fold(first, values[:, :rungs])
@@ -701,29 +711,6 @@ class EpsContinuityResult:
     passes: bool
 
 
-def _eps_continuity_levels(
-    eps_star: float, h_sequence: Sequence[float]
-) -> tuple[float, list[float], np.ndarray]:
-    """eps*, the checked offsets and the levels [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...]."""
-
-    if not (eps_star > 0.0 and math.isfinite(eps_star)):
-        raise ValueError(f"eps_star must be positive and finite, got {eps_star}")
-    hs = [float(h) for h in h_sequence]
-    if len(hs) < 2:
-        raise ValueError("need at least 2 offsets to compare first and last gaps")
-    if not all(math.isfinite(h) for h in hs):
-        raise ValueError(f"offsets must be finite, got {hs}")
-    if any(h <= 0.0 for h in hs):
-        raise ValueError("offsets must be positive")
-    if any(b >= a for a, b in zip(hs[:-1], hs[1:])):
-        raise ValueError("offsets must be strictly decreasing")
-    if hs[0] >= eps_star:
-        raise ValueError("offsets must stay below eps_star so eps* - h remains positive")
-    if not math.isfinite(eps_star + hs[0]):
-        raise ValueError(f"eps_star + offsets must stay finite, got {eps_star} + {hs[0]}")
-    return eps_star, hs, np.array([eps_star] + [e for h in hs for e in (eps_star + h, eps_star - h)])
-
-
 class _ProbeGaps:
     """Per-path sup-gaps of the eps-continuity levels against eps*, folded one time block at a time.
 
@@ -732,13 +719,10 @@ class _ProbeGaps:
     loop yields them, and every per-level result is kept per (level, path).
     """
 
-    def __init__(self, eps_star: float, hs: list[float], levels: np.ndarray, paths: int):
-        self.eps_star = eps_star
-        self.hs = hs
-        self.levels = levels
-        self.gaps = np.zeros((levels.size - 1, paths))
+    def __init__(self, paths: int):
+        self.gaps = np.zeros((_PROBE_LEVELS.size - 1, paths))
         # per (level, path): the first node with a non-finite state, or -1
-        self.first_non_finite = np.full((levels.size, paths), -1)
+        self.first_non_finite = np.full((_PROBE_LEVELS.size, paths), -1)
 
     def fold(self, first: int, block: np.ndarray) -> None:
         """Fold in nodes ``first .. first + steps - 1``, given as a (steps, levels, paths) block."""
@@ -753,15 +737,15 @@ class _ProbeGaps:
     def outcome(self, path: int, dt: float) -> EpsContinuityResult | SolverError:
         """The path's gap table and verdict, or the error of its first non-finite level."""
 
-        failure = _level_error(self.first_non_finite[:, path], self.levels, dt)
+        failure = _level_error(self.first_non_finite[:, path], _PROBE_LEVELS, dt)
         if failure is not None:
             return failure
         table = self.gaps[:, path].reshape(-1, 2)  # per offset: (gap_plus, gap_minus)
         both_nonincreasing = bool((np.diff(table, axis=0) <= 0.0).all())
         first_gap, last_gap = float(table[0].max()), float(table[-1].max())
         return EpsContinuityResult(
-            eps_star=self.eps_star,
-            rows=[(h, plus, minus) for h, (plus, minus) in zip(self.hs, table.tolist())],
+            eps_star=EPS_STAR,
+            rows=[(h, plus, minus) for h, (plus, minus) in zip(_PROBE_OFFSETS, table.tolist())],
             both_nonincreasing=both_nonincreasing,
             first_gap=first_gap,
             last_gap=last_gap,
@@ -770,32 +754,29 @@ class _ProbeGaps:
 
 
 def verify_eps_continuity(
-    spec: SdeSpec,
-    grid: TimeGrid,
-    noise_values: np.ndarray,
-    eps_star: float,
-    h_sequence: Sequence[float],
+    spec: SdeSpec, grid: TimeGrid, noise_values: np.ndarray
 ) -> list[EpsContinuityResult | SolverError]:
     """Solve at eps* and at eps* +/- h under shared noise and tabulate sup-gaps.
 
-    ``noise_values`` holds one driver path on ``grid`` per row, shape
-    (paths, nodes).  Every path and every level
-    [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...] advance through one
-    batched step loop, bit-identical to :func:`solve_regularized` at each
-    level, through the fold of :func:`build_families`' probe.  Returns one
-    :class:`EpsContinuityResult` per row, or, for a row with a non-finite
-    state, the :class:`SolverError` that solving its levels one by one in that
-    order would raise first.  Other rows are unaffected.
+    eps* is ``EPS_STAR`` = 0.05 and the offsets are h_k = eps* 2^-k for
+    k = 1..3; since h_3 = h_1 / 4, a gap linear in h passes the rule
+    last gap <= first gap / 4 with equality.  ``noise_values`` holds one
+    driver path on ``grid`` per row, shape (paths, nodes).  Every path and
+    every level [eps*, eps* + h_1, eps* - h_1, eps* + h_2, ...] advance
+    through one batched step loop, bit-identical to :func:`solve_regularized`
+    at each level, through the fold of :func:`build_families`' probe.
+    Returns one :class:`EpsContinuityResult` per row, or, for a row with a
+    non-finite state, the :class:`SolverError` that solving its levels one by
+    one in that order would raise first.  Other rows are unaffected.
     """
 
-    probe = _eps_continuity_levels(eps_star, h_sequence)
     noise_values = np.asarray(noise_values, dtype=float)
     if noise_values.ndim != 2 or noise_values.shape[1] != grid.step_count + 1:
         raise ValueError(
             f"noise_values must have shape (paths, {grid.step_count + 1}), got {noise_values.shape}"
         )
-    gaps = _ProbeGaps(*probe, len(noise_values))
-    group = (grid, gaps.levels, _drift_table(spec, gaps.levels, grid), len(noise_values))
+    gaps = _ProbeGaps(len(noise_values))
+    group = (grid, _PROBE_LEVELS, _drift_table(spec, _PROBE_LEVELS, grid), len(noise_values))
     for first, values in _integrate_batch(spec, [group], noise_values):
         gaps.fold(first, values)
     return [gaps.outcome(path, grid.dt) for path in range(len(noise_values))]

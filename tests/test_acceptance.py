@@ -289,11 +289,10 @@ def test_acceptance_8_local_contraction():
 def test_acceptance_9_regularization_continuity():
     spec = SdeSpec(x0=1.0, a=1.0, b=0.5, sigma=2.0**-0.5, hurst=H_QUARTER)
     grid = TimeGrid(1.0, 4096)
-    offsets = [0.025, 0.0125, 0.00625]
     noises = np.array(
         [generate_fbm(grid, H_QUARTER, SeedRecord(777, index)).values for index in range(50)]
     )
-    results = verify_eps_continuity(spec, grid, noises, 0.05, offsets)
+    results = verify_eps_continuity(spec, grid, noises)
     failing: list[int] = []
     min_ratio = np.inf
     for index, result in enumerate(results):

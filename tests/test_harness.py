@@ -906,6 +906,54 @@ def test_failing_reduction_checks_keep_their_records(tmp_path, depth, digest, fi
     assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "zero_noise, digest, csvs, fail_counts",
+    [
+        (
+            False,
+            "ae34ad21641314f51f9b03501c26af6eef14ae19ac8b66e0052ac6ba5489c960",
+            {
+                "checks.csv": "3eb99f5c476b571553eea546994310f443be0255052ad930ed94cffcea4c1253",
+                "excursions.csv": "6b62ae0e30ce86b68e0bded92410d5b211f86c639b1a58b7236419f5e8740e80",
+            },
+            {"compensator": 12, "eps-continuity": 2},
+        ),
+        (
+            True,
+            "1fe66776a7e74123b3349f627160da108a18fe1b0a8ffb9c3c870789a639efd0",
+            {
+                "checks.csv": "c11a29a2d13ee1f294dca37bb62fe2425dd461f787aebbfce43982e18ebc2fb9",
+                "excursions.csv": "ce3805c61bebd9a320f167834ba1f25a4339a4204a1199b06ebbafdbf57ae3d5",
+            },
+            {"compensator": 12},
+        ),
+    ],
+)
+def test_every_check_keeps_its_golden_records(tmp_path, zero_noise, digest, csvs, fail_counts):
+    # The all-checks-11 spec on 2^11 steps, 12 paths at seed 99, every check,
+    # with and without noise: the digest covers every record of the report
+    # and the CSVs every exported value, so a refactor of contraction,
+    # eps-continuity or the row checks that moves a bit is caught here.
+    config = make_config(
+        spec={"x0": 0.5, "a": 1.5, "b": 0.5, "sigma": 1.0, "hurst": 0.25},
+        grid={"horizon": 1.0, "steps": 2**11},
+        ladder={"eps0": 0.1, "ratio": 0.4, "depth": 8},
+        seeds={"master_seed": 99, "path_count": 12},
+        checks=list(CHECK_ORDER),
+        zero_noise=zero_noise,
+        output_dir=str(tmp_path / "out"),
+    )
+    report = run_campaign(config)
+    assert list(report.checks) == list(CHECK_ORDER)
+    counts = {name: record.fail_count for name, record in report.checks.items()}
+    assert {name: count for name, count in counts.items() if count} == fail_counts
+    rendered = json.dumps(
+        canonical_report(report), sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == digest
+    assert csv_digests(tmp_path / "out") == csvs
+
+
 def test_solver_abort_is_recorded_not_raised(tmp_path):
     config = config_from_dict(
         config_dict(
@@ -934,7 +982,7 @@ def test_eps_continuity_solver_error_is_recorded_per_path(tmp_path, monkeypatch)
     # probe's levels follow the ladder's in the one step loop; the value
     # planted on path 0's eps* column at node 3 leaves the ladder intact.
     solve = ladder_module._integrate_batch
-    eps_star_column = -(1 + 2 * len(harness_module._EPS_CONTINUITY[1]))
+    eps_star_column = -(1 + 2 * len(ladder_module._PROBE_OFFSETS))
 
     def eps_star_breaks(spec, groups, noise_rows):
         ((_, eps_levels, _, _),) = groups
@@ -1261,11 +1309,14 @@ def test_a_campaign_that_reads_no_family_builds_none(tmp_path, monkeypatch):
 def test_contraction_window_certification_that_does_not_stabilize(tmp_path, monkeypatch):
     # With one certification round, a path whose first trial window is not
     # covered by its certificate records the isolation note; the block and
-    # the oracle agree path by path.
+    # the oracle agree path by path.  Every block record is a Verdict (a
+    # bare tuple compares equal to one, so equality alone cannot tell).
     monkeypatch.setattr(harness_module, "_CONTRACTION_MAX_RECERTIFICATIONS", 1)
     config = contraction_config(tmp_path)
     expected = oracle_records(config)
-    assert block_records(config) == expected
+    block = block_records(config)
+    assert block == expected
+    assert all(type(record) is ladder_module.Verdict for record in block)
     unstable = [i for i, record in enumerate(expected) if record[2] == "window certification did not stabilize"]
     assert unstable
     record = run_campaign(config).checks["contraction"]

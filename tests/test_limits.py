@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_paths_on_many_grids_share_one_step_loop(keep, monkeypatch):
     spec = make_spec(x0=0.3, a=0.1, b=0.5, sigma=2.0)
     noises, ladders = _mixed_block()
     alone = [
-        next(build_families(spec, [noise], ladder, eps_continuity=_EPS_CONTINUITY, keep=keep))
+        next(build_families(spec, [noise], ladder, eps_continuity=True, keep=keep))
         for noise, ladder in zip(noises, ladders)
     ]
     solve = ladder_module._integrate_batch
@@ -276,7 +277,7 @@ def test_paths_on_many_grids_share_one_step_loop(keep, monkeypatch):
         return solve(spec_, groups, noise_rows)
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
-    mixed = list(build_families(spec, noises, ladders, eps_continuity=_EPS_CONTINUITY, keep=keep))
+    mixed = list(build_families(spec, noises, ladders, eps_continuity=True, keep=keep))
     columns = 7 + 1 + 2 * len(_EPS_CONTINUITY[1])
     assert loops == [[(grid, columns, rows) for grid, rows in zip(_MIXED_GRIDS, (3, 2, 2))]]
     for outcome, own, noise, ladder in zip(mixed, alone, noises, ladders, strict=True):
@@ -330,7 +331,7 @@ def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
     monkeypatch.setattr(ladder_module, "_CHUNK_VALUES", 2 * 7 * 257)
 
     plain = list(build_families(spec, noises, ladder))
-    probed = list(build_families(spec, noises, ladder, eps_continuity=probe))
+    probed = list(build_families(spec, noises, ladder, eps_continuity=True))
     assert isinstance(probed[3], SolverError) and str(probed[3]) == str(plain[3])
     for index in (0, 1, 2, 4):
         assert plain[index].eps_continuity is None
@@ -338,8 +339,6 @@ def test_build_families_carries_the_eps_continuity_probe(monkeypatch):
         assert probed[index].eps_continuity == eps_continuity_oracle(
             spec, noises[index], *probe
         )
-    with pytest.raises(ValueError, match="offsets must be positive"):
-        list(build_families(spec, noises, ladder, eps_continuity=(0.05, [0.025, -1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,7 @@ _STREAM_CASES = {
     "zero-noise": (*_SHARED, None),
 }
 # the campaign's eps-continuity probe: eps* = 0.05 and three offsets
-_EPS_CONTINUITY = harness_module._EPS_CONTINUITY
+_EPS_CONTINUITY = (ladder_module.EPS_STAR, ladder_module._PROBE_OFFSETS)
 
 
 def _stream_noises(grid, seed, paths):
@@ -445,7 +444,7 @@ def test_streamed_reductions_equal_the_whole_array_oracle(case, block_steps, mon
     block_of(levels.size + 1 + 2 * len(_EPS_CONTINUITY[1]))
     oracles = _stream_probe_oracle(case)
     for keep, plains in (("limit", streamed), ("none", rowless)):
-        probed = build_families(spec, noises, ladder, eps_continuity=_EPS_CONTINUITY, keep=keep)
+        probed = build_families(spec, noises, ladder, eps_continuity=True, keep=keep)
         for family, plain, oracle in zip(probed, plains, oracles, strict=True):
             assert family_reductions(family) == family_reductions(plain)
             assert family.eps_continuity == oracle
@@ -470,8 +469,8 @@ def test_eps_continuity_rides_the_ladder_step_loop(monkeypatch):
         return solve(spec_, groups, noise_rows)
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", counted)
-    families = list(build_families(spec, noises, ladder, eps_continuity=probe, keep="limit"))
-    solved = ladder.levels().tolist() + ladder_module._eps_continuity_levels(*probe)[2].tolist()
+    families = list(build_families(spec, noises, ladder, eps_continuity=True, keep="limit"))
+    solved = ladder.levels().tolist() + ladder_module._PROBE_LEVELS.tolist()
     assert calls == [(solved, 2), (solved, 2), (solved, 1)]
     for noise, family in zip(noises, families):
         assert family.eps_continuity == eps_continuity_oracle(spec, noise, *probe)
@@ -605,7 +604,7 @@ def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypa
     grid = TimeGrid(1.0, 64)
     ladder = EpsilonLadder(0.1, 0.5, 4)
     probe = (0.05, [0.025, 0.0125, 0.00625])
-    probe_levels = ladder_module._eps_continuity_levels(*probe)[2]
+    probe_levels = ladder_module._PROBE_LEVELS
     noises = _stream_noises(grid, 5, 3)
     plain = list(build_families(spec, noises, ladder, keep="limit"))
     rungs = ladder.depth + 1
@@ -620,7 +619,7 @@ def test_a_non_finite_probe_level_leaves_the_family_intact(block_steps, monkeypa
     values[2, rungs, 64] = -np.inf  # eps*, at the last node
 
     monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, block_steps))
-    probed = list(build_families(spec, noises, ladder, eps_continuity=probe, keep="limit"))
+    probed = list(build_families(spec, noises, ladder, eps_continuity=True, keep="limit"))
     for family, clean in zip(probed, plain):
         assert family_reductions(family) == family_reductions(clean)
     assert probed[0].eps_continuity == eps_continuity_oracle(spec, noises[0], *probe)
@@ -697,7 +696,7 @@ def test_streamed_folds_equal_their_oracles_on_random_chunks(chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder_module, "_integrate_batch", _replay(values[order], block_steps))
         outcomes = list(
-            build_families(spec, noises, ladders, eps_continuity=probe, keep=keep)
+            build_families(spec, noises, ladders, eps_continuity=probe is not None, keep=keep)
         )
     for outcome, ladder, block in zip(outcomes, ladders, own, strict=True):
         rungs = ladder.depth + 1
@@ -1203,26 +1202,11 @@ def test_compensator_budget_property():
 # ---------------------------------------------------------------------------
 
 
-def test_eps_continuity_offset_validation():
+def test_eps_continuity_noise_shape_validation():
     spec = make_spec(b=0.5, sigma=2.0**-0.5)
     noise = zero_path(TimeGrid(1.0, 256), H_QUARTER)
-    grid, block = noise.grid, noise.values[None]
-    with pytest.raises(ValueError, match="offsets must be positive"):
-        verify_eps_continuity(spec, grid, block, 0.1, [0.05, 0.0])
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        verify_eps_continuity(spec, grid, block, 0.1, [0.025, 0.05])
-    with pytest.raises(ValueError, match="below eps_star"):
-        verify_eps_continuity(spec, grid, block, 0.1, [0.2, 0.1])
-    with pytest.raises(ValueError, match="eps_star must be positive"):
-        verify_eps_continuity(spec, grid, block, 0.0, [0.05])
-    with pytest.raises(ValueError, match="eps_star must be positive and finite"):
-        verify_eps_continuity(spec, grid, block, np.inf, [0.05, 0.025])
-    with pytest.raises(ValueError, match=r"offsets must be finite, got \[0.05, nan\]"):
-        verify_eps_continuity(spec, grid, block, 0.1, [0.05, np.nan])
-    with pytest.raises(ValueError, match=r"eps_star \+ offsets must stay finite"):
-        verify_eps_continuity(spec, grid, block, 1.5e308, [1e308, 1.0])
     with pytest.raises(ValueError, match=r"noise_values must have shape \(paths, 257\)"):
-        verify_eps_continuity(spec, grid, noise.values, 0.1, [0.05, 0.025])
+        verify_eps_continuity(spec, noise.grid, noise.values)
 
 
 @pytest.mark.parametrize("hurst_value", [0.05, 0.25, 0.45])
@@ -1237,9 +1221,7 @@ def test_eps_continuity_matches_the_scalar_oracle(hurst_value):
     noises = [zero_path(grid, hurst)] + [
         generate_fbm(grid, hurst, SeedRecord(seed, index)) for seed in (3, 41) for index in range(3)
     ]
-    results = verify_eps_continuity(
-        spec, grid, np.array([noise.values for noise in noises]), 0.05, offsets
-    )
+    results = verify_eps_continuity(spec, grid, np.array([noise.values for noise in noises]))
     assert len(results) == len(noises)
     for noise, result in zip(noises, results):
         assert result == eps_continuity_oracle(spec, noise, 0.05, offsets)
@@ -1256,9 +1238,7 @@ def test_eps_continuity_isolates_a_non_finite_row():
     broken[200] = np.inf
     noises[1] = FbmPath(grid, broken, H_QUARTER, SeedRecord(5, 1), "circulant")
 
-    results = verify_eps_continuity(
-        spec, grid, np.array([noise.values for noise in noises]), 0.05, offsets
-    )
+    results = verify_eps_continuity(spec, grid, np.array([noise.values for noise in noises]))
     with pytest.raises(SolverError) as expected:
         solve_regularized(spec, 0.05, noises[1])
     assert isinstance(results[1], SolverError)
@@ -1281,9 +1261,7 @@ def test_identical_level_has_zero_gap():
 def test_eps_continuity_deterministic_gaps_decrease():
     spec = make_spec(b=0.0, sigma=1.0)
     noise = zero_path(TimeGrid(1.0, 2048), H_QUARTER)
-    (result,) = verify_eps_continuity(
-        spec, noise.grid, noise.values[None], 0.1, [0.05, 0.025, 0.0125]
-    )
+    (result,) = verify_eps_continuity(spec, noise.grid, noise.values[None])
     plus = [row[1] for row in result.rows]
     minus = [row[2] for row in result.rows]
     print(f"deterministic eps-continuity gaps: plus {plus}, minus {minus}")
@@ -1292,13 +1270,38 @@ def test_eps_continuity_deterministic_gaps_decrease():
     assert result.passes
 
 
+@pytest.mark.parametrize("nudged", [False, True])
+def test_eps_continuity_passes_on_its_exact_boundary(nudged, monkeypatch):
+    # Planted probe rows whose gaps equal the offsets: eps* is 0 and the row
+    # of eps* +/- h_k is +/- h_k at node 2, so every gap is linear in h and
+    # the last is exactly a quarter of the first.  The rule is <=, so that
+    # passes with violation 0; one ulp more on the last gap fails.
+    spec = make_spec(b=0.5, sigma=1.0)
+    grid = TimeGrid(1.0, 4)
+    h1, h2, h3 = ladder_module._PROBE_OFFSETS
+    values = np.zeros((1, ladder_module._PROBE_LEVELS.size, 5))
+    for row, h in enumerate((h1, h2, np.nextafter(h3, 1.0) if nudged else h3)):
+        values[0, 1 + 2 * row, 2] = h
+        values[0, 2 + 2 * row, 2] = -h
+    monkeypatch.setattr(ladder_module, "_integrate_batch", _replay(values, 4))
+    (result,) = verify_eps_continuity(spec, grid, zero_path(grid, H_QUARTER).values[None])
+    ctx = SimpleNamespace(family=SimpleNamespace(eps_continuity=result))
+    verdict = harness_module._check_eps_continuity(None, ctx)
+    assert result.first_gap == h1
+    if not nudged:
+        assert result.last_gap == result.first_gap / 4.0 and result.passes
+        assert verdict == (True, 0.0, None)
+        return
+    assert result.both_nonincreasing and not result.passes
+    assert not verdict.passed and verdict.violation == np.nextafter(h3, 1.0) - h3  # 8.67e-19
+    assert verdict.note.startswith("final gap 6.250e-03 exceeds a quarter of the first gap")
+
+
 def test_eps_continuity_monte_carlo_sample():
     spec = make_spec(b=0.5, sigma=2.0**-0.5)
     grid = TimeGrid(1.0, 2048)
     noises = [generate_fbm(grid, H_QUARTER, SeedRecord(777, index)) for index in range(3)]
-    results = verify_eps_continuity(
-        spec, grid, np.array([noise.values for noise in noises]), 0.05, [0.025, 0.0125, 0.00625]
-    )
+    results = verify_eps_continuity(spec, grid, np.array([noise.values for noise in noises]))
     for index, result in enumerate(results):
         ratio = result.first_gap / result.last_gap
         assert result.passes, f"path {index}: first/last ratio {ratio:.2f}"

@@ -9,7 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from singsde import excursions as excursions_module
+from singsde import ladder as ladder_module
 from singsde import (
     EpsilonLadder,
     HurstParam,
@@ -168,6 +172,35 @@ def test_endpoint_limits_flags_large_boundary_value():
     assert not bad[0].passes
     good = verify_endpoint_limits(values, excursions, tol=0.4)
     assert good[0].passes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=40),
+    gap=st.floats(0.0, 1.0),
+    pinned=st.lists(st.tuples(st.integers(0, 39), st.sampled_from([-1.0, 1.0])), max_size=6),
+)
+def test_endpoint_failures_are_flanking_nodes_below_minus_the_threshold(values, gap, pinned):
+    # The campaign runs the endpoint check at the decomposition's own
+    # threshold tau = gap + 1e-6.  A flanking node is outside a maximal run
+    # of {x > tau}, so it is <= tau, and |x| > tau there means x < -tau: an
+    # interval passes exactly when its flanking nodes are >= -tau.  A path
+    # with min >= -tau therefore passes, and so does every path passing
+    # limit-nonneg (min >= -(gap + 1e-9) > -tau).
+    tau = gap + excursions_module.NONNEG_BUDGET_EXTRA
+    x = np.array(values)
+    for node, sign in pinned:  # nodes exactly at +/- tau
+        x[node % x.size] = sign * tau
+    excursions = decompose_excursions(x, TimeGrid(1.0, x.size - 1), tau)
+    checks = verify_endpoint_limits(x, excursions, tol=tau)
+    for check, (start, end) in zip(checks, excursions.intervals, strict=True):
+        flanks = [x[node] for node in (start - 1, end + 1) if 0 <= node < x.size]
+        assert all(flank <= tau for flank in flanks)
+        assert check.passes == all(flank >= -tau for flank in flanks)
+    if x.min() >= -tau:
+        assert all(check.passes for check in checks)
+    if x.min() >= -(gap + ladder_module.DEFAULT_TOL_NONNEG):
+        assert all(check.passes for check in checks)
 
 
 def test_endpoint_limits_on_campaign_paths():
