@@ -177,6 +177,10 @@ def solve_regularized(spec: SdeSpec, epsilon: float, noise: FbmPath) -> Regulari
 # which holds four: the time block's drifts, drift ratios, pushes and values.
 # A larger block shortens no step, and costs memory next to every chunk.
 _BLOCK_VALUES = 2**16
+# Steps per time block at most.  The loop keeps a view of every row of its
+# four blocks (about 136 bytes each), which would outweigh a narrow block's
+# values: one path at one level would take 2^18 views, about 36 MB.
+_BLOCK_STEPS = 2**10
 
 
 def _drift_table(spec: SdeSpec, eps_levels: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -219,20 +223,26 @@ def _integrate_batch(
     Non-finite states are left in place; the consumer inspects each path.
 
     A ufunc call costs far more than its few hundred elements, so every
-    operand is a same-shape contiguous array: the per-level ``c`` and
-    ``c/eps`` and the per-path half pushes are broadcast into scratch blocks
-    of about ``_BLOCK_VALUES`` entries once per block, not once per step, each
-    a broadcast along the contiguous paths axis or a row broadcast along the
-    levels.  The half pushes are read from the noise rows two blocks at a
-    time (a gather costs mostly per row slice, not per value copied), so no
-    copy of the whole noise is made.
+    operand is a same-shape contiguous row of one of the four block arrays,
+    and each step writes its results into rows its block already owns:
+    ``v (1 - b dt)/2`` and then the root go into the next value row, ``h``
+    overwrites the step's push row and ``h + c/eps`` its ratio row.  So the
+    ratio and push blocks are refilled for every block: the per-level ``c``
+    and ``c/eps`` as broadcasts along the contiguous paths axis, and the
+    pushes as one sum of the per-path half increments and the per-row
+    ``eps b dt/2``.  The half increments are read from the noise rows two
+    blocks at a time (a gather costs mostly per row slice, not per value
+    copied), so no copy of the whole noise is made.  Each block array's row
+    views are made once per call, and the ufuncs take positional outputs
+    (``np.minimum`` alone keeps ``out=``: numpy deprecates a third positional
+    argument there).
     """
 
     step_count = groups[0][0].step_count
     ends = accumulate(rows for *_, rows in groups)
     slices = [slice(end - rows, end) for end, (*_, rows) in zip(ends, groups)]
     shape = (groups[0][1].size, len(noise_rows))
-    block = min(step_count, max(1, _BLOCK_VALUES // max(1, shape[0] * shape[1])))
+    block = min(step_count, _BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, shape[0] * shape[1])))
     eps_rows = np.empty(shape)
     half_eps_bdt = np.empty(shape)
     damping = np.empty(shape)
@@ -241,15 +251,16 @@ def _integrate_batch(
         eps_rows[:, rows] = levels[:, None]
         half_eps_bdt[:, rows] = (levels * bdt * 0.5)[:, None]
         damping[:, rows] = (1.0 - bdt) * 0.5
-    h = np.empty(shape)
-    root = np.empty(shape)
-    floor = np.empty(shape)
     state = np.empty(shape)
     state[...] = spec.x0 + eps_rows
     drift_block = np.empty((block,) + shape)
     ratio_block = np.empty((block,) + shape)
     push_block = np.empty((block,) + shape)
     value_block = np.empty((block,) + shape)
+    drift_rows, ratio_rows, push_rows, value_rows = map(
+        list, (drift_block, ratio_block, push_block, value_block)
+    )
+    add, multiply, sqrt, minimum = np.add, np.multiply, np.sqrt, np.minimum
     span = 2 * block  # the noise rows are gathered two blocks at a time
     with np.errstate(all="ignore"):
         for start in range(0, step_count, block):
@@ -263,20 +274,20 @@ def _integrate_batch(
             if offset == 0:
                 window = np.array([row[start : start + span + 1] for row in noise_rows])
                 half_pushes = spec.sigma * np.diff(window, axis=1) * 0.5
-            steps = push_block[: stop - start]
-            steps[...] = half_pushes[:, offset : offset + stop - start].T[:, None, :]
-            np.add(steps, half_eps_bdt, out=steps)
+            increments = half_pushes[:, offset : offset + stop - start].T[:, None, :]
+            add(increments, half_eps_bdt, push_block[: stop - start])
             values = value_block[: stop - start]
             v = state
-            for following, drift, ratio, push in zip(values, drifts, ratios, steps):
-                np.multiply(v, damping, out=h)
-                np.add(h, push, out=h)
-                np.multiply(h, h, out=root)
-                np.add(root, drift, out=root)
-                np.sqrt(root, out=root)
-                np.add(h, ratio, out=floor)
-                np.minimum(root, floor, out=root)
-                np.add(h, root, out=following)
+            steps = zip(value_rows[: stop - start], drift_rows, ratio_rows, push_rows)
+            for following, c, ratio, h in steps:
+                multiply(v, damping, following)
+                add(following, h, h)
+                multiply(h, h, following)
+                add(following, c, following)
+                sqrt(following, following)
+                add(h, ratio, ratio)
+                minimum(following, ratio, out=following)
+                add(h, following, following)
                 v = following
             state[...] = v
             np.subtract(values, eps_rows, out=values)

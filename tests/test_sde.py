@@ -25,6 +25,7 @@ from singsde import (
     zero_path,
 )
 
+from singsde import sde as sde_module
 from singsde.sde import _drift_table, _integrate_batch
 
 from _support import closed_form, solve_batch, zero_noise_solution
@@ -219,10 +220,16 @@ def test_denominator_floor_keeps_drift_finite():
     assert solution.values.min() < 0.0, "fixture should actually cross zero"
 
 
-def test_solve_batch_is_bit_identical_to_scalar_solver():
+@pytest.mark.parametrize("block_steps", [1, 3, 7, None])
+def test_solve_batch_is_bit_identical_to_scalar_solver(block_steps, monkeypatch):
     # Paths x levels at once: a zero-crossing path, ordinary paths, and a path
     # with an infinite increment, which the batch leaves non-finite from the
-    # step where the scalar solver aborts.
+    # step where the scalar solver aborts.  Time blocks of 1, 3 or 7 steps, or
+    # one default block: the step loop overwrites its push and ratio rows, so
+    # a row left stale from the block before would show here; 7-step blocks
+    # end in a 1-step block, and the infinite increment lies inside a block.
+    if block_steps is not None:
+        monkeypatch.setattr(sde_module, "_BLOCK_VALUES", block_steps * 4 * 3)
     spec = make_spec(b=0.5, sigma=5.0)
     grid = TimeGrid(1.0, 512)
     noises = [generate_fbm(grid, H_QUARTER, SeedRecord(13, index)) for index in range(4)]
@@ -291,6 +298,26 @@ def test_batched_rows_on_different_grids_match_the_scalar_solver():
         for level, epsilon in enumerate(level_sets[group]):
             expected = solve_regularized(spec, float(epsilon), noise).values
             assert np.array_equal(solved[:, level, row], expected), (row, level)
+
+
+def test_a_narrow_batch_steps_in_blocks_of_at_most_block_steps():
+    # One path at one level would fit 2^16 steps in a block's values, but the
+    # loop keeps a view of each block row, so a block holds at most
+    # _BLOCK_STEPS steps.  The blocks, the last one short, still equal the
+    # scalar solver bit for bit.
+    spec = make_spec(b=0.5)
+    block = sde_module._BLOCK_STEPS
+    grid = TimeGrid(1.0, 3 * block + 5)
+    noise = generate_fbm(grid, H_QUARTER, SeedRecord(21, 0))
+    levels = np.array([0.01])
+    group = (grid, levels, _drift_table(spec, levels, grid), 1)
+    blocks = [
+        (first, values[:, 0, 0].copy())
+        for first, values in _integrate_batch(spec, [group], [noise.values])
+    ]
+    assert [first for first, _ in blocks] == [1, 1 + block, 1 + 2 * block, 1 + 3 * block]
+    solved = np.concatenate([[spec.x0]] + [values for _, values in blocks])
+    assert np.array_equal(solved, solve_regularized(spec, 0.01, noise).values)
 
 
 def test_solve_batch_validates_its_inputs():
